@@ -8,7 +8,7 @@ makes the per-root denominator shifts of the projector factors integral.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
@@ -45,10 +45,6 @@ class RootSystemData:
         """(rho, gamma) = j - i for gamma = eps_i - eps_j."""
         i, j = g
         return Fraction(j - i)
-
-    def root_to_generator(self, g):
-        """Raising generator index pair for the root: (i, j) itself."""
-        return g
 
     def is_composite(self, g):
         return g not in self.simple_roots

@@ -20,10 +20,10 @@ from fractions import Fraction
 from .algebra import (
     NormalOrdering,
     build_root_system,
-    default_ordering,
     validate_normal_ordering,
 )
-from .exact import Radical, sqrt_of_rational
+from . import exact
+from .exact import Radical, projections, spin_range, sqrt_of_rational
 from .pbw import RewriteEngine
 from .projector import (
     extremal_projector,
@@ -40,12 +40,9 @@ SCHEMA = 1
 def half(text):
     """argparse type for exact half-integers written as `p/2` or integers."""
     try:
-        f = Fraction(text)
+        return exact.half(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError("not a rational: %r" % (text,))
-    if (2 * f).denominator != 1:
         raise argparse.ArgumentTypeError("not a half-integer: %r" % (text,))
-    return f
 
 
 def _fstr(x):
@@ -63,32 +60,18 @@ def _record(keys, value):
     return rec
 
 
-def _spin_range(lo, hi):
-    x = lo
-    while x <= hi:
-        yield x
-        x += Fraction(1, 2)
-
-
-def _proj_range(j):
-    m = j
-    while m >= -j:
-        yield m
-        m -= 1
-
-
 # -- table builders ---------------------------------------------------
 
 
 def records_cgc_su2(args):
     j1, j2 = args.j1, args.j2
-    j3s = [args.j3] if args.j3 is not None else list(_spin_range(abs(j1 - j2), j1 + j2))
+    j3s = [args.j3] if args.j3 is not None else list(spin_range(abs(j1 - j2), j1 + j2))
     out = []
     for j3 in sorted(j3s, reverse=True):
         if (j1 + j2 + j3).denominator != 1 or not abs(j1 - j2) <= j3 <= j1 + j2:
             continue
-        for m3 in _proj_range(j3):
-            for m1 in _proj_range(j1):
+        for m3 in projections(j3):
+            for m1 in projections(j1):
                 m2 = m3 - m1
                 if abs(m2) > j2:
                     continue
@@ -252,11 +235,11 @@ def _verify_no_go(trunc):
 def _verify_su2_cgc(trunc):
     hi = Fraction(trunc) / 2 if trunc is not None else Fraction(1)
     ok = True
-    for j1 in _spin_range(Fraction(0), hi):
-        for j2 in _spin_range(Fraction(0), hi):
-            for j3 in _spin_range(abs(j1 - j2), j1 + j2):
-                for m3 in _proj_range(j3):
-                    for m1 in _proj_range(j1):
+    for j1 in spin_range(0, hi):
+        for j2 in spin_range(0, hi):
+            for j3 in spin_range(abs(j1 - j2), j1 + j2):
+                for m3 in projections(j3):
+                    for m1 in projections(j1):
                         m2 = m3 - m1
                         if abs(m2) > j2:
                             continue

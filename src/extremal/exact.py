@@ -1,4 +1,5 @@
-"""Exact arithmetic kernel: rationals, sums of square roots, factorials, Pochhammer products.
+"""Exact arithmetic kernel: rationals, sums of square roots, factorials, Pochhammer
+products, and half-integer spins with their ranges and projections.
 
 Every coefficient in the package ultimately lives in the field generated over Q
 by square roots of positive integers.  A value is kept as a canonical finite sum
@@ -10,7 +11,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import isqrt
 
 __all__ = [
     "Rational",
@@ -24,6 +24,9 @@ __all__ = [
     "sqrt_of_rational",
     "parse_rational",
     "parse_radical",
+    "half",
+    "spin_range",
+    "projections",
 ]
 
 # Arbitrary-precision rational; fractions.Fraction already keeps gcd-reduced
@@ -34,6 +37,30 @@ Rational = Fraction
 def parse_rational(s):
     """Parse 'p/q' or 'p' into a Fraction (exact)."""
     return Fraction(s.strip())
+
+
+def half(x):
+    """x as an exact half-integer Fraction; ValueError otherwise."""
+    f = Fraction(x)
+    if (2 * f).denominator != 1:
+        raise ValueError("not a half-integer: %s" % (x,))
+    return f
+
+
+def spin_range(lo, hi):
+    """The spins lo, lo + 1/2, ... up to hi."""
+    x = Fraction(lo)
+    while x <= hi:
+        yield x
+        x += Fraction(1, 2)
+
+
+def projections(j):
+    """The projections j, j - 1, ..., -j of spin j."""
+    m = j
+    while m >= -j:
+        yield m
+        m -= 1
 
 
 def _squarefree_split(n):

@@ -27,11 +27,9 @@ from sympy.polys.domains import QQ
 from sympy.polys.rings import ring as _poly_ring
 
 from .algebra import NormalOrdering, RootSystemData
-from .exact import Radical
 
 __all__ = [
     "Coeff",
-    "CartanRational",
     "RewriteEngine",
     "TaylorElement",
     "rewrite_word",
@@ -270,96 +268,6 @@ class Coeff:
         return "Coeff(%s)" % self.as_expr()
 
 
-class CartanRational:
-    """Rational function of the Cartan symbols, canonicalized via cancel().
-
-    Thin wrapper over a sympy expression; numerator/denominator are exposed
-    as polynomials of the canonical form.
-    """
-
-    __slots__ = ("expr",)
-
-    def __init__(self, expr):
-        self.expr = sympy.cancel(sympy.sympify(expr))
-
-    @property
-    def numerator(self):
-        return sympy.fraction(self.expr)[0]
-
-    @property
-    def denominator(self):
-        return sympy.fraction(self.expr)[1]
-
-    def __add__(self, other):
-        return CartanRational(self.expr + _expr(other))
-
-    def __mul__(self, other):
-        return CartanRational(self.expr * _expr(other))
-
-    def __sub__(self, other):
-        return CartanRational(self.expr - _expr(other))
-
-    def __truediv__(self, other):
-        return CartanRational(self.expr / _expr(other))
-
-    def __neg__(self):
-        return CartanRational(-self.expr)
-
-    def __eq__(self, other):
-        return sympy.cancel(self.expr - _expr(other)) == 0
-
-    def __hash__(self):
-        return hash(self.expr)
-
-    def __repr__(self):
-        return "CartanRational(%s)" % self.expr
-
-
-def _expr(x):
-    if isinstance(x, CartanRational):
-        return x.expr
-    if isinstance(x, Coeff):
-        return x.as_expr()
-    if isinstance(x, Fraction):
-        return sympy.Rational(x.numerator, x.denominator)
-    return sympy.sympify(x)
-
-
-def fraction_to_sympy(c):
-    return sympy.Rational(c.numerator, c.denominator)
-
-
-def radical_to_sympy(r):
-    return sympy.Add(*(fraction_to_sympy(c) * sympy.sqrt(d) for d, c in r.terms.items()))
-
-
-def sympy_to_radical(x):
-    """Convert an exact sympy number (rationals and square roots) to Radical."""
-    x = sympy.nsimplify(sympy.expand(x))
-    terms = {}
-
-    def absorb(coeff, rad):
-        terms[rad] = terms.get(rad, Fraction(0)) + coeff
-
-    for addend in sympy.Add.make_args(x):
-        coeff, rest = addend.as_coeff_Mul()
-        if not coeff.is_Rational:
-            raise ValueError("not a radical number: %s" % x)
-        c = Fraction(int(coeff.p), int(coeff.q))
-        if rest == 1:
-            absorb(c, 1)
-        elif rest.is_Pow and rest.exp == sympy.Rational(1, 2) and rest.base.is_Integer:
-            absorb(c, int(rest.base))
-        elif rest.is_Pow and rest.exp == sympy.Rational(1, 2) and rest.base.is_Rational:
-            q = Fraction(int(rest.base.p), int(rest.base.q))
-            r = Radical.sqrt(q) * Radical.from_rational(c)
-            for d, cc in r.terms.items():
-                absorb(cc, d)
-        else:
-            raise ValueError("not a radical number: %s" % x)
-    return Radical(terms)
-
-
 class RewriteEngine:
     """Straightening engine for one su(n) with one fixed normal ordering.
 
@@ -395,8 +303,6 @@ class RewriteEngine:
             return x
         if isinstance(x, (int, Fraction)):
             return Coeff.from_rational(self.ring, x)
-        if isinstance(x, CartanRational):
-            x = x.expr
         return Coeff.from_expr(self.ring, x)
 
     def recip_linear(self, factors):
@@ -771,12 +677,6 @@ class TaylorElement:
 
     def equals_mod_filtration(self, other, deg=None):
         return not self.residual(other, deg)
-
-    def is_zero_mod_filtration(self, deg=None):
-        if deg is None:
-            deg = self.bound
-        canon = self.canonical()
-        return all(self.degree(R) > deg for (_L, R) in canon.terms)
 
     # -- output -------------------------------------------------------
 

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import NormalOrdering, RootSystemData
 from .pbw import Coeff, RewriteEngine, TaylorElement
 
 __all__ = [

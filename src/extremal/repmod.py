@@ -9,11 +9,9 @@ lowering and the weight spaces are Gram-Schmidt orthonormalized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import sympy
 
 from .exact import Radical, sqrt_of_rational
 from .pbw import SingularWeightError, TaylorElement, TruncationError
@@ -50,6 +48,15 @@ def mat_vec(mat, vec):
     return {k: v for k, v in out.items() if v}
 
 
+def mat_pow_vec(mat, vec, k):
+    """mat^k applied to a sparse vector, stopping once it vanishes."""
+    for _ in range(int(k)):
+        if not vec:
+            break
+        vec = mat_vec(mat, vec)
+    return vec
+
+
 def mat_mul(a, b):
     by_row = {}
     for (r, c), v in b.items():
@@ -70,10 +77,6 @@ def mat_add(a, b):
 def mat_scale(a, c):
     c = _rad(c)
     return {k: v * c for k, v in a.items() if v * c}
-
-
-def mat_transpose(a):
-    return {(c, r): v for (r, c), v in a.items()}
 
 
 def mat_identity(dim):
@@ -157,28 +160,15 @@ class Irrep:
         return self.tags.index(tag)
 
     @property
-    def cartan_matrix(self):
-        n = self.n
-        return [
-            [Fraction(2 if i == j else (-1 if abs(i - j) == 1 else 0)) for j in range(n - 1)]
-            for i in range(n - 1)
-        ]
-
-    def _height(self, w):
-        """Sum of the simple-root coordinates of the weight."""
-        A = self.cartan_matrix
-        m = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in A])
-        b = sympy.Matrix([sympy.Rational(x.numerator, x.denominator) for x in w])
-        x = m.solve(b)
-        return sum(x)
-
-    @property
     def weight_diameter(self):
         """Max total raising degree any monomial can act by before leaving the
         weight support; bounds the truncation needed for exact application."""
         cached = getattr(self, "_diam", None)
         if cached is None:
-            hts = [self._height(w) for w in self.weights]
+            # height = sum of the simple-root coordinates; column k of the
+            # inverse su(n) Cartan matrix sums to k(n-k)/2
+            cols = [Fraction(k * (self.n - k), 2) for k in range(1, self.n)]
+            hts = [sum(c * x for c, x in zip(cols, w)) for w in self.weights]
             cached = int(max(hts) - min(hts))
             self._diam = cached
         return cached
@@ -186,24 +176,6 @@ class Irrep:
     def basis_vector(self, idx_or_tag):
         idx = idx_or_tag if isinstance(idx_or_tag, int) else self.index(idx_or_tag)
         return ModuleVector({idx: _ONE})
-
-    def to_json(self):
-        import json
-
-        return json.dumps(
-            {
-                "algebra": self.algebra,
-                "label": str(self.label),
-                "basis": [str(t) for t in self.tags],
-                "weights": [[str(x) for x in w] for w in self.weights],
-                "matrices": {
-                    "e%d%d" % g: {"%d,%d" % k: str(v) for k, v in m.items()}
-                    for g, m in sorted(self.matrices.items())
-                },
-            },
-            indent=2,
-            sort_keys=True,
-        )
 
 
 class ModuleVector:
@@ -252,11 +224,6 @@ class ModuleVector:
 # -- su(2) -----------------------------------------------------------
 
 
-def _as_fraction(j):
-    f = Fraction(j)
-    return f
-
-
 @lru_cache(maxsize=None)
 def _su2_cached(jnum, jden):
     j = Fraction(jnum, jden)
@@ -279,7 +246,7 @@ def _su2_cached(jnum, jden):
 
 
 def su2_irrep(j):
-    j = _as_fraction(j)
+    j = Fraction(j)
     return _su2_cached(j.numerator, j.denominator)
 
 
@@ -590,12 +557,8 @@ def _apply_raw(x, coords, M, cache):
     out = ModuleVector({})
     for (L, R), coeff in x.terms.items():
         w = dict(coords)
-        for (i, j), e in reversed(R):
-            mat = M.matrix((i, j))
-            for _ in range(e):
-                w = mat_vec(mat, w)
-                if not w:
-                    break
+        for g, e in reversed(R):
+            w = mat_pow_vec(M.matrix(g), w, e)
             if not w:
                 break
         if not w:
@@ -607,12 +570,8 @@ def _apply_raw(x, coords, M, cache):
             if c:
                 w2[idx] = val * c
         w = w2
-        for (i, j), e in reversed(L):
-            mat = M.matrix((i, j))
-            for _ in range(e):
-                w = mat_vec(mat, w)
-                if not w:
-                    break
+        for g, e in reversed(L):
+            w = mat_pow_vec(M.matrix(g), w, e)
             if not w:
                 break
         if w:

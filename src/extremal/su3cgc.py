@@ -19,16 +19,17 @@ convention is deterministic but not canonical.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import build_root_system
-from .exact import Radical, factorial_ratio, sqrt_of_rational
+from .exact import Radical, factorial_ratio, half, spin_range, sqrt_of_rational
 from .projector import apply_projector
-from .repmod import ModuleVector, apply_element, mat_vec, su3_irrep, tensor
+from .repmod import ModuleVector, apply_element, mat_pow_vec, su3_irrep, tensor
 from .su3gt import (
-    admissible_jt,
     enumerate_gt_labels,
+    gt_lower,
     gt_norm_factor,
     gt_vector,
     su3_engine,
@@ -49,35 +50,13 @@ __all__ = [
 
 _SYS3 = build_root_system(3)
 
-# (-1)^(3j) for half-integer j is ambiguous as printed; the shipped choice is
-# the one under which the tensor form matches the factorized projector.
-PHASE_HALF_INTEGER = "floor"
-
-
-def _half(x):
-    f = Fraction(x)
-    if (2 * f).denominator != 1:
-        raise ValueError("not a half-integer: %s" % (x,))
-    return f
-
-
-def _sign_3j(j):
-    three = 3 * j
-    if three.denominator == 1:
-        return (-1) ** int(three)
-    import math
-
-    e = math.ceil(three) if PHASE_HALF_INTEGER == "ceil" else math.floor(three)
-    return (-1) ** e
-
-
 def coeff_A(lam, mu, j, jz):
     """Weight-evaluated series coefficient A_{j j_z} of the tensor form.
 
     phi_12 = e11 - e22 + 1 and phi_13 = e11 - e33 + 2 at weight (lam, mu)
     become lam + 1 and lam + mu + 2.
     """
-    j, jz = _half(j), _half(jz)
+    j, jz = half(j), half(jz)
     if (j - jz).denominator != 1 or abs(jz) > j:
         raise ValueError("invalid (j, j_z) = (%s, %s)" % (j, jz))
     phi12 = lam + 1
@@ -85,7 +64,10 @@ def coeff_A(lam, mu, j, jz):
     ratio = factorial_ratio(
         [phi12 + j + jz - 1, phi13], [2 * j, phi12 + 2 * j, phi13 + j + jz]
     )
-    return Fraction(_sign_3j(j)) * phi12 * ratio
+    # (-1)^(3j) for half-integer j is ambiguous as printed; rounding 3j down
+    # is the reading under which the tensor form matches the factorized
+    # projector
+    return Fraction((-1) ** math.floor(3 * j)) * phi12 * ratio
 
 
 def tensor_form_parts(lam, mu, N, engine=None):
@@ -147,7 +129,7 @@ def coeff_B(lam, mu, j, t, jp, tp, jpp, tpp):
     the coupled tensor operators; zero whenever a triangle or factorial
     condition fails."""
     lam, mu = int(lam), int(mu)
-    j, t, jp, tp, jpp, tpp = (_half(x) for x in (j, t, jp, tp, jpp, tpp))
+    j, t, jp, tp, jpp, tpp = (half(x) for x in (j, t, jp, tp, jpp, tpp))
     mu2 = Fraction(mu, 2)
     s1 = sixj(j, jpp, j + jpp, tpp, t, mu2)
     if not s1:
@@ -200,35 +182,16 @@ def _embed(v1, v2, d2):
     return ModuleVector(coords)
 
 
-def _pow_apply(mat, v, k):
-    coords = v.coords
-    for _ in range(int(k)):
-        coords = mat_vec(mat, coords)
-        if not coords:
-            break
-    return ModuleVector(coords)
-
-
-def _gt_lower(M, lam3, mu3, label, v):
-    """Apply the GT lowering operator of (lam3, mu3) for `label` to v."""
-    j, t, tz = (_half(x) for x in label)
-    mu2 = Fraction(mu3, 2)
-    w = _pow_apply(M.matrix((2, 1)), v, j - mu2 + t)
-    w = _pow_apply(M.matrix((3, 1)), w, j + mu2 - t)
-    w = apply_element(t_projector(M.weight_diameter), w, M, singular="zero")
-    w = _pow_apply(M.matrix((3, 2)), w, t - tz)
-    scalar = sqrt_of_rational(factorial_ratio([t + tz], [2 * t, t - tz]))
-    return w.scale(gt_norm_factor(lam3, mu3, j, t) * scalar)
-
-
 def _gt_raise(M, lam3, mu3, label, v):
     """Apply the star of the GT lowering operator (a raising word) to v."""
-    j, t, tz = (_half(x) for x in label)
+    j, t, tz = (half(x) for x in label)
     mu2 = Fraction(mu3, 2)
-    w = _pow_apply(M.matrix((2, 3)), v, t - tz)
-    w = apply_element(t_projector(M.weight_diameter), w, M, singular="zero")
-    w = _pow_apply(M.matrix((1, 3)), w, j + mu2 - t)
-    w = _pow_apply(M.matrix((1, 2)), w, j - mu2 + t)
+    coords = mat_pow_vec(M.matrix((2, 3)), v.coords, t - tz)
+    w = apply_element(
+        t_projector(M.weight_diameter), ModuleVector(coords), M, singular="zero"
+    )
+    coords = mat_pow_vec(M.matrix((1, 3)), w.coords, j + mu2 - t)
+    w = ModuleVector(mat_pow_vec(M.matrix((1, 2)), coords, j - mu2 + t))
     scalar = sqrt_of_rational(factorial_ratio([t + tz], [2 * t, t - tz]))
     return w.scale(gt_norm_factor(lam3, mu3, j, t) * scalar)
 
@@ -285,7 +248,7 @@ def _coupled_vector(lam1, mu1, lam2, mu2, lam3, mu3, s, label):
             % (lam3, mu3, len(copies), lam1, mu1, lam2, mu2, s)
         )
     _M1, _M2, Mt = _pair_module(lam1, mu1, lam2, mu2)
-    return _gt_lower(Mt, lam3, mu3, label, copies[s - 1])
+    return gt_lower(Mt, lam3, mu3, label, copies[s - 1])
 
 
 def su3_cgc(lam1, mu1, g1, lam2, mu2, g2, lam3, mu3, g3, s=1):
@@ -295,9 +258,9 @@ def su3_cgc(lam1, mu1, g1, lam2, mu2, g2, lam3, mu3, g3, s=1):
     s-th orthonormal coupled highest vector; the coefficient is its exact
     inner product with |g1> x |g2>.
     """
-    g1 = tuple(_half(x) for x in g1)
-    g2 = tuple(_half(x) for x in g2)
-    g3 = tuple(_half(x) for x in g3)
+    g1 = tuple(half(x) for x in g1)
+    g2 = tuple(half(x) for x in g2)
+    g3 = tuple(half(x) for x in g3)
     coupled = _coupled_vector(lam1, mu1, lam2, mu2, lam3, mu3, s, g3)
     M1, M2, _Mt = _pair_module(lam1, mu1, lam2, mu2)
     u = _embed(
@@ -347,7 +310,7 @@ def _pme_direct(L1, g1, L2, g2, L3, g3, g3p, g1p, g2p):
     v = _apply_P(v, Mt)
     if v.is_zero():
         return Radical.from_rational(0)
-    v = _gt_lower(Mt, lam3, mu3, g3, v)
+    v = gt_lower(Mt, lam3, mu3, g3, v)
     bra = _embed(
         gt_vector(lam1, mu1, g1, module=M1),
         gt_vector(lam2, mu2, g2, module=M2),
@@ -356,21 +319,14 @@ def _pme_direct(L1, g1, L2, g2, L3, g3, g3p, g1p, g2p):
     return bra.inner(v)
 
 
-def _halves_to(hi):
-    x = Fraction(0)
-    while x <= hi:
-        yield x
-        x += Fraction(1, 2)
-
-
 def _pme_formula(L1, g1, L2, g2, L3, g3, g3p, g1p, g2p):
     (lam1, mu1), (lam2, mu2), (lam3, mu3) = L1, L2, L3
-    j1, t1, t1z = (_half(x) for x in g1)
-    j2, t2, t2z = (_half(x) for x in g2)
-    j3, t3, t3z = (_half(x) for x in g3)
-    j3p, t3p, t3zp = (_half(x) for x in g3p)
-    j1p, t1p, t1zp = (_half(x) for x in g1p)
-    j2p, t2p, t2zp = (_half(x) for x in g2p)
+    j1, t1, t1z = (half(x) for x in g1)
+    j2, t2, t2z = (half(x) for x in g2)
+    j3, t3, t3z = (half(x) for x in g3)
+    j3p, t3p, t3zp = (half(x) for x in g3p)
+    j1p, t1p, t1zp = (half(x) for x in g1p)
+    j2p, t2p, t2zp = (half(x) for x in g2p)
     mu12, mu22, mu32 = Fraction(mu1, 2), Fraction(mu2, 2), Fraction(mu3, 2)
     zero = Radical.from_rational(0)
 
@@ -407,16 +363,16 @@ def _pme_formula(L1, g1, L2, g2, L3, g3, g3p, g1p, g2p):
     a_fac = sqrt_of_rational(a_sq)
 
     total = zero
-    for j1pp in _halves_to(min(j1, j1p)):
-        for j2pp in _halves_to(min(j2, j2p)):
+    for j1pp in spin_range(0, min(j1, j1p)):
+        for j2pp in spin_range(0, min(j2, j2p)):
             jsum = j1 + j2 - j1pp - j2pp
             jsump = j1p + j2p - j1pp - j2pp
             if (j1 + j2 - j3 - j1pp - j2pp) < 0:
                 continue
             if (j1p + j2p - j3p - j1pp - j2pp) < 0:
                 continue
-            for t1pp in _halves_to(j1pp + mu12):
-                for t2pp in _halves_to(j2pp + mu22):
+            for t1pp in spin_range(0, j1pp + mu12):
+                for t2pp in spin_range(0, j2pp + mu22):
                     t3pp = abs(t1pp - t2pp)
                     while t3pp <= t1pp + t2pp:
                         term = _cgc6_term(

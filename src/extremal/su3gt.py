@@ -18,16 +18,17 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import build_root_system
-from .exact import Radical, factorial_ratio, sqrt_of_rational
+from .exact import factorial_ratio, half, sqrt_of_rational
 from .pbw import RewriteEngine
 from .projector import projector_factor
-from .repmod import ModuleVector, apply_element, mat_vec, su3_irrep
+from .repmod import ModuleVector, apply_element, mat_pow_vec, mat_vec, su3_irrep
 
 __all__ = [
     "enumerate_gt_labels",
     "gt_hypercharge",
     "gt_norm_factor",
     "gt_vector",
+    "gt_lower",
     "generator_matrix_elements",
     "su3_engine",
 ]
@@ -47,13 +48,6 @@ def su3_engine():
 def t_projector(N):
     """Extremal projector of the T-spin su(2) subalgebra, the (2,3) factor."""
     return projector_factor(_SYS3, (2, 3), N, engine=su3_engine()).series
-
-
-def _half(x):
-    f = Fraction(x)
-    if (2 * f).denominator != 1:
-        raise ValueError("not a half-integer: %s" % (x,))
-    return f
 
 
 def admissible_jt(lam, mu, j, t):
@@ -99,7 +93,7 @@ def gt_norm_factor(lam, mu, j, t):
     """Normalization N^{(lam mu)}_{jt}: positive square root of a factorial
     ratio that makes the lowering-operator vector unit length."""
     lam, mu = int(lam), int(mu)
-    j, t = _half(j), _half(t)
+    j, t = half(j), half(t)
     if not admissible_jt(lam, mu, j, t):
         raise ValueError("inadmissible (j, t) = (%s, %s) for (%d, %d)" % (j, t, lam, mu))
     mu2 = Fraction(mu, 2)
@@ -110,32 +104,29 @@ def gt_norm_factor(lam, mu, j, t):
     return sqrt_of_rational(ratio)
 
 
-def _pow_apply(mat, coords, k):
-    for _ in range(int(k)):
-        coords = mat_vec(mat, coords)
-        if not coords:
-            break
-    return coords
+def gt_lower(M, lam, mu, label, v):
+    """Apply the GT lowering operator of (lam, mu) for `label` to v in M."""
+    j, t, tz = (half(x) for x in label)
+    mu2 = Fraction(mu, 2)
+    coords = mat_pow_vec(M.matrix((2, 1)), v.coords, j - mu2 + t)
+    coords = mat_pow_vec(M.matrix((3, 1)), coords, j + mu2 - t)
+    w = apply_element(
+        t_projector(M.weight_diameter), ModuleVector(coords), M, singular="zero"
+    )
+    w = ModuleVector(mat_pow_vec(M.matrix((3, 2)), w.coords, t - tz))
+    scalar = sqrt_of_rational(factorial_ratio([t + tz], [2 * t, t - tz]))
+    return w.scale(gt_norm_factor(lam, mu, j, t) * scalar)
 
 
 def gt_vector(lam, mu, label, module=None):
     """The GT basis vector for `label` as exact coordinates in the realized
     module of su3_irrep(lam, mu)."""
     lam, mu = int(lam), int(mu)
-    j, t, tz = (_half(x) for x in label)
+    j, t, tz = (half(x) for x in label)
     if not admissible_jt(lam, mu, j, t) or abs(tz) > t or (t - tz).denominator != 1:
         raise ValueError("inadmissible GT label %s for (%d, %d)" % (label, lam, mu))
     M = module if module is not None else su3_irrep(lam, mu)
-    mu2 = Fraction(mu, 2)
-    a, b = j + mu2 - t, j - mu2 + t
-    coords = _pow_apply(M.matrix((2, 1)), {0: Radical.from_rational(1)}, b)
-    coords = _pow_apply(M.matrix((3, 1)), coords, a)
-    v = apply_element(
-        t_projector(M.weight_diameter), ModuleVector(coords), M, singular="zero"
-    )
-    v = ModuleVector(_pow_apply(M.matrix((3, 2)), v.coords, t - tz))
-    scalar = sqrt_of_rational(factorial_ratio([t + tz], [2 * t, t - tz]))
-    return v.scale(gt_norm_factor(lam, mu, j, t) * scalar)
+    return gt_lower(M, lam, mu, (j, t, tz), M.basis_vector(0))
 
 
 @lru_cache(maxsize=None)

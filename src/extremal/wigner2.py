@@ -6,6 +6,8 @@ builds the coupled-system extremal projector on an explicit tensor module and
 reads the coefficients off as exact matrix elements.  Both routes carry the
 Condon-Shortley phases: the projector route through the positive square root
 of the diagonal normalization, the closed form through its printed signs.
+The 6j symbol is Racah's single sum; the 9j symbol sums products of three 6j
+symbols over one spin.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import build_root_system
-from .exact import Radical, factorial_ratio, sqrt_of_rational
+from .exact import Radical, factorial_ratio, half, sqrt_of_rational
 from .pbw import RewriteEngine
 from .projector import extremal_projector
 from .repmod import ModuleVector, apply_element, mat_vec, su2_irrep, tensor
@@ -38,14 +40,6 @@ def su2_engine():
     if _ENG2 is None:
         _ENG2 = RewriteEngine(_SYS2)
     return _ENG2
-
-
-def _half(x):
-    """Coerce to an exact half-integer Fraction."""
-    f = Fraction(x)
-    if (2 * f).denominator != 1:
-        raise ValueError("not a half-integer: %s" % (x,))
-    return f
 
 
 def _valid_jm(j, m):
@@ -83,7 +77,7 @@ class ScaledElement:
 
 def lowering_monomial(j, m, N=None, engine=None):
     """F_{m;j} = sqrt((j+m)!/((2j)!(j-m)!)) J_-^{j-m}; maps |jj> to |jm>."""
-    j, m = _half(j), _half(m)
+    j, m = half(j), half(m)
     if not _valid_jm(j, m):
         raise ValueError("invalid (j, m) = (%s, %s)" % (j, m))
     eng = engine if engine is not None else su2_engine()
@@ -97,7 +91,7 @@ def lowering_monomial(j, m, N=None, engine=None):
 
 def general_projector(j, m, mprime, N=None, engine=None):
     """P^j_{m;m'} = F_{m;j} P F_{j;m'}: maps |jm'> to |jm>, kills the rest."""
-    j, m, mp = _half(j), _half(m), _half(mprime)
+    j, m, mp = half(j), half(m), half(mprime)
     for mm in (m, mp):
         if not _valid_jm(j, mm):
             raise ValueError("invalid (j, m) = (%s, %s)" % (j, mm))
@@ -136,9 +130,9 @@ def cgc_closed(j1, m1, j2, m2, j3, m3):
 
     Total on its domain: any selection-rule failure returns 0.
     """
-    j1, m1 = _half(j1), _half(m1)
-    j2, m2 = _half(j2), _half(m2)
-    j3, m3 = _half(j3), _half(m3)
+    j1, m1 = half(j1), half(m1)
+    j2, m2 = half(j2), half(m2)
+    j3, m3 = half(j3), half(m3)
     if m1 + m2 != m3:
         return Radical.from_rational(0)
     if not (_valid_jm(j1, m1) and _valid_jm(j2, m2) and _valid_jm(j3, m3)):
@@ -189,9 +183,9 @@ def cgc_projector(j1, m1, j2, m2, j3, m3):
     |j1 j1>|j2 j3-j1> and the result is paired with <j1 m1|<j2 m2|; the
     normalization is the positive square root of the diagonal element.
     """
-    j1, m1 = _half(j1), _half(m1)
-    j2, m2 = _half(j2), _half(m2)
-    j3, m3 = _half(j3), _half(m3)
+    j1, m1 = half(j1), half(m1)
+    j2, m2 = half(j2), half(m2)
+    j3, m3 = half(j3), half(m3)
     if m1 + m2 != m3:
         return Radical.from_rational(0)
     if not (_valid_jm(j1, m1) and _valid_jm(j2, m2) and _valid_jm(j3, m3)):
@@ -214,46 +208,29 @@ def cgc_projector(j1, m1, j2, m2, j3, m3):
 # -- recoupling symbols -----------------------------------------------
 
 
-def _proj_range(j):
-    m = j
-    while m >= -j:
-        yield m
-        m -= 1
-
-
 @lru_cache(maxsize=None)
 def _sixj(a, b, c, d, e, f):
-    # contraction definition: couple (a b) c then (c d) e against
-    # (b d) f then (a f) e, at total projection M = e
-    total = Radical.from_rational(0)
-    M = e
-    for m1 in _proj_range(a):
-        for m2 in _proj_range(b):
-            m3 = M - m1 - m2
-            if abs(m3) > d:
-                continue
-            c1 = cgc_closed(a, m1, b, m2, c, m1 + m2)
-            if not c1:
-                continue
-            c2 = cgc_closed(c, m1 + m2, d, m3, e, M)
-            if not c2:
-                continue
-            c3 = cgc_closed(b, m2, d, m3, f, m2 + m3)
-            if not c3:
-                continue
-            c4 = cgc_closed(a, m1, f, m2 + m3, e, M)
-            if not c4:
-                continue
-            total = total + c1 * c2 * c3 * c4
-    phase = Fraction((-1) ** int(a + b + d + e))
-    norm = sqrt_of_rational(Fraction(1, (int(2 * c) + 1) * (int(2 * f) + 1)))
-    return total * norm * Radical.from_rational(phase)
+    # Racah's single sum (Racah 1942): the product of the four triangle
+    # coefficients Delta(xyz) = (x+y-z)!(x-y+z)!(-x+y+z)!/(x+y+z+1)!, under
+    # one square root, times sum_t (-1)^t (t+1)! / prod of seven factorials
+    triads = ((a, b, c), (a, e, f), (d, b, f), (d, e, c))
+    delta = Fraction(1)
+    for x, y, z in triads:
+        delta *= factorial_ratio([x + y - z, x - y + z, -x + y + z], [x + y + z + 1])
+    sums = [x + y + z for x, y, z in triads]
+    quads = [a + b + d + e, b + c + e + f, c + a + f + d]
+    total = Fraction(0)
+    for t in range(int(max(sums)), int(min(quads)) + 1):
+        total += (-1) ** t * factorial_ratio(
+            [t + 1], [t - s for s in sums] + [q - t for q in quads]
+        )
+    return sqrt_of_rational(delta) * Radical.from_rational(total)
 
 
 def sixj(a, b, c, d, e, f):
     """{a b c; d e f}, zero unless all four coupling triangles hold."""
-    a, b, c = _half(a), _half(b), _half(c)
-    d, e, f = _half(d), _half(e), _half(f)
+    a, b, c = half(a), half(b), half(c)
+    d, e, f = half(d), half(e), half(f)
     if min(a, b, c, d, e, f) < 0:
         return Radical.from_rational(0)
     for t in ((a, b, c), (c, d, e), (b, d, f), (a, e, f)):
@@ -264,7 +241,7 @@ def sixj(a, b, c, d, e, f):
 
 def ninej(rows):
     """{a b c; d e f; g h i} as the standard 6j contraction over one spin."""
-    (a, b, c), (d, e, f), (g, h, i) = [tuple(_half(x) for x in r) for r in rows]
+    (a, b, c), (d, e, f), (g, h, i) = [tuple(half(x) for x in r) for r in rows]
     lo = max(abs(a - i), abs(b - f), abs(d - h))
     hi = min(a + i, b + f, d + h)
     total = Radical.from_rational(0)

@@ -1,6 +1,7 @@
 """Command-line interface: formats, determinism, exit codes, atomic output."""
 
 import csv
+import hashlib
 import io
 import json
 
@@ -160,3 +161,41 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     assert code == 3
     doc = json.loads(out)
     assert doc["records"][0]["ok"] is False
+
+
+# sha256 of stdout for cheap commands; any change to a printed byte (value,
+# order, spacing, format) changes a digest
+STDOUT_DIGESTS = [
+    ("cgc-su2 --j1 1 --j2 1/2",
+     "8ebbf4200ec5306b2f899923ac56b76afe3741b78025894a5a059e591575ece6"),
+    ("cgc-su2 --j1 1 --j2 1/2 --format json",
+     "3e32b48515cc5b27e06f2324af33bdde27f25e91b8a40d1e73d2d688be9afcdd"),
+    ("cgc-su2 --j1 1 --j2 1/2 --format csv",
+     "176be10ff8764cc6f0fe4f35f065c00cde42f2765ac724fe843e0b595487b8ea"),
+    ("sixj --j1 10 --j2 10 --j3 10 --j4 10 --j5 10 --j6 10",
+     "e7791aabcc4e7989cf1caa1f68310dfb8d74767fc0ec770640a3b4f818dd41b1"),
+    ("sixj --j1 1 --j2 1 --j3 3 --j4 1 --j5 1 --j6 1",
+     "448a755bd6670372edadcb6ac6ba4a3d33920a3a219e92725235f8432ea997b6"),
+    ("ninej --j1 1 --j2 1/2 --j3 3/2 --j4 1/2 --j5 1 --j6 3/2 --j7 3/2 --j8 3/2"
+     " --j9 1 --format json",
+     "606ed55eedf71779c60212059a45240561869fd4b4bee70935c0704ab3635209"),
+    ("gt-basis --lam 2 --mu 1 --format json",
+     "438ddbae2e60868dea81e544d7cb36986295c36ec3e42c402143a060e0e8b201"),
+    ("cgc-su3 --lam1 1 --mu1 0 --lam2 0 --mu2 1 --format json",
+     "ebc92aa546c7e05bbaff30282b5177d0d7590a0fab16b9daa493cd650e440f7c"),
+    ("projector --algebra su3 --trunc 2",
+     "c80671a8261787c23fd0425abfe06defbf948bff524589fd146c4d82e60f4615"),
+    ("projector --algebra su3 --trunc 2 --order 23,13,12",
+     "29efa2dae7cafc4096a9db523cf445e6720dc81708e88bee1fa93e6a653846e1"),
+    ("verify --suite su2-cgc --format json",
+     "d2bedf714f934e43ebb373bb094f815d9d335f08dcfa00e23edeb29e2d351f43"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, digest", STDOUT_DIGESTS, ids=[c for c, _ in STDOUT_DIGESTS]
+)
+def test_stdout_bytes_unchanged(capsys, command, digest):
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

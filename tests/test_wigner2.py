@@ -1,10 +1,14 @@
-"""su(2) coupling: CGC by two routes, unitarity, symmetries, 6j and 9j."""
+"""su(2) coupling: CGC by two routes, unitarity, symmetries, 6j and 9j,
+and 6j/9j against independent implementations."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
+import sympy
+from sympy.physics.wigner import wigner_6j, wigner_9j
 
-from extremal.exact import Radical, sqrt_of_rational
+from extremal.exact import Radical, projections, spin_range, sqrt_of_rational
 from extremal.repmod import su2_irrep
 from extremal.wigner2 import (
     cgc_closed,
@@ -20,20 +24,6 @@ HALF = Fraction(1, 2)
 
 def _rat(q):
     return Radical.from_rational(Fraction(q))
-
-
-def _jrange(lo, hi):
-    j = Fraction(lo)
-    while j <= hi:
-        yield j
-        j += HALF
-
-
-def _mrange(j):
-    m = j
-    while m >= -j:
-        yield m
-        m -= 1
 
 
 def test_cgc_known_values():
@@ -55,11 +45,11 @@ def test_cgc_selection_rules():
 
 
 def test_dual_route_agreement():
-    for j1 in _jrange(HALF, Fraction(3, 2)):
-        for j2 in _jrange(HALF, 1):
-            for j3 in _jrange(abs(j1 - j2), j1 + j2):
-                for m3 in _mrange(j3):
-                    for m1 in _mrange(j1):
+    for j1 in spin_range(HALF, Fraction(3, 2)):
+        for j2 in spin_range(HALF, 1):
+            for j3 in spin_range(abs(j1 - j2), j1 + j2):
+                for m3 in projections(j3):
+                    for m1 in projections(j1):
                         m2 = m3 - m1
                         if abs(m2) > j2:
                             continue
@@ -74,9 +64,9 @@ def test_cgc_orthogonality():
     # rows: sum over m1 m2 of C(j3 m3) C(j3' m3') = delta
     for j3 in allowed:
         for j3p in allowed:
-            for m3 in _mrange(min(j3, j3p)):
+            for m3 in projections(min(j3, j3p)):
                 s = Radical.from_rational(0)
-                for m1 in _mrange(j1):
+                for m1 in projections(j1):
                     m2 = m3 - m1
                     if abs(m2) > j2:
                         continue
@@ -104,7 +94,7 @@ def test_lowering_monomial_action():
     j = Fraction(3, 2)
     M = su2_irrep(j)
     top = M.basis_vector("m=3/2")
-    for m in _mrange(j):
+    for m in projections(j):
         out = lowering_monomial(j, m).apply(top, M)
         assert out == M.basis_vector("m=%s" % m)
 
@@ -155,3 +145,95 @@ def test_ninej_values():
     assert ninej(
         ((1, HALF, Fraction(3, 2)), (HALF, 1, Fraction(3, 2)), (Fraction(3, 2), Fraction(3, 2), 1))
     ) == _rat(Fraction(-1, 144))
+
+
+# -- independent oracles for 6j and 9j --------------------------------
+
+
+def _triad(a, b, c):
+    return (a + b + c).denominator == 1 and abs(a - b) <= c <= a + b
+
+
+def _sixj_valid(a, b, c, d, e, f):
+    return all(
+        _triad(*t) for t in ((a, b, c), (c, d, e), (b, d, f), (a, e, f))
+    )
+
+
+def _ninej_valid(a, b, c, d, e, f, g, h, i):
+    return all(
+        _triad(*t)
+        for t in ((a, b, c), (d, e, f), (g, h, i), (a, d, g), (b, e, h), (c, f, i))
+    )
+
+
+def _sympy(r):
+    return sympy.Add(
+        *(sympy.Rational(c.numerator, c.denominator) * sympy.sqrt(d)
+          for d, c in r.terms.items())
+    )
+
+
+def _sixj_contraction(a, b, c, d, e, f):
+    """The 6j symbol as a contraction of four closed-form CGCs."""
+    # contraction definition: couple (a b) c then (c d) e against
+    # (b d) f then (a f) e, at total projection M = e
+    total = Radical.from_rational(0)
+    M = e
+    for m1 in projections(a):
+        for m2 in projections(b):
+            m3 = M - m1 - m2
+            if abs(m3) > d:
+                continue
+            c1 = cgc_closed(a, m1, b, m2, c, m1 + m2)
+            if not c1:
+                continue
+            c2 = cgc_closed(c, m1 + m2, d, m3, e, M)
+            if not c2:
+                continue
+            c3 = cgc_closed(b, m2, d, m3, f, m2 + m3)
+            if not c3:
+                continue
+            c4 = cgc_closed(a, m1, f, m2 + m3, e, M)
+            if not c4:
+                continue
+            total = total + c1 * c2 * c3 * c4
+    phase = Fraction((-1) ** int(a + b + d + e))
+    norm = sqrt_of_rational(Fraction(1, (int(2 * c) + 1) * (int(2 * f) + 1)))
+    return total * norm * Radical.from_rational(phase)
+
+
+def _spins(hi):
+    return list(spin_range(0, hi))
+
+
+def test_sixj_equals_cgc_contraction():
+    for js in product(_spins(2), repeat=6):
+        if _sixj_valid(*js):
+            assert sixj(*js) == _sixj_contraction(*js), js
+
+
+def test_sixj_against_sympy():
+    valid = [js for js in product(_spins(Fraction(3, 2)), repeat=6) if _sixj_valid(*js)]
+    assert len(valid) == 181
+    for js in valid:
+        ref = wigner_6j(*(sympy.Rational(j.numerator, j.denominator) for j in js))
+        assert sympy.expand(_sympy(sixj(*js)) - ref) == 0, js
+
+
+def test_ninej_against_sympy():
+    valid = [js for js in product(_spins(1), repeat=9) if _ninej_valid(*js)]
+    assert len(valid) == 215
+    for js in valid:
+        ref = wigner_9j(*(sympy.Rational(j.numerator, j.denominator) for j in js))
+        val = ninej((js[0:3], js[3:6], js[6:9]))
+        assert sympy.expand(_sympy(val) - ref) == 0, js
+
+
+def test_non_triangle_symbols_vanish():
+    for js in product(_spins(Fraction(3, 2)), repeat=6):
+        if not _sixj_valid(*js):
+            assert not sixj(*js), js
+    for js in product(_spins(HALF), repeat=9):
+        if not _ninej_valid(*js):
+            assert not ninej((js[0:3], js[3:6], js[6:9])), js
