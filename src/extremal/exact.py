@@ -9,6 +9,7 @@ numeric equality.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -176,9 +177,7 @@ class Radical:
         for d1, c1 in self.terms.items():
             for d2, c2 in other.terms.items():
                 # sqrt(d1)*sqrt(d2) = g*sqrt(d1*d2/g^2) with g = gcd(d1,d2)
-                from math import gcd
-
-                g = gcd(d1, d2)
+                g = math.gcd(d1, d2)
                 d = (d1 // g) * (d2 // g)
                 c = c1 * c2 * g
                 terms[d] = terms.get(d, Fraction(0)) + c
@@ -312,7 +311,9 @@ def sqrt_of_rational(r, sign=1):
     # sqrt(p/q) = sqrt(p*q)/q
     n = r.numerator * r.denominator
     k, d = _squarefree_split(n)
-    return Radical({d: Fraction(sign * k, r.denominator)})
+    out = Radical.__new__(Radical)
+    out.terms = {d: Fraction(sign * k, r.denominator)}
+    return out
 
 
 # -- factorials with the reciprocal-pole convention ------------------
@@ -339,6 +340,14 @@ class Pole:
 POLE = Pole()
 
 
+def _int_factorial(n):
+    """n! as an int for n >= 0; POLE for negative integers."""
+    if n != int(n):
+        raise ValueError("factorial of non-integer %s" % (n,))
+    n = int(n)
+    return POLE if n < 0 else math.factorial(n)
+
+
 def factorial(n):
     """n! as a Fraction for n >= 0; POLE for negative integers.
 
@@ -346,15 +355,8 @@ def factorial(n):
     coefficient formulas: a pole in a denominator kills the whole term
     (1/(-k)! = 0), while a pole surviving in a numerator is an error.
     """
-    if n != int(n):
-        raise ValueError("factorial of non-integer %s" % (n,))
-    n = int(n)
-    if n < 0:
-        return POLE
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return Fraction(out)
+    f = _int_factorial(n)
+    return f if f is POLE else Fraction(f)
 
 
 def factorial_ratio(numerators, denominators):
@@ -364,19 +366,19 @@ def factorial_ratio(numerators, denominators):
     among the numerators (with no denominator pole to kill the term first)
     raises PoleError.
     """
-    den = Fraction(1)
+    den = 1
     for d in denominators:
-        f = factorial(d)
+        f = _int_factorial(d)
         if f is POLE:
             return Fraction(0)
         den *= f
-    num = Fraction(1)
+    num = 1
     for n in numerators:
-        f = factorial(n)
+        f = _int_factorial(n)
         if f is POLE:
             raise PoleError("factorial of %s in numerator" % (n,))
         num *= f
-    return num / den
+    return Fraction(num, den)
 
 
 def pochhammer(x, k, step=1):

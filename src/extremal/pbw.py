@@ -9,6 +9,10 @@ positive roots.  A TaylorElement additionally carries a truncation bound N:
 monomials of total raising degree > N are dropped, and equality is understood
 modulo that filtration.
 
+Straightening works on words of generators only.  A Cartan coefficient rides
+beside the word at its right end and moves past generators by an exact shift,
+f(h) X = X f(h + s_X), so every memo key is a tuple of generator pairs.
+
 Generators are index pairs (i, j), i != j, for e_ij; Cartan letters are
 rational functions of h1..h_{n-1}, h_i = e_ii - e_{i+1,i+1}.  Coefficients are
 stored with a polynomial numerator and a factored denominator: every
@@ -294,6 +298,7 @@ class RewriteEngine:
         self._pos = {r: i for i, r in enumerate(order.sequence)}
         self._reduce_cache = {}
         self._shift_cache = {}
+        self._eval_cache = {}  # (Coeff, weight) -> Radical, for repmod.apply_element
 
     # -- coefficients -------------------------------------------------
 
@@ -351,14 +356,6 @@ class RewriteEngine:
         self._shift_cache[key] = out
         return out
 
-    def e_diag(self, i):
-        """e_ii as a polynomial in the h_k (su(n) traceless)."""
-        n = self.n
-        p = self.ring.zero
-        for k in range(1, n):
-            p = p + self.ring.gens[k - 1] * QQ((1 if k >= i else 0) * n - k, n)
-        return Coeff(self.ring, p)
-
     def h_span_vec(self, i, j):
         """Coefficient vector of e_ii - e_jj over the h_k."""
         v = [0] * (self.n - 1)
@@ -392,79 +389,63 @@ class RewriteEngine:
 
     # -- straightening ------------------------------------------------
 
-    def _bad_pair(self, w, i):
-        a, b = w[i], w[i + 1]
-        a_h = not isinstance(a, tuple)
-        b_h = not isinstance(b, tuple)
-        if a_h:
-            return True  # cartan letters sink to the right (merge with next)
-        if b_h:
-            return False
+    def _bad_pair(self, a, b):
         ar, br = self.is_raising(a), self.is_raising(b)
-        if ar and not br:
-            return True
-        if ar == br:
-            return self.letter_key(a) > self.letter_key(b)
-        return False
+        if ar != br:
+            return ar
+        return self.letter_key(a) > self.letter_key(b)
 
     def reduce(self, word):
-        """Normal-order a word of letters; returns dict {(L, R): Coeff}.
+        """Normal-order a word of generators; returns dict {(L, R): Coeff}.
 
-        L and R are tuples of ((i,j), exp) in ordering sequence order; the
-        coefficient sits between them.  Exact (no truncation).  Every
-        intermediate word is memoized, so repeated straightening of the same
-        subproblems (ubiquitous in series products) costs nothing.
+        Words hold generators only.  L and R are tuples of ((i,j), exp) in
+        ordering sequence order; the coefficient sits between them.  A Cartan
+        commutator met while straightening rides at the right end of the word
+        (head h rest = head rest h(h + s_rest)) and enters the coefficient
+        through times_right.  Exact (no truncation).  Every intermediate word
+        is memoized on its tuple of generator pairs, so repeated straightening
+        of the same subproblems (ubiquitous in series products) costs nothing.
         """
         return self._reduce(tuple(word))
 
-    def _find_bad(self, w):
-        for i in range(len(w) - 1):
-            if self._bad_pair(w, i):
-                return i
-        return -1
-
-    def _reduce(self, word):
-        cached = self._reduce_cache.get(word)
+    def _reduce(self, w):
+        cached = self._reduce_cache.get(w)
         if cached is not None:
             return cached
-        w = word
-        i = self._find_bad(w)
-        if i < 0:
-            gens = [x for x in w if isinstance(x, tuple)]
-            tail = [x for x in w if not isinstance(x, tuple)]
-            f = tail[0] if tail else self.coeff_one
-            low = [g for g in gens if not self.is_raising(g)]
-            high = [g for g in gens if self.is_raising(g)]
-            if not f.is_one():
-                # L R f = L f(h - s_R) R
-                f = self.shift_expr(f, self.word_shift(high), scale=-1)
-            out = {(self._pack(low), self._pack(high)): f}
-            self._reduce_cache[word] = out
+        for i in range(len(w) - 1):
+            if self._bad_pair(w[i], w[i + 1]):
+                break
+        else:
+            low = [g for g in w if not self.is_raising(g)]
+            high = [g for g in w if self.is_raising(g)]
+            out = {(self._pack(low), self._pack(high)): self.coeff_one}
+            self._reduce_cache[w] = out
             return out
         a, b = w[i], w[i + 1]
-        out = {}
-
-        def absorb(sub, sign=1):
+        head, rest = w[:i], w[i + 2 :]
+        out = dict(self._reduce(head + (b, a) + rest))
+        for sign, letter in self.commutator(a, b):
+            if isinstance(letter, tuple):
+                sub = self._reduce(head + (letter,) + rest)
+            else:
+                f = self.shift_expr(letter, self.word_shift(rest))
+                sub = self.times_right(self._reduce(head + rest), f)
             for k, v in sub.items():
                 if sign < 0:
                     v = -v
                 cur = out.get(k)
                 out[k] = v if cur is None else cur + v
-
-        if not isinstance(a, tuple):
-            if isinstance(b, tuple):
-                # f(h) e = e f(h + s_e)
-                nw = w[:i] + (b, self.shift_expr(a, self.shift_vector(b))) + w[i + 2 :]
-                absorb(self._reduce(nw))
-            else:
-                absorb(self._reduce(w[:i] + (a * b,) + w[i + 2 :]))
-        else:
-            absorb(self._reduce(w[:i] + (b, a) + w[i + 2 :]))
-            for sign, letter in self.commutator(a, b):
-                absorb(self._reduce(w[:i] + (letter,) + w[i + 2 :]), sign)
         out = {k: v for k, v in out.items() if v}
-        self._reduce_cache[word] = out
+        self._reduce_cache[w] = out
         return out
+
+    def times_right(self, terms, f):
+        """terms times the Cartan coefficient f on the right:
+        L c R f = L c f(h - s_R) R."""
+        return {
+            (L, R): c * self.shift_expr(f, self.word_shift(self.unpack(R)), scale=-1)
+            for (L, R), c in terms.items()
+        }
 
     def _pack(self, letters):
         packed = []
@@ -509,21 +490,26 @@ def rewrite_word(word, sys, order=None, N=64, engine=None):
     """Reduce an arbitrary word to PBW normal form as a TaylorElement.
 
     word items are generator pairs (i, j), Cartan letters ('h', k), Cartan
-    expressions (sympy or Coeff), or (item, exponent) pairs.
+    expressions (sympy or Coeff), or (item, exponent) pairs.  Each Cartan
+    letter moves to the right end of the word, c X = X c(h + s_X), so only
+    the generators are straightened.
     """
     eng = engine if engine is not None else RewriteEngine(sys, order)
-    letters = []
+    gens, cartans = [], []
     for item in word:
         exp = 1
         if isinstance(item, tuple) and len(item) == 2 and isinstance(item[0], tuple):
             item, exp = item  # ((i,j), e) or (('h',k), e)
-        if isinstance(item, tuple) and item[0] == "h":
+        if isinstance(item, tuple) and item[0] != "h":
+            gens.extend([item] * exp)
+            continue
+        if isinstance(item, tuple):
             item = Coeff(eng.ring, eng.ring.gens[item[1] - 1])
-        elif not isinstance(item, tuple):
-            item = eng.coeff(item)
-        letters.extend([item] * exp)
-    terms = eng.reduce(letters)
-    out = TaylorElement(eng, N, dict(terms))
+        cartans.extend([(eng.coeff(item), len(gens))] * exp)
+    f = eng.coeff_one
+    for c, at in cartans:
+        f = f * eng.shift_expr(c, eng.word_shift(gens[at:]))
+    out = TaylorElement(eng, N, eng.times_right(eng.reduce(gens), f))
     return out._pruned()
 
 
@@ -604,14 +590,10 @@ class TaylorElement:
         for (La, Ra), ca in self.terms.items():
             ra_letters = eng.unpack(Ra)
             for (Lb, Rb), cb in other.terms.items():
-                core = eng.reduce(tuple(ra_letters + eng.unpack(Lb)))
+                core = eng.times_right(eng.reduce(ra_letters + eng.unpack(Lb)), cb)
                 for (L1, R1), c1 in core.items():
-                    # La ca L1 c1 R1 cb Rb ; move ca right past L1, cb left past R1
-                    mid = (
-                        eng.shift_expr(ca, eng.word_shift(eng.unpack(L1)))
-                        * c1
-                        * eng.shift_expr(cb, eng.word_shift(eng.unpack(R1)), scale=-1)
-                    )
+                    # La ca L1 c1 R1 Rb ; move ca right past L1
+                    mid = eng.shift_expr(ca, eng.word_shift(eng.unpack(L1))) * c1
                     lows = eng.reduce(tuple(eng.unpack(La) + eng.unpack(L1)))
                     highs = eng.reduce(tuple(eng.unpack(R1) + eng.unpack(Rb)))
                     for (L2, _e1), cl in lows.items():
@@ -622,7 +604,6 @@ class TaylorElement:
                             v = cl * mid * cr
                             cur = acc.get(key)
                             acc[key] = v if cur is None else cur + v
-                    del lows, highs
         out = TaylorElement(eng, bound, acc).canonical()
         return out
 
@@ -636,10 +617,11 @@ class TaylorElement:
         eng = self.engine
         acc = {}
         for (L, R), c in self.terms.items():
-            word = [(j, i) for (i, j) in reversed(eng.unpack(R))]
-            word.append(c)
-            word.extend((j, i) for (i, j) in reversed(eng.unpack(L)))
-            for key, v in eng.reduce(tuple(word)).items():
+            # (L c R)* = R* c L* = R* L* c(h + s_L*)
+            low = [(j, i) for (i, j) in reversed(eng.unpack(R))]
+            high = [(j, i) for (i, j) in reversed(eng.unpack(L))]
+            f = eng.shift_expr(c, eng.word_shift(high))
+            for key, v in eng.times_right(eng.reduce(low + high), f).items():
                 cur = acc.get(key)
                 acc[key] = v if cur is None else cur + v
         return TaylorElement(eng, self.bound, acc).canonical()._pruned()

@@ -502,7 +502,8 @@ def su3_irrep(lam, mu):
 # -- application of Taylor elements ----------------------------------
 
 
-def _eval_coeff(engine, coeff, weight, cache):
+def _eval_coeff(engine, coeff, weight):
+    cache = engine._eval_cache
     key = (coeff, weight)
     try:
         return cache[key]
@@ -513,7 +514,7 @@ def _eval_coeff(engine, coeff, weight, cache):
     return val
 
 
-def apply_element(x: TaylorElement, v: ModuleVector, M: Irrep, singular="raise", _cache={}):
+def apply_element(x: TaylorElement, v: ModuleVector, M: Irrep, singular="raise"):
     """Act with a TaylorElement on a module vector, exactly.
 
     Refuses when the module's weight diameter exceeds the truncation bound
@@ -536,7 +537,6 @@ def apply_element(x: TaylorElement, v: ModuleVector, M: Irrep, singular="raise",
     eng = x.engine
     if eng.n != M.n:
         raise ValueError("algebra rank mismatch")
-    cache = _cache.setdefault(id(eng), {})
     if singular == "zero":
         by_weight = {}
         for idx, val in v.coords.items():
@@ -544,15 +544,15 @@ def apply_element(x: TaylorElement, v: ModuleVector, M: Irrep, singular="raise",
         out = ModuleVector({})
         for w, coords in sorted(by_weight.items()):
             try:
-                out = out + _apply_raw(x, coords, M, cache)
+                out = out + _apply_raw(x, coords, M)
             except SingularWeightError:
                 if all(c >= 0 for c in w):
                     raise  # a pole on a dominant component is a real error
         return out
-    return _apply_raw(x, dict(v.coords), M, cache)
+    return _apply_raw(x, dict(v.coords), M)
 
 
-def _apply_raw(x, coords, M, cache):
+def _apply_raw(x, coords, M):
     eng = x.engine
     out = ModuleVector({})
     for (L, R), coeff in x.terms.items():
@@ -566,7 +566,7 @@ def _apply_raw(x, coords, M, cache):
         # diagonal Cartan coefficient, evaluated per weight component
         w2 = {}
         for idx, val in w.items():
-            c = _eval_coeff(eng, coeff, M.weights[idx], cache)
+            c = _eval_coeff(eng, coeff, M.weights[idx])
             if c:
                 w2[idx] = val * c
         w = w2

@@ -189,6 +189,10 @@ STDOUT_DIGESTS = [
      "29efa2dae7cafc4096a9db523cf445e6720dc81708e88bee1fa93e6a653846e1"),
     ("verify --suite su2-cgc --format json",
      "d2bedf714f934e43ebb373bb094f815d9d335f08dcfa00e23edeb29e2d351f43"),
+    ("projector --algebra su2 --trunc 6",
+     "1493a950f7cf767998f253b9a1ebbbd44c29c6624212910a40b1375c375fbdd0"),
+    ("verify --suite no-go --format json",
+     "b794abf20613db25f1365ea5cfbacf4f6c41fecc2a4081891b1b57ff374bdf17"),
 ]
 
 

@@ -1,10 +1,14 @@
 """PBW normal ordering engine: coefficients, straightening, star, evaluation."""
 
+import inspect
+import math
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extremal.algebra import build_root_system
 from extremal.pbw import (
@@ -15,8 +19,11 @@ from extremal.pbw import (
 )
 from extremal.repmod import (
     apply_element,
+    mat_add,
     mat_eq,
+    mat_identity,
     mat_mul,
+    mat_scale,
     matrix_of,
     su2_irrep,
     su3_irrep,
@@ -139,6 +146,67 @@ def test_rewrite_matches_module_action():
         assert mat_eq(lhs, prod)
 
 
+def test_root_string_closed_formula():
+    # e^a f^b = sum_k k! C(a,k) C(b,k) f^(b-k) prod_{i=1..k}(h - a - b + k + i) e^(a-k)
+    for a in range(9):
+        for b in range(9):
+            eng = RewriteEngine(SU2)
+            h = eng.ring.gens[0]
+            x = rewrite_word([((1, 2), a), ((2, 1), b)], SU2, engine=eng, N=16)
+            ref = eng.zero(16)
+            for k in range(min(a, b) + 1):
+                poly = eng.ring(math.factorial(k) * math.comb(a, k) * math.comb(b, k))
+                for i in range(1, k + 1):
+                    poly = poly * (h - a - b + k + i)
+                low = (((2, 1), b - k),) if b > k else ()
+                high = (((1, 2), a - k),) if a > k else ()
+                ref = ref + eng.monomial(low, Coeff(eng.ring, poly), high, 16)
+            assert x.equals_mod_filtration(ref), (a, b)
+            # words are memoized on generators only, so the cache stays
+            # polynomial in the word length (memoizing whole words with
+            # Cartan letters in them filled 137k entries for e^8 f^8)
+            assert len(eng._reduce_cache) < 1000, (a, b)
+            assert all(isinstance(i, int) for word in eng._reduce_cache
+                       for g in word for i in g)
+
+
+def _cartan_matrix(M, letter):
+    """Matrix of ('h', k, _) or of ('expr', k, c), which stands for h_k + c."""
+    kind, k, c = letter
+    m = M.matrix(("h", k))
+    return m if kind == "h" else mat_add(m, mat_scale(mat_identity(M.dim), c))
+
+
+def _word_item(letter):
+    if letter[0] == "h":
+        return ("h", letter[1])
+    if letter[0] == "expr":
+        return sympy.Symbol("h%d" % letter[1]) + letter[2]
+    return letter
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_rewrite_and_star_match_module(n, eng2, eng3, data):
+    # words with Cartan letters anywhere: the normal form acts as the product
+    # of the letter matrices, and star acts as the transpose
+    sys_ = SU2 if n == 2 else SU3
+    M = su2_irrep(Fraction(3, 2)) if n == 2 else su3_irrep(1, 1)
+    eng = eng2 if n == 2 else eng3
+    gens = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    cartan = st.tuples(st.sampled_from(["h", "expr"]), st.integers(1, n - 1), st.integers(-2, 2))
+    word = data.draw(st.lists(st.one_of(st.sampled_from(gens), cartan), max_size=8))
+    x = rewrite_word([_word_item(w) for w in word], sys_, engine=eng, N=16)
+    prod = mat_identity(M.dim)
+    for w in word:
+        m = M.matrix(w) if isinstance(w[0], int) else _cartan_matrix(M, w)
+        prod = mat_mul(prod, m)
+    mat = matrix_of(x, M)
+    assert mat_eq(mat, prod)
+    assert mat_eq(matrix_of(x.star(), M), {(c, r): v for (r, c), v in mat.items()})
+
+
 def test_exponent_letters():
     eng = RewriteEngine(SU2)
     a = rewrite_word([((1, 2), 3)], SU2, engine=eng, N=8)
@@ -194,3 +262,14 @@ def test_apply_element_su2():
     x = rewrite_word([(1, 2), (2, 1)], SU2, N=M.weight_diameter)
     assert apply_element(x, M.basis_vector("m=1/2"), M) == M.basis_vector("m=1/2")
     assert apply_element(x, M.basis_vector("m=-1/2"), M).is_zero()
+
+
+def test_apply_element_memo_lives_on_engine():
+    assert "_cache" not in inspect.signature(apply_element).parameters
+    M = su2_irrep(Fraction(1, 2))
+    eng = RewriteEngine(SU2)
+    x = rewrite_word([(1, 2), ("h", 1), (2, 1)], SU2, engine=eng, N=M.weight_diameter)
+    apply_element(x, M.basis_vector("m=1/2"), M)
+    assert eng._eval_cache
+    other = RewriteEngine(SU2)
+    assert not other._eval_cache
