@@ -30,7 +30,6 @@ from .projector import (
     no_go_polynomial_residual,
     verify_extremal_identities,
 )
-from .repmod import su3_irrep
 from .su3gt import enumerate_gt_labels, gt_hypercharge, gt_norm_factor, gt_vector
 from .wigner2 import cgc_closed, cgc_projector, ninej, sixj
 
@@ -107,14 +106,18 @@ def records_cgc_su3(args):
                 % (want + (lam1, mu1, lam2, mu2))
             )
         targets = [want]
-    labs1 = enumerate_gt_labels(lam1, mu1)
-    labs2 = enumerate_gt_labels(lam2, mu2)
+    labs1 = [(g, gt_hypercharge(lam1, mu1, g[0])) for g in enumerate_gt_labels(lam1, mu1)]
+    labs2 = [(g, gt_hypercharge(lam2, mu2, g[0])) for g in enumerate_gt_labels(lam2, mu2)]
     out = []
     for lam3, mu3 in targets:
         for s in range(1, len(found[(lam3, mu3)]) + 1):
             for g3 in enumerate_gt_labels(lam3, mu3):
-                for g1 in labs1:
-                    for g2 in labs2:
+                y3 = gt_hypercharge(lam3, mu3, g3[0])
+                for g1, y1 in labs1:
+                    for g2, y2 in labs2:
+                        # a CGC vanishes unless the weights (t_z, y) add up
+                        if g1[2] + g2[2] != g3[2] or y1 + y2 != y3:
+                            continue
                         v = su3_cgc(lam1, mu1, g1, lam2, mu2, g2, lam3, mu3, g3, s=s)
                         if not v:
                             continue
@@ -151,10 +154,9 @@ def records_ninej(args):
 
 def records_gt_basis(args):
     lam, mu = args.lam, args.mu
-    M = su3_irrep(lam, mu)
     out = []
     for lab in enumerate_gt_labels(lam, mu):
-        v = gt_vector(lam, mu, lab, module=M)
+        v = gt_vector(lam, mu, lab)
         coords = ";".join(
             "%d:%s" % (i, v.coords[i]) for i in sorted(v.coords)
         )
@@ -253,8 +255,7 @@ def _verify_su3_gt(trunc):
     lam, mu = (1, 1)
     labels = enumerate_gt_labels(lam, mu)
     count_ok = len(labels) == (lam + 1) * (mu + 1) * (lam + mu + 2) // 2
-    M = su3_irrep(lam, mu)
-    vecs = [gt_vector(lam, mu, lab, module=M) for lab in labels]
+    vecs = [gt_vector(lam, mu, lab) for lab in labels]
     one = Radical.from_rational(1)
     gram_ok = True
     for a, va in enumerate(vecs):
@@ -417,6 +418,11 @@ def main(argv=None):
     except (ValueError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except (RuntimeError, ArithmeticError) as exc:
+        # a failed self-check, a singular weight or pole, the recursion limit
+        print("error: %s: %s" % (type(exc).__name__, " ".join(str(exc).split())),
+              file=sys.stderr)
+        return 4
     emit(render(records, args.format, args.command), args.out)
     if args.command == "verify" and not all(r["ok"] for r in records):
         return 3

@@ -299,6 +299,7 @@ class RewriteEngine:
         self._reduce_cache = {}
         self._shift_cache = {}
         self._eval_cache = {}  # (Coeff, weight) -> Radical, for repmod.apply_element
+        self._factor_cache = {}  # (root, N) -> series terms, for projector_factor
 
     # -- coefficients -------------------------------------------------
 

@@ -46,23 +46,30 @@ def phi_expr(engine, root, n):
 
 
 def projector_factor(sys, root, N, engine=None):
-    """Per-root factor of the extremal projector, truncated at n = N."""
+    """Per-root factor of the extremal projector, truncated at n = N; built
+    once per (engine, root, N) and kept on the engine."""
     if root not in sys.positive_roots:
         raise ValueError("%r is not a positive root of su(%d)" % (root, sys.n))
     if N < 0:
         raise ValueError("truncation bound must be >= 0")
     eng = engine if engine is not None else RewriteEngine(sys)
-    i, j = root
-    low_shift = eng.shift_vector((j, i))
-    terms = {}
-    for n in range(N + 1):
-        # The series coefficient phi_n is written to the LEFT of the lowering
-        # word; in L * C * R normal form it sits in the middle, so commute it
-        # through e_{-gamma}^n first:  phi(h) e_-g^n = e_-g^n phi(h + n*s).
-        phi = phi_expr(eng, root, n)
-        mid = eng.shift_expr(phi, low_shift, scale=n) if n else phi
-        key = ((((j, i), n),) if n else (), (((i, j), n),) if n else ())
-        terms[key] = mid * Fraction((-1) ** n, math.factorial(n))
+    # the memo holds the terms, not the series: a series refers back to the
+    # engine, and that cycle would keep every discarded engine alive until a
+    # full garbage collection
+    terms = eng._factor_cache.get((root, N))
+    if terms is None:
+        i, j = root
+        low_shift = eng.shift_vector((j, i))
+        terms = {}
+        for n in range(N + 1):
+            # The series coefficient phi_n is written to the LEFT of the lowering
+            # word; in L * C * R normal form it sits in the middle, so commute it
+            # through e_{-gamma}^n first:  phi(h) e_-g^n = e_-g^n phi(h + n*s).
+            phi = phi_expr(eng, root, n)
+            mid = eng.shift_expr(phi, low_shift, scale=n) if n else phi
+            key = ((((j, i), n),) if n else (), (((i, j), n),) if n else ())
+            terms[key] = mid * Fraction((-1) ** n, math.factorial(n))
+        eng._factor_cache[(root, N)] = terms
     return ProjectorFactor(root=root, series=TaylorElement(eng, N, terms))
 
 

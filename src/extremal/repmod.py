@@ -4,11 +4,15 @@ Matrices are sparse dicts {(row, col): Radical} over an orthonormal basis;
 weights are tuples of h_i eigenvalues (Fractions).  su(3) irreps are realized
 inside tensor powers of the fundamental and antifundamental representations:
 the cyclic submodule of the highest-weight product vector is generated by
-lowering and the weight spaces are Gram-Schmidt orthonormalized.
+lowering, all in integer arithmetic.  Each weight space is Gram-Schmidt
+orthogonalized into primitive integer vectors u, the orthonormal basis is
+u/|u|, and a generator matrix entry is the integer u_a . (e_ij u_b) over
+|u_a| |u_b|, one square root per nonzero entry.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -260,30 +264,6 @@ def casimir_matrix_su2(M):
 # -- su(3) -----------------------------------------------------------
 
 
-def _su3_fund():
-    # e_ij are elementary matrices; weights of e_1, e_2, e_3
-    weights = [(Fraction(1), Fraction(0)), (Fraction(-1), Fraction(1)), (Fraction(0), Fraction(-1))]
-    mats = {}
-    for i in range(1, 4):
-        for j in range(1, 4):
-            if i != j:
-                mats[(i, j)] = {(i - 1, j - 1): _ONE}
-    return Irrep(algebra="su3", n=3, label=(1, 0), tags=["e1", "e2", "e3"],
-                 weights=weights, matrices=mats)
-
-
-def _su3_antifund():
-    # dual representation: x -> -x^T on the fundamental
-    weights = [(Fraction(-1), Fraction(0)), (Fraction(1), Fraction(-1)), (Fraction(0), Fraction(1))]
-    mats = {}
-    for i in range(1, 4):
-        for j in range(1, 4):
-            if i != j:
-                mats[(i, j)] = {(j - 1, i - 1): -_ONE}
-    return Irrep(algebra="su3", n=3, label=(0, 1), tags=["f1", "f2", "f3"],
-                 weights=weights, matrices=mats)
-
-
 def tensor(a, b):
     """Tensor product module with the diagonal action g x 1 + 1 x g."""
     if a.algebra != b.algebra:
@@ -313,28 +293,65 @@ def tensor(a, b):
     )
 
 
-def _frac_gs(vectors):
-    """Gram-Schmidt a list of Fraction-dict vectors; returns orthogonal
-    rational vectors (dependent inputs dropped)."""
+_SU3_GENERATORS = [(i, j) for i in (1, 2, 3) for j in (1, 2, 3) if i != j]
+
+# A tensor factor of the realization: the weights of its three basis vectors,
+# and, per generator e_ij, its one nonzero matrix entry (row, col, value).
+# The fundamental has e_ij = E_ij; the antifundamental is its dual, -E_ji.
+_FUND = (((1, 0), (-1, 1), (0, -1)),
+         {(i, j): (i - 1, j - 1, 1) for i, j in _SU3_GENERATORS})
+_ANTIFUND = (((-1, 0), (1, -1), (0, 1)),
+             {(i, j): (j - 1, i - 1, -1) for i, j in _SU3_GENERATORS})
+
+
+def _int_mat_vec(by_col, vec):
+    """Column-indexed integer matrix {col: [(row, value)]} on a sparse vector."""
+    out = {}
+    for c, x in vec.items():
+        for r, a in by_col.get(c, ()):
+            out[r] = out.get(r, 0) + a * x
+    return {k: v for k, v in out.items() if v}
+
+
+def _dot(u, v):
+    return sum(x * v[k] for k, x in u.items() if k in v)
+
+
+def _primitive(vec):
+    g = 0
+    for x in vec.values():
+        g = math.gcd(g, x)
+    return {k: x // g for k, x in vec.items()}
+
+
+def _int_gs(vectors):
+    """Fraction-free Gram-Schmidt of independent integer vectors: each output
+    is the primitive integer vector along the rational Gram-Schmidt one, with
+    the same orientation."""
     basis = []
     for v in vectors:
         w = dict(v)
-        for u, u2 in basis:
-            # w -= (<w,u>/<u,u>) u
-            dot = sum(w.get(k, Fraction(0)) * uv for k, uv in u.items())
+        for u, n2 in basis:
+            dot = _dot(w, u)
             if dot:
-                f = dot / u2
-                for k, uv in u.items():
-                    w[k] = w.get(k, Fraction(0)) - f * uv
-        w = {k: x for k, x in w.items() if x}
-        if w:
-            basis.append((w, sum(x * x for x in w.values())))
+                # n2 * (w - (<w,u>/<u,u>) u): a positive multiple of the step
+                w = {k: n2 * w.get(k, 0) - dot * u.get(k, 0) for k in set(w) | set(u)}
+                w = {k: x for k, x in w.items() if x}
+        w = _primitive(w)
+        basis.append((w, _dot(w, w)))
     return [u for u, _ in basis]
 
 
 @lru_cache(maxsize=None)
 def su3_irrep(lam, mu):
-    """Exact su(3) irrep (lam, mu) realized in fund^lam x antifund^mu."""
+    """Exact su(3) irrep (lam, mu) realized in fund^lam x antifund^mu.
+
+    The cyclic submodule of the highest-weight product vector is generated by
+    lowering.  Each weight space is Gram-Schmidt orthogonalized in integer
+    arithmetic; basis vector b is u_b / |u_b| for a primitive integer vector
+    u_b whose first product-basis coordinate is positive, so the entry (a, b)
+    of a generator is d / (|u_a| |u_b|) with the integer d = u_a . (e_ij u_b).
+    """
     lam, mu = int(lam), int(mu)
     if lam < 0 or mu < 0:
         raise ValueError("labels must be nonnegative")
@@ -342,68 +359,35 @@ def su3_irrep(lam, mu):
         raise ValueError("desk-scale guard: lam + mu <= 6")
     dim_expected = (lam + 1) * (mu + 1) * (lam + mu + 2) // 2
     if lam == 0 and mu == 0:
-        mats = {(i, j): {} for i in range(1, 4) for j in range(1, 4) if i != j}
+        mats = {g: {} for g in _SU3_GENERATORS}
         return Irrep(algebra="su3", n=3, label=(0, 0), tags=["0"],
                      weights=[(Fraction(0), Fraction(0))], matrices=mats)
 
-    components = [_su3_fund()] * lam + [_su3_antifund()] * mu
-    dims = [c.dim for c in components]
-    total = 1
-    for d in dims:
-        total *= d
+    components = [_FUND] * lam + [_ANTIFUND] * mu
+    total = 3 ** len(components)
+    strides = [3 ** k for k in reversed(range(len(components)))]
 
-    def unrank(idx):
-        out = []
-        for d in reversed(dims):
-            out.append(idx % d)
-            idx //= d
-        return tuple(reversed(out))
+    # product-space weights; product index = sum of digit * stride
+    pweights = [(0, 0)]
+    for cw, _ in components:
+        pweights = [(a + x, b + y) for a, b in pweights for x, y in cw]
 
-    # product-space weights
-    pweights = []
-    for idx in range(total):
-        parts = unrank(idx)
-        w = [Fraction(0), Fraction(0)]
-        for c, p in zip(components, parts):
-            cw = c.weights[p]
-            w[0] += cw[0]
-            w[1] += cw[1]
-        pweights.append(tuple(w))
-
-    # product-space lowering / generator matrices (rational entries)
+    # product-space generator matrices, indexed by column
     def pmatrix(g):
-        mat = {}
-        for pos, comp in enumerate(components):
-            sub = comp.matrices.get(g, {})
-            stride = 1
-            for d in dims[pos + 1 :]:
-                stride *= d
-            block = dims[pos] * stride
-            for (r, c), v in sub.items():
-                val = v.to_rational()
-                for hi in range(total // block):
-                    for lo in range(stride):
-                        rr = hi * block + r * stride + lo
-                        cc = hi * block + c * stride + lo
-                        mat[(rr, cc)] = mat.get((rr, cc), Fraction(0)) + val
-        return {k: v for k, v in mat.items() if v}
+        by_col = {}
+        for (_, entries), stride in zip(components, strides):
+            r, c, val = entries[g]
+            for idx in range(total):
+                if idx // stride % 3 == c:
+                    by_col.setdefault(idx, []).append((idx + (r - c) * stride, val))
+        return by_col
 
-    lowering = [pmatrix(g) for g in ((2, 1), (3, 1), (3, 2))]
+    pmats = {g: pmatrix(g) for g in _SU3_GENERATORS}
+    lowering = [pmats[g] for g in ((2, 1), (3, 1), (3, 2))]
 
     # highest-weight product vector: every fundamental at e1, antifund at f3
-    hi_idx = 0
-    for comp, d in zip(components, dims):
-        hi_idx = hi_idx * d + (0 if comp.label == (1, 0) else 2)
-    highest = {hi_idx: Fraction(1)}
-
-    # cyclic submodule via repeated lowering, grouped by weight
-    def rat_mat_vec(mat, vec):
-        out = {}
-        for (r, c), a in mat.items():
-            v = vec.get(c)
-            if v is not None:
-                out[r] = out.get(r, Fraction(0)) + a * v
-        return {k: v for k, v in out.items() if v}
+    hi_idx = sum(s * (0 if comp is _FUND else 2) for comp, s in zip(components, strides))
+    highest = {hi_idx: 1}
 
     by_weight = {}  # weight -> (echelon rows, original vectors in order)
 
@@ -414,86 +398,70 @@ def su3_irrep(lam, mu):
         ech, originals = by_weight.setdefault(w, ([], []))
         red = dict(vec)
         for pivot, row in ech:
-            if pivot in red:
-                f = red[pivot]
-                for k, v in row.items():
-                    red[k] = red.get(k, Fraction(0)) - f * v
+            f = red.get(pivot)
+            if f:
+                p = row[pivot]
+                red = {k: p * red.get(k, 0) - f * row.get(k, 0) for k in set(red) | set(row)}
                 red = {k: v for k, v in red.items() if v}
         if not red:
             return False
-        pivot = min(red)
-        pv = red[pivot]
-        row = {k: v / pv for k, v in red.items()}
-        ech.append((pivot, row))
+        ech.append((min(red), _primitive(red)))
         originals.append(vec)
         return True
 
+    # cyclic submodule via repeated lowering, grouped by weight
     insert(highest)
     queue = [highest]
     while queue:
         vec = queue.pop()
         for mat in lowering:
-            nxt = rat_mat_vec(mat, vec)
+            nxt = _int_mat_vec(mat, vec)
             if insert(nxt):
                 queue.append(nxt)
 
-    # orthonormalize per weight space, deterministic basis order
+    # orthogonalize per weight space, deterministic basis order
     def sort_key(w):
         ht = -(w[0] + w[1])  # for su(3), w1 + w2 is the exact height
         return (ht, tuple(-x for x in w))
 
-    entries = []  # (weight, orthonormal vector as ModuleVector coords over product space)
+    basis = []  # (weight, primitive integer vector, its squared norm)
     for w in sorted(by_weight, key=sort_key):
-        _ech, originals = by_weight[w]
-        for u in _frac_gs(originals):
-            n2 = sum(x * x for x in u.values())
-            scale = sqrt_of_rational(Fraction(1) / n2)
-            vec = {k: Radical.from_rational(v) * scale for k, v in u.items()}
-            # fix phase: first product-basis coordinate positive
-            lead = vec[min(vec)]
-            if lead.sign() < 0:
-                vec = {k: -v for k, v in vec.items()}
-            entries.append((w, vec))
+        for u in _int_gs(by_weight[w][1]):
+            # phase: first product-basis coordinate positive
+            if u[min(u)] < 0:
+                u = {k: -x for k, x in u.items()}
+            basis.append((w, u, _dot(u, u)))
 
-    if len(entries) != dim_expected:
+    if len(basis) != dim_expected:
         raise RuntimeError(
             "su(3) irrep (%d,%d): got %d basis vectors, expected %d"
-            % (lam, mu, len(entries), dim_expected)
+            % (lam, mu, len(basis), dim_expected)
         )
 
     tags = []
     weights = []
-    seen = {}
-    for w, _vec in entries:
-        k = seen.get(w, 0)
-        seen[w] = k + 1
-        tags.append("w=(%s,%s)#%d" % (w[0], w[1], k))
-        weights.append(w)
+    in_weight = {}  # weight -> basis indices
+    for b, (w, _u, _n2) in enumerate(basis):
+        tags.append("w=(%s,%s)#%d" % (w[0], w[1], len(in_weight.get(w, ()))))
+        weights.append((Fraction(w[0]), Fraction(w[1])))
+        in_weight.setdefault(w, []).append(b)
 
-    # generator matrices in the orthonormal basis
-    basis_vecs = [vec for _w, vec in entries]
+    # generator matrices in the orthonormal basis: only the basis vectors of
+    # the weight space that e_ij maps u_b into can pair with its image
     mats = {}
-    for i in range(1, 4):
-        for j in range(1, 4):
-            if i == j:
+    for g in _SU3_GENERATORS:
+        cols = {}
+        for b, (_w, ub, nb) in enumerate(basis):
+            img = _int_mat_vec(pmats[g], ub)
+            if not img:
                 continue
-            pm = pmatrix((i, j))
-            cols = {}
-            for b, bv in enumerate(basis_vecs):
-                img = {}
-                for (r, c), a in pm.items():
-                    v = bv.get(c)
-                    if v is not None:
-                        img[r] = img.get(r, _ZERO) + v * Radical.from_rational(a)
-                for a_idx, av in enumerate(basis_vecs):
-                    dot = _ZERO
-                    for k, v in img.items():
-                        u = av.get(k)
-                        if u is not None:
-                            dot = dot + v * u
-                    if dot:
-                        cols[(a_idx, b)] = dot
-            mats[(i, j)] = cols
+            for a in in_weight.get(pweights[next(iter(img))], ()):
+                _wa, ua, na = basis[a]
+                d = _dot(img, ua)
+                if d:
+                    cols[(a, b)] = sqrt_of_rational(
+                        Fraction(d * d, na * nb), 1 if d > 0 else -1)
+        mats[g] = cols
 
     return Irrep(algebra="su3", n=3, label=(lam, mu), tags=tags,
                  weights=weights, matrices=mats)

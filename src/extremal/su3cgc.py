@@ -210,7 +210,7 @@ def decompose(lam1, mu1, lam2, mu2):
     found = {}
     total = 0
     for g2 in labels2:
-        v2 = gt_vector(lam2, mu2, g2, module=M2)
+        v2 = gt_vector(lam2, mu2, g2)
         idx2 = next(iter(v2.coords))
         w2 = M2.weights[idx2]
         w3 = (w1[0] + w2[0], w1[1] + w2[1])
@@ -262,10 +262,10 @@ def su3_cgc(lam1, mu1, g1, lam2, mu2, g2, lam3, mu3, g3, s=1):
     g2 = tuple(half(x) for x in g2)
     g3 = tuple(half(x) for x in g3)
     coupled = _coupled_vector(lam1, mu1, lam2, mu2, lam3, mu3, s, g3)
-    M1, M2, _Mt = _pair_module(lam1, mu1, lam2, mu2)
+    _M1, M2, _Mt = _pair_module(lam1, mu1, lam2, mu2)
     u = _embed(
-        gt_vector(lam1, mu1, g1, module=M1),
-        gt_vector(lam2, mu2, g2, module=M2),
+        gt_vector(lam1, mu1, g1),
+        gt_vector(lam2, mu2, g2),
         M2.dim,
     )
     return coupled.inner(u)
@@ -291,11 +291,11 @@ def projector_matrix_element(
 
 def _pme_direct(L1, g1, L2, g2, L3, g3, g3p, g1p, g2p):
     (lam1, mu1), (lam2, mu2), (lam3, mu3) = L1, L2, L3
-    M1, M2, Mt = _pair_module(lam1, mu1, lam2, mu2)
+    _M1, M2, Mt = _pair_module(lam1, mu1, lam2, mu2)
     d2 = M2.dim
     ket = _embed(
-        gt_vector(lam1, mu1, g1p, module=M1),
-        gt_vector(lam2, mu2, g2p, module=M2),
+        gt_vector(lam1, mu1, g1p),
+        gt_vector(lam2, mu2, g2p),
         d2,
     )
     v = _gt_raise(Mt, lam3, mu3, g3p, ket)
@@ -312,8 +312,8 @@ def _pme_direct(L1, g1, L2, g2, L3, g3, g3p, g1p, g2p):
         return Radical.from_rational(0)
     v = gt_lower(Mt, lam3, mu3, g3, v)
     bra = _embed(
-        gt_vector(lam1, mu1, g1, module=M1),
-        gt_vector(lam2, mu2, g2, module=M2),
+        gt_vector(lam1, mu1, g1),
+        gt_vector(lam2, mu2, g2),
         d2,
     )
     return bra.inner(v)

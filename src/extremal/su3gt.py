@@ -44,7 +44,6 @@ def su3_engine():
     return _ENG3
 
 
-@lru_cache(maxsize=None)
 def t_projector(N):
     """Extremal projector of the T-spin su(2) subalgebra, the (2,3) factor."""
     return projector_factor(_SYS3, (2, 3), N, engine=su3_engine()).series
@@ -118,23 +117,23 @@ def gt_lower(M, lam, mu, label, v):
     return w.scale(gt_norm_factor(lam, mu, j, t) * scalar)
 
 
-def gt_vector(lam, mu, label, module=None):
+def gt_vector(lam, mu, label):
     """The GT basis vector for `label` as exact coordinates in the realized
     module of su3_irrep(lam, mu)."""
     lam, mu = int(lam), int(mu)
-    j, t, tz = (half(x) for x in label)
-    if not admissible_jt(lam, mu, j, t) or abs(tz) > t or (t - tz).denominator != 1:
+    vecs = _gt_basis(lam, mu)[1]
+    key = tuple(half(x) for x in label)
+    if key not in vecs:  # the basis holds exactly the admissible labels
         raise ValueError("inadmissible GT label %s for (%d, %d)" % (label, lam, mu))
-    M = module if module is not None else su3_irrep(lam, mu)
-    return gt_lower(M, lam, mu, (j, t, tz), M.basis_vector(0))
+    return vecs[key]
 
 
 @lru_cache(maxsize=None)
 def _gt_basis(lam, mu):
+    """The module and {label: GT vector} in label order, built once."""
     M = su3_irrep(lam, mu)
-    labels = tuple(enumerate_gt_labels(lam, mu))
-    vecs = tuple(gt_vector(lam, mu, lab, module=M) for lab in labels)
-    return M, labels, vecs
+    top = M.basis_vector(0)
+    return M, {lab: gt_lower(M, lam, mu, lab, top) for lab in enumerate_gt_labels(lam, mu)}
 
 
 def generator_matrix_elements(lam, mu):
@@ -142,7 +141,8 @@ def generator_matrix_elements(lam, mu):
 
     Entry (r, c) of matrix g is <gt_r| g |gt_c>, exact over Radical.
     """
-    M, labels, vecs = _gt_basis(lam, mu)
+    M, by_label = _gt_basis(lam, mu)
+    labels, vecs = tuple(by_label), list(by_label.values())
     out = {}
     for i in range(1, 4):
         for g in ((i, jj) for jj in range(1, 4) if jj != i):

@@ -200,7 +200,7 @@ def test_criterion_6_gt_bases():
         dim = (lam + 1) * (mu + 1) * (lam + mu + 2) // 2
         assert len(labels) == dim
         M = su3_irrep(lam, mu)
-        vecs = [gt_vector(lam, mu, lab, module=M) for lab in labels]
+        vecs = [gt_vector(lam, mu, lab) for lab in labels]
         for a in range(dim):
             for b in range(a, dim):
                 assert vecs[a].inner(vecs[b]) == (ONE if a == b else ZERO)
@@ -328,8 +328,8 @@ def test_criterion_7_su3_cgc():
                 c = su3_cgc(1, 0, g1, 0, 1, g2, l3, m3, g3)
                 if not c:
                     continue
-                w = gt_vector(1, 0, g1, module=M1)
-                u = gt_vector(0, 1, g2, module=M2)
+                w = gt_vector(1, 0, g1)
+                u = gt_vector(0, 1, g2)
                 coords = {}
                 for a, ca in w.coords.items():
                     for b, cb in u.coords.items():

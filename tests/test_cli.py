@@ -163,6 +163,26 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     assert doc["records"][0]["ok"] is False
 
 
+@pytest.mark.parametrize("exc", [
+    RuntimeError("decomposition incomplete: 8 of 9"),
+    RecursionError("maximum recursion depth exceeded"),
+    ArithmeticError("vanishing denominator\nat weight (0, -1)"),
+])
+def test_internal_failure_exit_code(monkeypatch, capsys, exc):
+    # self-checks, poles and the recursion limit exit 4 with one stderr line;
+    # the sixj table function is replaced by one that raises
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "records_sixj", fail)
+    code, out, err = run(capsys, "sixj", "--j1", "1", "--j2", "1", "--j3", "1",
+                         "--j4", "1", "--j5", "1", "--j6", "1")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: %s: " % type(exc).__name__)
+    assert err.count("\n") == 1
+
+
 # sha256 of stdout for cheap commands; any change to a printed byte (value,
 # order, spacing, format) changes a digest
 STDOUT_DIGESTS = [
@@ -193,6 +213,10 @@ STDOUT_DIGESTS = [
      "1493a950f7cf767998f253b9a1ebbbd44c29c6624212910a40b1375c375fbdd0"),
     ("verify --suite no-go --format json",
      "b794abf20613db25f1365ea5cfbacf4f6c41fecc2a4081891b1b57ff374bdf17"),
+    ("cgc-su3 --lam1 1 --mu1 1 --lam2 1 --mu2 1 --lam3 1 --mu3 1 --format json",
+     "a65d1c905346803eeaf60afccdf882c60494c41ae52e457c1c950675612a4e67"),
+    ("gt-basis --lam 3 --mu 3 --format json",
+     "c3ebdc78adda4f36597802450ae3ee49ce46e4180e21d11fd9c6895438d6f1a4"),
 ]
 
 

@@ -129,3 +129,39 @@ def test_expanded_product_matches_sequential_on_safe_weights():
 def test_no_go_residual_is_nonzero():
     res = no_go_polynomial_residual(SU2, 3)
     assert res.terms
+
+
+def test_factor_memo_lives_on_the_engine():
+    import gc
+    import weakref
+
+    from extremal.su3gt import su3_engine, t_projector
+
+    eng = RewriteEngine(SU3)
+    assert eng._factor_cache == {}
+    f = projector_factor(SU3, (1, 2), 3, engine=eng)
+    assert projector_factor(SU3, (1, 2), 3, engine=eng).series.terms is f.series.terms
+    assert eng._factor_cache == {((1, 2), 3): f.series.terms}
+    # apply_projector builds each factor once per (engine, root, N)
+    M = tensor(su3_irrep(1, 0), su3_irrep(0, 1))
+    N = M.weight_diameter
+    first = apply_projector(SU3, M.basis_vector(4), M, engine=eng)
+    cached = dict(eng._factor_cache)
+    assert set(cached) == {((1, 2), 3)} | {(root, N) for root in eng.order.sequence}
+    assert apply_projector(SU3, M.basis_vector(4), M, engine=eng) == first
+    assert all(eng._factor_cache[k] is v for k, v in cached.items())
+    assert len(eng._factor_cache) == len(cached)
+    # a new engine starts empty and builds its own factors
+    other = RewriteEngine(SU3)
+    assert other._factor_cache == {}
+    assert projector_factor(SU3, (1, 2), 3, engine=other).series.terms is not f.series.terms
+    # the memo makes no reference cycle: a dropped engine is freed at once
+    gc.disable()
+    try:
+        ref = weakref.ref(other)
+        del other
+        assert ref() is None
+    finally:
+        gc.enable()
+    # the T-spin factor of the GT construction is the shared engine's (2,3) factor
+    assert t_projector(2).terms is su3_engine()._factor_cache[((2, 3), 2)]

@@ -171,3 +171,139 @@ def test_singular_routing():
     y = eng.cartan(1 / h1, M.weight_diameter)
     with pytest.raises(SingularWeightError):
         apply_element(y, M.basis_vector("m=0"), M, singular="zero")
+
+
+# -- the Radical Gram-Schmidt construction of su(3) irreps, kept as an oracle
+
+
+def _su3_irrep_radical(lam, mu):
+    """(tags, weights, matrices) of (lam, mu) realized in fund^lam x
+    antifund^mu: rational Gram-Schmidt per weight space, Radical orthonormal
+    basis vectors, and every generator matrix entry as a Radical dot product."""
+    fund = [(1, 0), (-1, 1), (0, -1)]
+    gens = [(i, j) for i in (1, 2, 3) for j in (1, 2, 3) if i != j]
+    # (weights, {generator: {(row, col): value}}) of each tensor factor
+    components = (
+        [(fund, {(i, j): {(i - 1, j - 1): 1} for i, j in gens})] * lam
+        + [([(-a, -b) for a, b in fund], {(i, j): {(j - 1, i - 1): -1} for i, j in gens})] * mu
+    )
+    dims = [3] * len(components)
+    total = 3 ** len(components)
+
+    pweights = []
+    for idx in range(total):
+        w = [Fraction(0), Fraction(0)]
+        for pos, (cw, _) in enumerate(components):
+            digit = idx // 3 ** (len(components) - 1 - pos) % 3
+            w[0] += cw[digit][0]
+            w[1] += cw[digit][1]
+        pweights.append(tuple(w))
+
+    def pmatrix(g):
+        mat = {}
+        for pos, (_, cmats) in enumerate(components):
+            stride = 3 ** (len(components) - 1 - pos)
+            block = dims[pos] * stride
+            for (r, c), v in cmats[g].items():
+                for hi in range(total // block):
+                    for lo in range(stride):
+                        rr = hi * block + r * stride + lo
+                        cc = hi * block + c * stride + lo
+                        mat[(rr, cc)] = mat.get((rr, cc), Fraction(0)) + v
+        return {k: v for k, v in mat.items() if v}
+
+    def rat_mat_vec(mat, vec):
+        out = {}
+        for (r, c), a in mat.items():
+            if c in vec:
+                out[r] = out.get(r, Fraction(0)) + a * vec[c]
+        return {k: v for k, v in out.items() if v}
+
+    by_weight = {}  # weight -> (echelon rows, original vectors in order)
+
+    def insert(vec):
+        if not vec:
+            return False
+        ech, originals = by_weight.setdefault(pweights[next(iter(vec))], ([], []))
+        red = dict(vec)
+        for pivot, row in ech:
+            if pivot in red:
+                f = red[pivot]
+                for k, v in row.items():
+                    red[k] = red.get(k, Fraction(0)) - f * v
+                red = {k: v for k, v in red.items() if v}
+        if not red:
+            return False
+        pivot = min(red)
+        ech.append((pivot, {k: v / red[pivot] for k, v in red.items()}))
+        originals.append(vec)
+        return True
+
+    hi_idx = 0
+    for pos in range(len(components)):
+        hi_idx = hi_idx * 3 + (0 if pos < lam else 2)
+    highest = {hi_idx: Fraction(1)}
+    lowering = [pmatrix(g) for g in ((2, 1), (3, 1), (3, 2))]
+    insert(highest)
+    queue = [highest]
+    while queue:
+        vec = queue.pop()
+        for mat in lowering:
+            nxt = rat_mat_vec(mat, vec)
+            if insert(nxt):
+                queue.append(nxt)
+
+    entries = []
+    for w in sorted(by_weight, key=lambda w: (-(w[0] + w[1]), (-w[0], -w[1]))):
+        basis = []
+        for v in by_weight[w][1]:
+            u = dict(v)
+            for b, b2 in basis:
+                dot = sum(u.get(k, Fraction(0)) * x for k, x in b.items())
+                for k, x in b.items():
+                    u[k] = u.get(k, Fraction(0)) - dot / b2 * x
+            u = {k: x for k, x in u.items() if x}
+            basis.append((u, sum(x * x for x in u.values())))
+        for u, n2 in basis:
+            scale = sqrt_of_rational(1 / n2)
+            vec = {k: Radical.from_rational(x) * scale for k, x in u.items()}
+            if vec[min(vec)].sign() < 0:
+                vec = {k: -x for k, x in vec.items()}
+            entries.append((w, vec))
+
+    tags, weights, seen = [], [], {}
+    for w, _ in entries:
+        tags.append("w=(%s,%s)#%d" % (w[0], w[1], seen.get(w, 0)))
+        seen[w] = seen.get(w, 0) + 1
+        weights.append(w)
+
+    zero = Radical.from_rational(0)
+    mats = {}
+    for g in gens:
+        pm = pmatrix(g)
+        cols = {}
+        for b, (_, bv) in enumerate(entries):
+            img = {}
+            for (r, c), a in pm.items():
+                if c in bv:
+                    img[r] = img.get(r, zero) + bv[c] * Radical.from_rational(a)
+            for a, (_, av) in enumerate(entries):
+                dot = zero
+                for k, x in img.items():
+                    if k in av:
+                        dot = dot + x * av[k]
+                if dot:
+                    cols[(a, b)] = dot
+        mats[g] = cols
+    return tags, weights, mats
+
+
+def test_su3_irrep_equals_radical_construction():
+    for total in range(1, 5):
+        for lam in range(total + 1):
+            mu = total - lam
+            M = su3_irrep(lam, mu)
+            tags, weights, mats = _su3_irrep_radical(lam, mu)
+            assert M.tags == tags, (lam, mu)
+            assert M.weights == weights, (lam, mu)
+            assert M.matrices == mats, (lam, mu)

@@ -73,9 +73,8 @@ def test_norm_factor_validation():
 
 def test_gram_matrix_is_identity():
     for lam, mu in IRREPS:
-        M = su3_irrep(lam, mu)
         labels = enumerate_gt_labels(lam, mu)
-        vecs = [gt_vector(lam, mu, lab, module=M) for lab in labels]
+        vecs = [gt_vector(lam, mu, lab) for lab in labels]
         for a, va in enumerate(vecs):
             for b in range(a, len(vecs)):
                 dot = va.inner(vecs[b])
@@ -89,7 +88,7 @@ def test_weights_match_labels():
     for lam, mu in IRREPS:
         M = su3_irrep(lam, mu)
         for j, t, tz in enumerate_gt_labels(lam, mu):
-            v = gt_vector(lam, mu, (j, t, tz), module=M)
+            v = gt_vector(lam, mu, (j, t, tz))
             y = gt_hypercharge(lam, mu, j)
             for idx in v.coords:
                 h1, h2 = M.weights[idx]
@@ -144,3 +143,31 @@ def test_gt_matrices_satisfy_commutators():
         if h1:
             diag[(k, k)] = _rat(h1)
     assert mat_eq(comm, diag)
+
+
+def test_gt_lower_runs_once_per_label(monkeypatch):
+    from extremal import su3gt
+    from extremal.su3cgc import su3_cgc
+
+    calls = {}
+    real = su3gt.gt_lower
+
+    def counting(M, lam, mu, label, v):
+        key = (lam, mu) + tuple(label)
+        calls[key] = calls.get(key, 0) + 1
+        return real(M, lam, mu, label, v)
+
+    monkeypatch.setattr(su3gt, "gt_lower", counting)
+    su3gt._gt_basis.cache_clear()
+    for _ in range(2):
+        for lam, mu in ((1, 0), (0, 1), (1, 1)):
+            for lab in enumerate_gt_labels(lam, mu):
+                gt_vector(lam, mu, lab)
+        for g1 in enumerate_gt_labels(1, 0):
+            for g2 in enumerate_gt_labels(0, 1):
+                su3_cgc(1, 0, g1, 0, 1, g2, 1, 1, (HALF, 1, 0))
+        generator_matrix_elements(1, 1)
+    want = {(lam, mu) + lab for lam, mu in ((1, 0), (0, 1), (1, 1))
+            for lab in enumerate_gt_labels(lam, mu)}
+    assert set(calls) == want
+    assert set(calls.values()) == {1}
