@@ -1,5 +1,5 @@
-"""Exact arithmetic kernel: rationals, sums of square roots, factorials, Pochhammer
-products, and half-integer spins with their ranges and projections.
+"""Exact arithmetic kernel: sums of square roots, factorials, and half-integer
+spins with their ranges and projections.
 
 Every coefficient in the package ultimately lives in the field generated over Q
 by square roots of positive integers.  A value is kept as a canonical finite sum
@@ -14,30 +14,18 @@ import re
 from fractions import Fraction
 
 __all__ = [
-    "Rational",
     "Radical",
     "Pole",
     "POLE",
     "PoleError",
     "factorial",
     "factorial_ratio",
-    "pochhammer",
     "sqrt_of_rational",
-    "parse_rational",
     "parse_radical",
     "half",
     "spin_range",
     "projections",
 ]
-
-# Arbitrary-precision rational; fractions.Fraction already keeps gcd-reduced
-# canonical form with positive denominator.
-Rational = Fraction
-
-
-def parse_rational(s):
-    """Parse 'p/q' or 'p' into a Fraction (exact)."""
-    return Fraction(s.strip())
 
 
 def half(x):
@@ -109,10 +97,6 @@ class Radical:
         out = cls.__new__(cls)
         out.terms = {1: r} if r else {}
         return out
-
-    @classmethod
-    def sqrt(cls, r, sign=1):
-        return sqrt_of_rational(r, sign)
 
     # -- queries ------------------------------------------------------
 
@@ -380,15 +364,3 @@ def factorial_ratio(numerators, denominators):
         num *= f
     return Fraction(num, den)
 
-
-def pochhammer(x, k, step=1):
-    """Rising product prod_{i=1..k} (x + step*i); k = 0 gives 1.
-
-    Works for exact numbers and for symbolic Cartan expressions alike.
-    """
-    if k < 0 or k != int(k):
-        raise ValueError("pochhammer length must be a nonnegative integer")
-    out = 1
-    for i in range(1, int(k) + 1):
-        out = out * (x + step * i)
-    return out

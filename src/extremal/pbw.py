@@ -18,7 +18,10 @@ rational functions of h1..h_{n-1}, h_i = e_ii - e_{i+1,i+1}.  Coefficients are
 stored with a polynomial numerator and a factored denominator: every
 denominator that the projector series produces is a product of integer shifts
 of linear forms in the h_i, and keeping the factors explicit makes shifting
-h -> h + s and pole detection cheap.
+h -> h + s and pole detection cheap.  Each linear form a.h + c is a tuple of
+ints (a_1, ..., a_{n-1}, c), primitive and with its first nonzero a_i
+positive, so a shift only adds an int to c.  Coeff equality is structural and
+agrees with its hash; equality as rational functions is not (a - b).
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 import sympy
-from sympy import S
 from sympy.polys.domains import QQ
 from sympy.polys.rings import ring as _poly_ring
 
@@ -62,20 +64,6 @@ def h_symbols(n):
     return _H_CACHE[n]
 
 
-def _qq(x):
-    if isinstance(x, Fraction):
-        return QQ(x.numerator, x.denominator)
-    if isinstance(x, int):
-        return QQ(x)
-    if isinstance(x, sympy.Rational):
-        return QQ(int(x.p), int(x.q))
-    return QQ(x)
-
-
-def _frac(q):
-    return Fraction(int(q.numerator), int(q.denominator))
-
-
 def cartan_ring(n):
     """Polynomial ring QQ[h1..h_{n-1}] shared by all engines of one rank."""
     if n not in _RING_CACHE:
@@ -88,11 +76,16 @@ def cartan_ring(n):
 class Coeff:
     """Rational function of the h_i with the denominator kept factored.
 
-    num is a polynomial (sympy PolyElement over QQ); den maps a linear form,
-    encoded as a tuple (a_1, ..., a_{n-1}, c) of Fractions standing for
-    a.h + c with monic leading coefficient, to its multiplicity.  The pair is
-    not reduced on construction (zero testing only needs the numerator);
-    reduced() divides out denominator factors before evaluation or printing.
+    num is a polynomial (sympy PolyElement over QQ); den maps a linear form
+    a.h + c, encoded as a tuple of ints (a_1, ..., a_{n-1}, c) that is
+    primitive and has its first nonzero a_i positive, to its multiplicity.
+    The pair is not reduced on construction (zero testing only needs the
+    numerator); reduced() divides out denominator factors before evaluation
+    or printing.
+
+    == compares (num, den) by structure and agrees with hash, so memo probes
+    never do polynomial arithmetic; (h+1)/(h+1) == 1 is False.  Equality as
+    rational functions is not (a - b).
     """
 
     __slots__ = ("ring", "num", "den")
@@ -106,7 +99,8 @@ class Coeff:
 
     @classmethod
     def from_rational(cls, ring, q):
-        return cls(ring, ring.ground_new(_qq(q)))
+        """An int, Fraction or sympy Rational as a constant Coeff."""
+        return cls(ring, ring.ground_new(QQ(int(q.numerator), int(q.denominator))))
 
     @classmethod
     def from_expr(cls, ring, expr):
@@ -116,31 +110,30 @@ class Coeff:
         num, den = sympy.fraction(expr)
         syms = h_symbols(len(ring.gens) + 1)
         out_num = ring.from_expr(num.subs(zip(syms, (g.as_expr() for g in ring.gens))))
+        # factor_list gives primitive integer factors, first coefficient > 0
+        const, flist = sympy.factor_list(den, *syms)
         factors = {}
-        const, flist = sympy.factor_list(den)
-        scale = _qq(sympy.Rational(const))
         for f, mult in flist:
-            poly = sympy.Poly(f, *syms)
+            poly = sympy.Poly(f, *syms, domain="ZZ")
             if poly.total_degree() > 1:
                 raise ValueError("nonlinear denominator factor: %s" % f)
-            coeffs = [Fraction(int(c.p), int(c.q)) for c in
-                      (poly.coeff_monomial(s) or S.Zero for s in syms)]
-            c0 = poly.coeff_monomial(1) or S.Zero
-            c0 = Fraction(int(c0.p), int(c0.q))
-            lead = next((c for c in coeffs if c), None)
-            if lead is None:
-                scale *= _qq(c0) ** mult
-                continue
-            key = tuple(c / lead for c in coeffs) + (c0 / lead,)
-            scale *= _qq(lead) ** mult
+            key = tuple(int(poly.coeff_monomial(m)) for m in syms + (1,))
             factors[key] = factors.get(key, 0) + mult
-        return cls(ring, out_num * (QQ(1) / scale), factors)
+        return cls(ring, out_num * QQ(int(const.q), int(const.p)), factors)
 
     def key_poly(self, key):
-        p = self.ring.ground_new(_qq(key[-1]))
+        """The linear form key as a ring polynomial."""
+        p = self.ring(key[-1])
         for g, a in zip(self.ring.gens, key[:-1]):
             if a:
-                p = p + g * _qq(a)
+                p = p + g * a
+        return p
+
+    def denominator(self):
+        """Product of the denominator factors as a ring polynomial."""
+        p = self.ring.one
+        for k, m in self.den.items():
+            p = p * self.key_poly(k) ** m
         return p
 
     # -- predicates ---------------------------------------------------
@@ -152,13 +145,14 @@ class Coeff:
         return not self.den and self.num == self.ring.one
 
     def __hash__(self):
-        return hash((self.num, tuple(sorted(self.den.items()))))
+        # not hash(self.num): a PolyElement caches its hash, and sympy's
+        # in-place building (as in div) can cache it before the last term
+        return hash((frozenset(self.num.items()), frozenset(self.den.items())))
 
     def __eq__(self, other):
-        """Semantic equality as rational functions."""
-        if not isinstance(other, Coeff):
-            other = Coeff.from_rational(self.ring, other)
-        return not (self - other).num
+        """Structural equality of (num, den); see the class docstring."""
+        other = self._coerce(other)
+        return self.num == other.num and self.den == other.den
 
     # -- arithmetic ---------------------------------------------------
 
@@ -169,7 +163,7 @@ class Coeff:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Coeff(self.ring, self.num * _qq(other), self.den)
+            return Coeff(self.ring, self.num * QQ(other), self.den)
         other = self._coerce(other)
         den = dict(self.den)
         for k, m in other.den.items():
@@ -217,7 +211,7 @@ class Coeff:
                     num = num.compose(g, g + QQ(scale * s))
         den = {}
         for k, m in self.den.items():
-            delta = sum(a * scale * s for a, s in zip(k[:-1], svec))
+            delta = scale * sum(a * s for a, s in zip(k[:-1], svec))
             den[k[:-1] + (k[-1] + delta,)] = m
         return Coeff(self.ring, num, den)
 
@@ -257,8 +251,8 @@ class Coeff:
                     % (c.key_poly(k).as_expr(), tuple(map(str, values)))
                 )
             den *= v**m
-        pairs = list(zip(c.ring.gens, (_qq(v) for v in values)))
-        return _frac(c.num.evaluate(pairs)) / den
+        q = c.num.evaluate(list(zip(c.ring.gens, map(QQ, values))))
+        return Fraction(int(q.numerator), int(q.denominator)) / den
 
     def as_expr(self):
         """Canonical sympy expression, for display and interop."""
@@ -292,7 +286,6 @@ class RewriteEngine:
         if not ok:
             raise ValueError("not a normal ordering, violations: %r" % viol)
         self.order = order
-        self.h = h_symbols(self.n)
         self.ring = cartan_ring(self.n)
         self.coeff_one = Coeff(self.ring, self.ring.one)
         self._pos = {r: i for i, r in enumerate(order.sequence)}
@@ -312,10 +305,11 @@ class RewriteEngine:
         return Coeff.from_expr(self.ring, x)
 
     def recip_linear(self, factors):
-        """1 / prod of linear forms; each factor is (svec over h, const)."""
+        """1 / prod of linear forms; each factor is (svec over h, const), ints
+        with the first nonzero entry of svec positive and no common divisor."""
         den = {}
         for svec, c in factors:
-            key = tuple(Fraction(a) for a in svec) + (Fraction(c),)
+            key = tuple(svec) + (c,)
             den[key] = den.get(key, 0) + 1
         return Coeff(self.ring, self.ring.one, den)
 

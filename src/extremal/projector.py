@@ -169,8 +169,7 @@ def no_go_polynomial_residual(sys, N, engine=None):
             num = c.num
             for k2, c2 in fracs.items():
                 if k2 != key:
-                    for lin, mult in c2.den.items():
-                        num = num * c2.key_poly(lin) ** mult
+                    num = num * c2.denominator()
             cleared[key] = Coeff(eng.ring, num)
         out = out * TaylorElement(eng, big, cleared)
     i, j = sys.simple_roots[0]

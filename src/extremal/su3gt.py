@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import build_root_system
-from .exact import factorial_ratio, half, sqrt_of_rational
+from .exact import factorial_ratio, half, projections, spin_range, sqrt_of_rational
 from .pbw import RewriteEngine
 from .projector import projector_factor
 from .repmod import ModuleVector, apply_element, mat_pow_vec, mat_vec, su3_irrep
@@ -71,16 +71,15 @@ def enumerate_gt_labels(lam, mu):
     label is the highest-weight one (0, mu/2, mu/2).
     """
     lam, mu = int(lam), int(mu)
+    mu2 = Fraction(mu, 2)
     out = []
-    for jj in range(0, 2 * (lam + mu) + 1):
-        for tt in range(0, 2 * (lam + mu) + 1):
-            j, t = Fraction(jj, 2), Fraction(tt, 2)
-            if not admissible_jt(lam, mu, j, t):
-                continue
-            tz = t
-            while tz >= -t:
-                out.append((j, t, tz))
-                tz -= 1
+    for j in spin_range(0, lam + mu):
+        # admissible_jt's inequalities solved for t; stepping by 1 from
+        # |j - mu/2| keeps mu/2 + j + t integral
+        t = abs(j - mu2)
+        while t <= min(j + mu2, lam + mu2 - j):
+            out.extend((j, t, tz) for tz in projections(t))
+            t += 1
     return out
 
 
@@ -90,11 +89,17 @@ def gt_hypercharge(lam, mu, j):
 
 def gt_norm_factor(lam, mu, j, t):
     """Normalization N^{(lam mu)}_{jt}: positive square root of a factorial
-    ratio that makes the lowering-operator vector unit length."""
+    ratio that makes the lowering-operator vector unit length; computed once
+    per (lam, mu, j, t)."""
     lam, mu = int(lam), int(mu)
     j, t = half(j), half(t)
     if not admissible_jt(lam, mu, j, t):
         raise ValueError("inadmissible (j, t) = (%s, %s) for (%d, %d)" % (j, t, lam, mu))
+    return _gt_norm_factor(lam, mu, j, t)
+
+
+@lru_cache(maxsize=None)
+def _gt_norm_factor(lam, mu, j, t):
     mu2 = Fraction(mu, 2)
     ratio = factorial_ratio(
         [lam + mu2 - j + t + 1, lam + mu2 - j - t, mu2 + j + t + 1, mu2 - j + t],

@@ -217,6 +217,10 @@ STDOUT_DIGESTS = [
      "a65d1c905346803eeaf60afccdf882c60494c41ae52e457c1c950675612a4e67"),
     ("gt-basis --lam 3 --mu 3 --format json",
      "c3ebdc78adda4f36597802450ae3ee49ce46e4180e21d11fd9c6895438d6f1a4"),
+    ("projector --algebra su3 --trunc 3 --format json",
+     "be3755014ee6406b76957b4fdb20c8a25718afb5f58103f3ab63ab3a314ca3ec"),
+    ("projector --algebra su3 --trunc 3 --order 23,13,12 --format json",
+     "c9a10c5ab301fef1a97264a9a48b34d90d5693723d9187857e33f5c487bd2caa"),
 ]
 
 

@@ -1,4 +1,4 @@
-"""Exact arithmetic kernel: radicals, factorial poles, Pochhammer products."""
+"""Exact arithmetic kernel: radicals and factorial poles."""
 
 from fractions import Fraction
 
@@ -11,15 +11,8 @@ from extremal.exact import (
     factorial,
     factorial_ratio,
     parse_radical,
-    parse_rational,
-    pochhammer,
     sqrt_of_rational,
 )
-
-
-def test_parse_rational():
-    assert parse_rational("3/4") == Fraction(3, 4)
-    assert parse_rational(" -7 ") == Fraction(-7)
 
 
 def test_radical_canonicalization():
@@ -104,10 +97,3 @@ def test_factorial_ratio_numerator_pole_raises():
 def test_factorial_ratio_value():
     assert factorial_ratio([5], [3, 2]) == Fraction(10)
     assert factorial_ratio([], []) == 1
-
-
-def test_pochhammer():
-    assert pochhammer(Fraction(1, 2), 3) == Fraction(3, 2) * Fraction(5, 2) * Fraction(7, 2)
-    assert pochhammer(7, 0) == 1
-    with pytest.raises(ValueError):
-        pochhammer(1, -1)

@@ -88,6 +88,137 @@ def test_coeff_semantic_equality(eng3):
     assert a == b
 
 
+def test_coeff_structural_equality(eng2):
+    # == compares (num, den) as stored; not (a - b) compares rational functions
+    h = eng2.ring.gens[0]
+    a = eng2.recip_linear([((1,), 2)])
+    b = a * Coeff(eng2.ring, h + 3) * eng2.recip_linear([((1,), 3)])
+    assert b != a and not (b - a)
+    assert b.reduced() == a
+    assert hash(b.reduced()) == hash(a)
+    assert Coeff.from_rational(eng2.ring, 3) == 3
+    assert Coeff.from_rational(eng2.ring, Fraction(1, 2)) == Fraction(1, 2)
+
+
+def test_from_expr_reads_primitive_int_forms(eng2, eng3):
+    h1 = sympy.Symbol("h1")
+    for eng in (eng2, eng3):
+        c = Coeff.from_expr(eng.ring, 1 / (2 * h1 + 4))
+        ref = eng.recip_linear([((1,) + (0,) * (eng.n - 2), 2)]) * Fraction(1, 2)
+        assert c == ref and hash(c) == hash(ref)
+    h2 = sympy.Symbol("h2")
+    c = Coeff.from_expr(eng3.ring, 1 / ((2 * h1 + 1) * (h2 - h1) * (-3 * h2 + 1)))
+    assert c.den == {(2, 0, 1): 1, (1, -1, 0): 1, (0, 3, -1): 1}
+    assert c.num == eng3.ring(1)  # the signs of h2 - h1 and -3 h2 + 1 cancel
+
+
+def _primitive_form(coeffs):
+    """A random linear form made primitive with a positive first nonzero a_i."""
+    *a, c = coeffs
+    if not any(a):
+        a[0] = 1
+    g = math.gcd(*a, c)
+    sign = 1 if next(x for x in a if x) > 0 else -1
+    return tuple(sign * x // g for x in a), sign * c // g
+
+
+def _coeff_strategy(eng):
+    """(Coeff, sympy expression) pairs built by the Coeff operations."""
+    n, ring = eng.n, eng.ring
+    syms = [sympy.Symbol("h%d" % k) for k in range(1, n)]
+    small = st.integers(-3, 3)
+    form = st.lists(small, min_size=n, max_size=n).map(_primitive_form)
+
+    def linear(svec, c):
+        return sum(a * x for a, x in zip(svec, syms)) + c
+
+    def recip(forms):
+        return eng.recip_linear(forms), 1 / sympy.Mul(*(linear(*f) for f in forms))
+
+    def poly(cs):
+        p = sum(c * x for c, x in zip(cs, syms)) + cs[-1]
+        return Coeff(ring, ring.from_expr(p)), p
+
+    def parsed(args):
+        p, f, k = args
+        expr = linear(*p) / (k * linear(*f))
+        return Coeff.from_expr(ring, expr), expr
+
+    def shifted(args):
+        (c, e), svec, scale = args
+        subs = {x: x + scale * s for x, s in zip(syms, svec)}
+        return c.shift(svec, scale), e.subs(subs, simultaneous=True)
+
+    leaves = st.one_of(
+        st.lists(form, min_size=1, max_size=3).map(recip),
+        st.lists(small, min_size=n, max_size=n).map(poly),
+        st.tuples(form, form, st.sampled_from([-2, 1, 3])).map(parsed),
+    )
+
+    def extend(children):
+        return st.one_of(
+            st.tuples(children, children).map(lambda p: (p[0][0] + p[1][0], p[0][1] + p[1][1])),
+            st.tuples(children, children).map(lambda p: (p[0][0] * p[1][0], p[0][1] * p[1][1])),
+            st.tuples(children, st.tuples(*[small] * (n - 1)), st.sampled_from([1, -1, 2])).map(shifted),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=5)
+
+
+def _keys_canonical(c):
+    for key in c.den:
+        assert all(type(x) is int for x in key), key
+        assert math.gcd(*key) == 1, key
+        assert next(x for x in key[:-1] if x) > 0, key
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_coeff_operations_match_sympy(n, eng2, eng3, data):
+    eng = eng2 if n == 2 else eng3
+    coeffs = _coeff_strategy(eng)
+    a, ea = data.draw(coeffs)
+    _keys_canonical(a)
+    assert sympy.cancel(a.as_expr() - ea) == 0
+    # the same function in other forms, and an unrelated one
+    form = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(_primitive_form))
+    lin = eng.recip_linear([form])
+    others = [
+        Coeff.from_expr(eng.ring, a.as_expr()),
+        a * Coeff(eng.ring, lin.denominator()) * lin,
+        a.shift(form[0], 1).shift(form[0], -1),
+        data.draw(coeffs)[0],
+    ]
+    for b in others:
+        _keys_canonical(b)
+        ra, rb = a.reduced(), b.reduced()
+        assert (ra == rb) == (not (a - b))
+        for x, y in ((a, b), (ra, rb)):
+            if x == y:
+                assert hash(x) == hash(y)
+    assert others[2] == a
+
+
+def test_coeff_eq_does_no_arithmetic(eng3, monkeypatch):
+    from extremal.projector import extremal_projector
+
+    P = extremal_projector(SU3, N=2, engine=eng3)
+    coeffs = list(P.terms.values()) + list((P * P).terms.values())
+    for c in coeffs:
+        _keys_canonical(c)
+
+    def refuse(self, other):
+        raise AssertionError("__eq__ must not add or subtract")
+
+    monkeypatch.setattr(Coeff, "__add__", refuse)
+    monkeypatch.setattr(Coeff, "__sub__", refuse)
+    for a in coeffs:
+        for b in coeffs:
+            if a == b:
+                assert hash(a) == hash(b)
+
+
 # -- straightening ----------------------------------------------------
 
 

@@ -33,6 +33,48 @@ def test_label_counts_match_dimensions():
         assert labels[0] == (Fraction(0), Fraction(mu, 2), Fraction(mu, 2))
 
 
+def _labels_by_scan(lam, mu):
+    """Every half-integer (j, t) pair through admissible_jt: the reference
+    for the closed-form ranges of enumerate_gt_labels."""
+    out = []
+    for jj in range(0, 2 * (lam + mu) + 1):
+        for tt in range(0, 2 * (lam + mu) + 1):
+            j, t = Fraction(jj, 2), Fraction(tt, 2)
+            if not admissible_jt(lam, mu, j, t):
+                continue
+            tz = t
+            while tz >= -t:
+                out.append((j, t, tz))
+                tz -= 1
+    return out
+
+
+def test_label_ranges_match_scan():
+    for lam in range(9):
+        for mu in range(9 - lam):
+            assert enumerate_gt_labels(lam, mu) == _labels_by_scan(lam, mu), (lam, mu)
+
+
+def test_norm_factor_computed_once(monkeypatch):
+    from extremal import su3gt
+
+    calls = []
+    real = su3gt.factorial_ratio
+
+    def counting(num, den):
+        calls.append(1)
+        return real(num, den)
+
+    monkeypatch.setattr(su3gt, "factorial_ratio", counting)
+    su3gt._gt_norm_factor.cache_clear()
+    jts = {(lam, mu, j, t) for lam, mu in IRREPS
+           for j, t, _ in enumerate_gt_labels(lam, mu)}
+    first = {key: gt_norm_factor(*key) for key in jts}
+    for lam, mu, j, t in jts:  # again, with other argument types
+        assert gt_norm_factor(str(lam), float(mu), str(j), float(t)) == first[(lam, mu, j, t)]
+    assert len(calls) == len(jts)
+
+
 def test_admissibility():
     assert admissible_jt(1, 1, HALF, 1)
     assert not admissible_jt(1, 1, HALF, HALF)  # mu/2 + j + t not an integer
