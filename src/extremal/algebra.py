@@ -19,6 +19,7 @@ __all__ = [
     "build_root_system",
     "validate_normal_ordering",
     "enumerate_normal_orderings",
+    "normal_ordering",
 ]
 
 Root = tuple  # (i, j) with i < j
@@ -116,3 +117,16 @@ def default_ordering(sys):
     if not ok:  # pragma: no cover - lexicographic order is always normal
         raise RuntimeError("lexicographic ordering unexpectedly invalid")
     return NormalOrdering(sequence=seq)
+
+
+def normal_ordering(sys, order=None):
+    """`order` (a NormalOrdering, a sequence of roots or None for the
+    default) as a NormalOrdering of sys; ValueError if it is not normal."""
+    if order is None:
+        order = default_ordering(sys)
+    elif not isinstance(order, NormalOrdering):
+        order = NormalOrdering(tuple(tuple(r) for r in order))
+    ok, viol = validate_normal_ordering(sys, order.sequence)
+    if not ok:
+        raise ValueError("not a normal ordering, violations: %r" % viol)
+    return order

@@ -114,7 +114,7 @@ class Radical:
         return self.terms[1]
 
     def __float__(self):
-        return float(sum(float(c) * isqrt_float(d) for d, c in self.terms.items()))
+        return float(sum(float(c) * d ** 0.5 for d, c in self.terms.items()))
 
     # -- arithmetic ---------------------------------------------------
 
@@ -252,10 +252,6 @@ class Radical:
         v = sum(sympy.Rational(c.numerator, c.denominator) * sympy.sqrt(d)
                 for d, c in self.terms.items())
         return int(sympy.sign(v))
-
-
-def isqrt_float(d):
-    return d ** 0.5
 
 
 _RAD_TERM = re.compile(

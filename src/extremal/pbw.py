@@ -118,7 +118,7 @@ class Coeff:
             if poly.total_degree() > 1:
                 raise ValueError("nonlinear denominator factor: %s" % f)
             key = tuple(int(poly.coeff_monomial(m)) for m in syms + (1,))
-            factors[key] = factors.get(key, 0) + mult
+            factors[key] = factors.get(key, 0) + int(mult)
         return cls(ring, out_num * QQ(int(const.q), int(const.p)), factors)
 
     def key_poly(self, key):
@@ -274,25 +274,17 @@ class RewriteEngine:
     """
 
     def __init__(self, sys: RootSystemData, order: NormalOrdering = None):
-        from .algebra import default_ordering, validate_normal_ordering
+        from .algebra import normal_ordering
 
         self.sys = sys
         self.n = sys.n
-        if order is None:
-            order = default_ordering(sys)
-        elif not isinstance(order, NormalOrdering):
-            order = NormalOrdering(tuple(tuple(r) for r in order))
-        ok, viol = validate_normal_ordering(sys, order.sequence)
-        if not ok:
-            raise ValueError("not a normal ordering, violations: %r" % viol)
-        self.order = order
+        self.order = normal_ordering(sys, order)
         self.ring = cartan_ring(self.n)
         self.coeff_one = Coeff(self.ring, self.ring.one)
-        self._pos = {r: i for i, r in enumerate(order.sequence)}
+        self._pos = {r: i for i, r in enumerate(self.order.sequence)}
         self._reduce_cache = {}
         self._shift_cache = {}
         self._eval_cache = {}  # (Coeff, weight) -> Radical, for repmod.apply_element
-        self._factor_cache = {}  # (root, N) -> series terms, for projector_factor
 
     # -- coefficients -------------------------------------------------
 

@@ -6,7 +6,9 @@ The factor for a positive root gamma is the series
     phi_{gamma,n} = prod_{k=1..n} (h_gamma + (rho,gamma) + k)^(-1),
 
 truncated at the element's raising bound; the full projector is the product of
-the factors in a normal ordering of the positive roots.
+the factors in a normal ordering of the positive roots.  On a module vector
+of weight lam, phi_{gamma,n} is the number phi_{gamma,n}(lam): `apply_factor`
+and `apply_projector` act with it and build no symbolic element.
 """
 
 from __future__ import annotations
@@ -15,22 +17,20 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .algebra import normal_ordering
+from .exact import Radical
 from .pbw import Coeff, RewriteEngine, TaylorElement
+from .repmod import ModuleVector, mat_vec
 
 __all__ = [
-    "ProjectorFactor",
     "projector_factor",
     "extremal_projector",
+    "apply_factor",
+    "apply_projector",
     "verify_extremal_identities",
     "IdentityReport",
     "no_go_polynomial_residual",
 ]
-
-
-@dataclass
-class ProjectorFactor:
-    root: tuple
-    series: TaylorElement
 
 
 def phi_expr(engine, root, n):
@@ -46,31 +46,24 @@ def phi_expr(engine, root, n):
 
 
 def projector_factor(sys, root, N, engine=None):
-    """Per-root factor of the extremal projector, truncated at n = N; built
-    once per (engine, root, N) and kept on the engine."""
+    """Per-root factor of the extremal projector, truncated at n = N."""
     if root not in sys.positive_roots:
         raise ValueError("%r is not a positive root of su(%d)" % (root, sys.n))
     if N < 0:
         raise ValueError("truncation bound must be >= 0")
     eng = engine if engine is not None else RewriteEngine(sys)
-    # the memo holds the terms, not the series: a series refers back to the
-    # engine, and that cycle would keep every discarded engine alive until a
-    # full garbage collection
-    terms = eng._factor_cache.get((root, N))
-    if terms is None:
-        i, j = root
-        low_shift = eng.shift_vector((j, i))
-        terms = {}
-        for n in range(N + 1):
-            # The series coefficient phi_n is written to the LEFT of the lowering
-            # word; in L * C * R normal form it sits in the middle, so commute it
-            # through e_{-gamma}^n first:  phi(h) e_-g^n = e_-g^n phi(h + n*s).
-            phi = phi_expr(eng, root, n)
-            mid = eng.shift_expr(phi, low_shift, scale=n) if n else phi
-            key = ((((j, i), n),) if n else (), (((i, j), n),) if n else ())
-            terms[key] = mid * Fraction((-1) ** n, math.factorial(n))
-        eng._factor_cache[(root, N)] = terms
-    return ProjectorFactor(root=root, series=TaylorElement(eng, N, terms))
+    i, j = root
+    low_shift = eng.shift_vector((j, i))
+    terms = {}
+    for n in range(N + 1):
+        # The series coefficient phi_n is written to the LEFT of the lowering
+        # word; in L * C * R normal form it sits in the middle, so commute it
+        # through e_{-gamma}^n first:  phi(h) e_-g^n = e_-g^n phi(h + n*s).
+        phi = phi_expr(eng, root, n)
+        mid = eng.shift_expr(phi, low_shift, scale=n) if n else phi
+        key = ((((j, i), n),) if n else (), (((i, j), n),) if n else ())
+        terms[key] = mid * Fraction((-1) ** n, math.factorial(n))
+    return TaylorElement(eng, N, terms)
 
 
 def extremal_projector(sys, order=None, N=4, engine=None):
@@ -78,35 +71,61 @@ def extremal_projector(sys, order=None, N=4, engine=None):
     eng = engine if engine is not None else RewriteEngine(sys, order)
     out = eng.one(N)
     for root in eng.order.sequence:
-        out = out * projector_factor(sys, root, N, engine=eng).series
+        out = out * projector_factor(sys, root, N, engine=eng)
     return out
 
 
-def projector_factors(sys, order=None, N=4, engine=None):
-    """The per-root factor series along the normal ordering, left to right."""
-    eng = engine if engine is not None else RewriteEngine(sys, order)
-    return [projector_factor(sys, root, N, engine=eng).series for root in eng.order.sequence]
+def apply_factor(root, v, M):
+    """Act with P_gamma, gamma = root, on a module vector.
 
-
-def apply_projector(sys, v, M, order=None, N=None, engine=None):
-    """Act with the extremal projector on a module vector, factor by factor.
-
-    The expanded PBW form of a product of factors can pick up spurious poles:
-    cross monomials that are singular at weights where the product itself is
-    regular, the singularities cancelling between monomials.  Applying the
-    factors sequentially (rightmost first) avoids them: each factor's
-    denominators depend only on its own root, every pole it can hit lies on a
-    non-dominant component, and zeroing that component agrees with the full
-    projector there.
+    On a component u of weight lam it is sum_n c_n e_{-gamma}^n e_gamma^n u,
+    c_0 = 1, c_n = c_{n-1} / (-n (a + n)), a = <lam,gamma> + (rho,gamma),
+    summed by Horner's rule until e_gamma^n u vanishes.  A component on which
+    a term with a + n = 0 acts goes to zero, as in apply_element(...,
+    singular="zero"): a < 0 is non-dominant, where the projector has no image.
     """
-    from .repmod import apply_element
+    i, j = root
+    if not 1 <= i < j <= M.n:
+        raise ValueError("%r is not a positive root of su(%d)" % (root, M.n))
+    up, down = M.matrix(root), M.matrix((j, i))
+    by_weight = {}
+    for idx, val in v.coords.items():
+        by_weight.setdefault(M.weights[idx], {})[idx] = val
+    out = {}
+    for w, u in by_weight.items():
+        raised = [u]  # e_gamma^n u for n = 0, 1, ... while nonzero
+        while raised[-1]:
+            raised.append(mat_vec(up, raised[-1]))
+        raised.pop()
+        a = sum(w[i - 1:j - 1]) + j - i
+        if -len(raised) < a < 0:
+            continue  # a + n = 0 for a term that acts
+        acc = raised[-1]
+        for n in range(len(raised) - 1, 0, -1):
+            ratio = Radical.from_rational(Fraction(-1, n * (a + n)))
+            acc = {k: x * ratio for k, x in mat_vec(down, acc).items()}
+            for k, x in raised[n - 1].items():
+                acc[k] = acc[k] + x if k in acc else x
+        out.update(acc)
+    return ModuleVector(out)
 
-    if N is None:
-        N = M.weight_diameter
-    for f in reversed(projector_factors(sys, order, N, engine=engine)):
-        v = apply_element(f, v, M, singular="zero")
+
+def apply_projector(sys, v, M, order=None, engine=None):
+    """Act with the extremal projector on a module vector by apply_factor,
+    rightmost factor first; `engine`, if given, supplies the ordering.
+
+    The expanded PBW product of the factors picks up spurious poles that
+    cancel between its monomials; each factor alone meets poles only on
+    non-dominant components, where zeroing agrees with the full projector.
+    """
+    if M.n != sys.n:
+        raise ValueError("algebra rank mismatch")
+    if engine is not None:
+        order = engine.order
+    for root in reversed(normal_ordering(sys, order).sequence):
+        v = apply_factor(root, v, M)
         if v.is_zero():
-            return v
+            break
     return v
 
 
@@ -160,7 +179,7 @@ def no_go_polynomial_residual(sys, N, engine=None):
     big = 4 * N + 8  # large enough that nothing is dropped: computation is exact
     out = eng.one(big)
     for root in eng.order.sequence:
-        factor = projector_factor(sys, root, N, engine=eng).series
+        factor = projector_factor(sys, root, N, engine=eng)
         # multiply every term by the product of the other terms' denominators:
         # the factor becomes (common denominator) * P_gamma, a polynomial
         fracs = {key: c.reduced() for key, c in factor.terms.items()}

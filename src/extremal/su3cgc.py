@@ -25,16 +25,10 @@ from functools import lru_cache
 
 from .algebra import build_root_system
 from .exact import Radical, factorial_ratio, half, spin_range, sqrt_of_rational
-from .projector import apply_projector
+from .pbw import TaylorElement
+from .projector import apply_factor, apply_projector, projector_factor
 from .repmod import ModuleVector, apply_element, mat_pow_vec, su3_irrep, tensor
-from .su3gt import (
-    enumerate_gt_labels,
-    gt_lower,
-    gt_norm_factor,
-    gt_vector,
-    su3_engine,
-    t_projector,
-)
+from .su3gt import enumerate_gt_labels, gt_lower, gt_norm_factor, gt_vector, su3_engine
 from .wigner2 import cgc_closed, ninej, sixj
 
 __all__ = [
@@ -86,7 +80,7 @@ def tensor_form_parts(lam, mu, N, engine=None):
     its PBW monomials.
     """
     eng = engine if engine is not None else su3_engine()
-    pt = t_projector(N)
+    pt = projector_factor(_SYS3, (2, 3), N, engine=eng)
     terms = {}
     for jj in range(0, N + 1):
         j = Fraction(jj, 2)
@@ -98,8 +92,6 @@ def tensor_form_parts(lam, mu, N, engine=None):
             high = tuple(p for p in (((1, 2), a), ((1, 3), b)) if p[1])
             terms[(low, high)] = eng.coeff(coeff_A(lam, mu, j, jz) * norm)
             jz += 1
-    from .pbw import TaylorElement
-
     mid = TaylorElement(eng, N, terms)
     return pt, mid, pt
 
@@ -169,11 +161,6 @@ def _pair_module(lam1, mu1, lam2, mu2):
     return M1, M2, Mt
 
 
-def _apply_P(v, Mt):
-    """Full extremal projector on the tensor module, factor by factor."""
-    return apply_projector(_SYS3, v, Mt, engine=su3_engine())
-
-
 def _embed(v1, v2, d2):
     coords = {}
     for i1, c1 in v1.coords.items():
@@ -187,9 +174,7 @@ def _gt_raise(M, lam3, mu3, label, v):
     j, t, tz = (half(x) for x in label)
     mu2 = Fraction(mu3, 2)
     coords = mat_pow_vec(M.matrix((2, 3)), v.coords, t - tz)
-    w = apply_element(
-        t_projector(M.weight_diameter), ModuleVector(coords), M, singular="zero"
-    )
+    w = apply_factor((2, 3), ModuleVector(coords), M)
     coords = mat_pow_vec(M.matrix((1, 3)), w.coords, j + mu2 - t)
     w = ModuleVector(mat_pow_vec(M.matrix((1, 2)), coords, j - mu2 + t))
     scalar = sqrt_of_rational(factorial_ratio([t + tz], [2 * t, t - tz]))
@@ -217,7 +202,7 @@ def decompose(lam1, mu1, lam2, mu2):
         if w3[0] < 0 or w3[1] < 0:
             continue
         seed = _embed(M1.basis_vector(0), v2, d2)
-        hv = _apply_P(seed, Mt)
+        hv = apply_projector(_SYS3, seed, Mt)
         if hv.is_zero():
             continue
         key = (int(w3[0]), int(w3[1]))
@@ -307,7 +292,7 @@ def _pme_direct(L1, g1, L2, g2, L3, g3, g3p, g1p, g2p):
     )
     if v.is_zero():
         return Radical.from_rational(0)
-    v = _apply_P(v, Mt)
+    v = apply_projector(_SYS3, v, Mt)
     if v.is_zero():
         return Radical.from_rational(0)
     v = gt_lower(Mt, lam3, mu3, g3, v)

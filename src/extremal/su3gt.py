@@ -8,8 +8,9 @@ by the explicit lowering operator
 
 where P^t is the general projection operator of the T-spin su(2) subalgebra
 (T+ = e23, T- = e32, T0 = (e22 - e33)/2) and N_jt a closed-form factorial
-normalization.  Generator matrices in the GT basis are then read off by exact
-inner products.
+normalization; its extremal part is the (2,3) factor of the su(3) projector,
+applied by `projector.apply_factor`.  Generator matrices in the GT basis are
+then read off by exact inner products.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from functools import lru_cache
 from .algebra import build_root_system
 from .exact import factorial_ratio, half, projections, spin_range, sqrt_of_rational
 from .pbw import RewriteEngine
-from .projector import projector_factor
-from .repmod import ModuleVector, apply_element, mat_pow_vec, mat_vec, su3_irrep
+from .projector import apply_factor
+from .repmod import ModuleVector, mat_pow_vec, mat_vec, su3_irrep
 
 __all__ = [
     "enumerate_gt_labels",
@@ -42,11 +43,6 @@ def su3_engine():
     if _ENG3 is None:
         _ENG3 = RewriteEngine(_SYS3)
     return _ENG3
-
-
-def t_projector(N):
-    """Extremal projector of the T-spin su(2) subalgebra, the (2,3) factor."""
-    return projector_factor(_SYS3, (2, 3), N, engine=su3_engine()).series
 
 
 def admissible_jt(lam, mu, j, t):
@@ -114,9 +110,7 @@ def gt_lower(M, lam, mu, label, v):
     mu2 = Fraction(mu, 2)
     coords = mat_pow_vec(M.matrix((2, 1)), v.coords, j - mu2 + t)
     coords = mat_pow_vec(M.matrix((3, 1)), coords, j + mu2 - t)
-    w = apply_element(
-        t_projector(M.weight_diameter), ModuleVector(coords), M, singular="zero"
-    )
+    w = apply_factor((2, 3), ModuleVector(coords), M)
     w = ModuleVector(mat_pow_vec(M.matrix((3, 2)), w.coords, t - tz))
     scalar = sqrt_of_rational(factorial_ratio([t + tz], [2 * t, t - tz]))
     return w.scale(gt_norm_factor(lam, mu, j, t) * scalar)

@@ -18,7 +18,7 @@ from functools import lru_cache
 from .algebra import build_root_system
 from .exact import Radical, factorial_ratio, half, sqrt_of_rational
 from .pbw import RewriteEngine
-from .projector import extremal_projector
+from .projector import apply_factor, extremal_projector
 from .repmod import ModuleVector, apply_element, mat_vec, su2_irrep, tensor
 
 __all__ = [
@@ -147,9 +147,7 @@ def cgc_closed(j1, m1, j2, m2, j3, m3):
 
 @lru_cache(maxsize=None)
 def _coupled_module(j1, j2):
-    M = tensor(su2_irrep(j1), su2_irrep(j2))
-    P = extremal_projector(_SYS2, N=M.weight_diameter, engine=su2_engine())
-    return M, P
+    return tensor(su2_irrep(j1), su2_irrep(j2))
 
 
 @lru_cache(maxsize=None)
@@ -158,10 +156,10 @@ def _projected_tower(j1, j2, j3):
 
     Returns (diagonal element as Fraction, dict m3 -> raw J_-^{j3-m3} P v0).
     """
-    M, P = _coupled_module(j1, j2)
+    M = _coupled_module(j1, j2)
     v0_idx = int(j2 - (j3 - j1))  # first factor at m = j1 (index 0)
     v0 = ModuleVector({v0_idx: 1})
-    pv = apply_element(P, v0, M)
+    pv = apply_factor((1, 2), v0, M)  # the su(2) projector is its one factor
     diag = pv.coords.get(v0_idx)
     if diag is None:
         return None

@@ -17,6 +17,7 @@ from extremal.projector import (
     apply_projector,
     extremal_projector,
     no_go_polynomial_residual,
+    projector_factor,
     verify_extremal_identities,
 )
 from extremal.repmod import (
@@ -37,7 +38,6 @@ from extremal.su3gt import (
     gt_norm_factor,
     gt_vector,
     su3_engine,
-    t_projector,
 )
 from extremal.wigner2 import cgc_closed, cgc_projector
 
@@ -216,10 +216,8 @@ def test_criterion_6_gt_bases():
                 coords = mat_vec(M.matrix((2, 1)), coords)
             for _ in range(int(j + mu2 - t)):
                 coords = mat_vec(M.matrix((3, 1)), coords)
-            u = apply_element(
-                t_projector(M.weight_diameter), ModuleVector(coords), M,
-                singular="zero",
-            )
+            pt = projector_factor(SU3, (2, 3), M.weight_diameter, engine=su3_engine())
+            u = apply_element(pt, ModuleVector(coords), M, singular="zero")
             n = gt_norm_factor(lam, mu, j, t)
             assert n * n * u.norm2() == ONE, (lam, mu, j, t)
         # derived GT matrices satisfy the commutation relations ...

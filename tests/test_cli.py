@@ -221,6 +221,10 @@ STDOUT_DIGESTS = [
      "be3755014ee6406b76957b4fdb20c8a25718afb5f58103f3ab63ab3a314ca3ec"),
     ("projector --algebra su3 --trunc 3 --order 23,13,12 --format json",
      "c9a10c5ab301fef1a97264a9a48b34d90d5693723d9187857e33f5c487bd2caa"),
+    ("cgc-su3 --lam1 2 --mu1 1 --lam2 1 --mu2 1 --format json",
+     "444087a162b05fde2ea6cb92c25359706b0f40c2f8606ecc4c024fff3ffa27d4"),
+    ("gt-basis --lam 4 --mu 2 --format json",
+     "bfeb6e7022a090147d8b86a9187f32bdfb59a2af64d53491a17c17c9da7e5d07"),
 ]
 
 

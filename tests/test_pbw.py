@@ -112,6 +112,16 @@ def test_from_expr_reads_primitive_int_forms(eng2, eng3):
     assert c.num == eng3.ring(1)  # the signs of h2 - h1 and -3 h2 + 1 cancel
 
 
+def test_from_expr_multiplicities_are_ints(eng2):
+    # sympy's factor_list reports multiplicities as sympy Integers, which a
+    # ring polynomial refuses as an exponent when __add__ pads a numerator
+    h1 = sympy.Symbol("h1")
+    a = Coeff.from_expr(eng2.ring, 1 / h1 ** 2)
+    assert all(type(m) is int for m in a.den.values())
+    b = eng2.recip_linear([((1,), 0)])
+    assert (a - b).as_expr() == sympy.cancel(1 / h1 ** 2 - 1 / h1)
+
+
 def _primitive_form(coeffs):
     """A random linear form made primitive with a positive first nonzero a_i."""
     *a, c = coeffs

@@ -6,13 +6,13 @@ import pytest
 import sympy
 
 from extremal.algebra import build_root_system
-from extremal.pbw import RewriteEngine, rewrite_word
+from extremal.pbw import RewriteEngine, SingularWeightError, rewrite_word
 from extremal.projector import (
+    apply_factor,
     apply_projector,
     extremal_projector,
     no_go_polynomial_residual,
     projector_factor,
-    projector_factors,
     verify_extremal_identities,
 )
 from extremal.repmod import (
@@ -31,7 +31,7 @@ SU3 = build_root_system(3)
 
 
 def test_factor_structure_su2():
-    f = projector_factor(SU2, (1, 2), 3).series
+    f = projector_factor(SU2, (1, 2), 3)
     # terms n = 0..3: e21^n * coeff * e12^n
     assert len(f.terms) == 4
     c0 = f.terms[((), ())]
@@ -49,10 +49,10 @@ def test_factor_input_validation():
 
 
 def test_projector_factors_follow_ordering():
-    fs = projector_factors(SU3, N=2)
-    assert len(fs) == 3
     eng = RewriteEngine(SU3)
-    for series, root in zip(fs, eng.order.sequence):
+    assert len(eng.order.sequence) == 3
+    for root in eng.order.sequence:
+        series = projector_factor(SU3, root, 2, engine=eng)
         i, j = root
         low, high = max(series.terms, key=series.raising_degree)
         assert high == ((root, 2),)
@@ -131,31 +131,14 @@ def test_no_go_residual_is_nonzero():
     assert res.terms
 
 
-def test_factor_memo_lives_on_the_engine():
+def test_dropped_engine_is_freed_at_once():
     import gc
     import weakref
 
-    from extremal.su3gt import su3_engine, t_projector
-
-    eng = RewriteEngine(SU3)
-    assert eng._factor_cache == {}
-    f = projector_factor(SU3, (1, 2), 3, engine=eng)
-    assert projector_factor(SU3, (1, 2), 3, engine=eng).series.terms is f.series.terms
-    assert eng._factor_cache == {((1, 2), 3): f.series.terms}
-    # apply_projector builds each factor once per (engine, root, N)
-    M = tensor(su3_irrep(1, 0), su3_irrep(0, 1))
-    N = M.weight_diameter
-    first = apply_projector(SU3, M.basis_vector(4), M, engine=eng)
-    cached = dict(eng._factor_cache)
-    assert set(cached) == {((1, 2), 3)} | {(root, N) for root in eng.order.sequence}
-    assert apply_projector(SU3, M.basis_vector(4), M, engine=eng) == first
-    assert all(eng._factor_cache[k] is v for k, v in cached.items())
-    assert len(eng._factor_cache) == len(cached)
-    # a new engine starts empty and builds its own factors
     other = RewriteEngine(SU3)
-    assert other._factor_cache == {}
-    assert projector_factor(SU3, (1, 2), 3, engine=other).series.terms is not f.series.terms
-    # the memo makes no reference cycle: a dropped engine is freed at once
+    projector_factor(SU3, (1, 2), 3, engine=other)
+    # an engine holds no reference cycle: with the collector off it is freed
+    # as soon as its last reference goes
     gc.disable()
     try:
         ref = weakref.ref(other)
@@ -163,5 +146,98 @@ def test_factor_memo_lives_on_the_engine():
         assert ref() is None
     finally:
         gc.enable()
-    # the T-spin factor of the GT construction is the shared engine's (2,3) factor
-    assert t_projector(2).terms is su3_engine()._factor_cache[((2, 3), 2)]
+
+
+# -- evaluated-coefficient route against the symbolic factors ---------
+
+
+def _su2_pairs():
+    spins = [Fraction(k, 2) for k in range(5)]
+    return [tensor(su2_irrep(a), su2_irrep(b)) for a in spins for b in spins]
+
+
+def _su3_pairs():
+    reps = [(l, m) for l in range(4) for m in range(4 - l)]
+    return [
+        tensor(su3_irrep(*a), su3_irrep(*b))
+        for a in reps for b in reps if sum(a) + sum(b) <= 3
+    ]
+
+
+def test_apply_factor_matches_symbolic_factor():
+    # every positive root on every basis vector, poles included: the
+    # symbolic factor with singular="zero" is the oracle
+    zeroed = 0
+    for sys, modules in ((SU2, _su2_pairs()), (SU3, _su3_pairs())):
+        eng = RewriteEngine(sys)
+        for M in modules:
+            for root in sys.positive_roots:
+                f = projector_factor(sys, root, M.weight_diameter, engine=eng)
+                for b in range(M.dim):
+                    v = M.basis_vector(b)
+                    got = apply_factor(root, v, M)
+                    assert got == apply_element(f, v, M, singular="zero"), (M.label, root, b)
+                    zeroed += got.is_zero()
+    assert zeroed
+
+
+def test_apply_projector_matches_symbolic_factors_in_both_orderings():
+    for order in (((1, 2), (1, 3), (2, 3)), ((2, 3), (1, 3), (1, 2))):
+        eng = RewriteEngine(SU3, order)
+        for M in _su3_pairs():
+            N = M.weight_diameter
+            factors = [projector_factor(SU3, r, N, engine=eng) for r in reversed(order)]
+            for b in range(M.dim):
+                v = w = M.basis_vector(b)
+                for f in factors:
+                    w = apply_element(f, w, M, singular="zero")
+                assert apply_projector(SU3, v, M, order=order) == w, (order, M.label, b)
+                assert apply_projector(SU3, v, M, engine=eng) == w
+
+
+def test_apply_factor_zeroes_a_component_at_a_pole():
+    # su(2) 1 x 1 at weight -2: a = <lam,gamma> + (rho,gamma) = -1, and the
+    # n = 1 term acts, so phi_1 = 1/(a + 1) meets its pole
+    M = tensor(su2_irrep(1), su2_irrep(1))
+    v = M.basis_vector(("m=0", "m=-1"))
+    assert M.weights[M.index(("m=0", "m=-1"))] == (Fraction(-2),)
+    f = projector_factor(SU2, (1, 2), M.weight_diameter)
+    with pytest.raises(SingularWeightError):
+        apply_element(f, v, M)
+    assert apply_element(f, v, M, singular="zero").is_zero()
+    assert apply_factor((1, 2), v, M).is_zero()
+    # the highest weight has no term beyond n = 0 and is fixed
+    top = M.basis_vector(("m=1", "m=1"))
+    assert apply_factor((1, 2), top, M) == top
+    with pytest.raises(ValueError):
+        apply_factor((2, 1), v, M)
+
+
+def test_numeric_routes_never_reach_the_symbolic_engine(monkeypatch, capsys):
+    from extremal import cli, repmod, su3cgc, su3gt, wigner2
+
+    def refuse(*args):
+        raise AssertionError("symbolic element applied on a numeric route")
+
+    caches = (su3gt._gt_basis, su3cgc.decompose, su3cgc._coupled_vector,
+              wigner2._projected_tower)
+    for cache in caches:
+        cache.cache_clear()
+    monkeypatch.setattr(repmod, "_apply_raw", refuse)
+    try:
+        M = tensor(su3_irrep(1, 1), su3_irrep(1, 0))
+        assert apply_projector(SU3, M.basis_vector(0), M) == M.basis_vector(0)
+        h = Fraction(1, 2)
+        assert not su3gt.gt_vector(2, 1, (1, h, -h)).is_zero()
+        assert su3cgc.su3_cgc(1, 1, (0, h, h), 1, 0, (0, 0, 0), 2, 1, (0, h, h))
+        assert su3cgc.projector_matrix_element(
+            (1, 0), (0, 0, 0), (0, 1), (h, 0, 0), (0, 0), (0, 0, 0), (0, 0, 0),
+            (0, 0, 0), (h, 0, 0), route="direct")
+        assert wigner2.cgc_projector(1, 0, 1, 0, 2, 0)
+        assert cli.main(["gt-basis", "--lam", "2", "--mu", "1"]) == 0
+        assert cli.main(["cgc-su3", "--lam1", "1", "--mu1", "1", "--lam2", "1",
+                         "--mu2", "0"]) == 0
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    capsys.readouterr()

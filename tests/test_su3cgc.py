@@ -141,6 +141,18 @@ def test_build_tensor_form_is_expanded_product():
     assert apply_element(tf, v, M, singular="zero") == v
 
 
+def test_tensor_form_builds_every_factor_on_the_given_engine():
+    from extremal.pbw import RewriteEngine
+    from extremal.repmod import apply_element
+
+    eng = RewriteEngine(SU3, ((2, 3), (1, 3), (1, 2)))
+    M = su3_irrep(1, 1)
+    tf = build_tensor_form(1, 1, M.weight_diameter, engine=eng)
+    assert tf.engine is eng
+    v = M.basis_vector(0)  # highest weight (1,1)
+    assert apply_element(tf, v, M, singular="zero") == v
+
+
 def test_dual_route_singlet_block():
     L1, L2, L3 = (1, 0), (0, 1), (0, 0)
     labels1 = enumerate_gt_labels(*L1)
