@@ -64,11 +64,17 @@ def _record(keys, value):
 
 def records_cgc_su2(args):
     j1, j2 = args.j1, args.j2
-    j3s = [args.j3] if args.j3 is not None else list(spin_range(abs(j1 - j2), j1 + j2))
+    if j1 < 0 or j2 < 0:
+        raise CliError("spins must be nonnegative")
+    # j1 + j2, j1 + j2 - 1, ..., |j1 - j2|
+    j3s = [j1 + j2 - k for k in range(int(2 * min(j1, j2)) + 1)]
+    if args.j3 is not None:
+        if args.j3 not in j3s:
+            raise CliError("j3=%s does not occur in %s x %s"
+                           % (_fstr(args.j3), _fstr(j1), _fstr(j2)))
+        j3s = [args.j3]
     out = []
-    for j3 in sorted(j3s, reverse=True):
-        if (j1 + j2 + j3).denominator != 1 or not abs(j1 - j2) <= j3 <= j1 + j2:
-            continue
+    for j3 in j3s:
         for m3 in projections(j3):
             for m1 in projections(j1):
                 m2 = m3 - m1
@@ -91,7 +97,7 @@ def records_cgc_su2(args):
 
 
 def records_cgc_su3(args):
-    from .su3cgc import decompose, su3_cgc
+    from .su3cgc import coupled_vector, decompose, pair_module
 
     lam1, mu1, lam2, mu2 = args.lam1, args.mu1, args.lam2, args.mu2
     found = decompose(lam1, mu1, lam2, mu2)
@@ -106,32 +112,25 @@ def records_cgc_su3(args):
                 % (want + (lam1, mu1, lam2, mu2))
             )
         targets = [want]
-    labs1 = [(g, gt_hypercharge(lam1, mu1, g[0])) for g in enumerate_gt_labels(lam1, mu1)]
-    labs2 = [(g, gt_hypercharge(lam2, mu2, g[0])) for g in enumerate_gt_labels(lam2, mu2)]
+    tags = pair_module(lam1, mu1, lam2, mu2).tags
     out = []
     for lam3, mu3 in targets:
         for s in range(1, len(found[(lam3, mu3)]) + 1):
             for g3 in enumerate_gt_labels(lam3, mu3):
-                y3 = gt_hypercharge(lam3, mu3, g3[0])
-                for g1, y1 in labs1:
-                    for g2, y2 in labs2:
-                        # a CGC vanishes unless the weights (t_z, y) add up
-                        if g1[2] + g2[2] != g3[2] or y1 + y2 != y3:
-                            continue
-                        v = su3_cgc(lam1, mu1, g1, lam2, mu2, g2, lam3, mu3, g3, s=s)
-                        if not v:
-                            continue
-                        out.append(
-                            _record(
-                                [
-                                    ("lam3", lam3), ("mu3", mu3), ("s", s),
-                                    ("j3", _fstr(g3[0])), ("t3", _fstr(g3[1])), ("tz3", _fstr(g3[2])),
-                                    ("j1", _fstr(g1[0])), ("t1", _fstr(g1[1])), ("tz1", _fstr(g1[2])),
-                                    ("j2", _fstr(g2[0])), ("t2", _fstr(g2[1])), ("tz2", _fstr(g2[2])),
-                                ],
-                                v,
-                            )
+                v = coupled_vector(lam1, mu1, lam2, mu2, lam3, mu3, s, g3)
+                for idx in sorted(v.coords):
+                    g1, g2 = tags[idx]
+                    out.append(
+                        _record(
+                            [
+                                ("lam3", lam3), ("mu3", mu3), ("s", s),
+                                ("j3", _fstr(g3[0])), ("t3", _fstr(g3[1])), ("tz3", _fstr(g3[2])),
+                                ("j1", _fstr(g1[0])), ("t1", _fstr(g1[1])), ("tz1", _fstr(g1[2])),
+                                ("j2", _fstr(g2[0])), ("t2", _fstr(g2[1])), ("tz2", _fstr(g2[2])),
+                            ],
+                            v.coords[idx],
                         )
+                    )
     return out
 
 

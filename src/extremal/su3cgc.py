@@ -1,13 +1,13 @@
 """su(3) Clebsch-Gordan machinery: tensor form of the projector, coupled
-bases on explicit tensor modules, and projector matrix elements by two
-independent routes.
+bases over GT bases, and projector matrix elements by two independent routes.
 
-Route (b), the authoritative one, works entirely on realized modules: the
-coupled-system extremal projector is sandwiched between explicit GT lowering
-words and exact inner products are taken.  Route (a) evaluates the closed
-Wigner-calculus expression (su(2) CGCs, 6j and 9j symbols with fixed brace
-layouts); the two must agree, which is what pins down the layout and phase
-conventions recorded here.
+Route (b), the authoritative one, works on the tensor product of two irreps,
+each over its GT basis (`su3gt.gt_module`), so that the product basis is
+the |g1> x |g2>: the coupled-system extremal projector is sandwiched between
+explicit GT lowering words, and a CGC is one coordinate of the resulting
+coupled vector.  Route (a) evaluates the closed Wigner-calculus expression
+(su(2) CGCs, 6j and 9j symbols with fixed brace layouts); the two must agree,
+which is what pins down the layout and phase conventions recorded here.
 
 Multiplicity convention: for each target highest weight, candidate seeds
 |L1 h> x |L2 g2'> are scanned in the fixed GT label order of L2, a seed is
@@ -27,8 +27,8 @@ from .algebra import build_root_system
 from .exact import Radical, factorial_ratio, half, spin_range, sqrt_of_rational
 from .pbw import TaylorElement
 from .projector import apply_factor, apply_projector, projector_factor
-from .repmod import ModuleVector, apply_element, mat_pow_vec, su3_irrep, tensor
-from .su3gt import enumerate_gt_labels, gt_lower, gt_norm_factor, gt_vector, su3_engine
+from .repmod import ModuleVector, apply_element, mat_pow_vec, tensor
+from .su3gt import gt_lower, gt_module, gt_norm_factor, su3_engine
 from .wigner2 import cgc_closed, ninej, sixj
 
 __all__ = [
@@ -37,12 +37,15 @@ __all__ = [
     "build_tensor_form",
     "apply_tensor_form",
     "coeff_B",
+    "pair_module",
     "decompose",
+    "coupled_vector",
     "projector_matrix_element",
     "su3_cgc",
 ]
 
 _SYS3 = build_root_system(3)
+_ZERO = Radical.from_rational(0)
 
 def coeff_A(lam, mu, j, jz):
     """Weight-evaluated series coefficient A_{j j_z} of the tensor form.
@@ -150,23 +153,19 @@ def coeff_B(lam, mu, j, t, jp, tp, jpp, tpp):
     return Radical.from_rational(pref) * sqrt_of_rational(root) * s1 * s2
 
 
-# -- explicit coupled modules -----------------------------------------
+# -- coupled vectors over GT bases -------------------------------------
 
 
 @lru_cache(maxsize=None)
-def _pair_module(lam1, mu1, lam2, mu2):
-    M1 = su3_irrep(lam1, mu1)
-    M2 = su3_irrep(lam2, mu2)
-    Mt = tensor(M1, M2)
-    return M1, M2, Mt
+def pair_module(lam1, mu1, lam2, mu2):
+    """tensor(gt_module(lam1, mu1), gt_module(lam2, mu2)), built once: basis
+    vector i1 * d2 + i2 is |g1> x |g2>, with tag (g1, g2)."""
+    return tensor(gt_module(lam1, mu1), gt_module(lam2, mu2))
 
 
-def _embed(v1, v2, d2):
-    coords = {}
-    for i1, c1 in v1.coords.items():
-        for i2, c2 in v2.coords.items():
-            coords[i1 * d2 + i2] = c1 * c2
-    return ModuleVector(coords)
+def _pair_index(lam1, mu1, g1, lam2, mu2, g2):
+    M2 = gt_module(lam2, mu2)
+    return gt_module(lam1, mu1).index(tuple(g1)) * M2.dim + M2.index(tuple(g2))
 
 
 def _gt_raise(M, lam3, mu3, label, v):
@@ -185,24 +184,18 @@ def _gt_raise(M, lam3, mu3, label, v):
 def decompose(lam1, mu1, lam2, mu2):
     """Coupled highest-weight vectors of every constituent of the product.
 
-    Returns a dict (lam3, mu3) -> list of orthonormal ModuleVectors in the
-    tensor module, indexed by the multiplicity label s - 1.
+    Returns a dict (lam3, mu3) -> list of orthonormal ModuleVectors in
+    pair_module(lam1, mu1, lam2, mu2), indexed by the multiplicity label
+    s - 1.  The seeds |L1 h> x |L2 g2> are its basis vectors 0 * d2 + i2.
     """
-    M1, M2, Mt = _pair_module(lam1, mu1, lam2, mu2)
-    labels2 = enumerate_gt_labels(lam2, mu2)
-    d2 = M2.dim
-    w1 = (Fraction(lam1), Fraction(mu1))
+    Mt = pair_module(lam1, mu1, lam2, mu2)
     found = {}
     total = 0
-    for g2 in labels2:
-        v2 = gt_vector(lam2, mu2, g2)
-        idx2 = next(iter(v2.coords))
-        w2 = M2.weights[idx2]
-        w3 = (w1[0] + w2[0], w1[1] + w2[1])
+    for i2 in range(gt_module(lam2, mu2).dim):
+        w3 = Mt.weights[i2]
         if w3[0] < 0 or w3[1] < 0:
             continue
-        seed = _embed(M1.basis_vector(0), v2, d2)
-        hv = apply_projector(_SYS3, seed, Mt)
+        hv = apply_projector(_SYS3, Mt.basis_vector(i2), Mt)
         if hv.is_zero():
             continue
         key = (int(w3[0]), int(w3[1]))
@@ -224,7 +217,11 @@ def decompose(lam1, mu1, lam2, mu2):
 
 
 @lru_cache(maxsize=None)
-def _coupled_vector(lam1, mu1, lam2, mu2, lam3, mu3, s, label):
+def coupled_vector(lam1, mu1, lam2, mu2, lam3, mu3, s, label):
+    """The coupled vector |s (lam3 mu3) label> in pair_module(lam1, mu1,
+    lam2, mu2): the GT lowering word of (lam3, mu3) for `label` applied to
+    the s-th coupled highest vector.  Its coordinate at the tag (g1, g2) is
+    the CGC ((lam1 mu1) g1, (lam2 mu2) g2 | s (lam3 mu3) label)."""
     found = decompose(lam1, mu1, lam2, mu2)
     copies = found.get((lam3, mu3), ())
     if not 1 <= s <= len(copies):
@@ -232,28 +229,18 @@ def _coupled_vector(lam1, mu1, lam2, mu2, lam3, mu3, s, label):
             "(%d,%d) appears %d times in (%d,%d)x(%d,%d); s=%d"
             % (lam3, mu3, len(copies), lam1, mu1, lam2, mu2, s)
         )
-    _M1, _M2, Mt = _pair_module(lam1, mu1, lam2, mu2)
+    Mt = pair_module(lam1, mu1, lam2, mu2)
     return gt_lower(Mt, lam3, mu3, label, copies[s - 1])
 
 
 def su3_cgc(lam1, mu1, g1, lam2, mu2, g2, lam3, mu3, g3, s=1):
     """CGC ((lam1 mu1) g1, (lam2 mu2) g2 | s (lam3 mu3) g3), g = (j, t, t_z).
 
-    The coupled vector is the GT lowering word of (lam3, mu3) applied to the
-    s-th orthonormal coupled highest vector; the coefficient is its exact
-    inner product with |g1> x |g2>.
+    The coefficient is one coordinate of coupled_vector, the one at
+    |g1> x |g2>.
     """
-    g1 = tuple(half(x) for x in g1)
-    g2 = tuple(half(x) for x in g2)
-    g3 = tuple(half(x) for x in g3)
-    coupled = _coupled_vector(lam1, mu1, lam2, mu2, lam3, mu3, s, g3)
-    _M1, M2, _Mt = _pair_module(lam1, mu1, lam2, mu2)
-    u = _embed(
-        gt_vector(lam1, mu1, g1),
-        gt_vector(lam2, mu2, g2),
-        M2.dim,
-    )
-    return coupled.inner(u)
+    v = coupled_vector(lam1, mu1, lam2, mu2, lam3, mu3, s, tuple(g3))
+    return v.coords.get(_pair_index(lam1, mu1, g1, lam2, mu2, g2), _ZERO)
 
 
 # -- projector matrix elements by two routes --------------------------
@@ -264,7 +251,7 @@ def projector_matrix_element(
 ):
     """<L1 g1| <L2 g2| P^{L3}_{g3, g3'} |L1 g1'> |L2 g2'>.
 
-    route="direct" computes on the realized tensor module (authoritative);
+    route="direct" computes on the coupled GT-basis module (authoritative);
     route="formula" evaluates the closed Wigner-calculus expression.
     """
     if route == "direct":
@@ -276,13 +263,8 @@ def projector_matrix_element(
 
 def _pme_direct(L1, g1, L2, g2, L3, g3, g3p, g1p, g2p):
     (lam1, mu1), (lam2, mu2), (lam3, mu3) = L1, L2, L3
-    _M1, M2, Mt = _pair_module(lam1, mu1, lam2, mu2)
-    d2 = M2.dim
-    ket = _embed(
-        gt_vector(lam1, mu1, g1p),
-        gt_vector(lam2, mu2, g2p),
-        d2,
-    )
+    Mt = pair_module(lam1, mu1, lam2, mu2)
+    ket = Mt.basis_vector(_pair_index(lam1, mu1, g1p, lam2, mu2, g2p))
     v = _gt_raise(Mt, lam3, mu3, g3p, ket)
     # the operator is the projector evaluated at weight (lam3, mu3): only the
     # component the raising word lifts into that weight space contributes
@@ -291,17 +273,12 @@ def _pme_direct(L1, g1, L2, g2, L3, g3, g3p, g1p, g2p):
         {i: c for i, c in v.coords.items() if Mt.weights[i] == target}
     )
     if v.is_zero():
-        return Radical.from_rational(0)
+        return _ZERO
     v = apply_projector(_SYS3, v, Mt)
     if v.is_zero():
-        return Radical.from_rational(0)
+        return _ZERO
     v = gt_lower(Mt, lam3, mu3, g3, v)
-    bra = _embed(
-        gt_vector(lam1, mu1, g1),
-        gt_vector(lam2, mu2, g2),
-        d2,
-    )
-    return bra.inner(v)
+    return v.coords.get(_pair_index(lam1, mu1, g1, lam2, mu2, g2), _ZERO)
 
 
 def _pme_formula(L1, g1, L2, g2, L3, g3, g3p, g1p, g2p):

@@ -9,8 +9,9 @@ by the explicit lowering operator
 where P^t is the general projection operator of the T-spin su(2) subalgebra
 (T+ = e23, T- = e32, T0 = (e22 - e33)/2) and N_jt a closed-form factorial
 normalization; its extremal part is the (2,3) factor of the su(3) projector,
-applied by `projector.apply_factor`.  Generator matrices in the GT basis are
-then read off by exact inner products.
+applied by `projector.apply_factor`.  `gt_module` reads the generator
+matrices in the GT basis off by exact inner products, so the irrep can also
+be used over its GT basis.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .algebra import build_root_system
 from .exact import factorial_ratio, half, projections, spin_range, sqrt_of_rational
 from .pbw import RewriteEngine
 from .projector import apply_factor
-from .repmod import ModuleVector, mat_pow_vec, mat_vec, su3_irrep
+from .repmod import Irrep, ModuleVector, mat_pow_vec, mat_vec, su3_irrep
 
 __all__ = [
     "enumerate_gt_labels",
@@ -30,7 +31,7 @@ __all__ = [
     "gt_norm_factor",
     "gt_vector",
     "gt_lower",
-    "generator_matrix_elements",
+    "gt_module",
     "su3_engine",
 ]
 
@@ -67,6 +68,8 @@ def enumerate_gt_labels(lam, mu):
     label is the highest-weight one (0, mu/2, mu/2).
     """
     lam, mu = int(lam), int(mu)
+    if lam < 0 or mu < 0:
+        raise ValueError("labels must be nonnegative")
     mu2 = Fraction(mu, 2)
     out = []
     for j in spin_range(0, lam + mu):
@@ -120,11 +123,10 @@ def gt_vector(lam, mu, label):
     """The GT basis vector for `label` as exact coordinates in the realized
     module of su3_irrep(lam, mu)."""
     lam, mu = int(lam), int(mu)
-    vecs = _gt_basis(lam, mu)[1]
-    key = tuple(half(x) for x in label)
-    if key not in vecs:  # the basis holds exactly the admissible labels
+    v = _gt_basis(lam, mu)[1].get(tuple(label))
+    if v is None:  # the basis holds exactly the admissible labels
         raise ValueError("inadmissible GT label %s for (%d, %d)" % (label, lam, mu))
-    return vecs[key]
+    return v
 
 
 @lru_cache(maxsize=None)
@@ -135,25 +137,31 @@ def _gt_basis(lam, mu):
     return M, {lab: gt_lower(M, lam, mu, lab, top) for lab in enumerate_gt_labels(lam, mu)}
 
 
-def generator_matrix_elements(lam, mu):
-    """Sparse matrices of every e_ij over the GT basis, plus the label list.
+@lru_cache(maxsize=None)
+def gt_module(lam, mu):
+    """The irrep (lam, mu) over its GT basis, built once.
 
-    Entry (r, c) of matrix g is <gt_r| g |gt_c>, exact over Radical.
+    Tags are the GT labels in label order, weights those of the GT vectors,
+    and entry (r, c) of e_ij is <gt_r| e_ij |gt_c>, exact over Radical; only
+    the rows in the weight space of e_ij |gt_c> are computed.
     """
     M, by_label = _gt_basis(lam, mu)
-    labels, vecs = tuple(by_label), list(by_label.values())
-    out = {}
-    for i in range(1, 4):
-        for g in ((i, jj) for jj in range(1, 4) if jj != i):
-            pm = M.matrix(g)
-            mat = {}
-            for c, vc in enumerate(vecs):
-                img = ModuleVector(mat_vec(pm, vc.coords))
-                if img.is_zero():
-                    continue
-                for r, vr in enumerate(vecs):
-                    dot = vr.inner(img)
-                    if dot:
-                        mat[(r, c)] = dot
-            out[g] = mat
-    return labels, out
+    vecs = list(by_label.values())
+    weights = [M.weights[next(iter(v.coords))] for v in vecs]
+    in_weight = {}
+    for r, w in enumerate(weights):
+        in_weight.setdefault(w, []).append(r)
+    mats = {}
+    for g, pm in M.matrices.items():
+        mat = {}
+        for c, vc in enumerate(vecs):
+            img = ModuleVector(mat_vec(pm, vc.coords))
+            if img.is_zero():
+                continue
+            for r in in_weight[M.weights[next(iter(img.coords))]]:
+                dot = vecs[r].inner(img)
+                if dot:
+                    mat[(r, c)] = dot
+        mats[g] = mat
+    return Irrep(algebra="su3", n=3, label=(lam, mu), tags=list(by_label),
+                 weights=weights, matrices=mats)

@@ -33,8 +33,8 @@ from extremal.repmod import (
 from extremal.su3cgc import decompose, projector_matrix_element, su3_cgc
 from extremal.su3gt import (
     enumerate_gt_labels,
-    generator_matrix_elements,
     gt_hypercharge,
+    gt_module,
     gt_norm_factor,
     gt_vector,
     su3_engine,
@@ -221,7 +221,8 @@ def test_criterion_6_gt_bases():
             n = gt_norm_factor(lam, mu, j, t)
             assert n * n * u.norm2() == ONE, (lam, mu, j, t)
         # derived GT matrices satisfy the commutation relations ...
-        gt_labels, mats = generator_matrix_elements(lam, mu)
+        G = gt_module(lam, mu)
+        gt_labels, mats = G.tags, G.matrices
 
         def diag(values):
             return {
@@ -346,7 +347,8 @@ def test_criterion_7_su3_cgc():
         for b in range(a, len(all_vecs)):
             assert all_vecs[a].inner(all_vecs[b]) == (ONE if a == b else ZERO)
     # equivariance: generators act on the coupled octet with the GT matrices
-    gt_labels, mats = generator_matrix_elements(1, 1)
+    G = gt_module(1, 1)
+    gt_labels, mats = G.tags, G.matrices
     idx = {lab: k for k, lab in enumerate(gt_labels)}
     from extremal.repmod import ModuleVector, mat_vec
 

@@ -138,6 +138,20 @@ def test_cli_error_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command, message", [
+    ("gt-basis --lam -1 --mu 0", "labels must be nonnegative"),
+    ("cgc-su2 --j1 -1 --j2 1", "spins must be nonnegative"),
+    ("cgc-su2 --j1 1/2 --j2 1/2 --j3 5", "j3=5 does not occur in 1/2 x 1/2"),
+    ("cgc-su2 --j1 1/2 --j2 1/2 --j3 1/2", "j3=1/2 does not occur in 1/2 x 1/2"),
+])
+def test_domain_error_exit_code(capsys, command, message):
+    # a request outside the domain exits 2 with one error line, printing nothing
+    code, out, err = run(capsys, *command.split())
+    assert code == 2
+    assert out == ""
+    assert err == "error: %s\n" % message
+
+
 def test_bad_half_integer_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["cgc-su2", "--j1", "1/3", "--j2", "1/2"])
@@ -225,6 +239,12 @@ STDOUT_DIGESTS = [
      "444087a162b05fde2ea6cb92c25359706b0f40c2f8606ecc4c024fff3ffa27d4"),
     ("gt-basis --lam 4 --mu 2 --format json",
      "bfeb6e7022a090147d8b86a9187f32bdfb59a2af64d53491a17c17c9da7e5d07"),
+    ("cgc-su3 --lam1 1 --mu1 1 --lam2 1 --mu2 1 --format csv",
+     "00e89808760d035663a84d424ce7ca39e3381712fb9c61e2f3897643eb8574de"),
+    ("cgc-su3 --lam1 0 --mu1 2 --lam2 2 --mu2 0",
+     "285f69f6dd33db70746658775dbbee1c92c1be659bf23389466abadce26f00a5"),
+    ("cgc-su3 --lam1 1 --mu1 0 --lam2 1 --mu2 0 --lam3 0 --mu3 1 --format json",
+     "0e4723c9f4d5d7a56f28622ea323c56816d787706667b807718da41ee8b91c91"),
 ]
 
 

@@ -219,8 +219,8 @@ def test_numeric_routes_never_reach_the_symbolic_engine(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("symbolic element applied on a numeric route")
 
-    caches = (su3gt._gt_basis, su3cgc.decompose, su3cgc._coupled_vector,
-              wigner2._projected_tower)
+    caches = (su3gt._gt_basis, su3gt.gt_module, su3cgc.decompose,
+              su3cgc.coupled_vector, wigner2._projected_tower)
     for cache in caches:
         cache.cache_clear()
     monkeypatch.setattr(repmod, "_apply_raw", refuse)

@@ -1,23 +1,27 @@
 """su(3) Clebsch-Gordan coefficients: decompositions, tensor form, dual routes."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from extremal.algebra import build_root_system
 from extremal.exact import Radical, sqrt_of_rational
 from extremal.projector import apply_projector
-from extremal.repmod import su3_irrep, tensor
+from extremal.repmod import ModuleVector, mat_vec, su3_irrep, tensor
 from extremal.su3cgc import (
+    _gt_raise,
     apply_tensor_form,
     build_tensor_form,
     coeff_A,
     coeff_B,
+    coupled_vector,
     decompose,
+    pair_module,
     projector_matrix_element,
     su3_cgc,
 )
-from extremal.su3gt import enumerate_gt_labels
+from extremal.su3gt import enumerate_gt_labels, gt_lower, gt_module, gt_vector
 
 SU3 = build_root_system(3)
 HALF = Fraction(1, 2)
@@ -192,3 +196,148 @@ def test_dual_route_octet_slice():
                     if a:
                         seen_nonzero += 1
     assert seen_nonzero > 0
+
+
+# -- the realized-basis route, kept as a reference ----------------------
+#
+# The product of the realized modules su3_irrep(L1) x su3_irrep(L2); a GT
+# product vector |g1> x |g2> is embedded there from the two GT vectors, and
+# a CGC is its inner product with the coupled vector.
+
+
+def _factors(total):
+    """Every (lam, mu) with lam + mu <= total."""
+    return [(lam, mu) for lam in range(total + 1) for mu in range(total + 1 - lam)]
+
+
+@lru_cache(maxsize=None)
+def _ref_pair_module(lam1, mu1, lam2, mu2):
+    M1 = su3_irrep(lam1, mu1)
+    M2 = su3_irrep(lam2, mu2)
+    return M1, M2, tensor(M1, M2)
+
+
+def _embed(v1, v2, d2):
+    return ModuleVector({i1 * d2 + i2: c1 * c2
+                         for i1, c1 in v1.coords.items()
+                         for i2, c2 in v2.coords.items()})
+
+
+@lru_cache(maxsize=None)
+def _ref_product_vector(L1, g1, L2, g2):
+    M2 = _ref_pair_module(*L1, *L2)[1]
+    return _embed(gt_vector(*L1, g1), gt_vector(*L2, g2), M2.dim)
+
+
+@lru_cache(maxsize=None)
+def _ref_decompose(lam1, mu1, lam2, mu2):
+    M1, M2, Mt = _ref_pair_module(lam1, mu1, lam2, mu2)
+    found = {}
+    for g2 in enumerate_gt_labels(lam2, mu2):
+        v2 = gt_vector(lam2, mu2, g2)
+        w2 = M2.weights[next(iter(v2.coords))]
+        w3 = (lam1 + w2[0], mu1 + w2[1])
+        if w3[0] < 0 or w3[1] < 0:
+            continue
+        hv = apply_projector(SU3, _embed(M1.basis_vector(0), v2, M2.dim), Mt)
+        if hv.is_zero():
+            continue
+        basis = found.setdefault((int(w3[0]), int(w3[1])), [])
+        red = hv
+        for u in basis:
+            red = red - u.scale(u.inner(hv))
+        if red.is_zero():
+            continue
+        basis.append(red.scale(sqrt_of_rational(1 / red.norm2().to_rational())))
+    return found
+
+
+def _ref_pme_column(L1, L2, L3, g3, g3p, g1p, g2p):
+    """P^{L3}_{g3, g3'} |g1' g2'> in the realized product."""
+    Mt = _ref_pair_module(*L1, *L2)[2]
+    v = _gt_raise(Mt, *L3, g3p, _ref_product_vector(L1, g1p, L2, g2p))
+    target = (Fraction(L3[0]), Fraction(L3[1]))
+    v = ModuleVector({i: c for i, c in v.coords.items() if Mt.weights[i] == target})
+    return gt_lower(Mt, *L3, g3, apply_projector(SU3, v, Mt))
+
+
+def test_first_gt_vector_is_the_realized_highest_vector():
+    # the seeds |L1 h> x |L2 g2> of both routes agree only through this
+    for lam, mu in _factors(6):
+        first = enumerate_gt_labels(lam, mu)[0]
+        assert gt_vector(lam, mu, first) == su3_irrep(lam, mu).basis_vector(0)
+
+
+@pytest.mark.parametrize(
+    "L1, L2",
+    [(L1, L2) for L1 in _factors(4) for L2 in _factors(4 - sum(L1))],
+    ids=lambda L: "%d%d" % L,
+)
+def test_cgcs_match_the_realized_route(L1, L2):
+    found = decompose(*L1, *L2)
+    ref = _ref_decompose(*L1, *L2)
+    assert {k: len(v) for k, v in found.items()} == {k: len(v) for k, v in ref.items()}
+    Mt = _ref_pair_module(*L1, *L2)[2]
+    labels1 = enumerate_gt_labels(*L1)
+    labels2 = enumerate_gt_labels(*L2)
+    products = [(g1, g2, _ref_product_vector(L1, g1, L2, g2))
+                for g1 in labels1 for g2 in labels2]
+    for L3, copies in ref.items():
+        for s, hv in enumerate(copies, 1):
+            for g3 in enumerate_gt_labels(*L3):
+                coupled = gt_lower(Mt, *L3, g3, hv)
+                for g1, g2, u in products:
+                    assert su3_cgc(*L1, g1, *L2, g2, *L3, g3, s=s) == coupled.inner(u), (
+                        L3, s, g3, g1, g2)
+
+
+@pytest.mark.parametrize(
+    "L1, L2",
+    [(L1, L2) for L1 in _factors(4) for L2 in _factors(4 - sum(L1))],
+    ids=lambda L: "%d%d" % L,
+)
+def test_direct_projector_matrix_elements_match_the_realized_route(L1, L2):
+    # every element <g1 g2| P^{L3}_{g3, g3} |g1' g2'> whose two product
+    # vectors share the weight of g3
+    G1, G2 = gt_module(*L1), gt_module(*L2)
+    by_weight = {}
+    for i1, g1 in enumerate(G1.tags):
+        for i2, g2 in enumerate(G2.tags):
+            w = tuple(a + b for a, b in zip(G1.weights[i1], G2.weights[i2]))
+            by_weight.setdefault(w, []).append((g1, g2))
+    for L3 in decompose(*L1, *L2):
+        G3 = gt_module(*L3)
+        for g3, w in zip(G3.tags, G3.weights):
+            pairs = by_weight[w]
+            for g1p, g2p in pairs:
+                column = _ref_pme_column(L1, L2, L3, g3, g3, g1p, g2p)
+                for g1, g2 in pairs:
+                    args = (L1, g1, L2, g2, L3, g3, g3, g1p, g2p)
+                    assert projector_matrix_element(*args, route="direct") == (
+                        column.inner(_ref_product_vector(L1, g1, L2, g2))), args
+
+
+def test_coupled_vectors_are_unitary_and_equivariant():
+    # over every ordered pair of factors with lam + mu <= 2, the coupled
+    # vectors form an orthonormal basis of the product, and e_ij acts on
+    # them with the GT matrices of their irrep
+    for L1 in _factors(2):
+        for L2 in _factors(2):
+            Mt = pair_module(*L1, *L2)
+            basis = []
+            for L3, copies in decompose(*L1, *L2).items():
+                G3 = gt_module(*L3)
+                for s in range(1, len(copies) + 1):
+                    vecs = [coupled_vector(*L1, *L2, *L3, s, g3) for g3 in G3.tags]
+                    for g, mat in G3.matrices.items():
+                        expect = [ModuleVector({}) for _ in vecs]
+                        for (r, c), coef in mat.items():
+                            expect[c] = expect[c] + vecs[r].scale(coef)
+                        for c, v in enumerate(vecs):
+                            img = ModuleVector(mat_vec(Mt.matrix(g), v.coords))
+                            assert img == expect[c], (L1, L2, L3, s, g, c)
+                    basis.extend(vecs)
+            assert len(basis) == Mt.dim
+            for a, u in enumerate(basis):
+                for b in range(a, len(basis)):
+                    assert u.inner(basis[b]) == _rat(1 if a == b else 0), (L1, L2, a, b)

@@ -9,8 +9,8 @@ from extremal.repmod import su3_irrep
 from extremal.su3gt import (
     admissible_jt,
     enumerate_gt_labels,
-    generator_matrix_elements,
     gt_hypercharge,
+    gt_module,
     gt_norm_factor,
     gt_vector,
 )
@@ -142,7 +142,8 @@ def test_tspin_action_in_gt_basis():
     # T+ = e23, T- = e32 act within (j, t) multiplets with the standard
     # su(2) matrix elements sqrt((t -+ tz)(t +- tz + 1))
     for lam, mu in ((1, 1), (2, 1)):
-        labels, mats = generator_matrix_elements(lam, mu)
+        G = gt_module(lam, mu)
+        labels, mats = G.tags, G.matrices
         idx = {lab: k for k, lab in enumerate(labels)}
         for j, t, tz in labels:
             col = idx[(j, t, tz)]
@@ -172,7 +173,8 @@ def test_gt_matrices_satisfy_commutators():
     from extremal.repmod import mat_eq, mat_mul, mat_add, mat_scale
 
     lam, mu = 1, 1
-    labels, mats = generator_matrix_elements(lam, mu)
+    G = gt_module(lam, mu)
+    labels, mats = G.tags, G.matrices
     comm = mat_add(
         mat_mul(mats[(1, 2)], mats[(2, 1)]),
         mat_scale(mat_mul(mats[(2, 1)], mats[(1, 2)]), -1),
@@ -208,7 +210,7 @@ def test_gt_lower_runs_once_per_label(monkeypatch):
         for g1 in enumerate_gt_labels(1, 0):
             for g2 in enumerate_gt_labels(0, 1):
                 su3_cgc(1, 0, g1, 0, 1, g2, 1, 1, (HALF, 1, 0))
-        generator_matrix_elements(1, 1)
+        gt_module(1, 1)
     want = {(lam, mu) + lab for lam, mu in ((1, 0), (0, 1), (1, 1))
             for lab in enumerate_gt_labels(lam, mu)}
     assert set(calls) == want
