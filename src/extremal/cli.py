@@ -134,21 +134,22 @@ def records_cgc_su3(args):
     return out
 
 
+def _spins(args, count):
+    """--j1 .. --j<count> with their record keys, refused if any is negative."""
+    js = [getattr(args, "j%d" % k) for k in range(1, count + 1)]
+    if any(j < 0 for j in js):
+        raise CliError("spins must be nonnegative")
+    return js, [("j%d" % k, _fstr(j)) for k, j in enumerate(js, 1)]
+
+
 def records_sixj(args):
-    v = sixj(args.j1, args.j2, args.j3, args.j4, args.j5, args.j6)
-    keys = [("j%d" % k, _fstr(getattr(args, "j%d" % k))) for k in range(1, 7)]
-    return [_record(keys, v)]
+    js, keys = _spins(args, 6)
+    return [_record(keys, sixj(*js))]
 
 
 def records_ninej(args):
-    rows = (
-        (args.j1, args.j2, args.j3),
-        (args.j4, args.j5, args.j6),
-        (args.j7, args.j8, args.j9),
-    )
-    v = ninej(rows)
-    keys = [("j%d" % k, _fstr(getattr(args, "j%d" % k))) for k in range(1, 10)]
-    return [_record(keys, v)]
+    js, keys = _spins(args, 9)
+    return [_record(keys, ninej((js[0:3], js[3:6], js[6:9])))]
 
 
 def records_gt_basis(args):
@@ -294,6 +295,8 @@ SUITES = {
 
 
 def records_verify(args):
+    if args.trunc is not None and args.trunc < 0:
+        raise CliError("truncation bound must be >= 0")
     checks = SUITES[args.suite](args.trunc)
     return [
         {"suite": args.suite, "check": name, "ok": bool(ok)} for name, ok in checks

@@ -15,21 +15,27 @@ f(h) X = X f(h + s_X), so every memo key is a tuple of generator pairs.
 
 Generators are index pairs (i, j), i != j, for e_ij; Cartan letters are
 rational functions of h1..h_{n-1}, h_i = e_ii - e_{i+1,i+1}.  Coefficients are
-stored with a polynomial numerator and a factored denominator: every
-denominator that the projector series produces is a product of integer shifts
-of linear forms in the h_i, and keeping the factors explicit makes shifting
-h -> h + s and pole detection cheap.  Each linear form a.h + c is a tuple of
-ints (a_1, ..., a_{n-1}, c), primitive and with its first nonzero a_i
-positive, so a shift only adds an int to c.  Coeff equality is structural and
-agrees with its hash; equality as rational functions is not (a - b).
+stored as num / (q * den): an integer polynomial numerator, one positive int
+q, and a factored denominator.  Every denominator that the projector series
+produces is a product of integer shifts of linear forms in the h_i, and
+keeping the factors explicit makes shifting h -> h + s and pole detection
+cheap.  Each linear form a.h + c is a tuple of ints (a_1, ..., a_{n-1}, c),
+primitive and with its first nonzero a_i positive, so a shift only adds an
+int to c.  Integer numerators keep the ring arithmetic on Python ints, and
+the powers of the linear forms that bring two coefficients over a common
+denominator are computed once (`form_power`, a bounded memo).  Coeff equality
+is structural and agrees with its hash; equality as rational functions is
+not (a - b).
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
+from math import gcd, lcm
 
 import sympy
-from sympy.polys.domains import QQ
+from sympy.polys.domains import QQ, ZZ
 from sympy.polys.rings import ring as _poly_ring
 
 from .algebra import NormalOrdering, RootSystemData
@@ -73,26 +79,82 @@ def cartan_ring(n):
     return _RING_CACHE[n]
 
 
+@functools.lru_cache(maxsize=8)
+def _integer_ring(ring):
+    """ZZ[h1..h_{n-1}], the ring of Coeff numerators over `ring`."""
+    return ring.clone(domain=ZZ)
+
+
+@functools.lru_cache(maxsize=1024)
+def form_power(ring, key, m):
+    """(a.h + c)^m in `ring` for the linear form key = (a_1, ..., a_{n-1}, c).
+
+    Bounded memo: Coeff.__add__ pads numerators with these powers, and the
+    same few forms recur throughout a series product.
+    """
+    if m != 1:
+        return form_power(ring, key, 1) ** m
+    p = ring(key[-1])
+    for g, a in zip(ring.gens, key[:-1]):
+        if a:
+            p = p + g * a
+    return p
+
+
+def _primitive(num, q):
+    """(num, q) divided by gcd(content(num), q); q = 1 for num = 0."""
+    if q == 1:
+        return num, q
+    g = q
+    for c in num.values():
+        g = gcd(g, c)
+        if g == 1:
+            return num, q
+    return (num.quo_ground(g) if num else num), q // g
+
+
+def _poly_mul(a, b):
+    """a * b, with a constant factor applied as a scalar."""
+    for x, y in ((a, b), (b, a)):
+        if len(y) == 1:
+            c = y.get(y.ring.zero_monom)
+            if c is not None:
+                return x if c == 1 else x.mul_ground(c)
+    return a * b
+
+
 class Coeff:
     """Rational function of the h_i with the denominator kept factored.
 
-    num is a polynomial (sympy PolyElement over QQ); den maps a linear form
-    a.h + c, encoded as a tuple of ints (a_1, ..., a_{n-1}, c) that is
-    primitive and has its first nonzero a_i positive, to its multiplicity.
-    The pair is not reduced on construction (zero testing only needs the
-    numerator); reduced() divides out denominator factors before evaluation
-    or printing.
+    The value is num / (q * prod den): num is a polynomial over ZZ (sympy
+    PolyElement in the clone of `ring` over ZZ), q a positive int with
+    gcd(content(num), q) = 1, kept so by every operation, and den maps a
+    linear form a.h + c, encoded as a tuple of ints (a_1, ..., a_{n-1}, c)
+    that is primitive and has its first nonzero a_i positive, to its
+    multiplicity.  Integer numerators keep sympy's ring arithmetic on Python
+    ints; numerator() and denominator() give the value's two halves as
+    polynomials of `ring`, over QQ.  The denominator is not reduced on
+    construction (zero testing only needs the numerator); reduced() divides
+    out denominator factors before evaluation or printing, exactly over ZZ
+    because each form is primitive (Gauss's lemma).
 
-    == compares (num, den) by structure and agrees with hash, so memo probes
-    never do polynomial arithmetic; (h+1)/(h+1) == 1 is False.  Equality as
-    rational functions is not (a - b).
+    == compares (num, q, den) by structure and agrees with hash, so memo
+    probes never do polynomial arithmetic; (h+1)/(h+1) == 1 is False.
+    Equality as rational functions is not (a - b).
     """
 
-    __slots__ = ("ring", "num", "den")
+    __slots__ = ("ring", "num", "q", "den")
 
-    def __init__(self, ring, num, den=None):
+    def __init__(self, ring, num, den=None, q=1):
+        """`ring` is the QQ ring; a numerator from it has its denominators
+        cleared into q here.  Internal callers pass a ZZ numerator and the q
+        that goes with it."""
+        if num.ring is ring:
+            c, num = num.clear_denoms()
+            num, q = num.set_ring(_integer_ring(ring)), q * int(c)
         self.ring = ring
         self.num = num
+        self.q = q
         self.den = den or {}
 
     # -- constructors -------------------------------------------------
@@ -100,7 +162,8 @@ class Coeff:
     @classmethod
     def from_rational(cls, ring, q):
         """An int, Fraction or sympy Rational as a constant Coeff."""
-        return cls(ring, ring.ground_new(QQ(int(q.numerator), int(q.denominator))))
+        zz = _integer_ring(ring)
+        return cls(ring, zz.ground_new(int(q.numerator)), None, int(q.denominator))
 
     @classmethod
     def from_expr(cls, ring, expr):
@@ -121,19 +184,16 @@ class Coeff:
             factors[key] = factors.get(key, 0) + int(mult)
         return cls(ring, out_num * QQ(int(const.q), int(const.p)), factors)
 
-    def key_poly(self, key):
-        """The linear form key as a ring polynomial."""
-        p = self.ring(key[-1])
-        for g, a in zip(self.ring.gens, key[:-1]):
-            if a:
-                p = p + g * a
-        return p
+    def numerator(self):
+        """num / q as a polynomial of `ring` (over QQ)."""
+        p = self.num.set_ring(self.ring)
+        return p if self.q == 1 else p.mul_ground(QQ(1, self.q))
 
     def denominator(self):
-        """Product of the denominator factors as a ring polynomial."""
+        """Product of the denominator factors as a polynomial of `ring`."""
         p = self.ring.one
         for k, m in self.den.items():
-            p = p * self.key_poly(k) ** m
+            p = p * form_power(self.ring, k, m)
         return p
 
     # -- predicates ---------------------------------------------------
@@ -142,17 +202,17 @@ class Coeff:
         return bool(self.num)
 
     def is_one(self):
-        return not self.den and self.num == self.ring.one
+        return not self.den and self.q == 1 and self.num == self.num.ring.one
 
     def __hash__(self):
         # not hash(self.num): a PolyElement caches its hash, and sympy's
         # in-place building (as in div) can cache it before the last term
-        return hash((frozenset(self.num.items()), frozenset(self.den.items())))
+        return hash((frozenset(self.num.items()), self.q, frozenset(self.den.items())))
 
     def __eq__(self, other):
-        """Structural equality of (num, den); see the class docstring."""
+        """Structural equality of (num, q, den); see the class docstring."""
         other = self._coerce(other)
-        return self.num == other.num and self.den == other.den
+        return self.q == other.q and self.num == other.num and self.den == other.den
 
     # -- arithmetic ---------------------------------------------------
 
@@ -162,18 +222,19 @@ class Coeff:
         return Coeff.from_rational(self.ring, other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Coeff(self.ring, self.num * QQ(other), self.den)
         other = self._coerce(other)
-        den = dict(self.den)
-        for k, m in other.den.items():
-            den[k] = den.get(k, 0) + m
-        return Coeff(self.ring, self.num * other.num, den)
+        den = self.den
+        if other.den:
+            den = dict(den)
+            for k, m in other.den.items():
+                den[k] = den.get(k, 0) + m
+        num, q = _primitive(_poly_mul(self.num, other.num), self.q * other.q)
+        return Coeff(self.ring, num, den, q)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return Coeff(self.ring, -self.num, self.den)
+        return Coeff(self.ring, -self.num, self.den, self.q)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -181,19 +242,23 @@ class Coeff:
             return self
         if not self.num:
             return other
+        na, nb = self.num, other.num
+        q = lcm(self.q, other.q)
+        if q != self.q:
+            na = na * (q // self.q)
+        if q != other.q:
+            nb = nb * (q // other.q)
+        zz = na.ring
         den = {}
         for k in set(self.den) | set(other.den):
-            den[k] = max(self.den.get(k, 0), other.den.get(k, 0))
-        na, nb = self.num, other.num
-        for k, m in den.items():
-            da, db = m - self.den.get(k, 0), m - other.den.get(k, 0)
-            if da or db:
-                p = self.key_poly(k)
-                if da:
-                    na = na * p**da
-                if db:
-                    nb = nb * p**db
-        return Coeff(self.ring, na + nb, den)
+            ma, mb = self.den.get(k, 0), other.den.get(k, 0)
+            if ma < mb:
+                na = na * form_power(zz, k, mb - ma)
+            elif mb < ma:
+                nb = nb * form_power(zz, k, ma - mb)
+            den[k] = max(ma, mb)
+        num, q = _primitive(na + nb, q)
+        return Coeff(self.ring, num, den, q)
 
     __radd__ = __add__
 
@@ -206,32 +271,36 @@ class Coeff:
             return self
         num = self.num
         if not num.is_ground:
-            for g, s in zip(self.ring.gens, svec):
+            for g, s in zip(num.ring.gens, svec):
                 if s:
-                    num = num.compose(g, g + QQ(scale * s))
+                    num = num.compose(g, g + scale * s)
         den = {}
         for k, m in self.den.items():
             delta = scale * sum(a * s for a, s in zip(k[:-1], svec))
             den[k[:-1] + (k[-1] + delta,)] = m
-        return Coeff(self.ring, num, den)
+        return Coeff(self.ring, num, den, self.q)
 
     # -- normal form --------------------------------------------------
 
     def reduced(self):
-        """Divide out denominator factors from the numerator where possible."""
+        """Divide out denominator factors from the numerator where possible.
+
+        Each factor is primitive, so a quotient over QQ is one over ZZ
+        (Gauss's lemma), and dividing keeps gcd(content(num), q) = 1.
+        """
         if not self.num:
             return Coeff(self.ring, self.num)
         num, den = self.num, {}
         for k, m in self.den.items():
-            p = self.key_poly(k)
+            p = form_power(num.ring, k, 1)
             while m > 0:
-                q, r = num.div(p)
+                quo, r = num.div(p)
                 if r:
                     break
-                num, m = q, m - 1
+                num, m = quo, m - 1
             if m:
                 den[k] = m
-        return Coeff(self.ring, num, den)
+        return Coeff(self.ring, num, den, self.q)
 
     def evaluate(self, values):
         """Value at h = values (sequence of Fractions); Fraction result.
@@ -242,24 +311,29 @@ class Coeff:
         c = self.reduced()
         if not c.num:
             return Fraction(0)
-        den = Fraction(1)
+        den = Fraction(c.q)
         for k, m in c.den.items():
             v = sum(a * x for a, x in zip(k[:-1], values)) + k[-1]
             if v == 0:
                 raise SingularWeightError(
                     "denominator factor %s vanishes at weight %s"
-                    % (c.key_poly(k).as_expr(), tuple(map(str, values)))
+                    % (form_power(c.ring, k, 1).as_expr(), tuple(map(str, values)))
                 )
             den *= v**m
-        q = c.num.evaluate(list(zip(c.ring.gens, map(QQ, values))))
-        return Fraction(int(q.numerator), int(q.denominator)) / den
+        num = 0
+        for monom, a in c.num.items():
+            for x, e in zip(values, monom):
+                if e:
+                    a *= x**e
+            num += a
+        return num / den
 
     def as_expr(self):
         """Canonical sympy expression, for display and interop."""
         c = self.reduced()
-        e = c.num.as_expr()
+        e = c.numerator().as_expr()
         for k, m in sorted(c.den.items()):
-            e = e / c.key_poly(k).as_expr() ** m
+            e = e / form_power(c.ring, k, 1).as_expr() ** m
         return e
 
     def __repr__(self):
@@ -281,9 +355,17 @@ class RewriteEngine:
         self.order = normal_ordering(sys, order)
         self.ring = cartan_ring(self.n)
         self.coeff_one = Coeff(self.ring, self.ring.one)
-        self._pos = {r: i for i, r in enumerate(self.order.sequence)}
+        # place of each letter in a normal-ordered word: lowering letters
+        # before raising ones, each kind in the order of its roots
+        seq = self.order.sequence
+        self._rank = {}
+        for pos, (i, j) in enumerate(seq):
+            self._rank[(j, i)], self._rank[(i, j)] = pos, len(seq) + pos
         self._reduce_cache = {}
+        self._unpack_cache = {}
         self._shift_cache = {}
+        self._word_shift_cache = {}
+        self._h_span_cache = {}
         self._eval_cache = {}  # (Coeff, weight) -> Radical, for repmod.apply_element
 
     # -- coefficients -------------------------------------------------
@@ -307,13 +389,6 @@ class RewriteEngine:
 
     # -- letters ------------------------------------------------------
 
-    def is_raising(self, g):
-        return g[0] < g[1]
-
-    def letter_key(self, g):
-        i, j = g
-        return self._pos[(min(i, j), max(i, j))]
-
     def shift_vector(self, g):
         """[h_k, e_g] = s_k e_g; returns tuple s over k = 1..n-1."""
         i, j = g
@@ -323,12 +398,16 @@ class RewriteEngine:
         )
 
     def word_shift(self, letters):
-        s = [0] * (self.n - 1)
-        for g in letters:
-            v = self.shift_vector(g)
-            for k in range(self.n - 1):
-                s[k] += v[k]
-        return tuple(s)
+        """Sum of the shift vectors of a word of generators, memoized."""
+        key = tuple(letters)
+        s = self._word_shift_cache.get(key)
+        if s is None:
+            s = [0] * (self.n - 1)
+            for g in key:
+                for k, x in enumerate(self.shift_vector(g)):
+                    s[k] += x
+            s = self._word_shift_cache[key] = tuple(s)
+        return s
 
     def shift_expr(self, coeff, svec, scale=1):
         """coeff with h_k -> h_k + scale*svec[k], memoized."""
@@ -352,12 +431,15 @@ class RewriteEngine:
         return tuple(v)
 
     def h_span(self, i, j):
-        """e_ii - e_jj as a Coeff (i < j: h_i + ... + h_{j-1})."""
-        p = self.ring.zero
-        for k, a in enumerate(self.h_span_vec(i, j)):
-            if a:
-                p = p + self.ring.gens[k] * QQ(a)
-        return Coeff(self.ring, p)
+        """e_ii - e_jj as a Coeff (i < j: h_i + ... + h_{j-1}), memoized."""
+        c = self._h_span_cache.get((i, j))
+        if c is None:
+            p = self.ring.zero
+            for k, a in enumerate(self.h_span_vec(i, j)):
+                if a:
+                    p = p + self.ring.gens[k] * a
+            c = self._h_span_cache[(i, j)] = Coeff(self.ring, p)
+        return c
 
     def commutator(self, a, b):
         """[e_a, e_b] as a list of (sign, letter); letter is a generator pair
@@ -376,12 +458,6 @@ class RewriteEngine:
 
     # -- straightening ------------------------------------------------
 
-    def _bad_pair(self, a, b):
-        ar, br = self.is_raising(a), self.is_raising(b)
-        if ar != br:
-            return ar
-        return self.letter_key(a) > self.letter_key(b)
-
     def reduce(self, word):
         """Normal-order a word of generators; returns dict {(L, R): Coeff}.
 
@@ -392,39 +468,54 @@ class RewriteEngine:
         through times_right.  Exact (no truncation).  Every intermediate word
         is memoized on its tuple of generator pairs, so repeated straightening
         of the same subproblems (ubiquitous in series products) costs nothing.
+        A worklist stands in for recursion: a word is straightened once the
+        words it swaps and contracts to are in the memo, so the stack depth
+        does not grow with the word.
         """
-        return self._reduce(tuple(word))
-
-    def _reduce(self, w):
-        cached = self._reduce_cache.get(w)
-        if cached is not None:
-            return cached
-        for i in range(len(w) - 1):
-            if self._bad_pair(w[i], w[i + 1]):
-                break
-        else:
-            low = [g for g in w if not self.is_raising(g)]
-            high = [g for g in w if self.is_raising(g)]
-            out = {(self._pack(low), self._pack(high)): self.coeff_one}
-            self._reduce_cache[w] = out
-            return out
-        a, b = w[i], w[i + 1]
-        head, rest = w[:i], w[i + 2 :]
-        out = dict(self._reduce(head + (b, a) + rest))
-        for sign, letter in self.commutator(a, b):
-            if isinstance(letter, tuple):
-                sub = self._reduce(head + (letter,) + rest)
+        word = tuple(word)
+        cache, rank = self._reduce_cache, self._rank
+        if word in cache:
+            return cache[word]
+        todo = [word]
+        while todo:
+            w = todo[-1]
+            if w in cache:
+                todo.pop()
+                continue
+            for i in range(len(w) - 1):
+                if rank[w[i]] > rank[w[i + 1]]:
+                    break
             else:
-                f = self.shift_expr(letter, self.word_shift(rest))
-                sub = self.times_right(self._reduce(head + rest), f)
-            for k, v in sub.items():
-                if sign < 0:
-                    v = -v
-                cur = out.get(k)
-                out[k] = v if cur is None else cur + v
-        out = {k: v for k, v in out.items() if v}
-        self._reduce_cache[w] = out
-        return out
+                low = [g for g in w if g[0] > g[1]]
+                high = [g for g in w if g[0] < g[1]]
+                cache[w] = {(self._pack(low), self._pack(high)): self.coeff_one}
+                todo.pop()
+                continue
+            a, b = w[i], w[i + 1]
+            head, rest = w[:i], w[i + 2 :]
+            parts = [(1, head + (b, a) + rest, None)]
+            for sign, letter in self.commutator(a, b):
+                if isinstance(letter, tuple):
+                    parts.append((sign, head + (letter,) + rest, None))
+                else:
+                    parts.append((sign, head + rest, letter))
+            missing = [u for _, u, _ in parts if u not in cache]
+            if missing:
+                todo.extend(missing)
+                continue
+            out = dict(cache[parts[0][1]])
+            for sign, u, letter in parts[1:]:
+                sub = cache[u]
+                if letter is not None:
+                    sub = self.times_right(sub, self.shift_expr(letter, self.word_shift(rest)))
+                for k, v in sub.items():
+                    if sign < 0:
+                        v = -v
+                    cur = out.get(k)
+                    out[k] = v if cur is None else cur + v
+            cache[w] = {k: v for k, v in out.items() if v}
+            todo.pop()
+        return cache[word]
 
     def times_right(self, terms, f):
         """terms times the Cartan coefficient f on the right:
@@ -443,11 +534,11 @@ class RewriteEngine:
                 packed.append([g, 1])
         return tuple((g, e) for g, e in packed)
 
-    @staticmethod
-    def unpack(packed):
-        out = []
-        for g, e in packed:
-            out.extend([g] * e)
+    def unpack(self, packed):
+        """The letters of a packed word, as a tuple; memoized."""
+        out = self._unpack_cache.get(packed)
+        if out is None:
+            out = self._unpack_cache[packed] = tuple(g for g, e in packed for _ in range(e))
         return out
 
     # -- element constructors ----------------------------------------
@@ -581,8 +672,8 @@ class TaylorElement:
                 for (L1, R1), c1 in core.items():
                     # La ca L1 c1 R1 Rb ; move ca right past L1
                     mid = eng.shift_expr(ca, eng.word_shift(eng.unpack(L1))) * c1
-                    lows = eng.reduce(tuple(eng.unpack(La) + eng.unpack(L1)))
-                    highs = eng.reduce(tuple(eng.unpack(R1) + eng.unpack(Rb)))
+                    lows = eng.reduce(eng.unpack(La) + eng.unpack(L1))
+                    highs = eng.reduce(eng.unpack(R1) + eng.unpack(Rb))
                     for (L2, _e1), cl in lows.items():
                         for (_e2, R2), cr in highs.items():
                             if TaylorElement.degree(R2) > bound:

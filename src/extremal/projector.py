@@ -185,7 +185,7 @@ def no_go_polynomial_residual(sys, N, engine=None):
         fracs = {key: c.reduced() for key, c in factor.terms.items()}
         cleared = {}
         for key, c in fracs.items():
-            num = c.num
+            num = c.numerator()
             for k2, c2 in fracs.items():
                 if k2 != key:
                     num = num * c2.denominator()

@@ -143,6 +143,9 @@ def test_cli_error_exit_code(capsys):
     ("cgc-su2 --j1 -1 --j2 1", "spins must be nonnegative"),
     ("cgc-su2 --j1 1/2 --j2 1/2 --j3 5", "j3=5 does not occur in 1/2 x 1/2"),
     ("cgc-su2 --j1 1/2 --j2 1/2 --j3 1/2", "j3=1/2 does not occur in 1/2 x 1/2"),
+    ("sixj --j1 -1 --j2 1 --j3 1 --j4 1 --j5 1 --j6 1", "spins must be nonnegative"),
+    ("ninej --j1 -1 --j2 1 --j3 1 --j4 1 --j5 1 --j6 1 --j7 1 --j8 1 --j9 1",
+     "spins must be nonnegative"),
 ])
 def test_domain_error_exit_code(capsys, command, message):
     # a request outside the domain exits 2 with one error line, printing nothing
@@ -150,6 +153,15 @@ def test_domain_error_exit_code(capsys, command, message):
     assert code == 2
     assert out == ""
     assert err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("suite", sorted(cli.SUITES))
+def test_verify_negative_trunc_is_refused(capsys, suite):
+    # a negative bound would sweep nothing and report every check as passed
+    code, out, err = run(capsys, "verify", "--suite", suite, "--trunc", "-3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: truncation bound must be >= 0\n"
 
 
 def test_bad_half_integer_is_usage_error(capsys):

@@ -3,6 +3,7 @@
 import inspect
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from extremal.pbw import (
     Coeff,
     RewriteEngine,
     SingularWeightError,
+    form_power,
     rewrite_word,
 )
 from extremal.repmod import (
@@ -180,6 +182,10 @@ def _keys_canonical(c):
         assert all(type(x) is int for x in key), key
         assert math.gcd(*key) == 1, key
         assert next(x for x in key[:-1] if x) > 0, key
+    # value num / (q * den): integer numerator, q > 0 coprime to its content
+    assert type(c.q) is int and c.q > 0
+    assert all(type(x) is int for x in c.num.values())
+    assert math.gcd(c.q, *c.num.values()) == 1
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -203,11 +209,17 @@ def test_coeff_operations_match_sympy(n, eng2, eng3, data):
     for b in others:
         _keys_canonical(b)
         ra, rb = a.reduced(), b.reduced()
+        _keys_canonical(ra)
+        _keys_canonical(rb)
         assert (ra == rb) == (not (a - b))
+        if not (a - b):
+            assert hash(ra) == hash(rb)
         for x, y in ((a, b), (ra, rb)):
             if x == y:
                 assert hash(x) == hash(y)
     assert others[2] == a
+    info = form_power.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
 def test_coeff_eq_does_no_arithmetic(eng3, monkeypatch):
@@ -287,28 +299,47 @@ def test_rewrite_matches_module_action():
         assert mat_eq(lhs, prod)
 
 
+def _root_string(eng, a, b, N):
+    """e^a f^b = sum_k k! C(a,k) C(b,k) f^(b-k) prod_{i=1..k}(h - a - b + k + i) e^(a-k)"""
+    h = eng.ring.gens[0]
+    ref = eng.zero(N)
+    for k in range(min(a, b) + 1):
+        poly = eng.ring(math.factorial(k) * math.comb(a, k) * math.comb(b, k))
+        for i in range(1, k + 1):
+            poly = poly * (h - a - b + k + i)
+        low = (((2, 1), b - k),) if b > k else ()
+        high = (((1, 2), a - k),) if a > k else ()
+        ref = ref + eng.monomial(low, Coeff(eng.ring, poly), high, N)
+    return ref
+
+
 def test_root_string_closed_formula():
-    # e^a f^b = sum_k k! C(a,k) C(b,k) f^(b-k) prod_{i=1..k}(h - a - b + k + i) e^(a-k)
     for a in range(9):
         for b in range(9):
             eng = RewriteEngine(SU2)
-            h = eng.ring.gens[0]
             x = rewrite_word([((1, 2), a), ((2, 1), b)], SU2, engine=eng, N=16)
-            ref = eng.zero(16)
-            for k in range(min(a, b) + 1):
-                poly = eng.ring(math.factorial(k) * math.comb(a, k) * math.comb(b, k))
-                for i in range(1, k + 1):
-                    poly = poly * (h - a - b + k + i)
-                low = (((2, 1), b - k),) if b > k else ()
-                high = (((1, 2), a - k),) if a > k else ()
-                ref = ref + eng.monomial(low, Coeff(eng.ring, poly), high, 16)
-            assert x.equals_mod_filtration(ref), (a, b)
+            assert x.equals_mod_filtration(_root_string(eng, a, b, 16)), (a, b)
             # words are memoized on generators only, so the cache stays
             # polynomial in the word length (memoizing whole words with
             # Cartan letters in them filled 137k entries for e^8 f^8)
             assert len(eng._reduce_cache) < 1000, (a, b)
             assert all(isinstance(i, int) for word in eng._reduce_cache
                        for g in word for i in g)
+
+
+def test_straightening_stack_stays_flat():
+    # e^10 f^10 takes 100 swaps; straightening must not nest a frame per swap
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    eng = RewriteEngine(SU2)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        x = rewrite_word([((1, 2), 10), ((2, 1), 10)], SU2, engine=eng, N=16)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert x.equals_mod_filtration(_root_string(eng, 10, 10, 16))
 
 
 def _cartan_matrix(M, letter):

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 import sympy
-from sympy.physics.wigner import wigner_6j, wigner_9j
+from sympy.physics.wigner import clebsch_gordan, wigner_6j, wigner_9j
 
 from extremal.exact import Radical, projections, spin_range, sqrt_of_rational
 from extremal.repmod import su2_irrep
@@ -211,6 +211,22 @@ def test_sixj_equals_cgc_contraction():
     for js in product(_spins(2), repeat=6):
         if _sixj_valid(*js):
             assert sixj(*js) == _sixj_contraction(*js), js
+
+
+def test_cgc_against_sympy():
+    # every coefficient with j1, j2 <= 2, zeros included
+    q = lambda x: sympy.Rational(x.numerator, x.denominator)
+    count = 0
+    for j1, j2 in product(_spins(2), repeat=2):
+        for j3 in spin_range(abs(j1 - j2), j1 + j2):
+            for m1, m2 in product(projections(j1), projections(j2)):
+                if abs(m1 + m2) > j3:
+                    continue
+                ref = clebsch_gordan(q(j1), q(j2), q(j3), q(m1), q(m2), q(m1 + m2))
+                val = cgc_closed(j1, m1, j2, m2, j3, m1 + m2)
+                assert sympy.expand(_sympy(val) - ref) == 0, (j1, m1, j2, m2, j3)
+                count += 1
+    assert count == 809
 
 
 def test_sixj_against_sympy():
