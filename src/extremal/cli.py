@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 from fractions import Fraction
@@ -216,6 +217,9 @@ def records_projector(args):
 def _verify_su_projector(n, trunc):
     default = {2: 6, 3: 4}[n]
     N = trunc if trunc is not None else default
+    if N < 1:
+        # the residuals are kept up to raising degree N - 1: none at N = 0
+        raise CliError("truncation bound must be >= 1 for su%d-projector" % n)
     sys_data = build_root_system(n)
     eng = RewriteEngine(sys_data)
     P = extremal_projector(sys_data, N=N, engine=eng)
@@ -411,6 +415,11 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):
+        # argparse takes a value such as -1/2 for an option: glue it to its flag
+        if re.fullmatch(r"-\d+/\d+", argv[i]) and argv[i - 1].startswith("--"):
+            argv[i - 1:i + 1] = [argv[i - 1] + "=" + argv[i]]
     args = parser.parse_args(argv)
     try:
         records = args.builder(args)

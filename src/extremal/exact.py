@@ -15,10 +15,7 @@ from fractions import Fraction
 
 __all__ = [
     "Radical",
-    "Pole",
-    "POLE",
     "PoleError",
-    "factorial",
     "factorial_ratio",
     "sqrt_of_rational",
     "parse_radical",
@@ -30,8 +27,8 @@ __all__ = [
 
 def half(x):
     """x as an exact half-integer Fraction; ValueError otherwise."""
-    f = Fraction(x)
-    if (2 * f).denominator != 1:
+    f = x if type(x) is Fraction else Fraction(x)
+    if f.denominator > 2:
         raise ValueError("not a half-integer: %s" % (x,))
     return f
 
@@ -53,19 +50,29 @@ def projections(j):
 
 
 def _squarefree_split(n):
-    """n = k^2 * d with d squarefree; returns (k, d).  Requires n >= 1."""
+    """n = k^2 * d with d squarefree; returns (k, d).  Requires n >= 1.
+
+    Trial division runs while p^3 <= n; what is left then has at most two
+    prime factors, so it is a square or squarefree, and one isqrt tells which.
+    """
     if n < 1:
         raise ValueError("radicand must be positive, got %r" % (n,))
     k, d = 1, 1
-    # factorint handles the large factorial products that show up in the
-    # normalization coefficients; trial division would stall on those.
-    from sympy import factorint
-
-    for p, e in factorint(n).items():
-        k *= p ** (e // 2)
-        if e % 2:
-            d *= p
-    return k, d
+    p = 2
+    while p * p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            k *= p ** (e // 2)
+            if e % 2:
+                d *= p
+        p += 1 if p == 2 else 2
+    r = math.isqrt(n)
+    if r * r == n:
+        return k * r, d
+    return k, d * n
 
 
 class Radical:
@@ -178,14 +185,8 @@ class Radical:
             return Radical.from_rational(1 / self.terms[1])
         # Rationalize one prime at a time: split x = a + sqrt(p)*b with a, b
         # free of sqrt(p); then 1/x = (a - sqrt(p) b) / (a^2 - p b^2).
-        p = None
-        for d in self.terms:
-            if d > 1:
-                for q in range(2, d + 1):
-                    if d % q == 0:
-                        p = q
-                        break
-                break
+        d = next(d for d in self.terms if d > 1)
+        p = next(q for q in range(2, d + 1) if d % q == 0)
         a = Radical({d: c for d, c in self.terms.items() if d % p != 0})
         b = Radical({d // p: c for d, c in self.terms.items() if d % p == 0})
         denom = a * a - Radical({1: Fraction(p)}) * b * b
@@ -241,17 +242,26 @@ class Radical:
         return "Radical(%s)" % self
 
     def sign(self):
-        """Sign of the represented real number: -1, 0, or 1."""
+        """Sign of the represented real number: -1, 0, or 1.
+
+        With L clearing the denominators, 2^k * L * value lies in [lo, lo +
+        width] by isqrt(d * 4^k); k doubles until 0 is outside.  This ends, as
+        the width stays fixed while the value scales up, and a nonzero sum of
+        square roots of distinct squarefree integers is nonzero (Besicovitch).
+        """
         if not self.terms:
             return 0
-        # Interval-free exact test: iteratively square away radicals.
-        # For the sums occurring here (few terms, moderate sizes) a float
-        # estimate with exact fallback is reliable; use high-precision sympy.
-        import sympy
-
-        v = sum(sympy.Rational(c.numerator, c.denominator) * sympy.sqrt(d)
-                for d, c in self.terms.items())
-        return int(sympy.sign(v))
+        L = math.lcm(*(c.denominator for c in self.terms.values()))
+        ints = [(d, c.numerator * (L // c.denominator)) for d, c in self.terms.items()]
+        width = sum(abs(a) for _, a in ints)
+        k = 16
+        while True:
+            lo = sum(a * math.isqrt(d << 2 * k) + min(a, 0) for d, a in ints)
+            if lo > 0:
+                return 1
+            if lo + width < 0:
+                return -1
+            k *= 2
 
 
 _RAD_TERM = re.compile(
@@ -303,60 +313,31 @@ class PoleError(ArithmeticError):
     """A negative-integer factorial ended up uncancelled in a numerator."""
 
 
-class Pole:
-    """Flagged value of (-k)! for k >= 1; its reciprocal is exactly zero."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "POLE"
-
-
-POLE = Pole()
-
-
-def _int_factorial(n):
-    """n! as an int for n >= 0; POLE for negative integers."""
-    if n != int(n):
+def _factorial_arg(n):
+    k = int(n)
+    if k != n:
         raise ValueError("factorial of non-integer %s" % (n,))
-    n = int(n)
-    return POLE if n < 0 else math.factorial(n)
-
-
-def factorial(n):
-    """n! as a Fraction for n >= 0; POLE for negative integers.
-
-    The pole convention enforces the summation bounds of the coupling-
-    coefficient formulas: a pole in a denominator kills the whole term
-    (1/(-k)! = 0), while a pole surviving in a numerator is an error.
-    """
-    f = _int_factorial(n)
-    return f if f is POLE else Fraction(f)
+    return k
 
 
 def factorial_ratio(numerators, denominators):
     """prod(n! for n in numerators) / prod(d! for d in denominators).
 
-    Any pole among the denominators makes the ratio exactly zero; a pole
-    among the numerators (with no denominator pole to kill the term first)
-    raises PoleError.
+    The reciprocal-pole convention enforces the summation bounds of the
+    coupling-coefficient formulas: a negative integer among the denominators
+    makes the ratio exactly zero (1/(-k)! = 0), and one among the numerators
+    (with no denominator pole to kill the term first) raises PoleError.
     """
     den = 1
     for d in denominators:
-        f = _int_factorial(d)
-        if f is POLE:
+        d = _factorial_arg(d)
+        if d < 0:
             return Fraction(0)
-        den *= f
+        den *= math.factorial(d)
     num = 1
     for n in numerators:
-        f = _int_factorial(n)
-        if f is POLE:
+        n = _factorial_arg(n)
+        if n < 0:
             raise PoleError("factorial of %s in numerator" % (n,))
-        num *= f
+        num *= math.factorial(n)
     return Fraction(num, den)
-

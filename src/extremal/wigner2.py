@@ -12,6 +12,7 @@ symbols over one spin.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -110,19 +111,31 @@ def general_projector(j, m, mprime, N=None, engine=None):
 
 
 @lru_cache(maxsize=None)
-def _cgc_closed(j1, m1, j2, m2, j3, m3):
-    pref = Fraction(2 * j3 + 1) * factorial_ratio(
-        [j2 - m2, j3 + m3, j1 + j2 + j3 + 1, j1 + j2 - j3, j1 - j2 + j3],
-        [j1 + m1, j1 - m1, j2 + m2, j3 - m3, -j1 + j2 + j3],
+def _cgc_closed(*labels):
+    # Racah's sum in binomials (Johansson & Forssen 2016), on doubled labels:
+    # with a, b, c = j1+j2-j3, j1-j2+j3, -j1+j2+j3, the coefficient is
+    # sqrt(pref) * sum_k (-1)^k C(a,k) C(b, j1-m1-k) C(c, j2+m2-k)
+    j1, m1, j2, m2, j3, m3 = (2 * x.numerator // x.denominator for x in labels)
+    a, b, c = (j1 + j2 - j3) // 2, (j1 - j2 + j3) // 2, (j2 + j3 - j1) // 2
+    x, y = (j1 - m1) // 2, (j2 + m2) // 2
+    total = 0
+    for k in range(max(0, x - b, y - c), min(a, x, y) + 1):
+        term = math.comb(a, k) * math.comb(b, x - k) * math.comb(c, y - k)
+        total += -term if k % 2 else term
+    pref = (j3 + 1) * factorial_ratio(
+        [(j1 + m1) // 2, x, y, (j2 - m2) // 2, (j3 + m3) // 2, (j3 - m3) // 2],
+        [(j1 + j2 + j3) // 2 + 1, a, b, c],
     )
-    total = Fraction(0)
-    for n in range(int(min(j2 - m2, j1 + j2 - j3)) + 1):
-        term = factorial_ratio(
-            [2 * j2 - n, j1 + j2 - m3 - n],
-            [n, j2 - m2 - n, j1 + j2 - j3 - n, j1 + j2 + j3 + 1 - n],
-        )
-        total += Fraction((-1) ** int(j1 + j2 - j3 - n)) * term
-    return sqrt_of_rational(pref) * Radical.from_rational(total)
+    return sqrt_of_rational(pref) * total
+
+
+def _coupling(*labels):
+    """The labels j1, m1, j2, m2, j3, m3 as half-integers, or None when a
+    selection rule of (j1 m1 j2 m2 | j3 m3) fails."""
+    j1, m1, j2, m2, j3, m3 = labels = tuple(half(x) for x in labels)
+    ok = m1 + m2 == m3 and _triad(j1, j2, j3)
+    ok = ok and _valid_jm(j1, m1) and _valid_jm(j2, m2) and _valid_jm(j3, m3)
+    return labels if ok else None
 
 
 def cgc_closed(j1, m1, j2, m2, j3, m3):
@@ -130,16 +143,10 @@ def cgc_closed(j1, m1, j2, m2, j3, m3):
 
     Total on its domain: any selection-rule failure returns 0.
     """
-    j1, m1 = half(j1), half(m1)
-    j2, m2 = half(j2), half(m2)
-    j3, m3 = half(j3), half(m3)
-    if m1 + m2 != m3:
+    labels = _coupling(j1, m1, j2, m2, j3, m3)
+    if labels is None:
         return Radical.from_rational(0)
-    if not (_valid_jm(j1, m1) and _valid_jm(j2, m2) and _valid_jm(j3, m3)):
-        return Radical.from_rational(0)
-    if not _triad(j1, j2, j3):
-        return Radical.from_rational(0)
-    return _cgc_closed(j1, m1, j2, m2, j3, m3)
+    return _cgc_closed(*labels)
 
 
 # -- projector-route CGC ----------------------------------------------
@@ -181,15 +188,10 @@ def cgc_projector(j1, m1, j2, m2, j3, m3):
     |j1 j1>|j2 j3-j1> and the result is paired with <j1 m1|<j2 m2|; the
     normalization is the positive square root of the diagonal element.
     """
-    j1, m1 = half(j1), half(m1)
-    j2, m2 = half(j2), half(m2)
-    j3, m3 = half(j3), half(m3)
-    if m1 + m2 != m3:
+    labels = _coupling(j1, m1, j2, m2, j3, m3)
+    if labels is None:
         return Radical.from_rational(0)
-    if not (_valid_jm(j1, m1) and _valid_jm(j2, m2) and _valid_jm(j3, m3)):
-        return Radical.from_rational(0)
-    if not _triad(j1, j2, j3):
-        return Radical.from_rational(0)
+    j1, m1, j2, m2, j3, m3 = labels
     data = _projected_tower(j1, j2, j3)
     if data is None:
         return Radical.from_rational(0)
@@ -210,19 +212,26 @@ def cgc_projector(j1, m1, j2, m2, j3, m3):
 def _sixj(a, b, c, d, e, f):
     # Racah's single sum (Racah 1942): the product of the four triangle
     # coefficients Delta(xyz) = (x+y-z)!(x-y+z)!(-x+y+z)!/(x+y+z+1)!, under
-    # one square root, times sum_t (-1)^t (t+1)! / prod of seven factorials
+    # one square root, times sum_t (-1)^t (t+1)! / prod of seven factorials,
+    # summed in ints over the common denominator prod (hi-s)! prod (q-lo)!
     triads = ((a, b, c), (a, e, f), (d, b, f), (d, e, c))
-    delta = Fraction(1)
-    for x, y, z in triads:
-        delta *= factorial_ratio([x + y - z, x - y + z, -x + y + z], [x + y + z + 1])
-    sums = [x + y + z for x, y, z in triads]
-    quads = [a + b + d + e, b + c + e + f, c + a + f + d]
-    total = Fraction(0)
-    for t in range(int(max(sums)), int(min(quads)) + 1):
-        total += (-1) ** t * factorial_ratio(
-            [t + 1], [t - s for s in sums] + [q - t for q in quads]
-        )
-    return sqrt_of_rational(delta) * Radical.from_rational(total)
+    delta = factorial_ratio(
+        [n for x, y, z in triads for n in (x + y - z, x - y + z, -x + y + z)],
+        [x + y + z + 1 for x, y, z in triads],
+    )
+    sums = [int(x + y + z) for x, y, z in triads]
+    quads = [int(a + b + d + e), int(b + c + e + f), int(c + a + f + d)]
+    lo, hi = max(sums), min(quads)
+    total = 0
+    for t in range(lo, hi + 1):
+        term = math.factorial(t + 1)
+        for s in sums:
+            term *= math.perm(hi - s, hi - t)
+        for q in quads:
+            term *= math.perm(q - lo, t - lo)
+        total += -term if t % 2 else term
+    den = factorial_ratio([], [hi - s for s in sums] + [q - lo for q in quads])
+    return sqrt_of_rational(delta) * (total * den)
 
 
 def sixj(a, b, c, d, e, f):

@@ -141,10 +141,15 @@ def test_cli_error_exit_code(capsys):
 @pytest.mark.parametrize("command, message", [
     ("gt-basis --lam -1 --mu 0", "labels must be nonnegative"),
     ("cgc-su2 --j1 -1 --j2 1", "spins must be nonnegative"),
+    ("cgc-su2 --j1 -1/2 --j2 1", "spins must be nonnegative"),
+    ("cgc-su2 --j1 1 --j2 -3/2", "spins must be nonnegative"),
     ("cgc-su2 --j1 1/2 --j2 1/2 --j3 5", "j3=5 does not occur in 1/2 x 1/2"),
     ("cgc-su2 --j1 1/2 --j2 1/2 --j3 1/2", "j3=1/2 does not occur in 1/2 x 1/2"),
     ("sixj --j1 -1 --j2 1 --j3 1 --j4 1 --j5 1 --j6 1", "spins must be nonnegative"),
+    ("sixj --j1 1 --j2 1 --j3 1 --j4 -1/2 --j5 1 --j6 1", "spins must be nonnegative"),
     ("ninej --j1 -1 --j2 1 --j3 1 --j4 1 --j5 1 --j6 1 --j7 1 --j8 1 --j9 1",
+     "spins must be nonnegative"),
+    ("ninej --j1 1 --j2 1 --j3 1 --j4 1 --j5 1 --j6 1 --j7 1 --j8 1 --j9 -1/2",
      "spins must be nonnegative"),
 ])
 def test_domain_error_exit_code(capsys, command, message):
@@ -162,6 +167,15 @@ def test_verify_negative_trunc_is_refused(capsys, suite):
     assert code == 2
     assert out == ""
     assert err == "error: truncation bound must be >= 0\n"
+
+
+@pytest.mark.parametrize("suite", ["su2-projector", "su3-projector"])
+def test_verify_projector_zero_trunc_is_refused(capsys, suite):
+    # at N = 0 no residual is kept, so every check would pass unexamined
+    code, out, err = run(capsys, "verify", "--suite", suite, "--trunc", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: truncation bound must be >= 1 for %s\n" % suite
 
 
 def test_bad_half_integer_is_usage_error(capsys):

@@ -1,14 +1,22 @@
 """Exact arithmetic kernel: radicals and factorial poles."""
 
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import extremal
 from extremal.exact import (
-    POLE,
     PoleError,
     Radical,
-    factorial,
+    _squarefree_split,
     factorial_ratio,
     parse_radical,
     sqrt_of_rational,
@@ -73,12 +81,12 @@ def test_sqrt_of_rational():
         sqrt_of_rational(-1)
 
 
-def test_factorial_pole_convention():
-    assert factorial(4) == 24
-    assert factorial(0) == 1
-    assert factorial(-2) is POLE
+def test_factorial_ratio_non_integer_raises():
     with pytest.raises(ValueError):
-        factorial(Fraction(1, 2))
+        factorial_ratio([Fraction(1, 2)], [])
+    with pytest.raises(ValueError):
+        factorial_ratio([2], [Fraction(3, 2)])
+    assert factorial_ratio([Fraction(4)], [Fraction(2, 1)]) == 12
 
 
 def test_factorial_ratio_denominator_pole_is_zero():
@@ -97,3 +105,112 @@ def test_factorial_ratio_numerator_pole_raises():
 def test_factorial_ratio_value():
     assert factorial_ratio([5], [3, 2]) == Fraction(10)
     assert factorial_ratio([], []) == 1
+
+
+def test_exact_imports_no_sympy():
+    # the kernel is plain integer arithmetic: sympy stays unloaded
+    code = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "import extremal.exact as ex\n"
+        "ex.sqrt_of_rational(Fraction(8, 3))\n"
+        "ex.Radical({12: 1, 2: Fraction(-3, 5)}).sign()\n"
+        "ex.factorial_ratio([7], [2, 3])\n"
+        "print('sympy' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(extremal.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
+# -- properties on generated inputs -----------------------------------
+
+_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+_radicals = st.dictionaries(st.integers(1, 40), _fractions, max_size=4).map(Radical)
+
+
+def _mp(x):
+    return mpmath.fsum(mpmath.mpf(c.numerator) / c.denominator * mpmath.sqrt(d)
+                       for d, c in x.terms.items())
+
+
+def _mp_sign(x):
+    with mpmath.workdps(80):
+        v = _mp(x)
+        assert v == 0 or abs(v) > mpmath.mpf(10) ** -60, "too close to call"
+        return int(mpmath.sign(v))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_radicals, _radicals, _radicals)
+def test_radical_field_axioms(x, y, z):
+    zero, one = Radical.from_rational(0), Radical.from_rational(1)
+    assert x + y == y + x and x * y == y * x
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x + zero == x and x * one == x and x - x == zero
+    assert hash(x + y) == hash(y + x)
+    if x:
+        assert x * x.inverse() == one
+        assert x.inverse().inverse() == x
+        if y:
+            assert (x * y).inverse() == x.inverse() * y.inverse()
+            assert (y / x) * x == y
+
+
+@settings(max_examples=100, deadline=None)
+@given(_radicals)
+def test_radical_sign_matches_mpmath(x):
+    assert x.sign() == _mp_sign(x)
+    assert (-x).sign() == -x.sign()
+
+
+@settings(max_examples=50, deadline=None)
+@given(_radicals, st.integers(4, 14))
+def test_radical_sign_near_cancellation(x, digits):
+    # subtract a decimal approximation, so the difference is below 10^-digits
+    with mpmath.workdps(80):
+        approx = Fraction(int(mpmath.floor(_mp(x) * 10 ** digits)), 10 ** digits)
+    y = x - approx
+    assert y.sign() == _mp_sign(y)
+
+
+@pytest.mark.parametrize("n", [2, 6, 13, 24, 40])
+def test_radical_sign_near_integer_powers(n):
+    # (sqrt2 + sqrt3)^n is within (sqrt3 - sqrt2)^n of an integer
+    x = (sqrt_of_rational(2) + sqrt_of_rational(3)) ** n
+    with mpmath.workdps(80):
+        v = _mp(x)
+        lo, hi = int(mpmath.floor(v)), int(mpmath.ceil(v))
+    assert (x - lo).sign() == 1
+    assert (x - hi).sign() == -1
+    assert (x - lo).sign() == _mp_sign(x - lo)
+    assert (hi - x).sign() == _mp_sign(hi - x)
+
+
+def _split_oracle(n):
+    k, d = 1, 1
+    for p, e in sympy.factorint(n).items():
+        k *= p ** (e // 2)
+        d *= p ** (e % 2)
+    return k, d
+
+
+_primes = st.integers(2, 10 ** 6).map(sympy.nextprime)
+_radicands = st.one_of(
+    st.integers(1, 10 ** 12),
+    st.builds(lambda p, q: p * q, _primes, _primes),
+    st.builds(lambda p, q, m: p * p * q * m, _primes, _primes, st.integers(1, 1000)),
+    st.builds(lambda ns, q: math.prod(map(math.factorial, ns)) * q,
+              st.lists(st.integers(0, 80), min_size=1, max_size=6), _primes),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_radicands)
+def test_squarefree_split_matches_factorint(n):
+    assert _squarefree_split(n) == _split_oracle(n)
