@@ -133,8 +133,8 @@ def _coupling(*labels):
     """The labels j1, m1, j2, m2, j3, m3 as half-integers, or None when a
     selection rule of (j1 m1 j2 m2 | j3 m3) fails."""
     j1, m1, j2, m2, j3, m3 = labels = tuple(half(x) for x in labels)
-    ok = m1 + m2 == m3 and _triad(j1, j2, j3)
-    ok = ok and _valid_jm(j1, m1) and _valid_jm(j2, m2) and _valid_jm(j3, m3)
+    ok = (m1 + m2 == m3 and _triad(j1, j2, j3)
+          and _valid_jm(j1, m1) and _valid_jm(j2, m2) and _valid_jm(j3, m3))
     return labels if ok else None
 
 
