@@ -25,6 +25,8 @@ from .algebra import (
 )
 from . import exact
 from .exact import Radical, projections, spin_range, sqrt_of_rational
+# imported at load time on purpose: every perfbench workload must load pbw at
+# set-up, for tracing.install() and so that setup_s and run_s keep their split
 from .pbw import RewriteEngine
 from .projector import (
     extremal_projector,
@@ -43,10 +45,6 @@ def half(text):
         return exact.half(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError("not a half-integer: %r" % (text,))
-
-
-def _fstr(x):
-    return str(Fraction(x))
 
 
 def _vfloat(v):
@@ -72,7 +70,7 @@ def records_cgc_su2(args):
     if args.j3 is not None:
         if args.j3 not in j3s:
             raise CliError("j3=%s does not occur in %s x %s"
-                           % (_fstr(args.j3), _fstr(j1), _fstr(j2)))
+                           % (args.j3, j1, j2))
         j3s = [args.j3]
     out = []
     for j3 in j3s:
@@ -87,9 +85,9 @@ def records_cgc_su2(args):
                 out.append(
                     _record(
                         [
-                            ("j1", _fstr(j1)), ("m1", _fstr(m1)),
-                            ("j2", _fstr(j2)), ("m2", _fstr(m2)),
-                            ("j3", _fstr(j3)), ("m3", _fstr(m3)),
+                            ("j1", str(j1)), ("m1", str(m1)),
+                            ("j2", str(j2)), ("m2", str(m2)),
+                            ("j3", str(j3)), ("m3", str(m3)),
                         ],
                         v,
                     )
@@ -125,9 +123,9 @@ def records_cgc_su3(args):
                         _record(
                             [
                                 ("lam3", lam3), ("mu3", mu3), ("s", s),
-                                ("j3", _fstr(g3[0])), ("t3", _fstr(g3[1])), ("tz3", _fstr(g3[2])),
-                                ("j1", _fstr(g1[0])), ("t1", _fstr(g1[1])), ("tz1", _fstr(g1[2])),
-                                ("j2", _fstr(g2[0])), ("t2", _fstr(g2[1])), ("tz2", _fstr(g2[2])),
+                                ("j3", str(g3[0])), ("t3", str(g3[1])), ("tz3", str(g3[2])),
+                                ("j1", str(g1[0])), ("t1", str(g1[1])), ("tz1", str(g1[2])),
+                                ("j2", str(g2[0])), ("t2", str(g2[1])), ("tz2", str(g2[2])),
                             ],
                             v.coords[idx],
                         )
@@ -140,7 +138,7 @@ def _spins(args, count):
     js = [getattr(args, "j%d" % k) for k in range(1, count + 1)]
     if any(j < 0 for j in js):
         raise CliError("spins must be nonnegative")
-    return js, [("j%d" % k, _fstr(j)) for k, j in enumerate(js, 1)]
+    return js, [("j%d" % k, str(j)) for k, j in enumerate(js, 1)]
 
 
 def records_sixj(args):
@@ -164,8 +162,8 @@ def records_gt_basis(args):
         rec = _record(
             [
                 ("lam", lam), ("mu", mu),
-                ("j", _fstr(lab[0])), ("t", _fstr(lab[1])), ("tz", _fstr(lab[2])),
-                ("y", _fstr(gt_hypercharge(lam, mu, lab[0]))),
+                ("j", str(lab[0])), ("t", str(lab[1])), ("tz", str(lab[2])),
+                ("y", str(gt_hypercharge(lam, mu, lab[0]))),
             ],
             gt_norm_factor(lam, mu, lab[0], lab[1]),
         )
@@ -434,7 +432,12 @@ def main(argv=None):
         print("error: %s: %s" % (type(exc).__name__, " ".join(str(exc).split())),
               file=sys.stderr)
         return 4
-    emit(render(records, args.format, args.command), args.out)
+    try:
+        emit(render(records, args.format, args.command), args.out)
+    except OSError as exc:
+        print("error: cannot write %s: %s" % (args.out or "stdout", exc.strerror or exc),
+              file=sys.stderr)
+        return 2
     if args.command == "verify" and not all(r["ok"] for r in records):
         return 3
     return 0

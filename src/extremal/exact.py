@@ -16,6 +16,8 @@ from fractions import Fraction
 __all__ = [
     "Radical",
     "PoleError",
+    "SingularWeightError",
+    "TruncationError",
     "factorial_ratio",
     "sqrt_of_rational",
     "parse_radical",
@@ -311,6 +313,14 @@ def sqrt_of_rational(r, sign=1):
 
 class PoleError(ArithmeticError):
     """A negative-integer factorial ended up uncancelled in a numerator."""
+
+
+class SingularWeightError(ArithmeticError):
+    """A coefficient denominator vanishes at the requested weight."""
+
+
+class TruncationError(ValueError):
+    """The truncation bound is too small for the requested application."""
 
 
 def _factorial_arg(n):

@@ -38,25 +38,19 @@ import sympy
 from sympy.polys.domains import QQ, ZZ
 from sympy.polys.rings import ring as _poly_ring
 
-from .algebra import NormalOrdering, RootSystemData
+from .algebra import NormalOrdering, RootSystemData, build_root_system
+from .exact import SingularWeightError, TruncationError
 
 __all__ = [
     "Coeff",
     "RewriteEngine",
     "TaylorElement",
     "rewrite_word",
+    "shared_engine",
     "h_symbols",
     "SingularWeightError",
     "TruncationError",
 ]
-
-
-class SingularWeightError(ArithmeticError):
-    """A coefficient denominator vanishes at the requested weight."""
-
-
-class TruncationError(ValueError):
-    """The truncation bound is too small for the requested application."""
 
 
 _H_CACHE = {}
@@ -589,6 +583,12 @@ def rewrite_word(word, sys, order=None, N=64, engine=None):
         f = f * eng.shift_expr(c, eng.word_shift(gens[at:]))
     out = TaylorElement(eng, N, eng.times_right(eng.reduce(gens), f))
     return out._pruned()
+
+
+@functools.lru_cache(maxsize=None)
+def shared_engine(n):
+    """The engine of su(n) in its default normal ordering, one per rank."""
+    return RewriteEngine(build_root_system(n))
 
 
 class TaylorElement:

@@ -8,7 +8,8 @@ The factor for a positive root gamma is the series
 truncated at the element's raising bound; the full projector is the product of
 the factors in a normal ordering of the positive roots.  On a module vector
 of weight lam, phi_{gamma,n} is the number phi_{gamma,n}(lam): `apply_factor`
-and `apply_projector` act with it and build no symbolic element.
+and `apply_projector` act with it and build no symbolic element.  Only the
+symbolic functions import `pbw`, and so sympy, when they are called.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from fractions import Fraction
 
 from .algebra import normal_ordering
 from .exact import Radical
-from .pbw import Coeff, RewriteEngine, TaylorElement
 from .repmod import ModuleVector, mat_vec
 
 __all__ = [
@@ -47,6 +47,8 @@ def phi_expr(engine, root, n):
 
 def projector_factor(sys, root, N, engine=None):
     """Per-root factor of the extremal projector, truncated at n = N."""
+    from .pbw import RewriteEngine, TaylorElement
+
     if root not in sys.positive_roots:
         raise ValueError("%r is not a positive root of su(%d)" % (root, sys.n))
     if N < 0:
@@ -68,6 +70,8 @@ def projector_factor(sys, root, N, engine=None):
 
 def extremal_projector(sys, order=None, N=4, engine=None):
     """Product of the per-root factors along the normal ordering, left to right."""
+    from .pbw import RewriteEngine
+
     eng = engine if engine is not None else RewriteEngine(sys, order)
     out = eng.one(N)
     for root in eng.order.sequence:
@@ -175,6 +179,8 @@ def no_go_polynomial_residual(sys, N, engine=None):
     A nonzero result witnesses that no polynomial solves the annihilation
     equations; the series identity lives only in the Taylor extension.
     """
+    from .pbw import Coeff, RewriteEngine, TaylorElement
+
     eng = engine if engine is not None else RewriteEngine(sys)
     big = 4 * N + 8  # large enough that nothing is dropped: computation is exact
     out = eng.one(big)

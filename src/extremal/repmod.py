@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import Radical, sqrt_of_rational
-from .pbw import SingularWeightError, TaylorElement, TruncationError
+from .exact import Radical, SingularWeightError, TruncationError, sqrt_of_rational
 
 __all__ = [
     "Irrep",
@@ -71,59 +70,10 @@ def mat_mul(a, b):
             out[(r, c)] = out.get((r, c), _ZERO) + av * bv
     return {k: v for k, v in out.items() if v}
 
-def mat_add(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, _ZERO) + v
-    return {k: v for k, v in out.items() if v}
-
-
-def mat_scale(a, c):
-    c = _rad(c)
-    return {k: v * c for k, v in a.items() if v * c}
-
-
-def mat_identity(dim):
-    return {(i, i): _ONE for i in range(dim)}
-
 
 def mat_eq(a, b):
     keys = set(a) | set(b)
     return all(a.get(k, _ZERO) == b.get(k, _ZERO) for k in keys)
-
-
-def mat_rank(a, dim):
-    """Exact rank by Gaussian elimination over the radical field."""
-    rows = [dict() for _ in range(dim)]
-    for (r, c), v in a.items():
-        rows[r][c] = v
-    rank = 0
-    used_cols = set()
-    for col in range(dim):
-        pivot = None
-        for i in range(rank, dim):
-            if rows[i].get(col):
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        inv = pv.inverse()
-        rows[rank] = {c: v * inv for c, v in rows[rank].items() if v}
-        for i in range(dim):
-            if i != rank and rows[i].get(col):
-                f = rows[i][col]
-                rows[i] = {
-                    c: rows[i].get(c, _ZERO) - f * rows[rank].get(c, _ZERO)
-                    for c in set(rows[i]) | set(rows[rank])
-                }
-                rows[i] = {c: v for c, v in rows[i].items() if v}
-        rank += 1
-        used_cols.add(col)
-        if rank == dim:
-            break
-    return rank
 
 
 # -- modules ---------------------------------------------------------
@@ -252,13 +202,6 @@ def _su2_cached(jnum, jden):
 def su2_irrep(j):
     j = Fraction(j)
     return _su2_cached(j.numerator, j.denominator)
-
-
-def casimir_matrix_su2(M):
-    """J-J+ + J0(J0+1) from the module's matrices."""
-    jp, jm = M.matrix((1, 2)), M.matrix((2, 1))
-    j0 = mat_scale(M.matrix(("h", 1)), Fraction(1, 2))
-    return mat_add(mat_mul(jm, jp), mat_add(mat_mul(j0, j0), j0))
 
 
 # -- su(3) -----------------------------------------------------------
@@ -482,8 +425,9 @@ def _eval_coeff(engine, coeff, weight):
     return val
 
 
-def apply_element(x: TaylorElement, v: ModuleVector, M: Irrep, singular="raise"):
-    """Act with a TaylorElement on a module vector, exactly.
+def apply_element(x, v, M, singular="raise"):
+    """Act with a TaylorElement (any element with .engine, .bound and
+    .terms) on a module vector, exactly.
 
     Refuses when the module's weight diameter exceeds the truncation bound
     (dropped monomials could then act nonzero).
@@ -547,7 +491,7 @@ def _apply_raw(x, coords, M):
     return out
 
 
-def matrix_of(x: TaylorElement, M: Irrep, singular="raise"):
+def matrix_of(x, M, singular="raise"):
     """Matrix of a TaylorElement on the module, columns by basis order."""
     out = {}
     for b in range(M.dim):

@@ -1,13 +1,14 @@
-"""su(3) Clebsch-Gordan machinery: tensor form of the projector, coupled
-bases over GT bases, and projector matrix elements by two independent routes.
+"""su(3) Clebsch-Gordan machinery: coupled bases over GT bases, and
+projector matrix elements by two independent routes.
 
 Route (b), the authoritative one, works on the tensor product of two irreps,
 each over its GT basis (`su3gt.gt_module`), so that the product basis is
-the |g1> x |g2>: the coupled-system extremal projector is sandwiched between
-explicit GT lowering words, and a CGC is one coordinate of the resulting
-coupled vector.  Route (a) evaluates the closed Wigner-calculus expression
-(su(2) CGCs, 6j and 9j symbols with fixed brace layouts); the two must agree,
-which is what pins down the layout and phase conventions recorded here.
+the |g1> x |g2>: the coupled-system extremal projector yields the coupled
+highest vectors, explicit GT lowering words the rest of each coupled basis,
+and a CGC is one coordinate of a coupled vector.  Route (a) evaluates the
+closed Wigner-calculus expression (su(2) CGCs, 6j and 9j symbols with fixed
+brace layouts); the two must agree, which is what pins down the layout and
+phase conventions recorded here.
 
 Multiplicity convention: for each target highest weight, candidate seeds
 |L1 h> x |L2 g2'> are scanned in the fixed GT label order of L2, a seed is
@@ -19,24 +20,17 @@ convention is deterministic but not canonical.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import build_root_system
 from .exact import Radical, factorial_ratio, half, spin_range, sqrt_of_rational
-from .pbw import TaylorElement
-from .projector import apply_factor, apply_projector, projector_factor
-from .repmod import ModuleVector, apply_element, mat_pow_vec, tensor
-from .su3gt import gt_lower, gt_module, gt_norm_factor, su3_engine
+from .projector import apply_projector
+from .repmod import tensor
+from .su3gt import gt_lower, gt_module, gt_norm_factor
 from .wigner2 import cgc_closed, ninej, sixj
 
 __all__ = [
-    "coeff_A",
-    "tensor_form_parts",
-    "build_tensor_form",
-    "apply_tensor_form",
-    "coeff_B",
     "pair_module",
     "decompose",
     "coupled_vector",
@@ -46,111 +40,6 @@ __all__ = [
 
 _SYS3 = build_root_system(3)
 _ZERO = Radical.from_rational(0)
-
-def coeff_A(lam, mu, j, jz):
-    """Weight-evaluated series coefficient A_{j j_z} of the tensor form.
-
-    phi_12 = e11 - e22 + 1 and phi_13 = e11 - e33 + 2 at weight (lam, mu)
-    become lam + 1 and lam + mu + 2.
-    """
-    j, jz = half(j), half(jz)
-    if (j - jz).denominator != 1 or abs(jz) > j:
-        raise ValueError("invalid (j, j_z) = (%s, %s)" % (j, jz))
-    phi12 = lam + 1
-    phi13 = lam + mu + 2
-    ratio = factorial_ratio(
-        [phi12 + j + jz - 1, phi13], [2 * j, phi12 + 2 * j, phi13 + j + jz]
-    )
-    # (-1)^(3j) for half-integer j is ambiguous as printed; rounding 3j down
-    # is the reading under which the tensor form matches the factorized
-    # projector
-    return Fraction((-1) ** math.floor(3 * j)) * phi12 * ratio
-
-
-def tensor_form_parts(lam, mu, N, engine=None):
-    """The three factors (P_T, sum over j and j_z of A R~ R, P_T) of the
-    tensor form, with the series coefficients evaluated at weight (lam, mu).
-
-    The two spin-j tensor components are paired with opposite projections,
-    A_{j j_z} R~^j_{-j_z} R^j_{j_z}, so each summand preserves weight; this
-    pairing (rather than the repeated-subscript one) is the reading under
-    which the sum reproduces the factorized projector.
-
-    For module application the factors should be applied sequentially,
-    rightmost first: the middle factor has constant coefficients and shifts no
-    weight, so every step is pole-free on dominant components, while the
-    expanded product picks up spurious point poles that only cancel between
-    its PBW monomials.
-    """
-    eng = engine if engine is not None else su3_engine()
-    pt = projector_factor(_SYS3, (2, 3), N, engine=eng)
-    terms = {}
-    for jj in range(0, N + 1):
-        j = Fraction(jj, 2)
-        jz = -j
-        while jz <= j:
-            a, b = int(j - jz), int(j + jz)  # e21/e12 exponent, e31/e13 exponent
-            norm = factorial_ratio([2 * j], [j - jz, j + jz])
-            low = tuple(p for p in (((2, 1), a), ((3, 1), b)) if p[1])
-            high = tuple(p for p in (((1, 2), a), ((1, 3), b)) if p[1])
-            terms[(low, high)] = eng.coeff(coeff_A(lam, mu, j, jz) * norm)
-            jz += 1
-    mid = TaylorElement(eng, N, terms)
-    return pt, mid, pt
-
-
-def build_tensor_form(lam, mu, N, engine=None):
-    """P_T (sum over j, j_z of A R~ R) P_T as one expanded element, with the
-    coefficients evaluated at weight (lam, mu); acts like the full projector
-    on weight-(lam, mu) vectors.  See tensor_form_parts for module use."""
-    pt, mid, _ = tensor_form_parts(lam, mu, N, engine=engine)
-    return pt * mid * pt
-
-
-def apply_tensor_form(lam, mu, v, M):
-    """Act with the tensor form of the projector on a module vector by
-    applying its three factors sequentially."""
-    pt, mid, _ = tensor_form_parts(lam, mu, M.weight_diameter)
-    v = apply_element(pt, v, M, singular="zero")
-    if not v.is_zero():
-        v = apply_element(mid, v, M, singular="zero")
-    if not v.is_zero():
-        v = apply_element(pt, v, M, singular="zero")
-    return v
-
-
-def coeff_B(lam, mu, j, t, jp, tp, jpp, tpp):
-    """Expansion coefficient B of the general projection operator in terms of
-    the coupled tensor operators; zero whenever a triangle or factorial
-    condition fails."""
-    lam, mu = int(lam), int(mu)
-    j, t, jp, tp, jpp, tpp = (half(x) for x in (j, t, jp, tp, jpp, tpp))
-    mu2 = Fraction(mu, 2)
-    s1 = sixj(j, jpp, j + jpp, tpp, t, mu2)
-    if not s1:
-        return Radical.from_rational(0)
-    s2 = sixj(jp, jpp, jp + jpp, tpp, tp, mu2)
-    if not s2:
-        return Radical.from_rational(0)
-    rational = factorial_ratio(
-        [], [lam + mu2 + jpp + tpp + 2, lam + mu2 + jpp - tpp + 1, 2 * jpp]
-    )
-    if not rational:
-        return Radical.from_rational(0)
-    phase = (-1) ** int(2 * j + jp + jpp - tp + tpp)
-    pref = (
-        Fraction(phase * (lam + 1) * (mu + 1) * (lam + mu + 2))
-        * rational
-    )
-    root = factorial_ratio(
-        [lam + mu2 - j + t + 1, lam + mu2 - j - t,
-         lam + mu2 - jp + tp + 1, lam + mu2 - jp - tp],
-        [2 * j, 2 * jp],
-    ) * Fraction((int(2 * (j + jpp)) + 1) * (int(2 * (jp + jpp)) + 1),
-                 (int(2 * t) + 1) * (int(2 * tp) + 1))
-    if not root:
-        return Radical.from_rational(0)
-    return Radical.from_rational(pref) * sqrt_of_rational(root) * s1 * s2
 
 
 # -- coupled vectors over GT bases -------------------------------------
@@ -166,18 +55,6 @@ def pair_module(lam1, mu1, lam2, mu2):
 def _pair_index(lam1, mu1, g1, lam2, mu2, g2):
     M2 = gt_module(lam2, mu2)
     return gt_module(lam1, mu1).index(tuple(g1)) * M2.dim + M2.index(tuple(g2))
-
-
-def _gt_raise(M, lam3, mu3, label, v):
-    """Apply the star of the GT lowering operator (a raising word) to v."""
-    j, t, tz = (half(x) for x in label)
-    mu2 = Fraction(mu3, 2)
-    coords = mat_pow_vec(M.matrix((2, 3)), v.coords, t - tz)
-    w = apply_factor((2, 3), ModuleVector(coords), M)
-    coords = mat_pow_vec(M.matrix((1, 3)), w.coords, j + mu2 - t)
-    w = ModuleVector(mat_pow_vec(M.matrix((1, 2)), coords, j - mu2 + t))
-    scalar = sqrt_of_rational(factorial_ratio([t + tz], [2 * t, t - tz]))
-    return w.scale(gt_norm_factor(lam3, mu3, j, t) * scalar)
 
 
 @lru_cache(maxsize=None)
@@ -251,7 +128,7 @@ def projector_matrix_element(
 ):
     """<L1 g1| <L2 g2| P^{L3}_{g3, g3'} |L1 g1'> |L2 g2'>.
 
-    route="direct" computes on the coupled GT-basis module (authoritative);
+    route="direct" reads it off the coupled vectors (authoritative);
     route="formula" evaluates the closed Wigner-calculus expression.
     """
     if route == "direct":
@@ -262,23 +139,18 @@ def projector_matrix_element(
 
 
 def _pme_direct(L1, g1, L2, g2, L3, g3, g3p, g1p, g2p):
-    (lam1, mu1), (lam2, mu2), (lam3, mu3) = L1, L2, L3
-    Mt = pair_module(lam1, mu1, lam2, mu2)
-    ket = Mt.basis_vector(_pair_index(lam1, mu1, g1p, lam2, mu2, g2p))
-    v = _gt_raise(Mt, lam3, mu3, g3p, ket)
-    # the operator is the projector evaluated at weight (lam3, mu3): only the
-    # component the raising word lifts into that weight space contributes
-    target = (Fraction(lam3), Fraction(mu3))
-    v = ModuleVector(
-        {i: c for i, c in v.coords.items() if Mt.weights[i] == target}
-    )
-    if v.is_zero():
-        return _ZERO
-    v = apply_projector(_SYS3, v, Mt)
-    if v.is_zero():
-        return _ZERO
-    v = gt_lower(Mt, lam3, mu3, g3, v)
-    return v.coords.get(_pair_index(lam1, mu1, g1, lam2, mu2, g2), _ZERO)
+    # on the product, P^{L3}_{g3, g3'} = sum_s |s L3 g3> <s L3 g3'|
+    for j, t, _ in (g3, g3p):
+        gt_norm_factor(*L3, j, t)  # ValueError on an inadmissible label
+    bra = _pair_index(*L1, g1, *L2, g2)
+    ket = _pair_index(*L1, g1p, *L2, g2p)
+    total = _ZERO
+    for s in range(1, len(decompose(*L1, *L2).get(tuple(L3), ())) + 1):
+        u = coupled_vector(*L1, *L2, *L3, s, tuple(g3)).coords.get(bra)
+        v = coupled_vector(*L1, *L2, *L3, s, tuple(g3p)).coords.get(ket)
+        if u and v:
+            total = total + u * v
+    return total
 
 
 def _pme_formula(L1, g1, L2, g2, L3, g3, g3p, g1p, g2p):

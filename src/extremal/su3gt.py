@@ -19,9 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import build_root_system
 from .exact import factorial_ratio, half, projections, spin_range, sqrt_of_rational
-from .pbw import RewriteEngine
 from .projector import apply_factor
 from .repmod import Irrep, ModuleVector, mat_pow_vec, mat_vec, su3_irrep
 
@@ -35,15 +33,12 @@ __all__ = [
     "su3_engine",
 ]
 
-_SYS3 = build_root_system(3)
-_ENG3 = None
-
 
 def su3_engine():
-    global _ENG3
-    if _ENG3 is None:
-        _ENG3 = RewriteEngine(_SYS3)
-    return _ENG3
+    """pbw.shared_engine(3), kept because perfbench/families.py imports it."""
+    from .pbw import shared_engine
+
+    return shared_engine(3)
 
 
 def admissible_jt(lam, mu, j, t):

@@ -1,8 +1,8 @@
-"""su(2) coupling layer: lowering monomials, general projection operators,
-Clebsch-Gordan coefficients by two independent routes, and 6j/9j symbols.
+"""su(2) coupling layer: Clebsch-Gordan coefficients by two independent
+routes, and 6j/9j symbols.
 
 The closed-form CGC is the alternating factorial sum; the projector route
-builds the coupled-system extremal projector on an explicit tensor module and
+applies the coupled-system extremal projector to an explicit tensor module and
 reads the coefficients off as exact matrix elements.  Both routes carry the
 Condon-Shortley phases: the projector route through the positive square root
 of the diagonal normalization, the closed form through its printed signs.
@@ -16,35 +16,18 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import build_root_system
 from .exact import Radical, factorial_ratio, half, sqrt_of_rational
-from .pbw import RewriteEngine
-from .projector import apply_factor, extremal_projector
-from .repmod import ModuleVector, apply_element, mat_vec, su2_irrep, tensor
+from .projector import apply_factor
+from .repmod import ModuleVector, mat_vec, su2_irrep, tensor
 
 __all__ = [
-    "ScaledElement",
-    "lowering_monomial",
-    "general_projector",
     "cgc_closed",
     "cgc_projector",
     "sixj",
     "ninej",
 ]
 
-_SYS2 = build_root_system(2)
-_ENG2 = None
-
-
-def su2_engine():
-    global _ENG2
-    if _ENG2 is None:
-        _ENG2 = RewriteEngine(_SYS2)
-    return _ENG2
-
-
-def _valid_jm(j, m):
-    return abs(m) <= j and (j - m).denominator == 1
+_ZERO = Radical.from_rational(0)
 
 
 def _triad(a, b, c):
@@ -52,70 +35,14 @@ def _triad(a, b, c):
     return (a + b + c).denominator == 1 and abs(a - b) <= c <= a + b
 
 
-class ScaledElement:
-    """A TaylorElement with an overall Radical scalar factored out.
-
-    Coefficients of TaylorElements are rational functions of the Cartan
-    elements, while the normalizations of the lowering monomials are square
-    roots; keeping the scalar separate keeps both sides exact.
-    """
-
-    __slots__ = ("scalar", "element")
-
-    def __init__(self, scalar, element):
-        self.scalar = scalar
-        self.element = element
-
-    def star(self):
-        return ScaledElement(self.scalar, self.element.star())
-
-    def apply(self, v, M, singular="raise"):
-        return apply_element(self.element, v, M, singular=singular).scale(self.scalar)
-
-    def __repr__(self):
-        return "ScaledElement(%s, %r)" % (self.scalar, self.element)
-
-
-def lowering_monomial(j, m, N=None, engine=None):
-    """F_{m;j} = sqrt((j+m)!/((2j)!(j-m)!)) J_-^{j-m}; maps |jj> to |jm>."""
-    j, m = half(j), half(m)
-    if not _valid_jm(j, m):
-        raise ValueError("invalid (j, m) = (%s, %s)" % (j, m))
-    eng = engine if engine is not None else su2_engine()
-    k = int(j - m)
-    if N is None:
-        N = int(2 * j)
-    scalar = sqrt_of_rational(factorial_ratio([j + m], [2 * j, j - m]))
-    word = ((((2, 1), k),) if k else ())
-    return ScaledElement(scalar, eng.monomial(word, 1, (), N))
-
-
-def general_projector(j, m, mprime, N=None, engine=None):
-    """P^j_{m;m'} = F_{m;j} P F_{j;m'}: maps |jm'> to |jm>, kills the rest."""
-    j, m, mp = half(j), half(m), half(mprime)
-    for mm in (m, mp):
-        if not _valid_jm(j, mm):
-            raise ValueError("invalid (j, m) = (%s, %s)" % (j, mm))
-    eng = engine if engine is not None else su2_engine()
-    if N is None:
-        N = int(2 * j)
-    left = lowering_monomial(j, m, N=N, engine=eng)
-    right = lowering_monomial(j, mp, N=N, engine=eng).star()
-    P = extremal_projector(_SYS2, N=N, engine=eng)
-    return ScaledElement(
-        left.scalar * right.scalar, left.element * P * right.element
-    )
-
-
 # -- closed-form CGC --------------------------------------------------
 
 
 @lru_cache(maxsize=None)
-def _cgc_closed(*labels):
+def _cgc_closed(j1, m1, j2, m2, j3, m3):
     # Racah's sum in binomials (Johansson & Forssen 2016), on doubled labels:
     # with a, b, c = j1+j2-j3, j1-j2+j3, -j1+j2+j3, the coefficient is
     # sqrt(pref) * sum_k (-1)^k C(a,k) C(b, j1-m1-k) C(c, j2+m2-k)
-    j1, m1, j2, m2, j3, m3 = (2 * x.numerator // x.denominator for x in labels)
     a, b, c = (j1 + j2 - j3) // 2, (j1 - j2 + j3) // 2, (j2 + j3 - j1) // 2
     x, y = (j1 - m1) // 2, (j2 + m2) // 2
     total = 0
@@ -130,12 +57,15 @@ def _cgc_closed(*labels):
 
 
 def _coupling(*labels):
-    """The labels j1, m1, j2, m2, j3, m3 as half-integers, or None when a
+    """The labels j1, m1, j2, m2, j3, m3 doubled to ints, or None when a
     selection rule of (j1 m1 j2 m2 | j3 m3) fails."""
-    j1, m1, j2, m2, j3, m3 = labels = tuple(half(x) for x in labels)
-    ok = (m1 + m2 == m3 and _triad(j1, j2, j3)
-          and _valid_jm(j1, m1) and _valid_jm(j2, m2) and _valid_jm(j3, m3))
-    return labels if ok else None
+    j1, m1, j2, m2, j3, m3 = doubled = tuple(
+        f.numerator * (2 // f.denominator) for f in map(half, labels))
+    ok = (m1 + m2 == m3 and (j1 + j2 + j3) % 2 == 0
+          and abs(j1 - j2) <= j3 <= j1 + j2
+          and all(abs(m) <= j and (j - m) % 2 == 0
+                  for j, m in ((j1, m1), (j2, m2), (j3, m3))))
+    return doubled if ok else None
 
 
 def cgc_closed(j1, m1, j2, m2, j3, m3):
@@ -145,7 +75,7 @@ def cgc_closed(j1, m1, j2, m2, j3, m3):
     """
     labels = _coupling(j1, m1, j2, m2, j3, m3)
     if labels is None:
-        return Radical.from_rational(0)
+        return _ZERO
     return _cgc_closed(*labels)
 
 
@@ -154,30 +84,27 @@ def cgc_closed(j1, m1, j2, m2, j3, m3):
 
 @lru_cache(maxsize=None)
 def _coupled_module(j1, j2):
-    return tensor(su2_irrep(j1), su2_irrep(j2))
+    return tensor(su2_irrep(Fraction(j1, 2)), su2_irrep(Fraction(j2, 2)))
 
 
 @lru_cache(maxsize=None)
 def _projected_tower(j1, j2, j3):
-    """P applied to |j1 j1>|j2 j3-j1>, then lowered step by step.
+    """P applied to |j1 j1>|j2 j3-j1>, then lowered step by step; all
+    labels doubled.
 
-    Returns (diagonal element as Fraction, dict m3 -> raw J_-^{j3-m3} P v0).
+    Returns (diagonal element as Fraction, dict 2*m3 -> raw J_-^{j3-m3} P v0).
     """
     M = _coupled_module(j1, j2)
-    v0_idx = int(j2 - (j3 - j1))  # first factor at m = j1 (index 0)
-    v0 = ModuleVector({v0_idx: 1})
-    pv = apply_factor((1, 2), v0, M)  # the su(2) projector is its one factor
+    v0_idx = (j2 - j3 + j1) // 2  # first factor at m = j1 (index 0)
+    pv = apply_factor((1, 2), ModuleVector({v0_idx: 1}), M)  # P's one factor
     diag = pv.coords.get(v0_idx)
     if diag is None:
         return None
     lowered = {j3: pv}
     jminus = M.matrix((2, 1))
-    w = pv
-    m3 = j3
-    while m3 > -j3:
-        w = ModuleVector(mat_vec(jminus, w.coords))
-        m3 -= 1
-        lowered[m3] = w
+    for m3 in range(j3 - 2, -j3 - 1, -2):
+        pv = ModuleVector(mat_vec(jminus, pv.coords))
+        lowered[m3] = pv
     return diag.to_rational(), lowered
 
 
@@ -190,18 +117,16 @@ def cgc_projector(j1, m1, j2, m2, j3, m3):
     """
     labels = _coupling(j1, m1, j2, m2, j3, m3)
     if labels is None:
-        return Radical.from_rational(0)
+        return _ZERO
     j1, m1, j2, m2, j3, m3 = labels
     data = _projected_tower(j1, j2, j3)
     if data is None:
-        return Radical.from_rational(0)
+        return _ZERO
     diag, lowered = data
-    d2 = int(2 * j2) + 1
-    bra = int(j1 - m1) * d2 + int(j2 - m2)
-    val = lowered[m3].coords.get(bra)
+    val = lowered[m3].coords.get((j1 - m1) // 2 * (j2 + 1) + (j2 - m2) // 2)
     if val is None:
-        return Radical.from_rational(0)
-    scalar = sqrt_of_rational(factorial_ratio([j3 + m3], [2 * j3, j3 - m3]))
+        return _ZERO
+    scalar = sqrt_of_rational(factorial_ratio([(j3 + m3) // 2], [j3, (j3 - m3) // 2]))
     return val * scalar * sqrt_of_rational(Fraction(1) / diag)
 
 

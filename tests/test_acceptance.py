@@ -12,7 +12,7 @@ import sympy
 
 from extremal.algebra import build_root_system
 from extremal.exact import Radical, sqrt_of_rational
-from extremal.pbw import RewriteEngine, rewrite_word
+from extremal.pbw import RewriteEngine, rewrite_word, shared_engine
 from extremal.projector import (
     apply_projector,
     extremal_projector,
@@ -24,7 +24,6 @@ from extremal.repmod import (
     apply_element,
     mat_eq,
     mat_mul,
-    mat_rank,
     matrix_of,
     su2_irrep,
     su3_irrep,
@@ -37,9 +36,9 @@ from extremal.su3gt import (
     gt_module,
     gt_norm_factor,
     gt_vector,
-    su3_engine,
 )
 from extremal.wigner2 import cgc_closed, cgc_projector
+from reference import mat_rank
 
 SU2 = build_root_system(2)
 SU3 = build_root_system(3)
@@ -216,7 +215,7 @@ def test_criterion_6_gt_bases():
                 coords = mat_vec(M.matrix((2, 1)), coords)
             for _ in range(int(j + mu2 - t)):
                 coords = mat_vec(M.matrix((3, 1)), coords)
-            pt = projector_factor(SU3, (2, 3), M.weight_diameter, engine=su3_engine())
+            pt = projector_factor(SU3, (2, 3), M.weight_diameter, engine=shared_engine(3))
             u = apply_element(pt, ModuleVector(coords), M, singular="zero")
             n = gt_norm_factor(lam, mu, j, t)
             assert n * n * u.norm2() == ONE, (lam, mu, j, t)

@@ -72,6 +72,20 @@ def test_out_file_atomic(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["table.json"]
 
 
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_unwritable_out_is_refused(tmp_path, capsys, where):
+    # a missing parent directory, or a directory as the target: one error
+    # line, exit 2, and no temp file left behind
+    target = tmp_path / "absent" / "x" if where == "missing" else tmp_path
+    code, out, err = run(capsys, "cgc-su2", "--j1", "1", "--j2", "1",
+                         "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write %s: " % target)
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_gt_basis_fields(capsys):
     code, out, _ = run(capsys, "gt-basis", "--lam", "1", "--mu", "1", "--format", "json")
     assert code == 0

@@ -21,15 +21,13 @@ from extremal.pbw import (
 )
 from extremal.repmod import (
     apply_element,
-    mat_add,
     mat_eq,
-    mat_identity,
     mat_mul,
-    mat_scale,
     matrix_of,
     su2_irrep,
     su3_irrep,
 )
+from reference import mat_add, mat_identity, mat_scale
 
 SU2 = build_root_system(2)
 SU3 = build_root_system(3)

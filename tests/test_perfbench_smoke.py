@@ -8,12 +8,14 @@ API drift that would break a benchmark run, at a fraction of its cost.
 
 import importlib
 import os
+import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import families  # noqa: E402
 import oracles  # noqa: E402
@@ -57,3 +59,18 @@ def test_traced_names_exist():
     for span in tracing.RENAMED:
         short, name = span.split(".")
         assert callable(getattr(importlib.import_module("extremal." + short), name)), span
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_tracer_installs_after_the_workload_imports(workload):
+    # in a fresh process, after only the modules the workload's set-up
+    # imports: install() needs every module it wraps methods of to be loaded
+    code = ("import importlib, families, tracing\n"
+            "for name in families.IMPORTS[%r]:\n"
+            "    importlib.import_module(name)\n"
+            "tracing.install()\n" % workload)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "src")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -1,10 +1,14 @@
 """Projector factors, sequential application, and the defining identities."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 import sympy
 
+import extremal
 from extremal.algebra import build_root_system
 from extremal.pbw import RewriteEngine, SingularWeightError, rewrite_word
 from extremal.projector import (
@@ -20,11 +24,11 @@ from extremal.repmod import (
     matrix_of,
     mat_eq,
     mat_mul,
-    mat_rank,
     su2_irrep,
     su3_irrep,
     tensor,
 )
+from reference import mat_rank
 
 SU2 = build_root_system(2)
 SU3 = build_root_system(3)
@@ -241,3 +245,33 @@ def test_numeric_routes_never_reach_the_symbolic_engine(monkeypatch, capsys):
         for cache in caches:
             cache.cache_clear()
     capsys.readouterr()
+
+
+def test_numeric_layers_load_no_symbolic_engine():
+    # every printed value comes from the numeric side; computing one of each
+    # kind leaves pbw, and so sympy, unloaded
+    code = """
+import sys
+from fractions import Fraction
+from extremal import algebra, exact, projector, repmod, su3cgc, su3gt, wigner2
+h = Fraction(1, 2)
+assert wigner2.cgc_closed(1, 0, 1, 0, 2, 0) == wigner2.cgc_projector(1, 0, 1, 0, 2, 0)
+assert wigner2.sixj(1, 1, 1, 1, 1, 1) and wigner2.ninej(((1, 1, 2), (1, 1, 2), (2, 2, 2)))
+assert su3gt.gt_vector(2, 1, (1, h, -h)) and su3gt.gt_module(1, 1).dim == 8
+assert len(su3cgc.decompose(1, 1, 1, 0)) == 3
+assert su3cgc.su3_cgc(1, 0, (0, 0, 0), 0, 1, (h, 0, 0), 0, 0, (0, 0, 0))
+args = ((1, 0), (0, 0, 0), (0, 1), (h, 0, 0), (0, 0), (0, 0, 0), (0, 0, 0),
+        (0, 0, 0), (h, 0, 0))
+assert su3cgc.projector_matrix_element(*args, route="direct") == (
+    su3cgc.projector_matrix_element(*args, route="formula"))
+M = repmod.tensor(repmod.su3_irrep(1, 1), repmod.su3_irrep(1, 0))
+v = M.basis_vector(0)
+assert projector.apply_projector(algebra.build_root_system(3), v, M) == v
+print(sorted(m for m in ("sympy", "extremal.pbw") if m in sys.modules))
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(extremal.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

@@ -10,16 +10,13 @@ from extremal.pbw import RewriteEngine, SingularWeightError, rewrite_word
 from extremal.repmod import (
     TruncationError,
     apply_element,
-    casimir_matrix_su2,
-    mat_add,
     mat_eq,
-    mat_identity,
     mat_mul,
-    mat_scale,
     su2_irrep,
     su3_irrep,
     tensor,
 )
+from reference import casimir_matrix_su2, mat_add, mat_identity, mat_scale
 
 SU2 = build_root_system(2)
 SU3 = build_root_system(3)

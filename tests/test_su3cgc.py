@@ -10,11 +10,6 @@ from extremal.exact import Radical, sqrt_of_rational
 from extremal.projector import apply_projector
 from extremal.repmod import ModuleVector, mat_vec, su3_irrep, tensor
 from extremal.su3cgc import (
-    _gt_raise,
-    apply_tensor_form,
-    build_tensor_form,
-    coeff_A,
-    coeff_B,
     coupled_vector,
     decompose,
     pair_module,
@@ -22,6 +17,7 @@ from extremal.su3cgc import (
     su3_cgc,
 )
 from extremal.su3gt import enumerate_gt_labels, gt_lower, gt_module, gt_vector
+from reference import apply_tensor_form, build_tensor_form, coeff_A, gt_raise
 
 SU3 = build_root_system(3)
 HALF = Fraction(1, 2)
@@ -115,11 +111,6 @@ def test_coeff_A_at_zero():
         coeff_A(1, 1, HALF, 1)
 
 
-def test_coeff_B_triangle_zeros():
-    # t'' outside the triangle with (t, mu/2) forces a vanishing 6j
-    assert not coeff_B(1, 1, 0, HALF, 0, HALF, 0, Fraction(5, 2))
-
-
 def test_tensor_form_matches_projector():
     # on every dominant weight space of 3 x 3bar the weight-evaluated tensor
     # form acts exactly like the factorized extremal projector
@@ -155,6 +146,20 @@ def test_tensor_form_builds_every_factor_on_the_given_engine():
     assert tf.engine is eng
     v = M.basis_vector(0)  # highest weight (1,1)
     assert apply_element(tf, v, M, singular="zero") == v
+
+
+@pytest.mark.parametrize("bad", ["g3", "g3p"])
+def test_direct_route_refuses_an_inadmissible_label(bad):
+    # also when L3 = (2, 0) does not occur in 3 x 3bar, where the element is 0
+    g1, g2 = (0, 0, 0), (HALF, 0, 0)
+    for L3 in ((2, 0), (1, 1)):
+        g3 = g3p = _highest(*L3)
+        if bad == "g3":
+            g3 = (5, 0, 0)
+        else:
+            g3p = (5, 0, 0)
+        with pytest.raises(ValueError, match=r"\(j, t\) = \(5, 0\)"):
+            projector_matrix_element((1, 0), g1, (0, 1), g2, L3, g3, g3p, g1, g2)
 
 
 def test_dual_route_singlet_block():
@@ -255,7 +260,7 @@ def _ref_decompose(lam1, mu1, lam2, mu2):
 def _ref_pme_column(L1, L2, L3, g3, g3p, g1p, g2p):
     """P^{L3}_{g3, g3'} |g1' g2'> in the realized product."""
     Mt = _ref_pair_module(*L1, *L2)[2]
-    v = _gt_raise(Mt, *L3, g3p, _ref_product_vector(L1, g1p, L2, g2p))
+    v = gt_raise(Mt, *L3, g3p, _ref_product_vector(L1, g1p, L2, g2p))
     target = (Fraction(L3[0]), Fraction(L3[1]))
     v = ModuleVector({i: c for i, c in v.coords.items() if Mt.weights[i] == target})
     return gt_lower(Mt, *L3, g3, apply_projector(SU3, v, Mt))

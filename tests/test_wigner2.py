@@ -10,14 +10,8 @@ from sympy.physics.wigner import clebsch_gordan, wigner_6j, wigner_9j
 
 from extremal.exact import Radical, projections, spin_range, sqrt_of_rational
 from extremal.repmod import su2_irrep
-from extremal.wigner2 import (
-    cgc_closed,
-    cgc_projector,
-    general_projector,
-    lowering_monomial,
-    ninej,
-    sixj,
-)
+from extremal.wigner2 import cgc_closed, cgc_projector, ninej, sixj
+from reference import general_projector, lowering_monomial
 
 HALF = Fraction(1, 2)
 
