@@ -95,6 +95,19 @@ def form_power(ring, key, m):
     return p
 
 
+@functools.lru_cache(maxsize=1024)
+def _cofactor(ring, factors):
+    """prod (a.h + c)^m over factors = ((key, m), ...) in `ring`.
+
+    Bounded memo, like form_power: the numerator padding of one
+    Coeff.__add__ is one multiply by this product.
+    """
+    p = form_power(ring, *factors[0])
+    for k, m in factors[1:]:
+        p = p * form_power(ring, k, m)
+    return p
+
+
 def _primitive(num, q):
     """(num, q) divided by gcd(content(num), q); q = 1 for num = 0."""
     if q == 1:
@@ -242,15 +255,23 @@ class Coeff:
             na = na * (q // self.q)
         if q != other.q:
             nb = nb * (q // other.q)
-        zz = na.ring
-        den = {}
-        for k in set(self.den) | set(other.den):
-            ma, mb = self.den.get(k, 0), other.den.get(k, 0)
-            if ma < mb:
-                na = na * form_power(zz, k, mb - ma)
-            elif mb < ma:
-                nb = nb * form_power(zz, k, ma - mb)
-            den[k] = max(ma, mb)
+        den = self.den
+        if den != other.den:
+            # pad each numerator with one cofactor: the forms it lacks
+            den, pad_a, pad_b = dict(den), [], []
+            for k, mb in other.den.items():
+                ma = den.get(k, 0)
+                if ma < mb:
+                    pad_a.append((k, mb - ma))
+                    den[k] = mb
+            for k, ma in self.den.items():
+                mb = other.den.get(k, 0)
+                if mb < ma:
+                    pad_b.append((k, ma - mb))
+            if pad_a:
+                na = na * _cofactor(na.ring, tuple(sorted(pad_a)))
+            if pad_b:
+                nb = nb * _cofactor(nb.ring, tuple(sorted(pad_b)))
         num, q = _primitive(na + nb, q)
         return Coeff(self.ring, num, den, q)
 
@@ -659,31 +680,50 @@ class TaylorElement:
         return TaylorElement(self.engine, self.bound, {k: c * v for k, v in self.terms.items()})
 
     def __mul__(self, other):
+        """Product truncated at the smaller bound; a non-element scales.
+
+        Each pair of terms La ca Ra . Lb cb Rb straightens Ra Lb into core
+        terms L1 c1 R1.  Filter first: R1 Rb is straightened and cut to
+        raising degree <= bound before any coefficient arithmetic, and a
+        core term with nothing left is skipped.  The kept ones multiply
+        once, ca shifted past L1 times c1 times cb shifted back past R1,
+        and then by each term of La L1 and of the cut R1 Rb.
+        """
         if not isinstance(other, TaylorElement):
             return self.scale(other)
         self._check_compat(other)
         eng = self.engine
         bound = min(self.bound, other.bound)
+        degree = TaylorElement.degree
         acc = {}
         for (La, Ra), ca in self.terms.items():
-            ra_letters = eng.unpack(Ra)
+            la_letters, ra_letters = eng.unpack(La), eng.unpack(Ra)
             for (Lb, Rb), cb in other.terms.items():
-                core = eng.times_right(eng.reduce(ra_letters + eng.unpack(Lb)), cb)
-                for (L1, R1), c1 in core.items():
-                    # La ca L1 c1 R1 Rb ; move ca right past L1
-                    mid = eng.shift_expr(ca, eng.word_shift(eng.unpack(L1))) * c1
-                    lows = eng.reduce(eng.unpack(La) + eng.unpack(L1))
-                    highs = eng.reduce(eng.unpack(R1) + eng.unpack(Rb))
-                    for (L2, _e1), cl in lows.items():
-                        for (_e2, R2), cr in highs.items():
-                            if TaylorElement.degree(R2) > bound:
-                                continue
+                rb_letters = eng.unpack(Rb)
+                for (L1, R1), c1 in eng.reduce(ra_letters + eng.unpack(Lb)).items():
+                    r1_letters = eng.unpack(R1)
+                    highs = [
+                        (R2, cr)
+                        for (_e, R2), cr in eng.reduce(r1_letters + rb_letters).items()
+                        if degree(R2) <= bound
+                    ]
+                    if not highs:
+                        continue
+                    # La ca L1 c1 R1 cb Rb: ca moves right past L1, cb left past R1
+                    l1_letters = eng.unpack(L1)
+                    mid = (
+                        eng.shift_expr(ca, eng.word_shift(l1_letters))
+                        * c1
+                        * eng.shift_expr(cb, eng.word_shift(r1_letters), scale=-1)
+                    )
+                    for (L2, _e), cl in eng.reduce(la_letters + l1_letters).items():
+                        left = cl * mid
+                        for R2, cr in highs:
                             key = (L2, R2)
-                            v = cl * mid * cr
+                            v = left * cr
                             cur = acc.get(key)
                             acc[key] = v if cur is None else cur + v
-        out = TaylorElement(eng, bound, acc).canonical()
-        return out
+        return TaylorElement(eng, bound, acc).canonical()
 
     def __rmul__(self, other):
         return self.scale(other)

@@ -27,7 +27,7 @@ from .algebra import build_root_system
 from .exact import Radical, factorial_ratio, half, spin_range, sqrt_of_rational
 from .projector import apply_projector
 from .repmod import tensor
-from .su3gt import gt_lower, gt_module, gt_norm_factor
+from .su3gt import check_gt_label, gt_lower, gt_module
 from .wigner2 import cgc_closed, ninej, sixj
 
 __all__ = [
@@ -130,7 +130,10 @@ def projector_matrix_element(
 
     route="direct" reads it off the coupled vectors (authoritative);
     route="formula" evaluates the closed Wigner-calculus expression.
+    Both refuse a label that is not in its irrep with ValueError.
     """
+    for L, g in ((L1, g1), (L2, g2), (L3, g3), (L3, g3p), (L1, g1p), (L2, g2p)):
+        check_gt_label(*L, g)
     if route == "direct":
         return _pme_direct(L1, g1, L2, g2, L3, g3, g3p, g1p, g2p)
     if route == "formula":
@@ -140,8 +143,6 @@ def projector_matrix_element(
 
 def _pme_direct(L1, g1, L2, g2, L3, g3, g3p, g1p, g2p):
     # on the product, P^{L3}_{g3, g3'} = sum_s |s L3 g3> <s L3 g3'|
-    for j, t, _ in (g3, g3p):
-        gt_norm_factor(*L3, j, t)  # ValueError on an inadmissible label
     bra = _pair_index(*L1, g1, *L2, g2)
     ket = _pair_index(*L1, g1p, *L2, g2p)
     total = _ZERO

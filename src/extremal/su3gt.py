@@ -27,6 +27,7 @@ __all__ = [
     "enumerate_gt_labels",
     "gt_hypercharge",
     "gt_norm_factor",
+    "check_gt_label",
     "gt_vector",
     "gt_lower",
     "gt_module",
@@ -102,8 +103,23 @@ def _gt_norm_factor(lam, mu, j, t):
     return sqrt_of_rational(ratio)
 
 
+def check_gt_label(lam, mu, label):
+    """ValueError unless `label` = (j, t, t_z) labels a vector of (lam, mu):
+    (j, t) admissible, and t - t_z an integer in [0, 2t]."""
+    if tuple(label) not in _gt_labels(int(lam), int(mu)):
+        j, t, _ = (half(x) for x in label)
+        gt_norm_factor(lam, mu, j, t)  # names an inadmissible (j, t)
+        raise ValueError("inadmissible GT label %s for (%d, %d)" % (label, lam, mu))
+
+
+@lru_cache(maxsize=64)
+def _gt_labels(lam, mu):
+    return frozenset(enumerate_gt_labels(lam, mu))
+
+
 def gt_lower(M, lam, mu, label, v):
     """Apply the GT lowering operator of (lam, mu) for `label` to v in M."""
+    check_gt_label(lam, mu, label)
     j, t, tz = (half(x) for x in label)
     mu2 = Fraction(mu, 2)
     coords = mat_pow_vec(M.matrix((2, 1)), v.coords, j - mu2 + t)

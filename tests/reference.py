@@ -1,8 +1,9 @@
 """Reference routes kept as independent checks of the package.
 
 Nothing in `extremal` calls these.  They are the older or symbolic routes:
-su(2) general projection operators built as `TaylorElement`s, the tensor form
-of the su(3) projector, the GT raising word, and small exact matrix algebra.
+the term-by-term product of `TaylorElement`s, su(2) general projection
+operators built as `TaylorElement`s, the tensor form of the su(3) projector,
+the GT raising word, and small exact matrix algebra.
 The tests compare the package's numeric routes against them.
 """
 
@@ -79,6 +80,40 @@ def casimir_matrix_su2(M):
     jp, jm = M.matrix((1, 2)), M.matrix((2, 1))
     j0 = mat_scale(M.matrix(("h", 1)), Fraction(1, 2))
     return mat_add(mat_mul(jm, jp), mat_add(mat_mul(j0, j0), j0))
+
+
+# -- the term-by-term series product ----------------------------------
+
+
+def reference_mul(a, b):
+    """a * b straightened term by term, truncated only at the end.
+
+    Every core term of Ra Lb is multiplied through before the raising bound
+    drops any of its products; `TaylorElement.__mul__` must give the same
+    terms while skipping that work.
+    """
+    a._check_compat(b)
+    eng = a.engine
+    bound = min(a.bound, b.bound)
+    acc = {}
+    for (La, Ra), ca in a.terms.items():
+        ra_letters = eng.unpack(Ra)
+        for (Lb, Rb), cb in b.terms.items():
+            core = eng.times_right(eng.reduce(ra_letters + eng.unpack(Lb)), cb)
+            for (L1, R1), c1 in core.items():
+                # La ca L1 c1 R1 Rb ; move ca right past L1
+                mid = eng.shift_expr(ca, eng.word_shift(eng.unpack(L1))) * c1
+                lows = eng.reduce(eng.unpack(La) + eng.unpack(L1))
+                highs = eng.reduce(eng.unpack(R1) + eng.unpack(Rb))
+                for (L2, _e1), cl in lows.items():
+                    for (_e2, R2), cr in highs.items():
+                        if TaylorElement.degree(R2) > bound:
+                            continue
+                        key = (L2, R2)
+                        v = cl * mid * cr
+                        cur = acc.get(key)
+                        acc[key] = v if cur is None else cur + v
+    return TaylorElement(eng, bound, acc).canonical()
 
 
 # -- su(2) general projection operators as symbolic elements ----------

@@ -1,5 +1,6 @@
 """PBW normal ordering engine: coefficients, straightening, star, evaluation."""
 
+import hashlib
 import inspect
 import math
 import random
@@ -27,7 +28,7 @@ from extremal.repmod import (
     su2_irrep,
     su3_irrep,
 )
-from reference import mat_add, mat_identity, mat_scale
+from reference import mat_add, mat_identity, mat_scale, reference_mul
 
 SU2 = build_root_system(2)
 SU3 = build_root_system(3)
@@ -377,6 +378,36 @@ def test_rewrite_and_star_match_module(n, eng2, eng3, data):
     assert mat_eq(matrix_of(x.star(), M), {(c, r): v for (r, c), v in mat.items()})
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_product_matches_the_term_by_term_reference(n, eng2, eng3, data):
+    # cutting R1 Rb before the coefficient arithmetic keeps exactly the
+    # terms, and the stored coefficients, of the product truncated last
+    sys_ = SU2 if n == 2 else SU3
+    eng = eng2 if n == 2 else eng3
+    gens = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    cartan = st.tuples(
+        st.sampled_from(["h", "expr", "recip"]), st.integers(1, n - 1), st.integers(-2, 2)
+    )
+    letter = st.one_of(st.sampled_from(gens), cartan)
+
+    def item(w):
+        if w[0] == "recip":
+            return 1 / (sympy.Symbol("h%d" % w[1]) + sympy.Rational(w[2], 2))
+        return _word_item(w)
+
+    def element():
+        N = data.draw(st.integers(0, 4))
+        x = eng.zero(N)
+        for word in data.draw(st.lists(st.lists(letter, max_size=5), min_size=1, max_size=3)):
+            x = x + rewrite_word([item(w) for w in word], sys_, engine=eng, N=N)
+        return x
+
+    a, b = element(), element()
+    assert (a * b).terms == reference_mul(a, b).terms
+
+
 def test_exponent_letters():
     eng = RewriteEngine(SU2)
     a = rewrite_word([((1, 2), 3)], SU2, engine=eng, N=8)
@@ -423,6 +454,38 @@ def test_dump_stable():
     eng = RewriteEngine(SU2)
     x = rewrite_word([(1, 2), (2, 1)], SU2, engine=eng, N=8)
     assert x.dump() == "[h1]\ne21 * [1] * e12"
+
+
+# the sha1 of every dump below; no exact value of the symbolic engine may move
+PROJECTOR_DUMPS_SHA1 = "3c61fe5f09bff97fbf827604b70328f5bec9eca9"
+
+
+def test_projector_dumps_unchanged():
+    from extremal.projector import extremal_projector
+
+    h = hashlib.sha1()
+
+    def add(label, x):
+        h.update(("%s\n%s\n" % (label, x.dump())).encode())
+
+    su4 = build_root_system(4)
+    cases = [
+        (SU2, None, 6),
+        (SU3, None, 3),
+        (SU3, ((2, 3), (1, 3), (1, 2)), 3),
+        (su4, None, 2),
+    ]
+    for sys_, order, top in cases:
+        eng = RewriteEngine(sys_, order)
+        for N in range(top + 1):
+            add("su%d %s N=%d" % (sys_.n, order, N), extremal_projector(sys_, N=N, engine=eng))
+    P = extremal_projector(SU3, N=3, engine=RewriteEngine(SU3))
+    add("su3 P*P N=3", P * P)
+    eng = RewriteEngine(SU2)
+    for a in range(8):
+        for b in range(8):
+            add("e^%d f^%d" % (a, b), rewrite_word([((1, 2), a), ((2, 1), b)], SU2, engine=eng, N=16))
+    assert h.hexdigest() == PROJECTOR_DUMPS_SHA1
 
 
 def test_apply_element_su2():
