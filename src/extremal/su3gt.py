@@ -119,15 +119,19 @@ def _gt_labels(lam, mu):
 
 def gt_lower(M, lam, mu, label, v):
     """Apply the GT lowering operator of (lam, mu) for `label` to v in M."""
-    check_gt_label(lam, mu, label)
     j, t, tz = (half(x) for x in label)
+    # t - t_z is an integer in [0, 2t]: the half-integers t and t_z share a
+    # denominator, and then |t_z| <= t compares their numerators
+    if tz.denominator != t.denominator or abs(tz.numerator) > t.numerator:
+        raise ValueError("inadmissible GT label %s for (%d, %d)" % (label, lam, mu))
+    norm = gt_norm_factor(lam, mu, j, t)  # ValueError on an inadmissible (j, t)
     mu2 = Fraction(mu, 2)
     coords = mat_pow_vec(M.matrix((2, 1)), v.coords, j - mu2 + t)
     coords = mat_pow_vec(M.matrix((3, 1)), coords, j + mu2 - t)
     w = apply_factor((2, 3), ModuleVector(coords), M)
     w = ModuleVector(mat_pow_vec(M.matrix((3, 2)), w.coords, t - tz))
     scalar = sqrt_of_rational(factorial_ratio([t + tz], [2 * t, t - tz]))
-    return w.scale(gt_norm_factor(lam, mu, j, t) * scalar)
+    return w.scale(norm * scalar)
 
 
 def gt_vector(lam, mu, label):
