@@ -164,7 +164,7 @@ def test_direct_route_refuses_an_inadmissible_label(bad):
 
 @pytest.mark.parametrize("tz", [Fraction(3, 2), Fraction(-3, 2)])
 def test_a_projection_outside_the_t_spin_is_refused(tz):
-    # t_z = t + 1 gave 0 and t_z = -t - 1 a factorial pole before the check
+    # t_z = +-(t + 1): unchecked, one reads 0 and the other hits a factorial pole
     g3 = (0, HALF, tz)
     with pytest.raises(ValueError, match="inadmissible GT label"):
         su3_cgc(1, 0, (0, 0, 0), 0, 1, (HALF, 0, 0), 1, 1, g3)
@@ -177,8 +177,8 @@ def test_a_projection_outside_the_t_spin_is_refused(tz):
 @pytest.mark.parametrize("bad", [(5, 0, 0), (0, HALF, 3 * HALF)])
 @pytest.mark.parametrize("L3", [(2, 0), (1, 1)])
 def test_both_routes_refuse_the_same_labels(route, slot, bad, L3):
-    # on 3 x 3bar, where (2, 0) does not occur; the formula route returned
-    # 0 there, and for any g3, before the labels were checked
+    # on 3 x 3bar, where (2, 0) does not occur: an unchecked formula route
+    # reads 0 there, and for any g3
     labels = [(0, 0, 0), (HALF, 0, 0), _highest(*L3), _highest(*L3), (0, 0, 0), (HALF, 0, 0)]
     labels[slot] = bad
     g1, g2, g3, g3p, g1p, g2p = labels
