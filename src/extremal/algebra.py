@@ -107,16 +107,10 @@ def enumerate_normal_orderings(sys):
 
 
 def default_ordering(sys):
-    """Lexicographic-first valid normal ordering; for su(3) this is
-    ((1,2),(1,3),(2,3)), matching the factorized product form."""
-    if sys.rank <= 3:
-        return enumerate_normal_orderings(sys)[0]
-    # Rank > 3: the lexicographic order of (i, j) pairs is normal for su(n).
-    seq = tuple(sorted(sys.positive_roots))
-    ok, _ = validate_normal_ordering(sys, seq)
-    if not ok:  # pragma: no cover - lexicographic order is always normal
-        raise RuntimeError("lexicographic ordering unexpectedly invalid")
-    return NormalOrdering(sequence=seq)
+    """The lexicographic order of the (i, j) pairs, which is normal for every
+    su(n) and is the first valid ordering the enumeration finds; for su(3)
+    it is ((1,2),(1,3),(2,3)), matching the factorized product form."""
+    return NormalOrdering(sequence=tuple(sorted(sys.positive_roots)))
 
 
 def normal_ordering(sys, order=None):

@@ -221,7 +221,11 @@ class Radical:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        t = self.terms
+        if not t or (len(t) == 1 and 1 in t):
+            # a rational value equals its Fraction, so it hashes as one
+            return hash(t.get(1, 0))
+        return hash(frozenset(t.items()))
 
     def __bool__(self):
         return bool(self.terms)

@@ -53,24 +53,16 @@ __all__ = [
 ]
 
 
-_H_CACHE = {}
-_RING_CACHE = {}
-
-
+@functools.cache
 def h_symbols(n):
     """Cartan symbols h1..h_{n-1} for su(n)."""
-    if n not in _H_CACHE:
-        _H_CACHE[n] = tuple(sympy.Symbol("h%d" % i) for i in range(1, n))
-    return _H_CACHE[n]
+    return tuple(sympy.Symbol("h%d" % i) for i in range(1, n))
 
 
+@functools.cache
 def cartan_ring(n):
     """Polynomial ring QQ[h1..h_{n-1}] shared by all engines of one rank."""
-    if n not in _RING_CACHE:
-        _RING_CACHE[n] = _poly_ring(
-            ",".join("h%d" % i for i in range(1, n)), QQ
-        )[0]
-    return _RING_CACHE[n]
+    return _poly_ring(",".join("h%d" % i for i in range(1, n)), QQ)[0]
 
 
 @functools.lru_cache(maxsize=8)
@@ -212,13 +204,21 @@ class Coeff:
         return not self.den and self.q == 1 and self.num == self.num.ring.one
 
     def __hash__(self):
+        if not self.den and self.num.is_ground:
+            # a constant equals its int or Fraction, so it hashes as one
+            return hash(Fraction(int(self.num.get(self.num.ring.zero_monom, 0)), self.q))
         # not hash(self.num): a PolyElement caches its hash, and sympy's
         # in-place building (as in div) can cache it before the last term
         return hash((frozenset(self.num.items()), self.q, frozenset(self.den.items())))
 
     def __eq__(self, other):
-        """Structural equality of (num, q, den); see the class docstring."""
-        other = self._coerce(other)
+        """Structural equality of (num, q, den); see the class docstring.
+        An int or Fraction compares as a constant; any other type is left
+        to its own __eq__."""
+        if isinstance(other, (int, Fraction)):
+            other = Coeff.from_rational(self.ring, other)
+        elif not isinstance(other, Coeff):
+            return NotImplemented
         return self.q == other.q and self.num == other.num and self.den == other.den
 
     # -- arithmetic ---------------------------------------------------
@@ -781,10 +781,10 @@ class TaylorElement:
     # -- output -------------------------------------------------------
 
     @staticmethod
-    def _word_str(packed, transpose=False):
+    def _word_str(packed):
         parts = []
         for (i, j), e in packed:
-            name = "e%d%d" % ((j, i) if transpose else (i, j))
+            name = "e%d%d" % (i, j)
             parts.append(name if e == 1 else "%s^%d" % (name, e))
         return " ".join(parts)
 

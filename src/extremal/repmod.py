@@ -23,6 +23,7 @@ __all__ = [
     "Irrep",
     "ModuleVector",
     "su2_irrep",
+    "su3_label",
     "su3_irrep",
     "tensor",
     "apply_element",
@@ -285,6 +286,17 @@ def _int_gs(vectors):
     return [u for u, _ in basis]
 
 
+def su3_label(lam, mu):
+    """(lam, mu) as ints; ValueError unless both are nonnegative and within
+    the desk-scale guard lam + mu <= 6 of the su(3) modules."""
+    lam, mu = int(lam), int(mu)
+    if lam < 0 or mu < 0:
+        raise ValueError("labels must be nonnegative")
+    if lam + mu > 6:
+        raise ValueError("desk-scale guard: lam + mu <= 6")
+    return lam, mu
+
+
 @lru_cache(maxsize=None)
 def su3_irrep(lam, mu):
     """Exact su(3) irrep (lam, mu) realized in fund^lam x antifund^mu.
@@ -295,11 +307,7 @@ def su3_irrep(lam, mu):
     u_b whose first product-basis coordinate is positive, so the entry (a, b)
     of a generator is d / (|u_a| |u_b|) with the integer d = u_a . (e_ij u_b).
     """
-    lam, mu = int(lam), int(mu)
-    if lam < 0 or mu < 0:
-        raise ValueError("labels must be nonnegative")
-    if lam + mu > 6:
-        raise ValueError("desk-scale guard: lam + mu <= 6")
+    lam, mu = su3_label(lam, mu)
     dim_expected = (lam + 1) * (mu + 1) * (lam + mu + 2) // 2
     if lam == 0 and mu == 0:
         mats = {g: {} for g in _SU3_GENERATORS}

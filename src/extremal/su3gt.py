@@ -1,17 +1,23 @@
 """Gelfand-Tsetlin basis for su(3) adapted to su(3) > u_Y(1) x su_T(2) > u(1).
 
 Basis vectors of the irrep (lam, mu) are labeled (j, t, t_z): hypercharge
-y = -(2*lam + mu)/3 + 2j, T-spin t, projection t_z.  Each vector is produced
-by the explicit lowering operator
+y = -(2*lam + mu)/3 + 2j, T-spin t, projection t_z.  `gt_vector` builds each
+one in the realized module `su3_irrep` by the explicit lowering operator
 
     N_jt * P^t_{t_z;t} * e31^(j + mu/2 - t) * e21^(j - mu/2 + t) |h>,
 
 where P^t is the general projection operator of the T-spin su(2) subalgebra
 (T+ = e23, T- = e32, T0 = (e22 - e33)/2) and N_jt a closed-form factorial
 normalization; its extremal part is the (2,3) factor of the su(3) projector,
-applied by `projector.apply_factor`.  `gt_module` reads the generator
-matrices in the GT basis off by exact inner products, so the irrep can also
-be used over its GT basis.
+applied by `projector.apply_factor`.
+
+`gt_module` is the irrep over its GT basis from the closed Gelfand-Tsetlin
+matrix elements (Molev, arXiv math/0211289, Thm 2.3) in the frame
+E'_ij = e_{4-i,4-j}, where (j, t, t_z) is the pattern with top row
+(lam + mu, mu, 0), middle row (m12, m22) = (mu/2 + j + t, mu/2 + j - t) and
+bottom entry m11 = mu/2 + j - t_z.  With one sign per e21 step it gives the
+matrices of the projector-built vectors, which the tests check entry for
+entry; it never realizes the irrep.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from functools import lru_cache
 
 from .exact import factorial_ratio, half, projections, spin_range, sqrt_of_rational
 from .projector import apply_factor
-from .repmod import Irrep, ModuleVector, mat_pow_vec, mat_vec, su3_irrep
+from .repmod import Irrep, ModuleVector, mat_mul, mat_pow_vec, su3_irrep, su3_label
 
 __all__ = [
     "enumerate_gt_labels",
@@ -138,7 +144,7 @@ def gt_vector(lam, mu, label):
     """The GT basis vector for `label` as exact coordinates in the realized
     module of su3_irrep(lam, mu)."""
     lam, mu = int(lam), int(mu)
-    v = _gt_basis(lam, mu)[1].get(tuple(label))
+    v = _gt_basis(lam, mu).get(tuple(label))
     if v is None:  # the basis holds exactly the admissible labels
         raise ValueError("inadmissible GT label %s for (%d, %d)" % (label, lam, mu))
     return v
@@ -146,37 +152,44 @@ def gt_vector(lam, mu, label):
 
 @lru_cache(maxsize=None)
 def _gt_basis(lam, mu):
-    """The module and {label: GT vector} in label order, built once."""
+    """{label: GT vector} in label order, built once."""
     M = su3_irrep(lam, mu)
     top = M.basis_vector(0)
-    return M, {lab: gt_lower(M, lam, mu, lab, top) for lab in enumerate_gt_labels(lam, mu)}
+    return {lab: gt_lower(M, lam, mu, lab, top) for lab in enumerate_gt_labels(lam, mu)}
 
 
 @lru_cache(maxsize=None)
 def gt_module(lam, mu):
     """The irrep (lam, mu) over its GT basis, built once.
 
-    Tags are the GT labels in label order, weights those of the GT vectors,
-    and entry (r, c) of e_ij is <gt_r| e_ij |gt_c>, exact over Radical; only
-    the rows in the weight space of e_ij |gt_c> are computed.
+    Tags are the GT labels in label order; h1 = (2 lam + mu)/2 - 3j - t_z,
+    h2 = 2 t_z.  e32 lowers t_z by sqrt((t + t_z)(t - t_z + 1)).  e21 = E'_23
+    takes (j, t, t_z) to (j + 1/2, t +- 1/2, t_z + 1/2) with the entry
+    sign * sqrt((lam+mu-l)(l-mu+1)(l+2)(l-m11+1) / ((l-l')(l-l'+1))): t + 1/2
+    raises m12 (l = m12, l' = m22 - 1, sign +1) and t - 1/2 raises m22
+    (l = m22 - 1, l' = m12, sign -1, the phase of the projector-built
+    vectors).  e31 = [e32, e21]; each raising generator is the transpose.
     """
-    M, by_label = _gt_basis(lam, mu)
-    vecs = list(by_label.values())
-    weights = [M.weights[next(iter(v.coords))] for v in vecs]
-    in_weight = {}
-    for r, w in enumerate(weights):
-        in_weight.setdefault(w, []).append(r)
-    mats = {}
-    for g, pm in M.matrices.items():
-        mat = {}
-        for c, vc in enumerate(vecs):
-            img = ModuleVector(mat_vec(pm, vc.coords))
-            if img.is_zero():
-                continue
-            for r in in_weight[M.weights[next(iter(img.coords))]]:
-                dot = vecs[r].inner(img)
-                if dot:
-                    mat[(r, c)] = dot
-        mats[g] = mat
-    return Irrep(algebra="su3", n=3, label=(lam, mu), tags=list(by_label),
+    lam, mu = su3_label(lam, mu)
+    tags = enumerate_gt_labels(lam, mu)
+    index = {lab: k for k, lab in enumerate(tags)}
+    mu2, half1 = Fraction(mu, 2), Fraction(1, 2)
+    e21, e32 = {}, {}
+    for c, (j, t, tz) in enumerate(tags):
+        if tz > -t:
+            e32[(index[(j, t, tz - 1)], c)] = sqrt_of_rational((t + tz) * (t - tz + 1))
+        m12, m22, m11 = mu2 + j + t, mu2 + j - t, mu2 + j - tz
+        for dt, l, lp, sign in ((half1, m12, m22 - 1, 1), (-half1, m22 - 1, m12, -1)):
+            r = index.get((j + half1, t + dt, tz + half1))
+            if r is not None:  # also skips the pole of t = 0
+                sq = (lam + mu - l) * (l - mu + 1) * (l + 2) * (l - m11 + 1)
+                e21[(r, c)] = sqrt_of_rational(sq / ((l - lp) * (l - lp + 1)), sign)
+    e31 = mat_mul(e32, e21)
+    for k, v in mat_mul(e21, e32).items():
+        e31[k] = e31.get(k, 0) - v
+    mats = {(3, 1): {k: v for k, v in e31.items() if v}, (2, 1): e21, (3, 2): e32}
+    for (i, j), m in list(mats.items()):
+        mats[(j, i)] = {(c, r): v for (r, c), v in m.items()}
+    weights = [(Fraction(2 * lam + mu, 2) - 3 * j - tz, 2 * tz) for j, _, tz in tags]
+    return Irrep(algebra="su3", n=3, label=(lam, mu), tags=tags,
                  weights=weights, matrices=mats)

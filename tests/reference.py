@@ -3,7 +3,8 @@
 Nothing in `extremal` calls these.  They are the older or symbolic routes:
 the term-by-term product of `TaylorElement`s, su(2) general projection
 operators built as `TaylorElement`s, the tensor form of the su(3) projector,
-the GT raising word, and small exact matrix algebra.
+the GT raising word, the GT module read off the projector-built vectors, and
+small exact matrix algebra.
 The tests compare the package's numeric routes against them.
 """
 
@@ -16,8 +17,16 @@ from extremal.algebra import build_root_system
 from extremal.exact import Radical, factorial_ratio, half, sqrt_of_rational
 from extremal.pbw import TaylorElement, shared_engine
 from extremal.projector import apply_factor, extremal_projector, projector_factor
-from extremal.repmod import ModuleVector, apply_element, mat_mul, mat_pow_vec
-from extremal.su3gt import gt_norm_factor
+from extremal.repmod import (
+    Irrep,
+    ModuleVector,
+    apply_element,
+    mat_mul,
+    mat_pow_vec,
+    mat_vec,
+    su3_irrep,
+)
+from extremal.su3gt import enumerate_gt_labels, gt_norm_factor, gt_vector
 
 _ZERO = Radical.from_rational(0)
 _ONE = Radical.from_rational(1)
@@ -266,3 +275,37 @@ def gt_raise(M, lam3, mu3, label, v):
     w = ModuleVector(mat_pow_vec(M.matrix((1, 2)), coords, j - mu2 + t))
     scalar = sqrt_of_rational(factorial_ratio([t + tz], [2 * t, t - tz]))
     return w.scale(gt_norm_factor(lam3, mu3, j, t) * scalar)
+
+
+# -- the GT module from the projector-built vectors ---------------------
+
+
+def realized_gt_module(lam, mu):
+    """The irrep (lam, mu) over its GT basis, read off the projector-built
+    vectors of `gt_vector` in su3_irrep(lam, mu) by exact inner products.
+
+    Tags are the GT labels in label order, weights those of the GT vectors,
+    and entry (r, c) of e_ij is <gt_r| e_ij |gt_c>; only the rows in the
+    weight space of e_ij |gt_c> are computed.
+    """
+    M = su3_irrep(lam, mu)
+    labels = enumerate_gt_labels(lam, mu)
+    vecs = [gt_vector(lam, mu, lab) for lab in labels]
+    weights = [M.weights[next(iter(v.coords))] for v in vecs]
+    in_weight = {}
+    for r, w in enumerate(weights):
+        in_weight.setdefault(w, []).append(r)
+    mats = {}
+    for g, pm in M.matrices.items():
+        mat = {}
+        for c, vc in enumerate(vecs):
+            img = ModuleVector(mat_vec(pm, vc.coords))
+            if img.is_zero():
+                continue
+            for r in in_weight[M.weights[next(iter(img.coords))]]:
+                dot = vecs[r].inner(img)
+                if dot:
+                    mat[(r, c)] = dot
+        mats[g] = mat
+    return Irrep(algebra="su3", n=3, label=(lam, mu), tags=labels,
+                 weights=weights, matrices=mats)

@@ -73,7 +73,11 @@ def test_su3_has_exactly_two_normal_orderings():
 def test_default_ordering():
     assert default_ordering(build_root_system(2)).sequence == ((1, 2),)
     assert default_ordering(build_root_system(3)).sequence == ((1, 2), (1, 3), (2, 3))
-    # for ranks beyond the enumeration guard the lexicographic order is used
+    # the lexicographic order is the first valid one the enumeration finds
+    for n in (2, 3, 4):
+        sys_data = build_root_system(n)
+        assert default_ordering(sys_data) == enumerate_normal_orderings(sys_data)[0]
+    # and it is normal beyond the enumeration guard
     seq = default_ordering(build_root_system(5)).sequence
     sys5 = build_root_system(5)
     ok, _ = validate_normal_ordering(sys5, seq)

@@ -154,6 +154,8 @@ def test_cli_error_exit_code(capsys):
 
 @pytest.mark.parametrize("command, message", [
     ("gt-basis --lam -1 --mu 0", "labels must be nonnegative"),
+    ("cgc-su3 --lam1 -1 --mu1 0 --lam2 1 --mu2 0", "labels must be nonnegative"),
+    ("cgc-su3 --lam1 7 --mu1 0 --lam2 1 --mu2 0", "desk-scale guard: lam + mu <= 6"),
     ("cgc-su2 --j1 -1 --j2 1", "spins must be nonnegative"),
     ("cgc-su2 --j1 -1/2 --j2 1", "spins must be nonnegative"),
     ("cgc-su2 --j1 1 --j2 -3/2", "spins must be nonnegative"),

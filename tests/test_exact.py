@@ -162,6 +162,16 @@ def test_radical_field_axioms(x, y, z):
             assert (y / x) * x == y
 
 
+def test_rational_radical_hashes_as_its_fraction():
+    # == treats a rational Radical as its int or Fraction, so hash must too
+    for q in (0, 3, -2, Fraction(1, 2), Fraction(-7, 3)):
+        r = Radical.from_rational(q)
+        assert r == q and hash(r) == hash(q) == hash(Fraction(q))
+        assert {q: "x"}.get(r) == "x" and {r: "y"}.get(q) == "y"
+        assert len({r, q}) == 1
+    assert Radical({2: 1}) != 2 and Radical({2: 1}) != None  # noqa: E711
+
+
 @settings(max_examples=100, deadline=None)
 @given(_radicals)
 def test_radical_sign_matches_mpmath(x):

@@ -101,6 +101,25 @@ def test_coeff_structural_equality(eng2):
     assert Coeff.from_rational(eng2.ring, Fraction(1, 2)) == Fraction(1, 2)
 
 
+def test_constant_coeff_hashes_as_its_fraction(eng2):
+    # a constant Coeff equals its int or Fraction, in both directions
+    for q in (0, 3, -2, Fraction(1, 2)):
+        c = eng2.coeff(q)
+        assert c == q and q == c and hash(c) == hash(q)
+        assert {q: "x"}.get(c) == "x" and {c: "y"}.get(q) == "y"
+        assert len({c, q}) == 1
+
+
+def test_coeff_compares_unequal_to_other_types(eng2):
+    # a type Coeff cannot coerce is unequal, not an AttributeError
+    h = eng2.ring.gens[0]
+    for c in (eng2.coeff(3), Coeff(eng2.ring, h + 1), eng2.recip_linear([((1,), 2)])):
+        for other in (None, "x", 1.5, (1,)):
+            assert not c == other and c != other
+            assert not other == c and other != c
+        assert c not in [None] and c in [None, c]
+
+
 def test_from_expr_reads_primitive_int_forms(eng2, eng3):
     h1 = sympy.Symbol("h1")
     for eng in (eng2, eng3):

@@ -346,6 +346,25 @@ def test_direct_projector_matrix_elements_match_the_realized_route(L1, L2):
                         column.inner(_ref_product_vector(L1, g1, L2, g2))), args
 
 
+def test_coupling_builds_no_realized_module(capsys):
+    # the GT modules come from the closed formulas: a cgc-su3 table and a
+    # direct projector matrix element never realize an irrep
+    from extremal import cli, repmod, su3cgc, su3gt
+
+    caches = (repmod.su3_irrep, su3gt._gt_basis, su3gt.gt_module, su3cgc.pair_module,
+              su3cgc.decompose, su3cgc.coupled_vector)
+    for cache in caches:
+        cache.cache_clear()
+    assert cli.main(["cgc-su3", "--lam1", "1", "--mu1", "1", "--lam2", "1",
+                     "--mu2", "0"]) == 0
+    capsys.readouterr()
+    assert projector_matrix_element(
+        (1, 0), (0, 0, 0), (0, 1), (HALF, 0, 0), (0, 0), (0, 0, 0), (0, 0, 0),
+        (0, 0, 0), (HALF, 0, 0), route="direct")
+    assert repmod.su3_irrep.cache_info().misses == 0
+    assert su3gt._gt_basis.cache_info().misses == 0
+
+
 def test_coupled_vectors_are_unitary_and_equivariant():
     # over every ordered pair of factors with lam + mu <= 2, the coupled
     # vectors form an orthonormal basis of the product, and e_ij acts on

@@ -167,6 +167,21 @@ def test_tspin_action_in_gt_basis():
                 assert not down
 
 
+def test_gt_module_matches_the_realized_route():
+    # the closed GT formulas against the matrices read off the
+    # projector-built vectors, over every irrep the guard admits
+    from extremal.repmod import mat_eq
+    from reference import realized_gt_module
+
+    for lam in range(7):
+        for mu in range(7 - lam):
+            G, R = gt_module(lam, mu), realized_gt_module(lam, mu)
+            assert (G.tags, G.weights) == (R.tags, R.weights), (lam, mu)
+            assert sorted(G.matrices) == sorted(R.matrices)
+            for g in G.matrices:
+                assert mat_eq(G.matrices[g], R.matrices[g]), (lam, mu, g)
+
+
 def test_gt_matrices_satisfy_commutators():
     # the GT-basis matrices define the same representation: spot-check
     # [e12, e21] on the octet equals e11 - e22 = diag(h1)
