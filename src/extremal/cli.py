@@ -221,7 +221,7 @@ def _verify_su_projector(n, trunc):
     sys_data = build_root_system(n)
     eng = RewriteEngine(sys_data)
     P = extremal_projector(sys_data, N=N, engine=eng)
-    rep = verify_extremal_identities(P, sys_data, N, engine=eng)
+    rep = verify_extremal_identities(P)
     checks = [
         ("annihilation_left", all(not v for v in rep.annihilation_left.values())),
         ("annihilation_right", all(not v for v in rep.annihilation_right.values())),

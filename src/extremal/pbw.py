@@ -579,7 +579,7 @@ class RewriteEngine:
         return self.monomial((), expr, (), bound)
 
 
-def rewrite_word(word, sys, order=None, N=64, engine=None):
+def rewrite_word(word, sys, N=64, engine=None):
     """Reduce an arbitrary word to PBW normal form as a TaylorElement.
 
     word items are generator pairs (i, j), Cartan letters ('h', k), Cartan
@@ -587,7 +587,7 @@ def rewrite_word(word, sys, order=None, N=64, engine=None):
     letter moves to the right end of the word, c X = X c(h + s_X), so only
     the generators are straightened.
     """
-    eng = engine if engine is not None else RewriteEngine(sys, order)
+    eng = engine if engine is not None else RewriteEngine(sys)
     gens, cartans = [], []
     for item in word:
         exp = 1

@@ -150,17 +150,17 @@ class IdentityReport:
         )
 
 
-def verify_extremal_identities(P, sys, N, engine=None):
+def verify_extremal_identities(P):
     """Check e_gamma P = P e_{-gamma} = 0 (simple gamma) and P^2 = P.
 
-    All checks are modulo the filtration F_{N-1}: multiplying by a generator
-    can pull one unit of raising degree out of the dropped tail, so residual
-    monomials of raising degree >= N are expected and ignored.
+    All checks are modulo the filtration F_{N-1}, N = P.bound: multiplying by
+    a generator can pull one unit of raising degree out of the dropped tail,
+    so residual monomials of raising degree >= N are expected and ignored.
     """
-    eng = engine if engine is not None else P.engine
+    eng, N = P.engine, P.bound
     deg = N - 1
     left, right = {}, {}
-    for root in sys.simple_roots:
+    for root in eng.sys.simple_roots:
         i, j = root
         e_plus = eng.generator(i, j, N)
         e_minus = eng.generator(j, i, N)
@@ -170,7 +170,7 @@ def verify_extremal_identities(P, sys, N, engine=None):
     return IdentityReport(annihilation_left=left, annihilation_right=right, idempotency=idem)
 
 
-def no_go_polynomial_residual(sys, N, engine=None):
+def no_go_polynomial_residual(sys, N):
     """Negative control for the no-go theorem.
 
     Clears the denominators of the truncated su(2)-type factor product (so the
@@ -181,7 +181,7 @@ def no_go_polynomial_residual(sys, N, engine=None):
     """
     from .pbw import Coeff, RewriteEngine, TaylorElement
 
-    eng = engine if engine is not None else RewriteEngine(sys)
+    eng = RewriteEngine(sys)
     big = 4 * N + 8  # large enough that nothing is dropped: computation is exact
     out = eng.one(big)
     for root in eng.order.sequence:

@@ -27,7 +27,7 @@ from .algebra import build_root_system
 from .exact import Radical, factorial_ratio, half, spin_range, sqrt_of_rational
 from .projector import apply_projector
 from .repmod import tensor
-from .su3gt import check_gt_label, gt_lower, gt_module
+from .su3gt import gt_label_index, gt_lower, gt_module
 from .wigner2 import cgc_closed, ninej, sixj
 
 __all__ = [
@@ -53,8 +53,8 @@ def pair_module(lam1, mu1, lam2, mu2):
 
 
 def _pair_index(lam1, mu1, g1, lam2, mu2, g2):
-    M2 = gt_module(lam2, mu2)
-    return gt_module(lam1, mu1).index(tuple(g1)) * M2.dim + M2.index(tuple(g2))
+    d2 = gt_module(lam2, mu2).dim
+    return gt_label_index(lam1, mu1, g1) * d2 + gt_label_index(lam2, mu2, g2)
 
 
 @lru_cache(maxsize=None)
@@ -133,7 +133,7 @@ def projector_matrix_element(
     Both refuse a label that is not in its irrep with ValueError.
     """
     for L, g in ((L1, g1), (L2, g2), (L3, g3), (L3, g3p), (L1, g1p), (L2, g2p)):
-        check_gt_label(*L, g)
+        gt_label_index(*L, g)
     if route == "direct":
         return _pme_direct(L1, g1, L2, g2, L3, g3, g3p, g1p, g2p)
     if route == "formula":
@@ -155,140 +155,73 @@ def _pme_direct(L1, g1, L2, g2, L3, g3, g3p, g1p, g2p):
 
 
 def _pme_formula(L1, g1, L2, g2, L3, g3, g3p, g1p, g2p):
+    # the sum over (j1'', j2'', t1'', t2'', t3'') of a shared factor times
+    # side(bra) times side(ket), inside the prefactors of both sides
     (lam1, mu1), (lam2, mu2), (lam3, mu3) = L1, L2, L3
-    j1, t1, t1z = (half(x) for x in g1)
-    j2, t2, t2z = (half(x) for x in g2)
-    j3, t3, t3z = (half(x) for x in g3)
-    j3p, t3p, t3zp = (half(x) for x in g3p)
-    j1p, t1p, t1zp = (half(x) for x in g1p)
-    j2p, t2p, t2zp = (half(x) for x in g2p)
     mu12, mu22, mu32 = Fraction(mu1, 2), Fraction(mu2, 2), Fraction(mu3, 2)
-    zero = Radical.from_rational(0)
-
     # weight conservation: the isospin projections are balanced by the two
-    # CGC prefactors below, the hypercharges by an implicit constraint on
-    # the j labels (y1 + y2 = y3 on both sides)
+    # t-CGCs below, the hypercharges by an implicit constraint on the j
+    # labels (y1 + y2 = y3 on both sides)
     delta = Fraction((2 * lam1 + mu1) + (2 * lam2 + mu2) - (2 * lam3 + mu3), 6)
-    if j1 + j2 - j3 != delta or j1p + j2p - j3p != delta:
-        return zero
+    outer = Radical.from_rational((lam3 + 1) * (mu3 + 1) * (lam3 + mu3 + 2))
+    a_sq = Fraction(1)
+    sides = []
+    for labels in ((g1, g2, g3), (g1p, g2p, g3p)):
+        (j1, t1, t1z), (j2, t2, t2z), (j3, t3, t3z) = ([half(x) for x in g] for g in labels)
+        if j1 + j2 - j3 != delta:
+            return _ZERO
+        outer = outer * cgc_closed(t1, t1z, t2, t2z, t3, t3z)
+        a_sq *= factorial_ratio(
+            [2 * j1 + 1, 2 * j2 + 1,
+             lam3 + mu32 - j3 + t3 + 1, lam3 + mu32 - j3 - t3],
+            [lam1 + mu12 - j1 + t1 + 1, lam1 + mu12 - j1 - t1,
+             lam2 + mu22 - j2 + t2 + 1, lam2 + mu22 - j2 - t2, 2 * j3],
+        ) * (2 * t1 + 1) * (2 * t2 + 1)
+        sides.append((j1, t1, j2, t2, j3, t3))
+    if not outer:
+        return _ZERO
 
-    c_bra = cgc_closed(t1, t1z, t2, t2z, t3, t3z)
-    if not c_bra:
-        return zero
-    c_ket = cgc_closed(t1p, t1zp, t2p, t2zp, t3p, t3zp)
-    if not c_ket:
-        return zero
+    def side(j1, t1, j2, t2, j3, t3):
+        # one side's factors at the summation point
+        jsum = j1 + j2 - j1pp - j2pp
+        out = sixj(j1 - j1pp, j1pp, j1, mu12, t1, t1pp) * sixj(
+            j2 - j2pp, j2pp, j2, mu22, t2, t2pp
+        ) * sixj(j3, rest, jsum, t3pp, t3, mu32)
+        if not out:
+            return out
+        rat = factorial_ratio([2 * jsum + 1], [2 * (j1 - j1pp), 2 * (j2 - j2pp)])
+        nine = ninej(((j1 - j1pp, j2 - j2pp, jsum), (t1pp, t2pp, t3pp), (t1, t2, t3)))
+        return out * nine * rat
 
-    a_sq = factorial_ratio(
-        [2 * j1 + 1, 2 * j2 + 1,
-         lam3 + mu32 - j3 + t3 + 1, lam3 + mu32 - j3 - t3],
-        [lam1 + mu12 - j1 + t1 + 1, lam1 + mu12 - j1 - t1,
-         lam2 + mu22 - j2 + t2 + 1, lam2 + mu22 - j2 - t2, 2 * j3],
-    ) * factorial_ratio(
-        [2 * j1p + 1, 2 * j2p + 1,
-         lam3 + mu32 - j3p + t3p + 1, lam3 + mu32 - j3p - t3p],
-        [lam1 + mu12 - j1p + t1p + 1, lam1 + mu12 - j1p - t1p,
-         lam2 + mu22 - j2p + t2p + 1, lam2 + mu22 - j2p - t2p, 2 * j3p],
-    ) * Fraction(
-        (int(2 * t1) + 1) * (int(2 * t2) + 1)
-        * (int(2 * t1p) + 1) * (int(2 * t2p) + 1)
-    )
-    if not a_sq:
-        return zero
-    a_fac = sqrt_of_rational(a_sq)
-
-    total = zero
-    for j1pp in spin_range(0, min(j1, j1p)):
-        for j2pp in spin_range(0, min(j2, j2p)):
-            jsum = j1 + j2 - j1pp - j2pp
-            jsump = j1p + j2p - j1pp - j2pp
-            if (j1 + j2 - j3 - j1pp - j2pp) < 0:
-                continue
-            if (j1p + j2p - j3p - j1pp - j2pp) < 0:
-                continue
+    bra, ket = sides
+    total = _ZERO
+    for j1pp in spin_range(0, min(bra[0], ket[0])):
+        for j2pp in spin_range(0, min(bra[2], ket[2])):
+            rest = delta - j1pp - j2pp  # j1 + j2 - j3 - j1'' - j2'', both sides
+            if rest < 0:
+                break
+            # summation points where a factorial argument is not an integer,
+            # or a numerator one is negative, lie outside the admissible label
+            # lattice and contribute nothing
             for t1pp in spin_range(0, j1pp + mu12):
+                if (mu12 + j1pp + t1pp).denominator != 1 or lam1 + mu12 - j1pp - t1pp < 0:
+                    continue
                 for t2pp in spin_range(0, j2pp + mu22):
-                    t3pp = abs(t1pp - t2pp)
-                    while t3pp <= t1pp + t2pp:
-                        term = _cgc6_term(
-                            lam1, mu12, lam2, mu22, lam3, mu32,
-                            j1, t1, j2, t2, j3, t3,
-                            j1p, t1p, j2p, t2p, j3p, t3p,
-                            j1pp, j2pp, t1pp, t2pp, t3pp,
-                        )
-                        if term:
-                            n1 = ninej(
-                                ((j1 - j1pp, j2 - j2pp, jsum),
-                                 (t1pp, t2pp, t3pp),
-                                 (t1, t2, t3))
-                            )
-                            if n1:
-                                n2 = ninej(
-                                    ((j1p - j1pp, j2p - j2pp, jsump),
-                                     (t1pp, t2pp, t3pp),
-                                     (t1p, t2p, t3p))
-                                )
-                                if n2:
-                                    total = total + term * n1 * n2
-                        t3pp += Fraction(1, 2)
-    scale = Fraction((lam3 + 1) * (mu3 + 1) * (lam3 + mu3 + 2))
-    return c_bra * c_ket * a_fac * total * Radical.from_rational(scale)
-
-
-def _cgc6_term(
-    lam1, mu12, lam2, mu22, lam3, mu32,
-    j1, t1, j2, t2, j3, t3,
-    j1p, t1p, j2p, t2p, j3p, t3p,
-    j1pp, j2pp, t1pp, t2pp, t3pp,
-):
-    """One coefficient C of the quintuple sum, six 6j symbols included."""
-    zero = Radical.from_rational(0)
-    jsum = j1 + j2 - j1pp - j2pp
-    jsump = j1p + j2p - j1pp - j2pp
-    # summation points where a factorial argument is not an integer lie
-    # outside the admissible label lattice and contribute nothing
-    for x in (
-        mu12 + j1pp + t1pp,
-        mu22 + j2pp + t2pp,
-        mu32 + j1 + j2 - j3 - j1pp - j2pp + t3pp,
-    ):
-        if x.denominator != 1:
-            return zero
-    if lam1 + mu12 - j1pp - t1pp < 0 or lam2 + mu22 - j2pp - t2pp < 0:
-        return zero
-    rat = factorial_ratio(
-        [2 * jsum + 1, 2 * jsump + 1],
-        [2 * j1pp, 2 * j2pp, 2 * (j1 - j1pp), 2 * (j2 - j2pp),
-         2 * (j1p - j1pp), 2 * (j2p - j2pp), 2 * (j1 + j2 - j3 - j1pp - j2pp)],
-    )
-    if not rat:
-        return zero
-    rat = rat * factorial_ratio(
-        [lam1 + mu12 - j1pp + t1pp + 1, lam1 + mu12 - j1pp - t1pp,
-         lam2 + mu22 - j2pp + t2pp + 1, lam2 + mu22 - j2pp - t2pp],
-        [lam3 + mu32 + j1 + j2 - j3 - j1pp - j2pp + t3pp + 2,
-         lam3 + mu32 + j1 + j2 - j3 - j1pp - j2pp - t3pp + 1],
-    )
-    if not rat:
-        return zero
-    rat = rat * Fraction(
-        (int(2 * t1pp) + 1) * (int(2 * t2pp) + 1) * (int(2 * t3pp) + 1)
-    )
-    # the phase must treat both sides alike (the printed mixed form breaks
-    # hermiticity between bra and ket labels); with the hypercharge selection
-    # rule the all-unprimed and all-primed readings coincide
-    phase = (-1) ** int(2 * (j1 + j2 + j3 - j1pp - j2pp))
-    sixjs = [
-        sixj(j1 - j1pp, j1pp, j1, mu12, t1, t1pp),
-        sixj(j2 - j2pp, j2pp, j2, mu22, t2, t2pp),
-        sixj(j3, j1 + j2 - j3 - j1pp - j2pp, jsum, t3pp, t3, mu32),
-        sixj(j1p - j1pp, j1pp, j1p, mu12, t1p, t1pp),
-        sixj(j2p - j2pp, j2pp, j2p, mu22, t2p, t2pp),
-        sixj(j3p, j1p + j2p - j3p - j1pp - j2pp, jsump, t3pp, t3p, mu32),
-    ]
-    out = Radical.from_rational(Fraction(phase) * rat)
-    for sj in sixjs:
-        if not sj:
-            return zero
-        out = out * sj
-    return out
+                    if (mu22 + j2pp + t2pp).denominator != 1 or lam2 + mu22 - j2pp - t2pp < 0:
+                        continue
+                    for t3pp in spin_range(abs(t1pp - t2pp), t1pp + t2pp):
+                        if (mu32 + rest + t3pp).denominator != 1:
+                            continue
+                        b = side(*bra)
+                        if not b:
+                            continue
+                        shared = factorial_ratio(
+                            [lam1 + mu12 - j1pp + t1pp + 1, lam1 + mu12 - j1pp - t1pp,
+                             lam2 + mu22 - j2pp + t2pp + 1, lam2 + mu22 - j2pp - t2pp],
+                            [2 * j1pp, 2 * j2pp, 2 * rest,
+                             lam3 + mu32 + rest + t3pp + 2, lam3 + mu32 + rest - t3pp + 1],
+                        ) * (2 * t1pp + 1) * (2 * t2pp + 1) * (2 * t3pp + 1)
+                        # the phase (-1)^(2(j1 + j2 + j3 - j1'' - j2'')) is the
+                        # same on both sides, as j1 + j2 + j3 = delta + 2 j3
+                        total = total + b * side(*ket) * (shared * (-1) ** int(2 * rest))
+    return outer * sqrt_of_rational(a_sq) * total

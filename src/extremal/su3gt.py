@@ -33,7 +33,7 @@ __all__ = [
     "enumerate_gt_labels",
     "gt_hypercharge",
     "gt_norm_factor",
-    "check_gt_label",
+    "gt_label_index",
     "gt_vector",
     "gt_lower",
     "gt_module",
@@ -109,28 +109,31 @@ def _gt_norm_factor(lam, mu, j, t):
     return sqrt_of_rational(ratio)
 
 
-def check_gt_label(lam, mu, label):
-    """ValueError unless `label` = (j, t, t_z) labels a vector of (lam, mu):
-    (j, t) admissible, and t - t_z an integer in [0, 2t]."""
-    if tuple(label) not in _gt_labels(int(lam), int(mu)):
+def gt_label_index(lam, mu, label):
+    """Position of `label` = (j, t, t_z) in the GT basis of (lam, mu).
+
+    ValueError unless it labels a vector there: (j, t) admissible, and
+    t - t_z an integer in [0, 2t]."""
+    k = _gt_index(int(lam), int(mu)).get(tuple(half(x) for x in label))
+    if k is None:
         j, t, _ = (half(x) for x in label)
         gt_norm_factor(lam, mu, j, t)  # names an inadmissible (j, t)
         raise ValueError("inadmissible GT label %s for (%d, %d)" % (label, lam, mu))
+    return k
 
 
 @lru_cache(maxsize=64)
-def _gt_labels(lam, mu):
-    return frozenset(enumerate_gt_labels(lam, mu))
+def _gt_index(lam, mu):
+    """{label: position} in label order, the one record of which labels exist."""
+    return {lab: k for k, lab in enumerate(enumerate_gt_labels(lam, mu))}
 
 
 def gt_lower(M, lam, mu, label, v):
-    """Apply the GT lowering operator of (lam, mu) for `label` to v in M."""
+    """Apply the GT lowering operator of (lam, mu) for `label` to v in M;
+    ValueError unless `label` is one of (lam, mu)'s."""
+    gt_label_index(lam, mu, label)
     j, t, tz = (half(x) for x in label)
-    # t - t_z is an integer in [0, 2t]: the half-integers t and t_z share a
-    # denominator, and then |t_z| <= t compares their numerators
-    if tz.denominator != t.denominator or abs(tz.numerator) > t.numerator:
-        raise ValueError("inadmissible GT label %s for (%d, %d)" % (label, lam, mu))
-    norm = gt_norm_factor(lam, mu, j, t)  # ValueError on an inadmissible (j, t)
+    norm = gt_norm_factor(lam, mu, j, t)
     mu2 = Fraction(mu, 2)
     coords = mat_pow_vec(M.matrix((2, 1)), v.coords, j - mu2 + t)
     coords = mat_pow_vec(M.matrix((3, 1)), coords, j + mu2 - t)
@@ -144,18 +147,16 @@ def gt_vector(lam, mu, label):
     """The GT basis vector for `label` as exact coordinates in the realized
     module of su3_irrep(lam, mu)."""
     lam, mu = int(lam), int(mu)
-    v = _gt_basis(lam, mu).get(tuple(label))
-    if v is None:  # the basis holds exactly the admissible labels
-        raise ValueError("inadmissible GT label %s for (%d, %d)" % (label, lam, mu))
-    return v
+    k = gt_label_index(lam, mu, label)
+    return _gt_basis(lam, mu)[k]
 
 
 @lru_cache(maxsize=None)
 def _gt_basis(lam, mu):
-    """{label: GT vector} in label order, built once."""
+    """The GT vectors in label order, built once."""
     M = su3_irrep(lam, mu)
     top = M.basis_vector(0)
-    return {lab: gt_lower(M, lam, mu, lab, top) for lab in enumerate_gt_labels(lam, mu)}
+    return [gt_lower(M, lam, mu, lab, top) for lab in enumerate_gt_labels(lam, mu)]
 
 
 @lru_cache(maxsize=None)
@@ -171,8 +172,8 @@ def gt_module(lam, mu):
     vectors).  e31 = [e32, e21]; each raising generator is the transpose.
     """
     lam, mu = su3_label(lam, mu)
-    tags = enumerate_gt_labels(lam, mu)
-    index = {lab: k for k, lab in enumerate(tags)}
+    index = _gt_index(lam, mu)
+    tags = list(index)
     mu2, half1 = Fraction(mu, 2), Fraction(1, 2)
     e21, e32 = {}, {}
     for c, (j, t, tz) in enumerate(tags):

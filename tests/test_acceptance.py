@@ -183,10 +183,10 @@ def test_criterion_5_symbolic_identities():
     t0 = time.monotonic()
     eng2 = RewriteEngine(SU2)
     P2 = extremal_projector(SU2, N=6, engine=eng2)
-    assert verify_extremal_identities(P2, SU2, 6, engine=eng2).ok
+    assert verify_extremal_identities(P2).ok
     eng3 = RewriteEngine(SU3)
     P3 = extremal_projector(SU3, N=4, engine=eng3)
-    assert verify_extremal_identities(P3, SU3, 4, engine=eng3).ok
+    assert verify_extremal_identities(P3).ok
     # no-go control: the denominator-cleared polynomial cannot be annihilated
     assert no_go_polynomial_residual(SU2, 3).terms
     _report(5, "su(2) N=6 and su(3) N=4 identities + no-go control", t0, 120)
@@ -382,14 +382,21 @@ def test_criterion_7_su3_cgc():
         triples = _compatible_triples((1, 0), (1, 0), L3)
         pairs = [(bra, ket) for bra in triples for ket in triples]
         total_nonzero += _check_dual_route((1, 0), (1, 0), L3, pairs)
-    # deterministic sample on 8 x 3
+    # deterministic samples on 8 x 3, on 8 x 8, where the octet occurs
+    # twice, and on 6 x 6bar
     rng = random.Random(20250825)
-    for L3 in ((2, 1), (0, 2), (1, 0)):
-        triples = _compatible_triples((1, 1), (1, 0), L3)
-        pairs = [(bra, ket) for bra in triples for ket in triples]
-        if len(pairs) > 140:
-            pairs = rng.sample(pairs, 140)
-        total_nonzero += _check_dual_route((1, 1), (1, 0), L3, pairs)
+    samples = (
+        ((1, 1), (1, 0), ((2, 1), (0, 2), (1, 0)), 140),
+        ((1, 1), (1, 1), ((2, 2), (3, 0), (0, 3), (1, 1), (0, 0)), 12),
+        ((2, 0), (0, 2), ((2, 2), (1, 1), (0, 0)), 12),
+    )
+    for L1, L2, constituents, size in samples:
+        for L3 in constituents:
+            triples = _compatible_triples(L1, L2, L3)
+            pairs = [(bra, ket) for bra in triples for ket in triples]
+            if len(pairs) > size:
+                pairs = rng.sample(pairs, size)
+            total_nonzero += _check_dual_route(L1, L2, L3, pairs)
     assert total_nonzero > 0
     _report(7, "coupled bases + dual routes, %d nonzero" % total_nonzero, t0, 300)
 

@@ -91,7 +91,7 @@ def test_identities_su2():
     N = 4
     eng = RewriteEngine(SU2)
     P = extremal_projector(SU2, N=N, engine=eng)
-    rep = verify_extremal_identities(P, SU2, N, engine=eng)
+    rep = verify_extremal_identities(P)
     assert rep.ok
 
 
@@ -99,7 +99,7 @@ def test_identities_su3_small():
     N = 2
     eng = RewriteEngine(SU3)
     P = extremal_projector(SU3, N=N, engine=eng)
-    rep = verify_extremal_identities(P, SU3, N, engine=eng)
+    rep = verify_extremal_identities(P)
     assert rep.ok
 
 

@@ -162,14 +162,29 @@ def test_direct_route_refuses_an_inadmissible_label(bad):
             projector_matrix_element((1, 0), g1, (0, 1), g2, L3, g3, g3p, g1, g2)
 
 
-@pytest.mark.parametrize("tz", [Fraction(3, 2), Fraction(-3, 2)])
-def test_a_projection_outside_the_t_spin_is_refused(tz):
-    # t_z = +-(t + 1): unchecked, one reads 0 and the other hits a factorial pole
-    g3 = (0, HALF, tz)
-    with pytest.raises(ValueError, match="inadmissible GT label"):
-        su3_cgc(1, 0, (0, 0, 0), 0, 1, (HALF, 0, 0), 1, 1, g3)
-    with pytest.raises(ValueError, match="inadmissible GT label"):
-        coupled_vector(1, 0, 0, 1, 1, 1, 1, g3)
+@pytest.mark.parametrize(
+    "slot, bad, message",
+    [
+        pytest.param(2, (0, HALF, 3 * HALF), "inadmissible GT label", id="tz0"),
+        pytest.param(2, (0, HALF, -3 * HALF), "inadmissible GT label", id="tz1"),
+        pytest.param(0, (0, 0, 1), "inadmissible GT label", id="g1-tz"),
+        pytest.param(0, (5, 0, 0), r"\(j, t\) = \(5, 0\)", id="g1-jt"),
+        pytest.param(1, (HALF, 0, 3 * HALF), "inadmissible GT label", id="g2-tz"),
+        pytest.param(1, (5, 0, 0), r"\(j, t\) = \(5, 0\)", id="g2-jt"),
+    ],
+)
+def test_a_projection_outside_the_t_spin_is_refused(slot, bad, message):
+    # t_z = +-(t + 1) in g3: unchecked, one reads 0 and the other hits a
+    # factorial pole; a bad g1 or g2 is named like a bad g3, and so is an
+    # inadmissible (j, t) there
+    labels = [(0, 0, 0), (HALF, 0, 0), (0, HALF, HALF)]
+    labels[slot] = bad
+    g1, g2, g3 = labels
+    with pytest.raises(ValueError, match=message):
+        su3_cgc(1, 0, g1, 0, 1, g2, 1, 1, g3)
+    if slot == 2:
+        with pytest.raises(ValueError, match=message):
+            coupled_vector(1, 0, 0, 1, 1, 1, 1, g3)
 
 
 @pytest.mark.parametrize("route", ["direct", "formula"])
