@@ -33,6 +33,7 @@ from .projector import (
     no_go_polynomial_residual,
     verify_extremal_identities,
 )
+from .repmod import su3_label
 from .su3gt import enumerate_gt_labels, gt_hypercharge, gt_norm_factor, gt_vector
 from .wigner2 import cgc_closed, cgc_projector, ninej, sixj
 
@@ -96,7 +97,7 @@ def records_cgc_su2(args):
 
 
 def records_cgc_su3(args):
-    from .su3cgc import coupled_vector, decompose, pair_module
+    from .su3cgc import coupled_basis, decompose, pair_module
 
     lam1, mu1, lam2, mu2 = args.lam1, args.mu1, args.lam2, args.mu2
     found = decompose(lam1, mu1, lam2, mu2)
@@ -115,8 +116,8 @@ def records_cgc_su3(args):
     out = []
     for lam3, mu3 in targets:
         for s in range(1, len(found[(lam3, mu3)]) + 1):
-            for g3 in enumerate_gt_labels(lam3, mu3):
-                v = coupled_vector(lam1, mu1, lam2, mu2, lam3, mu3, s, g3)
+            vecs = coupled_basis(lam1, mu1, lam2, mu2, lam3, mu3, s)
+            for g3, v in zip(enumerate_gt_labels(lam3, mu3), vecs):
                 for idx in sorted(v.coords):
                     g1, g2 = tags[idx]
                     out.append(
@@ -152,7 +153,7 @@ def records_ninej(args):
 
 
 def records_gt_basis(args):
-    lam, mu = args.lam, args.mu
+    lam, mu = su3_label(args.lam, args.mu)
     out = []
     for lab in enumerate_gt_labels(lam, mu):
         v = gt_vector(lam, mu, lab)

@@ -68,13 +68,21 @@ def projector_factor(sys, root, N, engine=None):
     return TaylorElement(eng, N, terms)
 
 
+def _engine_order(sys, order, engine):
+    """engine.order; ValueError if `order` is given and is another ordering."""
+    if order is not None and normal_ordering(sys, order) != engine.order:
+        raise ValueError("order %s differs from the engine's ordering %s"
+                         % (normal_ordering(sys, order).sequence, engine.order.sequence))
+    return engine.order
+
+
 def extremal_projector(sys, order=None, N=4, engine=None):
     """Product of the per-root factors along the normal ordering, left to right."""
     from .pbw import RewriteEngine
 
     eng = engine if engine is not None else RewriteEngine(sys, order)
     out = eng.one(N)
-    for root in eng.order.sequence:
+    for root in _engine_order(sys, order, eng).sequence:
         out = out * projector_factor(sys, root, N, engine=eng)
     return out
 
@@ -116,7 +124,7 @@ def apply_factor(root, v, M):
 
 def apply_projector(sys, v, M, order=None, engine=None):
     """Act with the extremal projector on a module vector by apply_factor,
-    rightmost factor first; `engine`, if given, supplies the ordering.
+    rightmost factor first; an `engine` supplies the ordering, and `order` must match it.
 
     The expanded PBW product of the factors picks up spurious poles that
     cancel between its monomials; each factor alone meets poles only on
@@ -125,7 +133,7 @@ def apply_projector(sys, v, M, order=None, engine=None):
     if M.n != sys.n:
         raise ValueError("algebra rank mismatch")
     if engine is not None:
-        order = engine.order
+        order = _engine_order(sys, order, engine)
     for root in reversed(normal_ordering(sys, order).sequence):
         v = apply_factor(root, v, M)
         if v.is_zero():

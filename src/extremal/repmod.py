@@ -4,10 +4,12 @@ Matrices are sparse dicts {(row, col): Radical} over an orthonormal basis;
 weights are tuples of h_i eigenvalues (Fractions).  su(3) irreps are realized
 inside tensor powers of the fundamental and antifundamental representations:
 the cyclic submodule of the highest-weight product vector is generated by
-lowering, all in integer arithmetic.  Each weight space is Gram-Schmidt
-orthogonalized into primitive integer vectors u, the orthonormal basis is
-u/|u|, and a generator matrix entry is the integer u_a . (e_ij u_b) over
-|u_a| |u_b|, one square root per nonzero entry.
+lowering, all in integer arithmetic.  Each lowered vector is Gram-Schmidt
+reduced against its weight space as it is found, into a primitive integer
+vector u, the orthonormal basis is u/|u|, and a lowering matrix entry is the
+integer u_a . (e_ij u_b) over |u_a| |u_b|, one square root per nonzero
+entry.  Every raising matrix is the transpose of a lowering one
+(`with_raising`).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ __all__ = [
     "su3_label",
     "su3_irrep",
     "tensor",
+    "with_raising",
     "apply_element",
     "matrix_of",
 ]
@@ -75,6 +78,15 @@ def mat_mul(a, b):
 def mat_eq(a, b):
     keys = set(a) | set(b)
     return all(a.get(k, _ZERO) == b.get(k, _ZERO) for k in keys)
+
+
+def with_raising(lowering):
+    """The generator matrices from the lowering ones {(i, j): matrix}, i > j:
+    over an orthonormal basis with real entries, e_ji is the transpose of e_ij."""
+    mats = dict(lowering)
+    for (i, j), m in lowering.items():
+        mats[(j, i)] = {(c, r): v for (r, c), v in m.items()}
+    return mats
 
 
 # -- modules ---------------------------------------------------------
@@ -187,16 +199,12 @@ def _su2_cached(jnum, jden):
     ms = [j - k for k in range(int(2 * j) + 1)]  # highest first
     tags = ["m=%s" % m for m in ms]
     weights = [(Fraction(2) * m,) for m in ms]
-    up, down = {}, {}
-    for idx, m in enumerate(ms):
-        if m < j:
-            # J+ |j m> = sqrt((j-m)(j+m+1)) |j m+1>
-            up[(idx - 1, idx)] = sqrt_of_rational((j - m) * (j + m + 1))
-        if m > -j:
-            down[(idx + 1, idx)] = sqrt_of_rational((j + m) * (j - m + 1))
+    # J- |j m> = sqrt((j+m)(j-m+1)) |j m-1>
+    down = {(idx + 1, idx): sqrt_of_rational((j + m) * (j - m + 1))
+            for idx, m in enumerate(ms) if m > -j}
     return Irrep(
         algebra="su2", n=2, label=j, tags=tags, weights=weights,
-        matrices={(1, 2): up, (2, 1): down},
+        matrices=with_raising({(2, 1): down}),
     )
 
 
@@ -209,7 +217,8 @@ def su2_irrep(j):
 
 
 def tensor(a, b):
-    """Tensor product module with the diagonal action g x 1 + 1 x g."""
+    """Tensor product module with the diagonal action g x 1 + 1 x g on the
+    lowering generators; the raising ones are their transposes."""
     if a.algebra != b.algebra:
         raise ValueError("algebra mismatch: %s vs %s" % (a.algebra, b.algebra))
     tags = [(ta, tb) for ta in a.tags for tb in b.tags]
@@ -219,9 +228,8 @@ def tensor(a, b):
         for wa in a.weights
         for wb in b.weights
     ]
-    mats = {}
-    gens = set(a.matrices) | set(b.matrices)
-    for g in gens:
+    lowering = {}
+    for g in {g for g in (*a.matrices, *b.matrices) if g[0] > g[1]}:
         m = {}
         for (r, c), v in a.matrices.get(g, {}).items():
             for k in range(db):
@@ -230,22 +238,24 @@ def tensor(a, b):
             for k in range(a.dim):
                 key = (k * db + r, k * db + c)
                 m[key] = m.get(key, _ZERO) + v
-        mats[g] = {k: v for k, v in m.items() if v}
+        lowering[g] = {k: v for k, v in m.items() if v}
     return Irrep(
         algebra=a.algebra, n=a.n, label=(a.label, b.label),
-        tags=tags, weights=weights, matrices=mats,
+        tags=tags, weights=weights, matrices=with_raising(lowering),
     )
 
 
-_SU3_GENERATORS = [(i, j) for i in (1, 2, 3) for j in (1, 2, 3) if i != j]
+# The lowering generators of su(3), in the order the realization applies them.
+_LOWERING = ((2, 1), (3, 1), (3, 2))
 
 # A tensor factor of the realization: the weights of its three basis vectors,
-# and, per generator e_ij, its one nonzero matrix entry (row, col, value).
-# The fundamental has e_ij = E_ij; the antifundamental is its dual, -E_ji.
+# and, per lowering generator e_ij, its one nonzero matrix entry (row, col,
+# value).  The fundamental has e_ij = E_ij; the antifundamental is its dual,
+# -E_ji.
 _FUND = (((1, 0), (-1, 1), (0, -1)),
-         {(i, j): (i - 1, j - 1, 1) for i, j in _SU3_GENERATORS})
+         {(i, j): (i - 1, j - 1, 1) for i, j in _LOWERING})
 _ANTIFUND = (((-1, 0), (1, -1), (0, 1)),
-             {(i, j): (j - 1, i - 1, -1) for i, j in _SU3_GENERATORS})
+             {(i, j): (j - 1, i - 1, -1) for i, j in _LOWERING})
 
 
 def _int_mat_vec(by_col, vec):
@@ -268,24 +278,6 @@ def _primitive(vec):
     return {k: x // g for k, x in vec.items()}
 
 
-def _int_gs(vectors):
-    """Fraction-free Gram-Schmidt of independent integer vectors: each output
-    is the primitive integer vector along the rational Gram-Schmidt one, with
-    the same orientation."""
-    basis = []
-    for v in vectors:
-        w = dict(v)
-        for u, n2 in basis:
-            dot = _dot(w, u)
-            if dot:
-                # n2 * (w - (<w,u>/<u,u>) u): a positive multiple of the step
-                w = {k: n2 * w.get(k, 0) - dot * u.get(k, 0) for k in set(w) | set(u)}
-                w = {k: x for k, x in w.items() if x}
-        w = _primitive(w)
-        basis.append((w, _dot(w, w)))
-    return [u for u, _ in basis]
-
-
 def su3_label(lam, mu):
     """(lam, mu) as ints; ValueError unless both are nonnegative and within
     the desk-scale guard lam + mu <= 6 of the su(3) modules."""
@@ -302,17 +294,19 @@ def su3_irrep(lam, mu):
     """Exact su(3) irrep (lam, mu) realized in fund^lam x antifund^mu.
 
     The cyclic submodule of the highest-weight product vector is generated by
-    lowering.  Each weight space is Gram-Schmidt orthogonalized in integer
-    arithmetic; basis vector b is u_b / |u_b| for a primitive integer vector
-    u_b whose first product-basis coordinate is positive, so the entry (a, b)
-    of a generator is d / (|u_a| |u_b|) with the integer d = u_a . (e_ij u_b).
+    lowering, and each lowered vector is Gram-Schmidt reduced, in integer
+    arithmetic, against the basis already found in its weight space; a zero
+    residual marks it dependent.  Basis vector b is u_b / |u_b| for the
+    primitive residual u_b, signed so that its first product-basis coordinate
+    is positive, and the entry (a, b) of a lowering generator is
+    d / (|u_a| |u_b|) with the integer d = u_a . (e_ij u_b).
     """
     lam, mu = su3_label(lam, mu)
     dim_expected = (lam + 1) * (mu + 1) * (lam + mu + 2) // 2
     if lam == 0 and mu == 0:
-        mats = {g: {} for g in _SU3_GENERATORS}
         return Irrep(algebra="su3", n=3, label=(0, 0), tags=["0"],
-                     weights=[(Fraction(0), Fraction(0))], matrices=mats)
+                     weights=[(Fraction(0), Fraction(0))],
+                     matrices=with_raising({g: {} for g in _LOWERING}))
 
     components = [_FUND] * lam + [_ANTIFUND] * mu
     total = 3 ** len(components)
@@ -323,7 +317,7 @@ def su3_irrep(lam, mu):
     for cw, _ in components:
         pweights = [(a + x, b + y) for a, b in pweights for x, y in cw]
 
-    # product-space generator matrices, indexed by column
+    # product-space lowering matrices, indexed by column
     def pmatrix(g):
         by_col = {}
         for (_, entries), stride in zip(components, strides):
@@ -333,31 +327,31 @@ def su3_irrep(lam, mu):
                     by_col.setdefault(idx, []).append((idx + (r - c) * stride, val))
         return by_col
 
-    pmats = {g: pmatrix(g) for g in _SU3_GENERATORS}
-    lowering = [pmats[g] for g in ((2, 1), (3, 1), (3, 2))]
+    lowering = {g: pmatrix(g) for g in _LOWERING}
 
     # highest-weight product vector: every fundamental at e1, antifund at f3
     hi_idx = sum(s * (0 if comp is _FUND else 2) for comp, s in zip(components, strides))
     highest = {hi_idx: 1}
 
-    by_weight = {}  # weight -> (echelon rows, original vectors in order)
+    by_weight = {}  # weight -> [(primitive integer vector, its squared norm)]
 
     def insert(vec):
         if not vec:
             return False
-        w = pweights[next(iter(vec))]
-        ech, originals = by_weight.setdefault(w, ([], []))
+        found = by_weight.setdefault(pweights[next(iter(vec))], [])
         red = dict(vec)
-        for pivot, row in ech:
-            f = red.get(pivot)
-            if f:
-                p = row[pivot]
-                red = {k: p * red.get(k, 0) - f * row.get(k, 0) for k in set(red) | set(row)}
-                red = {k: v for k, v in red.items() if v}
+        for u, n2 in found:
+            dot = _dot(red, u)
+            if dot:
+                # n2 * (red - (<red,u>/<u,u>) u): a positive multiple of the step
+                red = {k: n2 * red.get(k, 0) - dot * u.get(k, 0) for k in set(red) | set(u)}
+                red = {k: x for k, x in red.items() if x}
         if not red:
             return False
-        ech.append((min(red), _primitive(red)))
-        originals.append(vec)
+        u = _primitive(red)
+        if u[min(u)] < 0:  # phase: first product-basis coordinate positive
+            u = {k: -x for k, x in u.items()}
+        found.append((u, _dot(u, u)))
         return True
 
     # cyclic submodule via repeated lowering, grouped by weight
@@ -365,45 +359,34 @@ def su3_irrep(lam, mu):
     queue = [highest]
     while queue:
         vec = queue.pop()
-        for mat in lowering:
+        for mat in lowering.values():
             nxt = _int_mat_vec(mat, vec)
             if insert(nxt):
                 queue.append(nxt)
 
-    # orthogonalize per weight space, deterministic basis order
-    def sort_key(w):
-        ht = -(w[0] + w[1])  # for su(3), w1 + w2 is the exact height
-        return (ht, tuple(-x for x in w))
-
-    basis = []  # (weight, primitive integer vector, its squared norm)
-    for w in sorted(by_weight, key=sort_key):
-        for u in _int_gs(by_weight[w][1]):
-            # phase: first product-basis coordinate positive
-            if u[min(u)] < 0:
-                u = {k: -x for k, x in u.items()}
-            basis.append((w, u, _dot(u, u)))
-
+    # deterministic basis order: by descending height (for su(3), w1 + w2 is
+    # the exact height), then by descending weight
+    order = sorted(by_weight, key=lambda w: (-(w[0] + w[1]), -w[0], -w[1]))
+    basis = [(w, u, n2) for w in order for u, n2 in by_weight[w]]
     if len(basis) != dim_expected:
         raise RuntimeError(
             "su(3) irrep (%d,%d): got %d basis vectors, expected %d"
             % (lam, mu, len(basis), dim_expected)
         )
 
-    tags = []
-    weights = []
-    in_weight = {}  # weight -> basis indices
+    tags, weights, in_weight = [], [], {}  # in_weight: weight -> basis indices
     for b, (w, _u, _n2) in enumerate(basis):
         tags.append("w=(%s,%s)#%d" % (w[0], w[1], len(in_weight.get(w, ()))))
         weights.append((Fraction(w[0]), Fraction(w[1])))
         in_weight.setdefault(w, []).append(b)
 
-    # generator matrices in the orthonormal basis: only the basis vectors of
+    # lowering matrices in the orthonormal basis: only the basis vectors of
     # the weight space that e_ij maps u_b into can pair with its image
     mats = {}
-    for g in _SU3_GENERATORS:
+    for g, pmat in lowering.items():
         cols = {}
         for b, (_w, ub, nb) in enumerate(basis):
-            img = _int_mat_vec(pmats[g], ub)
+            img = _int_mat_vec(pmat, ub)
             if not img:
                 continue
             for a in in_weight.get(pweights[next(iter(img))], ()):
@@ -415,7 +398,7 @@ def su3_irrep(lam, mu):
         mats[g] = cols
 
     return Irrep(algebra="su3", n=3, label=(lam, mu), tags=tags,
-                 weights=weights, matrices=mats)
+                 weights=weights, matrices=with_raising(mats))
 
 
 # -- application of Taylor elements ----------------------------------

@@ -4,8 +4,8 @@ projector matrix elements by two independent routes.
 Route (b), the authoritative one, works on the tensor product of two irreps,
 each over its GT basis (`su3gt.gt_module`), so that the product basis is
 the |g1> x |g2>: the coupled-system extremal projector yields the coupled
-highest vectors, explicit GT lowering words the rest of each coupled basis,
-and a CGC is one coordinate of a coupled vector.  Route (a) evaluates the
+highest vectors, `su3gt.gt_basis` the rest of each coupled basis, and a CGC
+is one coordinate of a coupled vector.  Route (a) evaluates the
 closed Wigner-calculus expression (su(2) CGCs, 6j and 9j symbols with fixed
 brace layouts); the two must agree, which is what pins down the layout and
 phase conventions recorded here.
@@ -27,13 +27,13 @@ from .algebra import build_root_system
 from .exact import Radical, factorial_ratio, half, spin_range, sqrt_of_rational
 from .projector import apply_projector
 from .repmod import tensor
-from .su3gt import gt_label_index, gt_lower, gt_module
+from .su3gt import gt_basis, gt_label_index, gt_module
 from .wigner2 import cgc_closed, ninej, sixj
 
 __all__ = [
     "pair_module",
     "decompose",
-    "coupled_vector",
+    "coupled_basis",
     "projector_matrix_element",
     "su3_cgc",
 ]
@@ -94,11 +94,11 @@ def decompose(lam1, mu1, lam2, mu2):
 
 
 @lru_cache(maxsize=None)
-def coupled_vector(lam1, mu1, lam2, mu2, lam3, mu3, s, label):
-    """The coupled vector |s (lam3 mu3) label> in pair_module(lam1, mu1,
-    lam2, mu2): the GT lowering word of (lam3, mu3) for `label` applied to
-    the s-th coupled highest vector.  Its coordinate at the tag (g1, g2) is
-    the CGC ((lam1 mu1) g1, (lam2 mu2) g2 | s (lam3 mu3) label)."""
+def coupled_basis(lam1, mu1, lam2, mu2, lam3, mu3, s):
+    """The coupled vectors |s (lam3 mu3) g3> in pair_module(lam1, mu1, lam2,
+    mu2), in the GT label order of (lam3, mu3): `gt_basis` applied to the
+    s-th coupled highest vector.  The coordinate of the one for g3 at the
+    tag (g1, g2) is the CGC ((lam1 mu1) g1, (lam2 mu2) g2 | s (lam3 mu3) g3)."""
     found = decompose(lam1, mu1, lam2, mu2)
     copies = found.get((lam3, mu3), ())
     if not 1 <= s <= len(copies):
@@ -107,16 +107,16 @@ def coupled_vector(lam1, mu1, lam2, mu2, lam3, mu3, s, label):
             % (lam3, mu3, len(copies), lam1, mu1, lam2, mu2, s)
         )
     Mt = pair_module(lam1, mu1, lam2, mu2)
-    return gt_lower(Mt, lam3, mu3, label, copies[s - 1])
+    return gt_basis(Mt, lam3, mu3, copies[s - 1])
 
 
 def su3_cgc(lam1, mu1, g1, lam2, mu2, g2, lam3, mu3, g3, s=1):
     """CGC ((lam1 mu1) g1, (lam2 mu2) g2 | s (lam3 mu3) g3), g = (j, t, t_z).
 
-    The coefficient is one coordinate of coupled_vector, the one at
-    |g1> x |g2>.
+    The coefficient is one coordinate of the coupled vector for g3, the one
+    at |g1> x |g2>.
     """
-    v = coupled_vector(lam1, mu1, lam2, mu2, lam3, mu3, s, tuple(g3))
+    v = coupled_basis(lam1, mu1, lam2, mu2, lam3, mu3, s)[gt_label_index(lam3, mu3, g3)]
     return v.coords.get(_pair_index(lam1, mu1, g1, lam2, mu2, g2), _ZERO)
 
 
@@ -145,10 +145,11 @@ def _pme_direct(L1, g1, L2, g2, L3, g3, g3p, g1p, g2p):
     # on the product, P^{L3}_{g3, g3'} = sum_s |s L3 g3> <s L3 g3'|
     bra = _pair_index(*L1, g1, *L2, g2)
     ket = _pair_index(*L1, g1p, *L2, g2p)
+    k3, k3p = gt_label_index(*L3, g3), gt_label_index(*L3, g3p)
     total = _ZERO
     for s in range(1, len(decompose(*L1, *L2).get(tuple(L3), ())) + 1):
-        u = coupled_vector(*L1, *L2, *L3, s, tuple(g3)).coords.get(bra)
-        v = coupled_vector(*L1, *L2, *L3, s, tuple(g3p)).coords.get(ket)
+        basis = coupled_basis(*L1, *L2, *L3, s)
+        u, v = basis[k3].coords.get(bra), basis[k3p].coords.get(ket)
         if u and v:
             total = total + u * v
     return total

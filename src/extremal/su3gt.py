@@ -1,15 +1,15 @@
 """Gelfand-Tsetlin basis for su(3) adapted to su(3) > u_Y(1) x su_T(2) > u(1).
 
 Basis vectors of the irrep (lam, mu) are labeled (j, t, t_z): hypercharge
-y = -(2*lam + mu)/3 + 2j, T-spin t, projection t_z.  `gt_vector` builds each
-one in the realized module `su3_irrep` by the explicit lowering operator
-
-    N_jt * P^t_{t_z;t} * e31^(j + mu/2 - t) * e21^(j - mu/2 + t) |h>,
-
-where P^t is the general projection operator of the T-spin su(2) subalgebra
-(T+ = e23, T- = e32, T0 = (e22 - e33)/2) and N_jt a closed-form factorial
-normalization; its extremal part is the (2,3) factor of the su(3) projector,
-applied by `projector.apply_factor`.
+y = -(2*lam + mu)/3 + 2j, T-spin t, projection t_z.  `gt_basis` builds all
+of them from a highest vector |h>, climbing each (j, t) multiplet once: its
+top vector (t_z = t) is N_jt * P^t * e31^(j + mu/2 - t) * e21^(j - mu/2 + t) |h>,
+where P^t is the extremal projector of the T-spin su(2) subalgebra
+(T+ = e23, T- = e32, T0 = (e22 - e33)/2), applied as the (2,3) factor of the
+su(3) projector by `projector.apply_factor`, and N_jt a closed-form factorial
+normalization.  Each lower t_z is e32 on the vector before it, divided by
+the e32 entry sqrt((t + t_z + 1)(t - t_z)).  `gt_vector` reads the vectors
+built in the realized module `su3_irrep`.
 
 `gt_module` is the irrep over its GT basis from the closed Gelfand-Tsetlin
 matrix elements (Molev, arXiv math/0211289, Thm 2.3) in the frame
@@ -27,7 +27,8 @@ from functools import lru_cache
 
 from .exact import factorial_ratio, half, projections, spin_range, sqrt_of_rational
 from .projector import apply_factor
-from .repmod import Irrep, ModuleVector, mat_mul, mat_pow_vec, su3_irrep, su3_label
+from .repmod import Irrep, ModuleVector, mat_mul, mat_pow_vec, mat_vec, with_raising
+from .repmod import su3_irrep, su3_label
 
 __all__ = [
     "enumerate_gt_labels",
@@ -35,7 +36,7 @@ __all__ = [
     "gt_norm_factor",
     "gt_label_index",
     "gt_vector",
-    "gt_lower",
+    "gt_basis",
     "gt_module",
     "su3_engine",
 ]
@@ -128,35 +129,37 @@ def _gt_index(lam, mu):
     return {lab: k for k, lab in enumerate(enumerate_gt_labels(lam, mu))}
 
 
-def gt_lower(M, lam, mu, label, v):
-    """Apply the GT lowering operator of (lam, mu) for `label` to v in M;
-    ValueError unless `label` is one of (lam, mu)'s."""
-    gt_label_index(lam, mu, label)
-    j, t, tz = (half(x) for x in label)
-    norm = gt_norm_factor(lam, mu, j, t)
+def gt_basis(M, lam, mu, v):
+    """Every GT vector of (lam, mu) in label order, built in M from its
+    highest vector v: the top of each (j, t) multiplet by the lowering
+    operator, and each next t_z by one e32 step over its GT entry."""
     mu2 = Fraction(mu, 2)
-    coords = mat_pow_vec(M.matrix((2, 1)), v.coords, j - mu2 + t)
-    coords = mat_pow_vec(M.matrix((3, 1)), coords, j + mu2 - t)
-    w = apply_factor((2, 3), ModuleVector(coords), M)
-    w = ModuleVector(mat_pow_vec(M.matrix((3, 2)), w.coords, t - tz))
-    scalar = sqrt_of_rational(factorial_ratio([t + tz], [2 * t, t - tz]))
-    return w.scale(norm * scalar)
+    e21, e31, e32 = (M.matrix(g) for g in ((2, 1), (3, 1), (3, 2)))
+    out = []
+    for j, t, tz in enumerate_gt_labels(lam, mu):
+        if tz == t:
+            coords = mat_pow_vec(e21, v.coords, j - mu2 + t)
+            w = ModuleVector(mat_pow_vec(e31, coords, j + mu2 - t))
+            w = apply_factor((2, 3), w, M).scale(gt_norm_factor(lam, mu, j, t))
+        else:
+            step = sqrt_of_rational(Fraction(1, (t + tz + 1) * (t - tz)))
+            w = ModuleVector(mat_vec(e32, w.coords)).scale(step)
+        out.append(w)
+    return out
 
 
 def gt_vector(lam, mu, label):
     """The GT basis vector for `label` as exact coordinates in the realized
     module of su3_irrep(lam, mu)."""
-    lam, mu = int(lam), int(mu)
-    k = gt_label_index(lam, mu, label)
-    return _gt_basis(lam, mu)[k]
+    lam, mu = su3_label(lam, mu)
+    return _gt_basis(lam, mu)[gt_label_index(lam, mu, label)]
 
 
 @lru_cache(maxsize=None)
 def _gt_basis(lam, mu):
     """The GT vectors in label order, built once."""
     M = su3_irrep(lam, mu)
-    top = M.basis_vector(0)
-    return [gt_lower(M, lam, mu, lab, top) for lab in enumerate_gt_labels(lam, mu)]
+    return gt_basis(M, lam, mu, M.basis_vector(0))
 
 
 @lru_cache(maxsize=None)
@@ -189,8 +192,6 @@ def gt_module(lam, mu):
     for k, v in mat_mul(e21, e32).items():
         e31[k] = e31.get(k, 0) - v
     mats = {(3, 1): {k: v for k, v in e31.items() if v}, (2, 1): e21, (3, 2): e32}
-    for (i, j), m in list(mats.items()):
-        mats[(j, i)] = {(c, r): v for (r, c), v in m.items()}
     weights = [(Fraction(2 * lam + mu, 2) - 3 * j - tz, 2 * tz) for j, _, tz in tags]
     return Irrep(algebra="su3", n=3, label=(lam, mu), tags=tags,
-                 weights=weights, matrices=mats)
+                 weights=weights, matrices=with_raising(mats))

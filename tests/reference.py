@@ -3,8 +3,8 @@
 Nothing in `extremal` calls these.  They are the older or symbolic routes:
 the term-by-term product of `TaylorElement`s, su(2) general projection
 operators built as `TaylorElement`s, the tensor form of the su(3) projector,
-the GT raising word, the GT module read off the projector-built vectors, and
-small exact matrix algebra.
+the GT lowering word of one label and its raising word, the GT module read
+off the projector-built vectors, and small exact matrix algebra.
 The tests compare the package's numeric routes against them.
 """
 
@@ -26,7 +26,7 @@ from extremal.repmod import (
     mat_vec,
     su3_irrep,
 )
-from extremal.su3gt import enumerate_gt_labels, gt_norm_factor, gt_vector
+from extremal.su3gt import enumerate_gt_labels, gt_label_index, gt_norm_factor, gt_vector
 
 _ZERO = Radical.from_rational(0)
 _ONE = Radical.from_rational(1)
@@ -262,7 +262,23 @@ def apply_tensor_form(lam, mu, v, M):
     return v
 
 
-# -- the GT raising word -----------------------------------------------
+# -- the GT lowering and raising words ----------------------------------
+
+
+def gt_lower(M, lam, mu, label, v):
+    """Apply the GT lowering operator of (lam, mu) for `label` to v in M,
+    from the highest vector v every time; ValueError unless `label` is one
+    of (lam, mu)'s."""
+    gt_label_index(lam, mu, label)
+    j, t, tz = (half(x) for x in label)
+    norm = gt_norm_factor(lam, mu, j, t)
+    mu2 = Fraction(mu, 2)
+    coords = mat_pow_vec(M.matrix((2, 1)), v.coords, j - mu2 + t)
+    coords = mat_pow_vec(M.matrix((3, 1)), coords, j + mu2 - t)
+    w = apply_factor((2, 3), ModuleVector(coords), M)
+    w = ModuleVector(mat_pow_vec(M.matrix((3, 2)), w.coords, t - tz))
+    scalar = sqrt_of_rational(factorial_ratio([t + tz], [2 * t, t - tz]))
+    return w.scale(norm * scalar)
 
 
 def gt_raise(M, lam3, mu3, label, v):

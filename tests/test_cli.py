@@ -176,6 +176,18 @@ def test_domain_error_exit_code(capsys, command, message):
     assert err == "error: %s\n" % message
 
 
+def test_gt_basis_checks_the_guard_before_enumerating_labels(capsys, monkeypatch):
+    # enumerating the labels of (80, 80) alone takes seconds and hundreds of MB
+    def refuse(lam, mu):
+        raise AssertionError("labels of (%d, %d) enumerated" % (lam, mu))
+
+    monkeypatch.setattr(cli, "enumerate_gt_labels", refuse)
+    code, out, err = run(capsys, "gt-basis", "--lam", "80", "--mu", "80")
+    assert code == 2
+    assert out == ""
+    assert err == "error: desk-scale guard: lam + mu <= 6\n"
+
+
 @pytest.mark.parametrize("suite", sorted(cli.SUITES))
 def test_verify_negative_trunc_is_refused(capsys, suite):
     # a negative bound would sweep nothing and report every check as passed

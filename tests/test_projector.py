@@ -1,6 +1,7 @@
 """Projector factors, sequential application, and the defining identities."""
 
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -114,6 +115,26 @@ def test_both_su3_orderings_agree_on_module():
         assert a == b
 
 
+@pytest.mark.parametrize("function", ["extremal_projector", "apply_projector"])
+def test_an_order_other_than_the_engines_is_refused(function):
+    # the engine fixes the ordering: another `order` is named, not ignored
+    default = ((1, 2), (1, 3), (2, 3))
+    reverse = ((2, 3), (1, 3), (1, 2))
+    eng = RewriteEngine(SU3)
+    M = su3_irrep(1, 1)
+    v = M.basis_vector(3)
+
+    def call(order):
+        if function == "extremal_projector":
+            return extremal_projector(SU3, order=order, N=2, engine=eng).dump()
+        return apply_projector(SU3, v, M, order=order, engine=eng)
+
+    message = "order %s differs from the engine's ordering %s" % (reverse, default)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(reverse)
+    assert call(default) == call(None)
+
+
 def test_apply_projector_fixes_highest_weight():
     M = su3_irrep(2, 1)
     hw = M.basis_vector(0)
@@ -224,7 +245,7 @@ def test_numeric_routes_never_reach_the_symbolic_engine(monkeypatch, capsys):
         raise AssertionError("symbolic element applied on a numeric route")
 
     caches = (su3gt._gt_basis, su3gt.gt_module, su3cgc.decompose,
-              su3cgc.coupled_vector, wigner2._projected_tower)
+              su3cgc.coupled_basis, wigner2._projected_tower)
     for cache in caches:
         cache.cache_clear()
     monkeypatch.setattr(repmod, "_apply_raw", refuse)

@@ -10,14 +10,14 @@ from extremal.exact import Radical, sqrt_of_rational
 from extremal.projector import apply_projector
 from extremal.repmod import ModuleVector, mat_vec, su3_irrep, tensor
 from extremal.su3cgc import (
-    coupled_vector,
+    coupled_basis,
     decompose,
     pair_module,
     projector_matrix_element,
     su3_cgc,
 )
-from extremal.su3gt import enumerate_gt_labels, gt_lower, gt_module, gt_vector
-from reference import apply_tensor_form, build_tensor_form, coeff_A, gt_raise
+from extremal.su3gt import enumerate_gt_labels, gt_label_index, gt_module, gt_vector
+from reference import apply_tensor_form, build_tensor_form, coeff_A, gt_lower, gt_raise
 
 SU3 = build_root_system(3)
 HALF = Fraction(1, 2)
@@ -184,7 +184,7 @@ def test_a_projection_outside_the_t_spin_is_refused(slot, bad, message):
         su3_cgc(1, 0, g1, 0, 1, g2, 1, 1, g3)
     if slot == 2:
         with pytest.raises(ValueError, match=message):
-            coupled_vector(1, 0, 0, 1, 1, 1, 1, g3)
+            gt_label_index(1, 1, g3)
 
 
 @pytest.mark.parametrize("route", ["direct", "formula"])
@@ -367,7 +367,7 @@ def test_coupling_builds_no_realized_module(capsys):
     from extremal import cli, repmod, su3cgc, su3gt
 
     caches = (repmod.su3_irrep, su3gt._gt_basis, su3gt.gt_module, su3cgc.pair_module,
-              su3cgc.decompose, su3cgc.coupled_vector)
+              su3cgc.decompose, su3cgc.coupled_basis)
     for cache in caches:
         cache.cache_clear()
     assert cli.main(["cgc-su3", "--lam1", "1", "--mu1", "1", "--lam2", "1",
@@ -391,7 +391,7 @@ def test_coupled_vectors_are_unitary_and_equivariant():
             for L3, copies in decompose(*L1, *L2).items():
                 G3 = gt_module(*L3)
                 for s in range(1, len(copies) + 1):
-                    vecs = [coupled_vector(*L1, *L2, *L3, s, g3) for g3 in G3.tags]
+                    vecs = coupled_basis(*L1, *L2, *L3, s)
                     for g, mat in G3.matrices.items():
                         expect = [ModuleVector({}) for _ in vecs]
                         for (r, c), coef in mat.items():

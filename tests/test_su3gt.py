@@ -9,6 +9,7 @@ from extremal.repmod import su3_irrep
 from extremal.su3gt import (
     admissible_jt,
     enumerate_gt_labels,
+    gt_basis,
     gt_hypercharge,
     gt_module,
     gt_norm_factor,
@@ -205,20 +206,22 @@ def test_gt_matrices_satisfy_commutators():
     assert mat_eq(comm, diag)
 
 
-def test_gt_lower_runs_once_per_label(monkeypatch):
-    from extremal import su3gt
+def test_gt_basis_runs_once_per_irrep_and_coupled_copy(monkeypatch):
+    from extremal import su3cgc, su3gt
     from extremal.su3cgc import su3_cgc
 
     calls = {}
-    real = su3gt.gt_lower
+    real = su3gt.gt_basis
 
-    def counting(M, lam, mu, label, v):
-        key = (lam, mu) + tuple(label)
+    def counting(M, lam, mu, v):
+        key = (M.label, lam, mu)
         calls[key] = calls.get(key, 0) + 1
-        return real(M, lam, mu, label, v)
+        return real(M, lam, mu, v)
 
-    monkeypatch.setattr(su3gt, "gt_lower", counting)
+    monkeypatch.setattr(su3gt, "gt_basis", counting)
+    monkeypatch.setattr(su3cgc, "gt_basis", counting)
     su3gt._gt_basis.cache_clear()
+    su3cgc.coupled_basis.cache_clear()
     for _ in range(2):
         for lam, mu in ((1, 0), (0, 1), (1, 1)):
             for lab in enumerate_gt_labels(lam, mu):
@@ -226,8 +229,48 @@ def test_gt_lower_runs_once_per_label(monkeypatch):
         for g1 in enumerate_gt_labels(1, 0):
             for g2 in enumerate_gt_labels(0, 1):
                 su3_cgc(1, 0, g1, 0, 1, g2, 1, 1, (HALF, 1, 0))
+        for s in (1, 2):  # the octet occurs twice in 8 x 8
+            for g3 in enumerate_gt_labels(1, 1):
+                su3_cgc(1, 1, (0, HALF, HALF), 1, 1, (HALF, 0, 0), 1, 1, g3, s=s)
         gt_module(1, 1)
-    want = {(lam, mu) + lab for lam, mu in ((1, 0), (0, 1), (1, 1))
-            for lab in enumerate_gt_labels(lam, mu)}
-    assert set(calls) == want
-    assert set(calls.values()) == {1}
+    assert calls == {
+        ((1, 0), 1, 0): 1, ((0, 1), 0, 1): 1, ((1, 1), 1, 1): 1,
+        (((1, 0), (0, 1)), 1, 1): 1, (((1, 1), (1, 1)), 1, 1): 2,
+    }
+
+
+def _lowered_per_label(M, lam, mu, top):
+    from reference import gt_lower
+
+    return [gt_lower(M, lam, mu, lab, top) for lab in enumerate_gt_labels(lam, mu)]
+
+
+@pytest.mark.parametrize("lam, mu", [(l, s - l) for s in range(5) for l in range(s + 1)])
+def test_gt_basis_equals_the_per_label_lowering_in_the_realized_irrep(lam, mu):
+    M = su3_irrep(lam, mu)
+    top = M.basis_vector(0)
+    assert gt_basis(M, lam, mu, top) == _lowered_per_label(M, lam, mu, top)
+
+
+def test_gt_basis_equals_the_per_label_lowering_in_the_octet_product():
+    # 8 x 8 holds every irrep with lam + mu <= 4 that it decomposes into,
+    # the octet twice: each copy climbs from its own coupled highest vector
+    from extremal.su3cgc import decompose, pair_module
+
+    Mt = pair_module(1, 1, 1, 1)
+    found = decompose(1, 1, 1, 1)
+    assert len(found[(1, 1)]) == 2
+    for (lam, mu), copies in found.items():
+        for hv in copies:
+            assert gt_basis(Mt, lam, mu, hv) == _lowered_per_label(Mt, lam, mu, hv)
+
+
+def test_gt_vector_checks_the_guard_before_enumerating_labels(monkeypatch):
+    from extremal import su3gt
+
+    def refuse(lam, mu):
+        raise AssertionError("labels of (%d, %d) enumerated" % (lam, mu))
+
+    monkeypatch.setattr(su3gt, "enumerate_gt_labels", refuse)
+    with pytest.raises(ValueError, match=r"desk-scale guard: lam \+ mu <= 6"):
+        gt_vector(60, 60, (0, 30, 30))
