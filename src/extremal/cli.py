@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -74,25 +75,19 @@ def records_cgc_su2(args):
                            % (args.j3, j1, j2))
         j3s = [args.j3]
     out = []
+    s1, s2 = str(j1), str(j2)
     for j3 in j3s:
+        s3 = str(j3)
         for m3 in projections(j3):
+            t3 = str(m3)
             for m1 in projections(j1):
                 m2 = m3 - m1
                 if abs(m2) > j2:
                     continue
                 v = cgc_closed(j1, m1, j2, m2, j3, m3)
-                if not v:
-                    continue
-                out.append(
-                    _record(
-                        [
-                            ("j1", str(j1)), ("m1", str(m1)),
-                            ("j2", str(j2)), ("m2", str(m2)),
-                            ("j3", str(j3)), ("m3", str(m3)),
-                        ],
-                        v,
-                    )
-                )
+                if v:
+                    out.append(_record([("j1", s1), ("m1", str(m1)), ("j2", s2),
+                                        ("m2", str(m2)), ("j3", s3), ("m3", t3)], v))
     return out
 
 
@@ -351,6 +346,7 @@ def emit(text, out_path):
         raise
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser():
     p = argparse.ArgumentParser(
         prog="extremal",
@@ -368,7 +364,6 @@ def build_parser():
     sp.add_argument("--j2", type=half, required=True)
     sp.add_argument("--j3", type=half, default=None)
     common(sp)
-    sp.set_defaults(builder=records_cgc_su2)
 
     sp = sub.add_parser("cgc-su3", help="su(3) Clebsch-Gordan table")
     for name in ("lam1", "mu1", "lam2", "mu2"):
@@ -376,52 +371,46 @@ def build_parser():
     sp.add_argument("--lam3", type=int, default=None)
     sp.add_argument("--mu3", type=int, default=None)
     common(sp)
-    sp.set_defaults(builder=records_cgc_su3)
 
     sp = sub.add_parser("sixj", help="su(2) 6j symbol")
     for k in range(1, 7):
         sp.add_argument("--j%d" % k, type=half, required=True)
     common(sp)
-    sp.set_defaults(builder=records_sixj)
 
     sp = sub.add_parser("ninej", help="su(2) 9j symbol")
     for k in range(1, 10):
         sp.add_argument("--j%d" % k, type=half, required=True)
     common(sp)
-    sp.set_defaults(builder=records_ninej)
 
     sp = sub.add_parser("gt-basis", help="Gelfand-Tsetlin basis of an su(3) irrep")
     sp.add_argument("--lam", type=int, required=True)
     sp.add_argument("--mu", type=int, required=True)
     common(sp)
-    sp.set_defaults(builder=records_gt_basis)
 
     sp = sub.add_parser("projector", help="dump the truncated extremal projector")
     sp.add_argument("--algebra", choices=("su2", "su3"), required=True)
     sp.add_argument("--trunc", type=int, default=4)
     sp.add_argument("--order", default=None, help="normal ordering, e.g. 12,13,23")
     common(sp)
-    sp.set_defaults(builder=records_projector)
 
     sp = sub.add_parser("verify", help="run a verification suite")
     sp.add_argument("--suite", choices=sorted(SUITES), required=True)
     sp.add_argument("--trunc", type=int, default=None)
     common(sp)
-    sp.set_defaults(builder=records_verify)
 
     return p
 
 
 def main(argv=None):
-    parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     for i in range(len(argv) - 1, 0, -1):
         # argparse takes a value such as -1/2 for an option: glue it to its flag
         if re.fullmatch(r"-\d+/\d+", argv[i]) and argv[i - 1].startswith("--"):
             argv[i - 1:i + 1] = [argv[i - 1] + "=" + argv[i]]
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        records = args.builder(args)
+        # looked up at call time, so that a replaced records_* function is used
+        records = globals()["records_" + args.command.replace("-", "_")](args)
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

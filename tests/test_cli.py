@@ -1,5 +1,6 @@
 """Command-line interface: formats, determinism, exit codes, atomic output."""
 
+import argparse
 import csv
 import hashlib
 import io
@@ -251,6 +252,57 @@ def test_internal_failure_exit_code(monkeypatch, capsys, exc):
     assert err.count("\n") == 1
 
 
+def test_table_function_is_looked_up_at_call_time(monkeypatch, capsys):
+    # the parser is built once, but a records_* function replaced after that
+    # is the one called (test_internal_failure_exit_code does this for sixj)
+    cli.build_parser()
+
+    def fail(args):
+        raise RuntimeError("replaced")
+
+    monkeypatch.setattr(cli, "records_cgc_su2", fail)
+    code, out, err = run(capsys, "cgc-su2", "--j1", "1", "--j2", "1/2")
+    assert code == 4
+    assert out == ""
+    assert err == "error: RuntimeError: replaced\n"
+
+
+def test_every_subcommand_has_a_table_function():
+    (action,) = [a for a in cli.build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(action.choices) == ["cgc-su2", "cgc-su3", "gt-basis", "ninej",
+                                      "projector", "sixj", "verify"]
+    for command in action.choices:
+        assert callable(getattr(cli, "records_" + command.replace("-", "_")))
+
+
+def test_cached_parser_keeps_no_state_between_calls(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    # an optional given once is not carried into the next call
+    _, single, _ = run(capsys, "cgc-su2", "--j1", "1", "--j2", "1", "--j3", "0",
+                       "--format", "json")
+    code, full, _ = run(capsys, "cgc-su2", "--j1", "1", "--j2", "1", "--format", "json")
+    assert code == 0
+    assert {r["j3"] for r in json.loads(single)["records"]} == {"0"}
+    assert {r["j3"] for r in json.loads(full)["records"]} == {"0", "1", "2"}
+    assert len(json.loads(full)["records"]) == 9 + 6 + 3
+    # nor is a format
+    _, as_csv, _ = run(capsys, "cgc-su2", "--j1", "1/2", "--j2", "1/2", "--format", "csv")
+    code, pretty, _ = run(capsys, "cgc-su2", "--j1", "1/2", "--j2", "1/2")
+    assert code == 0
+    assert as_csv.startswith('"j1","m1",')
+    assert pretty.split("\n")[0].split() == ["j1", "m1", "j2", "m2", "j3", "m3",
+                                              "value", "value_float"]
+    # a usage error leaves the parser fit for the next request
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["cgc-su2", "--j1", "1/3", "--j2", "1/2"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, "cgc-su2", "--j1", "1/2", "--j2", "1/2")
+    assert code == 0
+    assert out == pretty
+
+
 # sha256 of stdout for cheap commands; any change to a printed byte (value,
 # order, spacing, format) changes a digest
 STDOUT_DIGESTS = [
@@ -299,6 +351,12 @@ STDOUT_DIGESTS = [
      "285f69f6dd33db70746658775dbbee1c92c1be659bf23389466abadce26f00a5"),
     ("cgc-su3 --lam1 1 --mu1 0 --lam2 1 --mu2 0 --lam3 0 --mu3 1 --format json",
      "0e4723c9f4d5d7a56f28622ea323c56816d787706667b807718da41ee8b91c91"),
+    ("cgc-su2 --j1 3/2 --j2 5/2 --format json",
+     "006b9818d062a0ae28f4ff1c14fa733203cf8fea96f29fba5c4f35ba75c6a5d1"),
+    ("cgc-su2 --j1 6 --j2 6 --j3 7 --format csv",
+     "36158ce3fac4c4ae4a4ca66f475ff9d2dca48609013517c667c0e28e418aa338"),
+    ("cgc-su2 --j1 0 --j2 2",
+     "8639578483a896ce4b4b8748231094744f32496e51528866e6d427cd09185de8"),
 ]
 
 

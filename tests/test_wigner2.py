@@ -11,7 +11,7 @@ from sympy.physics.wigner import clebsch_gordan, wigner_6j, wigner_9j
 from extremal.exact import Radical, projections, spin_range, sqrt_of_rational
 from extremal.repmod import su2_irrep
 from extremal.wigner2 import cgc_closed, cgc_projector, ninej, sixj
-from reference import general_projector, lowering_monomial
+from reference import cgc_sqrt_times_sum, general_projector, lowering_monomial
 
 HALF = Fraction(1, 2)
 
@@ -221,6 +221,23 @@ def test_cgc_against_sympy():
                 assert sympy.expand(_sympy(val) - ref) == 0, (j1, m1, j2, m2, j3)
                 count += 1
     assert count == 809
+
+
+def test_cgc_signed_root_equals_root_times_sum():
+    # the sign taken inside the one square root gives the same canonical
+    # Radical as sqrt(pref) * sum, for every coefficient with j1, j2 <= 4
+    count = 0
+    for j1, j2 in product(_spins(4), repeat=2):
+        for j3 in (j1 + j2 - k for k in range(int(2 * min(j1, j2)) + 1)):
+            for m1, m2 in product(projections(j1), projections(j2)):
+                if abs(m1 + m2) > j3:
+                    continue
+                doubled = [int(2 * x) for x in (j1, m1, j2, m2, j3, m1 + m2)]
+                val = cgc_closed(j1, m1, j2, m2, j3, m1 + m2)
+                ref = cgc_sqrt_times_sum(*doubled)
+                assert val == ref and val.terms == ref.terms, (j1, m1, j2, m2, j3)
+                count += 1
+    assert count == 7809
 
 
 def test_sixj_against_sympy():
