@@ -75,19 +75,25 @@ def records_cgc_su2(args):
                            % (args.j3, j1, j2))
         j3s = [args.j3]
     out = []
-    s1, s2 = str(j1), str(j2)
     for j3 in j3s:
-        s3 = str(j3)
         for m3 in projections(j3):
-            t3 = str(m3)
             for m1 in projections(j1):
                 m2 = m3 - m1
                 if abs(m2) > j2:
                     continue
                 v = cgc_closed(j1, m1, j2, m2, j3, m3)
-                if v:
-                    out.append(_record([("j1", s1), ("m1", str(m1)), ("j2", s2),
-                                        ("m2", str(m2)), ("j3", s3), ("m3", t3)], v))
+                if not v:
+                    continue
+                out.append(
+                    _record(
+                        [
+                            ("j1", str(j1)), ("m1", str(m1)),
+                            ("j2", str(j2)), ("m2", str(m2)),
+                            ("j3", str(j3)), ("m3", str(m3)),
+                        ],
+                        v,
+                    )
+                )
     return out
 
 
@@ -346,7 +352,7 @@ def emit(text, out_path):
         raise
 
 
-@functools.lru_cache(maxsize=1)
+@functools.cache
 def build_parser():
     p = argparse.ArgumentParser(
         prog="extremal",
@@ -408,9 +414,10 @@ def main(argv=None):
         if re.fullmatch(r"-\d+/\d+", argv[i]) and argv[i - 1].startswith("--"):
             argv[i - 1:i + 1] = [argv[i - 1] + "=" + argv[i]]
     args = build_parser().parse_args(argv)
+    # looked up at call time, so that a replaced records_* function is used
+    build = globals()["records_" + args.command.replace("-", "_")]
     try:
-        # looked up at call time, so that a replaced records_* function is used
-        records = globals()["records_" + args.command.replace("-", "_")](args)
+        records = build(args)
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -53,7 +53,7 @@ def _cgc_closed(j1, m1, j2, m2, j3, m3):
         [(j1 + m1) // 2, x, y, (j2 - m2) // 2, (j3 + m3) // 2, (j3 - m3) // 2],
         [(j1 + j2 + j3) // 2 + 1, a, b, c],
     )
-    return sqrt_of_rational(pref * total * total, -1 if total < 0 else 1)
+    return sqrt_of_rational(pref) * total
 
 
 def _coupling(*labels):

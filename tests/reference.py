@@ -125,25 +125,6 @@ def reference_mul(a, b):
     return TaylorElement(eng, bound, acc).canonical()
 
 
-# -- su(2) closed CGC with the sign outside the square root ------------
-
-
-def cgc_sqrt_times_sum(j1, m1, j2, m2, j3, m3):
-    """Racah's binomial sum for (j1 m1 j2 m2 | j3 m3) on doubled int labels
-    that pass the selection rules, as sqrt(pref) times the signed integer
-    sum: one general Radical product, where `wigner2` takes one signed
-    square root."""
-    a, b, c = (j1 + j2 - j3) // 2, (j1 - j2 + j3) // 2, (j2 + j3 - j1) // 2
-    x, y = (j1 - m1) // 2, (j2 + m2) // 2
-    total = sum((-1) ** k * math.comb(a, k) * math.comb(b, x - k) * math.comb(c, y - k)
-                for k in range(max(0, x - b, y - c), min(a, x, y) + 1))
-    pref = (j3 + 1) * factorial_ratio(
-        [(j1 + m1) // 2, x, y, (j2 - m2) // 2, (j3 + m3) // 2, (j3 - m3) // 2],
-        [(j1 + j2 + j3) // 2 + 1, a, b, c],
-    )
-    return sqrt_of_rational(pref) * total
-
-
 # -- su(2) general projection operators as symbolic elements ----------
 
 

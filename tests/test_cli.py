@@ -239,32 +239,23 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
 ])
 def test_internal_failure_exit_code(monkeypatch, capsys, exc):
     # self-checks, poles and the recursion limit exit 4 with one stderr line;
-    # the sixj table function is replaced by one that raises
-    def fail(args):
-        raise exc
-
-    monkeypatch.setattr(cli, "records_sixj", fail)
-    code, out, err = run(capsys, "sixj", "--j1", "1", "--j2", "1", "--j3", "1",
-                         "--j4", "1", "--j5", "1", "--j6", "1")
-    assert code == 4
-    assert out == ""
-    assert err.startswith("error: %s: " % type(exc).__name__)
-    assert err.count("\n") == 1
-
-
-def test_table_function_is_looked_up_at_call_time(monkeypatch, capsys):
-    # the parser is built once, but a records_* function replaced after that
-    # is the one called (test_internal_failure_exit_code does this for sixj)
+    # the table function is replaced, after the parser is built, by one that
+    # raises, so main must look it up when it is called
     cli.build_parser()
 
     def fail(args):
-        raise RuntimeError("replaced")
+        raise exc
 
-    monkeypatch.setattr(cli, "records_cgc_su2", fail)
-    code, out, err = run(capsys, "cgc-su2", "--j1", "1", "--j2", "1/2")
-    assert code == 4
-    assert out == ""
-    assert err == "error: RuntimeError: replaced\n"
+    for command, argv in [
+        ("sixj", ["--j1", "1", "--j2", "1", "--j3", "1", "--j4", "1", "--j5", "1", "--j6", "1"]),
+        ("cgc-su2", ["--j1", "1", "--j2", "1/2"]),
+    ]:
+        monkeypatch.setattr(cli, "records_" + command.replace("-", "_"), fail)
+        code, out, err = run(capsys, command, *argv)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: %s: " % type(exc).__name__)
+        assert err.count("\n") == 1
 
 
 def test_every_subcommand_has_a_table_function():

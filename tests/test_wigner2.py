@@ -8,10 +8,11 @@ import pytest
 import sympy
 from sympy.physics.wigner import clebsch_gordan, wigner_6j, wigner_9j
 
+from extremal import exact, wigner2
 from extremal.exact import Radical, projections, spin_range, sqrt_of_rational
 from extremal.repmod import su2_irrep
 from extremal.wigner2 import cgc_closed, cgc_projector, ninej, sixj
-from reference import cgc_sqrt_times_sum, general_projector, lowering_monomial
+from reference import general_projector, lowering_monomial
 
 HALF = Fraction(1, 2)
 
@@ -223,21 +224,31 @@ def test_cgc_against_sympy():
     assert count == 809
 
 
-def test_cgc_signed_root_equals_root_times_sum():
-    # the sign taken inside the one square root gives the same canonical
-    # Radical as sqrt(pref) * sum, for every coefficient with j1, j2 <= 4
-    count = 0
-    for j1, j2 in product(_spins(4), repeat=2):
-        for j3 in (j1 + j2 - k for k in range(int(2 * min(j1, j2)) + 1)):
-            for m1, m2 in product(projections(j1), projections(j2)):
-                if abs(m1 + m2) > j3:
-                    continue
-                doubled = [int(2 * x) for x in (j1, m1, j2, m2, j3, m1 + m2)]
-                val = cgc_closed(j1, m1, j2, m2, j3, m1 + m2)
-                ref = cgc_sqrt_times_sum(*doubled)
-                assert val == ref and val.terms == ref.terms, (j1, m1, j2, m2, j3)
-                count += 1
-    assert count == 7809
+def test_cgc_closed_at_large_spin_factors_only_the_prefactor(monkeypatch):
+    # Racah's sum often has a large prime factor q, and trial division of it
+    # would run to about q^(2/3); only the factorial prefactor, whose primes
+    # are at most j1 + j2 + j3 + 1, may go through the squarefree split.
+    # (20 -12 20 12 | 32 0) is such a coefficient.
+    radicands = []
+    split = exact._squarefree_split
+    monkeypatch.setattr(exact, "_squarefree_split",
+                        lambda n: radicands.append(n) or split(n))
+    wigner2._cgc_closed.cache_clear()
+    j = Fraction(20)
+    rows = {}
+    for j3 in (Fraction(32), Fraction(18)):
+        rows[j3] = [cgc_closed(j, m1, j, -m1, j3, 0) for m1 in projections(j)]
+    assert rows[Fraction(32)][32] == cgc_closed(j, -12, j, 12, 32, 0)
+    # the rows of the unitary coupling matrix are orthonormal
+    for a, b in product(rows, repeat=2):
+        dot = sum((x * y for x, y in zip(rows[a], rows[b])), Radical.from_rational(0))
+        assert dot == Radical.from_rational(1 if a == b else 0), (a, b)
+    assert len(radicands) == 2 * 41
+    for n in radicands:
+        for p in range(2, 82):
+            while n % p == 0:
+                n //= p
+        assert n == 1
 
 
 def test_sixj_against_sympy():
