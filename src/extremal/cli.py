@@ -28,8 +28,9 @@ from . import exact
 from .exact import Radical, projections, spin_range, sqrt_of_rational
 # imported at load time on purpose: every perfbench workload must load pbw at
 # set-up, for tracing.install() and so that setup_s and run_s keep their split
-from .pbw import RewriteEngine
+from .pbw import RewriteEngine, TaylorElement
 from .projector import (
+    IdentityReport,
     extremal_projector,
     no_go_polynomial_residual,
     verify_extremal_identities,
@@ -223,13 +224,15 @@ def _verify_su_projector(n, trunc):
     sys_data = build_root_system(n)
     eng = RewriteEngine(sys_data)
     P = extremal_projector(sys_data, N=N, engine=eng)
-    rep = verify_extremal_identities(P)
-    checks = [
-        ("annihilation_left", all(not v for v in rep.annihilation_left.values())),
-        ("annihilation_right", all(not v for v in rep.annihilation_right.values())),
-        ("idempotency", not rep.idempotency),
-    ]
-    return checks
+    failures = verify_extremal_identities(P).failures()
+    for check, root, residual in failures:
+        L, c, R = residual[0]
+        first = TaylorElement(eng, N, {(L, R): c}).dump()
+        print("%s fails%s: %d-term residual, first %s"
+              % (check, " at root %s" % (root,) if root else "", len(residual), first),
+              file=sys.stderr)
+    failed = {check for check, _, _ in failures}
+    return [(check, check not in failed) for check in IdentityReport.CHECKS]
 
 
 def _verify_no_go(trunc):
@@ -301,6 +304,8 @@ SUITES = {
 def records_verify(args):
     if args.trunc is not None and args.trunc < 0:
         raise CliError("truncation bound must be >= 0")
+    if args.trunc is not None and args.suite in ("su3-gt", "su3-cgc"):
+        raise CliError("the %s suite takes no truncation bound" % args.suite)
     checks = SUITES[args.suite](args.trunc)
     return [
         {"suite": args.suite, "check": name, "ok": bool(ok)} for name, ok in checks

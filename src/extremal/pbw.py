@@ -680,7 +680,13 @@ class TaylorElement:
         return TaylorElement(self.engine, self.bound, {k: c * v for k, v in self.terms.items()})
 
     def __mul__(self, other):
-        """Product truncated at the smaller bound; a non-element scales.
+        """Product truncated at the smaller bound; a non-element scales."""
+        if not isinstance(other, TaylorElement):
+            return self.scale(other)
+        return self.mul(other)
+
+    def mul(self, other, bound=None):
+        """Product truncated at `bound`, by default the smaller input bound.
 
         Each pair of terms La ca Ra . Lb cb Rb straightens Ra Lb into core
         terms L1 c1 R1.  Filter first: R1 Rb is straightened and cut to
@@ -688,12 +694,19 @@ class TaylorElement:
         core term with nothing left is skipped.  The kept ones multiply
         once, ca shifted past L1 times c1 times cb shifted back past R1,
         and then by each term of La L1 and of the cut R1 Rb.
+
+        Each output term is kept or dropped by its own raising degree, so a
+        smaller `bound` gives exactly the full product's terms of raising
+        degree <= bound.  A larger one raises ValueError: terms above an
+        input's bound are not known.
         """
-        if not isinstance(other, TaylorElement):
-            return self.scale(other)
         self._check_compat(other)
         eng = self.engine
-        bound = min(self.bound, other.bound)
+        top = min(self.bound, other.bound)
+        if bound is None:
+            bound = top
+        elif bound > top:
+            raise ValueError("output bound %d exceeds the inputs' bound %d" % (bound, top))
         degree = TaylorElement.degree
         acc = {}
         for (La, Ra), ca in self.terms.items():

@@ -149,13 +149,21 @@ class IdentityReport:
     annihilation_right: dict  # root -> residual monomial list for P e_{-gamma}
     idempotency: list         # residual monomials of P^2 - P
 
+    CHECKS = ("annihilation_left", "annihilation_right", "idempotency")
+
+    def failures(self):
+        """(check, root, residual) for each nonempty residual, in CHECKS
+        order; the root is None for idempotency."""
+        out = [(check, root, res)
+               for check in self.CHECKS[:2]
+               for root, res in getattr(self, check).items() if res]
+        if self.idempotency:
+            out.append(("idempotency", None, self.idempotency))
+        return out
+
     @property
     def ok(self):
-        return (
-            all(not v for v in self.annihilation_left.values())
-            and all(not v for v in self.annihilation_right.values())
-            and not self.idempotency
-        )
+        return not self.failures()
 
 
 def verify_extremal_identities(P):
@@ -164,6 +172,14 @@ def verify_extremal_identities(P):
     All checks are modulo the filtration F_{N-1}, N = P.bound: multiplying by
     a generator can pull one unit of raising degree out of the dropped tail,
     so residual monomials of raising degree >= N are expected and ignored.
+
+    Each product is therefore cut at raising degree N - 1.  This is exact:
+    `TaylorElement.mul` keeps or drops each output term by that term's own
+    raising degree, so the cut product holds exactly the full product's
+    terms of degree <= N - 1, the only ones a residual keeps.  The inputs
+    stay at bound N, because in su(3) and above straightening can lower the
+    raising degree (e23 e12 = e12 e23 - e13), so their degree-N terms still
+    reach degree N - 1.
     """
     eng, N = P.engine, P.bound
     deg = N - 1
@@ -172,9 +188,9 @@ def verify_extremal_identities(P):
         i, j = root
         e_plus = eng.generator(i, j, N)
         e_minus = eng.generator(j, i, N)
-        left[root] = (e_plus * P).canonical().residual(eng.zero(N), deg)
-        right[root] = (P * e_minus).canonical().residual(eng.zero(N), deg)
-    idem = (P * P).canonical().residual(P, deg)
+        left[root] = e_plus.mul(P, deg).residual(eng.zero(N), deg)
+        right[root] = P.mul(e_minus, deg).residual(eng.zero(N), deg)
+    idem = P.mul(P, deg).residual(P, deg)
     return IdentityReport(annihilation_left=left, annihilation_right=right, idempotency=idem)
 
 

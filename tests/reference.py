@@ -1,10 +1,11 @@
 """Reference routes kept as independent checks of the package.
 
 Nothing in `extremal` calls these.  They are the older or symbolic routes:
-the term-by-term product of `TaylorElement`s, su(2) general projection
-operators built as `TaylorElement`s, the tensor form of the su(3) projector,
-the GT lowering word of one label and its raising word, the GT module read
-off the projector-built vectors, and small exact matrix algebra.
+the term-by-term product of `TaylorElement`s, the identity check on full
+products, su(2) general projection operators built as `TaylorElement`s, the
+tensor form of the su(3) projector, the GT lowering word of one label and its
+raising word, the GT module read off the projector-built vectors, and small
+exact matrix algebra.
 The tests compare the package's numeric routes against them.
 """
 
@@ -16,7 +17,12 @@ from fractions import Fraction
 from extremal.algebra import build_root_system
 from extremal.exact import Radical, factorial_ratio, half, sqrt_of_rational
 from extremal.pbw import TaylorElement, shared_engine
-from extremal.projector import apply_factor, extremal_projector, projector_factor
+from extremal.projector import (
+    IdentityReport,
+    apply_factor,
+    extremal_projector,
+    projector_factor,
+)
 from extremal.repmod import (
     Irrep,
     ModuleVector,
@@ -123,6 +129,24 @@ def reference_mul(a, b):
                         cur = acc.get(key)
                         acc[key] = v if cur is None else cur + v
     return TaylorElement(eng, bound, acc).canonical()
+
+
+def reference_verify(P):
+    """verify_extremal_identities with every product taken up to the full
+    bound N and only the residuals cut at raising degree N - 1;
+    `verify_extremal_identities` must give the same report while cutting
+    each product at N - 1."""
+    eng, N = P.engine, P.bound
+    deg = N - 1
+    left, right = {}, {}
+    for root in eng.sys.simple_roots:
+        i, j = root
+        e_plus = eng.generator(i, j, N)
+        e_minus = eng.generator(j, i, N)
+        left[root] = (e_plus * P).residual(eng.zero(N), deg)
+        right[root] = (P * e_minus).residual(eng.zero(N), deg)
+    idem = (P * P).residual(P, deg)
+    return IdentityReport(annihilation_left=left, annihilation_right=right, idempotency=idem)
 
 
 # -- su(2) general projection operators as symbolic elements ----------

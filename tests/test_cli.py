@@ -9,6 +9,7 @@ import json
 import pytest
 
 from extremal import cli
+from extremal.projector import IdentityReport
 
 
 def run(capsys, *argv):
@@ -198,6 +199,14 @@ def test_verify_negative_trunc_is_refused(capsys, suite):
     assert err == "error: truncation bound must be >= 0\n"
 
 
+@pytest.mark.parametrize("suite", ["su3-gt", "su3-cgc"])
+def test_verify_trunc_is_refused_where_no_suite_reads_it(capsys, suite):
+    code, out, err = run(capsys, "verify", "--suite", suite, "--trunc", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: the %s suite takes no truncation bound\n" % suite
+
+
 @pytest.mark.parametrize("suite", ["su2-projector", "su3-projector"])
 def test_verify_projector_zero_trunc_is_refused(capsys, suite):
     # at N = 0 no residual is kept, so every check would pass unexamined
@@ -230,6 +239,27 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     assert code == 3
     doc = json.loads(out)
     assert doc["records"][0]["ok"] is False
+
+
+def test_failing_projector_check_names_its_residual(monkeypatch, capsys):
+    # stdout and the exit code as for any failed check; stderr has one line
+    # per failing check and root, with the first residual monomial
+    def forged(P):
+        first, second, third = P.monomials()
+        return IdentityReport(annihilation_left={(1, 2): [second, third]},
+                              annihilation_right={(1, 2): []},
+                              idempotency=[third])
+
+    monkeypatch.setattr(cli, "verify_extremal_identities", forged)
+    code, out, err = run(capsys, "verify", "--suite", "su2-projector", "--trunc", "2",
+                         "--format", "json")
+    assert code == 3
+    assert [(r["check"], r["ok"]) for r in json.loads(out)["records"]] == [
+        ("annihilation_left", False), ("annihilation_right", True), ("idempotency", False)]
+    assert err.splitlines() == [
+        "annihilation_left fails at root (1, 2): 2-term residual, first e21 * [(-1)/(h1)] * e12",
+        "idempotency fails: 1-term residual, first e21^2 * [(1)/(2*(h1 - 2)*(h1 - 1))] * e12^2",
+    ]
 
 
 @pytest.mark.parametrize("exc", [

@@ -20,6 +20,7 @@ from extremal.pbw import (
     form_power,
     rewrite_word,
 )
+from extremal.projector import extremal_projector
 from extremal.repmod import (
     apply_element,
     mat_eq,
@@ -425,6 +426,63 @@ def test_product_matches_the_term_by_term_reference(n, eng2, eng3, data):
 
     a, b = element(), element()
     assert (a * b).terms == reference_mul(a, b).terms
+
+
+def _low_part(x, k):
+    """The terms of x of raising degree <= k."""
+    return {key: c for key, c in x.terms.items() if x.raising_degree(key) <= k}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_cut_product_is_the_low_part_of_the_full_one(n, eng2, eng3, data):
+    # the elements of test_product_matches_the_term_by_term_reference: an
+    # output bound k keeps exactly the full product's terms of degree <= k
+    sys_ = SU2 if n == 2 else SU3
+    eng = eng2 if n == 2 else eng3
+    gens = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    cartan = st.tuples(
+        st.sampled_from(["h", "expr", "recip"]), st.integers(1, n - 1), st.integers(-2, 2)
+    )
+    letter = st.one_of(st.sampled_from(gens), cartan)
+
+    def item(w):
+        if w[0] == "recip":
+            return 1 / (sympy.Symbol("h%d" % w[1]) + sympy.Rational(w[2], 2))
+        return _word_item(w)
+
+    def element():
+        N = data.draw(st.integers(0, 4))
+        x = eng.zero(N)
+        for word in data.draw(st.lists(st.lists(letter, max_size=5), min_size=1, max_size=3)):
+            x = x + rewrite_word([item(w) for w in word], sys_, engine=eng, N=N)
+        return x
+
+    a, b = element(), element()
+    full = a * b
+    top = min(a.bound, b.bound)
+    for k in range(top + 1):
+        cut = a.mul(b, k)
+        assert cut.bound == k
+        assert cut.terms == _low_part(full, k)
+    with pytest.raises(ValueError, match="exceeds the inputs' bound"):
+        a.mul(b, top + 1)
+
+
+def test_cut_product_of_the_su4_projector():
+    # straightening can lower the raising degree, so the inputs' degree-N
+    # terms still feed the low part of the product
+    N = 2
+    P = extremal_projector(build_root_system(4), N=N)
+    full = P * P
+    for k in range(N):  # k = N is P * P itself
+        assert P.mul(P, k).terms == _low_part(full, k)
+    for bad in (N + 1, N + 5):
+        with pytest.raises(ValueError, match="exceeds the inputs' bound 2"):
+            P.mul(P, bad)
+    with pytest.raises(ValueError, match="exceeds the inputs' bound 1"):
+        P.mul(P.mul(P, 1), 2)
 
 
 def test_exponent_letters():

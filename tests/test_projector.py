@@ -11,7 +11,7 @@ import sympy
 
 import extremal
 from extremal.algebra import build_root_system
-from extremal.pbw import RewriteEngine, SingularWeightError, rewrite_word
+from extremal.pbw import RewriteEngine, SingularWeightError, TaylorElement, rewrite_word
 from extremal.projector import (
     apply_factor,
     apply_projector,
@@ -29,7 +29,7 @@ from extremal.repmod import (
     su3_irrep,
     tensor,
 )
-from reference import mat_rank
+from reference import mat_rank, reference_verify
 
 SU2 = build_root_system(2)
 SU3 = build_root_system(3)
@@ -102,6 +102,36 @@ def test_identities_su3_small():
     P = extremal_projector(SU3, N=N, engine=eng)
     rep = verify_extremal_identities(P)
     assert rep.ok
+
+
+@pytest.mark.parametrize("n, N", [(2, N) for N in range(1, 7)] + [(3, N) for N in range(1, 4)])
+def test_cut_products_give_the_full_products_report(n, N):
+    sys_ = build_root_system(n)
+    P = extremal_projector(sys_, N=N, engine=RewriteEngine(sys_))
+    rep = verify_extremal_identities(P)
+    assert rep == reference_verify(P)
+    assert rep.ok
+
+
+def test_cut_products_hide_no_defect():
+    # double one coefficient at raising degree 1 and one at degree N: the
+    # check cut at N - 1 reports the same residuals as the full products
+    N = 3
+    P = extremal_projector(SU3, N=N, engine=RewriteEngine(SU3))
+    terms = dict(P.terms)
+    for d in (1, N):
+        key = min(k for k in terms if P.raising_degree(k) == d)
+        terms[key] = terms[key] * 2
+    bad = TaylorElement(P.engine, N, terms)
+    rep = verify_extremal_identities(bad)
+    assert rep == reference_verify(bad)
+    assert not rep.ok
+    assert rep.idempotency and any(rep.annihilation_left.values())
+
+
+def test_identities_su4():
+    P = extremal_projector(build_root_system(4), N=2)
+    assert verify_extremal_identities(P).ok
 
 
 def test_both_su3_orderings_agree_on_module():
