@@ -200,7 +200,7 @@ def test_verify_negative_trunc_is_refused(capsys, suite):
 
 
 @pytest.mark.parametrize("suite", ["su3-gt", "su3-cgc"])
-def test_verify_trunc_is_refused_where_no_suite_reads_it(capsys, suite):
+def test_verify_trunc_is_refused_by_the_fixed_suites(capsys, suite):
     code, out, err = run(capsys, "verify", "--suite", suite, "--trunc", "2")
     assert code == 2
     assert out == ""

@@ -478,9 +478,8 @@ def test_cut_product_of_the_su4_projector():
     full = P * P
     for k in range(N):  # k = N is P * P itself
         assert P.mul(P, k).terms == _low_part(full, k)
-    for bad in (N + 1, N + 5):
-        with pytest.raises(ValueError, match="exceeds the inputs' bound 2"):
-            P.mul(P, bad)
+    with pytest.raises(ValueError, match="exceeds the inputs' bound 2"):
+        P.mul(P, N + 1)
     with pytest.raises(ValueError, match="exceeds the inputs' bound 1"):
         P.mul(P.mul(P, 1), 2)
 
