@@ -25,7 +25,7 @@ from .algebra import (
     validate_normal_ordering,
 )
 from . import exact
-from .exact import Radical, projections, spin_range, sqrt_of_rational
+from .exact import Radical, sqrt_of_rational
 # imported at load time on purpose: every perfbench workload must load pbw at
 # set-up, for tracing.install() and so that setup_s and run_s keep their split
 from .pbw import RewriteEngine, TaylorElement
@@ -37,7 +37,7 @@ from .projector import (
 )
 from .repmod import su3_label
 from .su3gt import enumerate_gt_labels, gt_hypercharge, gt_norm_factor, gt_vector
-from .wigner2 import cgc_closed, cgc_projector, ninej, sixj
+from .wigner2 import cgc_closed_doubled, cgc_projector_doubled, cgc_table, ninej, sixj
 
 SCHEMA = 1
 
@@ -64,37 +64,18 @@ def _record(keys, value):
 # -- table builders ---------------------------------------------------
 
 
+def _spin_text(d):
+    """A doubled label printed as its half-integer."""
+    return "%d/2" % d if d % 2 else str(d // 2)
+
+
 def records_cgc_su2(args):
-    j1, j2 = args.j1, args.j2
-    if j1 < 0 or j2 < 0:
-        raise CliError("spins must be nonnegative")
-    # j1 + j2, j1 + j2 - 1, ..., |j1 - j2|
-    j3s = [j1 + j2 - k for k in range(int(2 * min(j1, j2)) + 1)]
-    if args.j3 is not None:
-        if args.j3 not in j3s:
-            raise CliError("j3=%s does not occur in %s x %s"
-                           % (args.j3, j1, j2))
-        j3s = [args.j3]
     out = []
-    for j3 in j3s:
-        for m3 in projections(j3):
-            for m1 in projections(j1):
-                m2 = m3 - m1
-                if abs(m2) > j2:
-                    continue
-                v = cgc_closed(j1, m1, j2, m2, j3, m3)
-                if not v:
-                    continue
-                out.append(
-                    _record(
-                        [
-                            ("j1", str(j1)), ("m1", str(m1)),
-                            ("j2", str(j2)), ("m2", str(m2)),
-                            ("j3", str(j3)), ("m3", str(m3)),
-                        ],
-                        v,
-                    )
-                )
+    for labels in cgc_table(args.j1, args.j2, args.j3):
+        v = cgc_closed_doubled(*labels)
+        if v:
+            keys = zip(("j1", "m1", "j2", "m2", "j3", "m3"), map(_spin_text, labels))
+            out.append(_record(keys, v))
     return out
 
 
@@ -242,19 +223,10 @@ def _verify_no_go(trunc):
 
 
 def _verify_su2_cgc(trunc):
-    hi = Fraction(trunc) / 2 if trunc is not None else Fraction(1)
-    ok = True
-    for j1 in spin_range(0, hi):
-        for j2 in spin_range(0, hi):
-            for j3 in spin_range(abs(j1 - j2), j1 + j2):
-                for m3 in projections(j3):
-                    for m1 in projections(j1):
-                        m2 = m3 - m1
-                        if abs(m2) > j2:
-                            continue
-                        a = cgc_closed(j1, m1, j2, m2, j3, m3)
-                        b = cgc_projector(j1, m1, j2, m2, j3, m3)
-                        ok = ok and not (a - b)
+    top = trunc if trunc is not None else 2  # the largest doubled spin
+    ok = all(not (cgc_closed_doubled(*labels) - cgc_projector_doubled(*labels))
+             for j1 in range(top + 1) for j2 in range(top + 1)
+             for labels in cgc_table(Fraction(j1, 2), Fraction(j2, 2)))
     return [("closed_equals_projector_route", ok)]
 
 

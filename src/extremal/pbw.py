@@ -661,6 +661,8 @@ class TaylorElement:
                 raise ValueError("incompatible root systems or orderings")
 
     def __add__(self, other):
+        if not isinstance(other, TaylorElement):
+            return NotImplemented
         self._check_compat(other)
         bound = min(self.bound, other.bound)
         terms = dict(self.terms)
@@ -670,7 +672,7 @@ class TaylorElement:
         return TaylorElement(self.engine, bound, terms)._pruned()
 
     def __sub__(self, other):
-        return self + (-other)
+        return self + (-other) if isinstance(other, TaylorElement) else NotImplemented
 
     def __neg__(self):
         return TaylorElement(self.engine, self.bound, {k: -v for k, v in self.terms.items()})

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import Radical, SingularWeightError, TruncationError, sqrt_of_rational
+from .exact import Radical, SingularWeightError, TruncationError, half, sqrt_of_rational
 
 __all__ = [
     "Irrep",
@@ -154,13 +154,15 @@ class ModuleVector:
         self.coords = {k: _rad(v) for k, v in (coords or {}).items() if v}
 
     def __add__(self, other):
+        if not isinstance(other, ModuleVector):
+            return NotImplemented
         out = dict(self.coords)
         for k, v in other.coords.items():
             out[k] = out.get(k, _ZERO) + v
         return ModuleVector(out)
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return self + other.scale(-1) if isinstance(other, ModuleVector) else NotImplemented
 
     def scale(self, c):
         c = _rad(c)
@@ -182,7 +184,7 @@ class ModuleVector:
         return not self.coords
 
     def __eq__(self, other):
-        return self.coords == other.coords
+        return self.coords == other.coords if isinstance(other, ModuleVector) else NotImplemented
 
     def __repr__(self):
         return "ModuleVector(%r)" % self.coords
@@ -194,7 +196,7 @@ class ModuleVector:
 @lru_cache(maxsize=None)
 def _su2_cached(jnum, jden):
     j = Fraction(jnum, jden)
-    if j < 0 or (2 * j) != int(2 * j):
+    if j < 0:
         raise ValueError("spin must be a nonnegative half-integer")
     ms = [j - k for k in range(int(2 * j) + 1)]  # highest first
     tags = ["m=%s" % m for m in ms]
@@ -209,7 +211,7 @@ def _su2_cached(jnum, jden):
 
 
 def su2_irrep(j):
-    j = Fraction(j)
+    j = half(j)
     return _su2_cached(j.numerator, j.denominator)
 
 

@@ -27,7 +27,7 @@ from .algebra import build_root_system
 from .exact import Radical, factorial_ratio, half, spin_range, sqrt_of_rational
 from .projector import apply_projector
 from .repmod import tensor
-from .su3gt import gt_basis, gt_label_index, gt_module
+from .su3gt import gt_basis, gt_label_index, gt_module, gt_multiplets
 from .wigner2 import cgc_closed, ninej, sixj
 
 __all__ = [
@@ -195,34 +195,27 @@ def _pme_formula(L1, g1, L2, g2, L3, g3, g3p, g1p, g2p):
         return out * nine * rat
 
     bra, ket = sides
+    # (j1'', t1''), (j2'', t2'') run over the (j, t) multiplets of L1, L2 by
+    # ascending j: any other point fails a 6j triangle (j'', mu/2, t'') in side
+    m1 = [(j, t) for j, t in gt_multiplets(*L1) if j <= min(bra[0], ket[0])]
+    m2 = [(j, t) for j, t in gt_multiplets(*L2) if j <= min(bra[2], ket[2])]
     total = _ZERO
-    for j1pp in spin_range(0, min(bra[0], ket[0])):
-        for j2pp in spin_range(0, min(bra[2], ket[2])):
+    for j1pp, t1pp in m1:
+        for j2pp, t2pp in m2:
             rest = delta - j1pp - j2pp  # j1 + j2 - j3 - j1'' - j2'', both sides
             if rest < 0:
                 break
-            # summation points where a factorial argument is not an integer,
-            # or a numerator one is negative, lie outside the admissible label
-            # lattice and contribute nothing
-            for t1pp in spin_range(0, j1pp + mu12):
-                if (mu12 + j1pp + t1pp).denominator != 1 or lam1 + mu12 - j1pp - t1pp < 0:
+            for t3pp in spin_range(abs(t1pp - t2pp), t1pp + t2pp):
+                b = side(*bra)
+                if not b:
                     continue
-                for t2pp in spin_range(0, j2pp + mu22):
-                    if (mu22 + j2pp + t2pp).denominator != 1 or lam2 + mu22 - j2pp - t2pp < 0:
-                        continue
-                    for t3pp in spin_range(abs(t1pp - t2pp), t1pp + t2pp):
-                        if (mu32 + rest + t3pp).denominator != 1:
-                            continue
-                        b = side(*bra)
-                        if not b:
-                            continue
-                        shared = factorial_ratio(
-                            [lam1 + mu12 - j1pp + t1pp + 1, lam1 + mu12 - j1pp - t1pp,
-                             lam2 + mu22 - j2pp + t2pp + 1, lam2 + mu22 - j2pp - t2pp],
-                            [2 * j1pp, 2 * j2pp, 2 * rest,
-                             lam3 + mu32 + rest + t3pp + 2, lam3 + mu32 + rest - t3pp + 1],
-                        ) * (2 * t1pp + 1) * (2 * t2pp + 1) * (2 * t3pp + 1)
-                        # the phase (-1)^(2(j1 + j2 + j3 - j1'' - j2'')) is the
-                        # same on both sides, as j1 + j2 + j3 = delta + 2 j3
-                        total = total + b * side(*ket) * (shared * (-1) ** int(2 * rest))
+                shared = factorial_ratio(
+                    [lam1 + mu12 - j1pp + t1pp + 1, lam1 + mu12 - j1pp - t1pp,
+                     lam2 + mu22 - j2pp + t2pp + 1, lam2 + mu22 - j2pp - t2pp],
+                    [2 * j1pp, 2 * j2pp, 2 * rest,
+                     lam3 + mu32 + rest + t3pp + 2, lam3 + mu32 + rest - t3pp + 1],
+                ) * (2 * t1pp + 1) * (2 * t2pp + 1) * (2 * t3pp + 1)
+                # the phase (-1)^(2(j1 + j2 + j3 - j1'' - j2'')) is the
+                # same on both sides, as j1 + j2 + j3 = delta + 2 j3
+                total = total + b * side(*ket) * (shared * (-1) ** int(2 * rest))
     return outer * sqrt_of_rational(a_sq) * total

@@ -35,6 +35,7 @@ __all__ = [
     "gt_hypercharge",
     "gt_norm_factor",
     "gt_label_index",
+    "gt_multiplets",
     "gt_vector",
     "gt_basis",
     "gt_module",
@@ -121,6 +122,11 @@ def gt_label_index(lam, mu, label):
         gt_norm_factor(lam, mu, j, t)  # names an inadmissible (j, t)
         raise ValueError("inadmissible GT label %s for (%d, %d)" % (label, lam, mu))
     return k
+
+
+def gt_multiplets(lam, mu):
+    """The (j, t) multiplets of (lam, mu) in label order, from the label index."""
+    return [(j, t) for j, t, tz in _gt_index(int(lam), int(mu)) if tz == t]
 
 
 @lru_cache(maxsize=64)

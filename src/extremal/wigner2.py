@@ -22,7 +22,10 @@ from .repmod import ModuleVector, mat_vec, su2_irrep, tensor
 
 __all__ = [
     "cgc_closed",
+    "cgc_closed_doubled",
     "cgc_projector",
+    "cgc_projector_doubled",
+    "cgc_table",
     "sixj",
     "ninej",
 ]
@@ -30,16 +33,22 @@ __all__ = [
 _ZERO = Radical.from_rational(0)
 
 
-def _triad(a, b, c):
-    """su(2) coupling triangle: |a-b| <= c <= a+b with integer perimeter."""
-    return (a + b + c).denominator == 1 and abs(a - b) <= c <= a + b
+def _doubled(*labels):
+    """Half-integer labels as doubled ints; ValueError for any other label."""
+    return tuple(f.numerator * (2 // f.denominator) for f in map(half, labels))
+
+
+def _triangle(a, b, c):
+    """|a-b| <= c <= a+b with an even sum, on doubled labels; false if one is negative."""
+    return abs(a - b) <= c <= a + b and (a + b + c) % 2 == 0
 
 
 # -- closed-form CGC --------------------------------------------------
 
 
 @lru_cache(maxsize=None)
-def _cgc_closed(j1, m1, j2, m2, j3, m3):
+def cgc_closed_doubled(j1, m1, j2, m2, j3, m3):
+    """`cgc_closed` on doubled labels that the selection rules allow."""
     # Racah's sum in binomials (Johansson & Forssen 2016), on doubled labels:
     # with a, b, c = j1+j2-j3, j1-j2+j3, -j1+j2+j3, the coefficient is
     # sqrt(pref) * sum_k (-1)^k C(a,k) C(b, j1-m1-k) C(c, j2+m2-k)
@@ -59,10 +68,8 @@ def _cgc_closed(j1, m1, j2, m2, j3, m3):
 def _coupling(*labels):
     """The labels j1, m1, j2, m2, j3, m3 doubled to ints, or None when a
     selection rule of (j1 m1 j2 m2 | j3 m3) fails."""
-    j1, m1, j2, m2, j3, m3 = doubled = tuple(
-        f.numerator * (2 // f.denominator) for f in map(half, labels))
-    ok = (m1 + m2 == m3 and (j1 + j2 + j3) % 2 == 0
-          and abs(j1 - j2) <= j3 <= j1 + j2
+    j1, m1, j2, m2, j3, m3 = doubled = _doubled(*labels)
+    ok = (m1 + m2 == m3 and _triangle(j1, j2, j3)
           and all(abs(m) <= j and (j - m) % 2 == 0
                   for j, m in ((j1, m1), (j2, m2), (j3, m3))))
     return doubled if ok else None
@@ -74,9 +81,26 @@ def cgc_closed(j1, m1, j2, m2, j3, m3):
     Total on its domain: any selection-rule failure returns 0.
     """
     labels = _coupling(j1, m1, j2, m2, j3, m3)
-    if labels is None:
-        return _ZERO
-    return _cgc_closed(*labels)
+    return _ZERO if labels is None else cgc_closed_doubled(*labels)
+
+
+def cgc_table(j1, j2, j3=None):
+    """The allowed doubled labels (j1 m1 j2 m2 j3 m3) of the j1 x j2 table by
+    descending j3, m3, m1; only the j3 block when j3 is given.  ValueError
+    for a negative spin or a j3 that the table lacks."""
+    d1, d2 = _doubled(j1, j2)
+    if d1 < 0 or d2 < 0:
+        raise ValueError("spins must be nonnegative")
+    j3s = range(d1 + d2, abs(d1 - d2) - 1, -2)
+    if j3 is not None:
+        d3 = _doubled(j3)
+        if d3[0] not in j3s:
+            raise ValueError("j3=%s does not occur in %s x %s"
+                             % (half(j3), half(j1), half(j2)))
+        j3s = d3
+    return [(d1, m1, d2, m3 - m1, d3, m3)
+            for d3 in j3s for m3 in range(d3, -d3 - 1, -2)
+            for m1 in range(min(d1, m3 + d2), max(-d1, m3 - d2) - 1, -2)]
 
 
 # -- projector-route CGC ----------------------------------------------
@@ -116,9 +140,11 @@ def cgc_projector(j1, m1, j2, m2, j3, m3):
     normalization is the positive square root of the diagonal element.
     """
     labels = _coupling(j1, m1, j2, m2, j3, m3)
-    if labels is None:
-        return _ZERO
-    j1, m1, j2, m2, j3, m3 = labels
+    return _ZERO if labels is None else cgc_projector_doubled(*labels)
+
+
+def cgc_projector_doubled(j1, m1, j2, m2, j3, m3):
+    """`cgc_projector` on doubled labels that the selection rules allow."""
     data = _projected_tower(j1, j2, j3)
     if data is None:
         return _ZERO
@@ -135,17 +161,17 @@ def cgc_projector(j1, m1, j2, m2, j3, m3):
 
 @lru_cache(maxsize=None)
 def _sixj(a, b, c, d, e, f):
-    # Racah's single sum (Racah 1942): the product of the four triangle
-    # coefficients Delta(xyz) = (x+y-z)!(x-y+z)!(-x+y+z)!/(x+y+z+1)!, under
-    # one square root, times sum_t (-1)^t (t+1)! / prod of seven factorials,
+    # Racah's single sum (Racah 1942), on doubled labels: the product of the
+    # four triangle coefficients Delta(xyz) = (x+y-z)!(x-y+z)!(-x+y+z)!/(x+y+z+1)!
+    # under one square root, times sum_t (-1)^t (t+1)! / prod of seven factorials,
     # summed in ints over the common denominator prod (hi-s)! prod (q-lo)!
     triads = ((a, b, c), (a, e, f), (d, b, f), (d, e, c))
     delta = factorial_ratio(
-        [n for x, y, z in triads for n in (x + y - z, x - y + z, -x + y + z)],
-        [x + y + z + 1 for x, y, z in triads],
+        [n // 2 for x, y, z in triads for n in (x + y - z, x - y + z, -x + y + z)],
+        [(x + y + z) // 2 + 1 for x, y, z in triads],
     )
-    sums = [int(x + y + z) for x, y, z in triads]
-    quads = [int(a + b + d + e), int(b + c + e + f), int(c + a + f + d)]
+    sums = [(x + y + z) // 2 for x, y, z in triads]
+    quads = [(a + b + d + e) // 2, (b + c + e + f) // 2, (c + a + f + d) // 2]
     lo, hi = max(sums), min(quads)
     total = 0
     for t in range(lo, hi + 1):
@@ -159,29 +185,23 @@ def _sixj(a, b, c, d, e, f):
     return sqrt_of_rational(delta) * (total * den)
 
 
+def _checked_sixj(a, b, c, d, e, f):
+    """The 6j symbol on doubled labels, zero unless all four triangles hold."""
+    triads = ((a, b, c), (c, d, e), (b, d, f), (a, e, f))
+    return _sixj(a, b, c, d, e, f) if all(_triangle(*t) for t in triads) else _ZERO
+
+
 def sixj(a, b, c, d, e, f):
     """{a b c; d e f}, zero unless all four coupling triangles hold."""
-    a, b, c = half(a), half(b), half(c)
-    d, e, f = half(d), half(e), half(f)
-    if min(a, b, c, d, e, f) < 0:
-        return Radical.from_rational(0)
-    for t in ((a, b, c), (c, d, e), (b, d, f), (a, e, f)):
-        if not _triad(*t):
-            return Radical.from_rational(0)
-    return _sixj(a, b, c, d, e, f)
+    return _checked_sixj(*_doubled(a, b, c, d, e, f))
 
 
 def ninej(rows):
     """{a b c; d e f; g h i} as the standard 6j contraction over one spin."""
-    (a, b, c), (d, e, f), (g, h, i) = [tuple(half(x) for x in r) for r in rows]
-    lo = max(abs(a - i), abs(b - f), abs(d - h))
-    hi = min(a + i, b + f, d + h)
-    total = Radical.from_rational(0)
-    x = lo
-    while x <= hi:
-        term = sixj(a, b, c, f, i, x) * sixj(d, e, f, b, x, h) * sixj(g, h, i, x, a, d)
-        total = total + term * Radical.from_rational(
-            Fraction((2 * x + 1) * (-1) ** int(2 * x))
-        )
-        x += 1
+    (a, b, c), (d, e, f), (g, h, i) = [_doubled(*r) for r in rows]
+    total = _ZERO
+    for x in range(max(abs(a - i), abs(b - f), abs(d - h)), min(a + i, b + f, d + h) + 1, 2):
+        term = (_checked_sixj(a, b, c, f, i, x) * _checked_sixj(d, e, f, b, x, h)
+                * _checked_sixj(g, h, i, x, a, d))
+        total = total + term * Radical.from_rational((x + 1) * (-1) ** x)
     return total

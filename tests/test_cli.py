@@ -5,11 +5,15 @@ import csv
 import hashlib
 import io
 import json
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from extremal import cli
+from extremal.exact import Radical, projections
 from extremal.projector import IdentityReport
+from extremal.wigner2 import cgc_closed
 
 
 def run(capsys, *argv):
@@ -230,6 +234,53 @@ def test_verify_suite_pass(capsys):
     assert code == 0
     doc = json.loads(out)
     assert all(r["ok"] for r in doc["records"])
+
+
+def _cgc_table_records(capsys, *argv):
+    code, out, err = run(capsys, "cgc-su2", *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    return [tuple(r[k] for k in ("j1", "m1", "j2", "m2", "j3", "m3", "value"))
+            for r in json.loads(out)["records"]]
+
+
+def test_cgc_su2_tables_hold_the_allowed_nonzero_coefficients(capsys):
+    # the selection rules scanned in Fractions: j3 from j1 + j2 down to
+    # |j1 - j2|, then m3 and m1 descending, keeping |m2| <= j2
+    spins = [Fraction(k, 2) for k in range(7)]
+    for j1, j2 in product(spins, repeat=2):
+        want = []
+        j3 = j1 + j2
+        while j3 >= abs(j1 - j2):
+            for m3 in projections(j3):
+                for m1 in projections(j1):
+                    m2 = m3 - m1
+                    v = cgc_closed(j1, m1, j2, m2, j3, m3) if abs(m2) <= j2 else None
+                    if v:
+                        want.append(tuple(map(str, (j1, m1, j2, m2, j3, m3, v))))
+            j3 -= 1
+        full = _cgc_table_records(capsys, "--j1", str(j1), "--j2", str(j2))
+        assert full == want, (j1, j2)
+        # each --j3 table is the full table's block for that j3
+        for j3 in {r[4] for r in full}:
+            block = _cgc_table_records(capsys, "--j1", str(j1), "--j2", str(j2),
+                                       "--j3", j3)
+            assert block == [r for r in full if r[4] == j3], (j1, j2, j3)
+
+
+@pytest.mark.parametrize("wrong", [(2, 0, 2, 0, 4, 0), (2, 0, 2, 0, 2, 0)],
+                         ids=["nonzero", "zero"])
+def test_verify_su2_cgc_catches_one_wrong_coefficient(monkeypatch, capsys, wrong):
+    # the projector route off by 1 at (1 0 1 0 | 2 0) = sqrt(2/3), or at
+    # (1 0 1 0 | 1 0) = 0: the suite visits zero-valued labels too
+    route, one = cli.cgc_projector_doubled, Radical.from_rational(1)
+    monkeypatch.setattr(cli, "cgc_projector_doubled", lambda *labels: (
+        route(*labels) + one if labels == wrong else route(*labels)))
+    code, out, _ = run(capsys, "verify", "--suite", "su2-cgc", "--format", "json")
+    assert code == 3
+    assert json.loads(out)["records"] == [
+        {"suite": "su2-cgc", "check": "closed_equals_projector_route", "ok": False}]
+    monkeypatch.undo()
+    assert run(capsys, "verify", "--suite", "su2-cgc")[0] == 0
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):

@@ -19,6 +19,7 @@ from extremal.pbw import (
     SingularWeightError,
     form_power,
     rewrite_word,
+    shared_engine,
 )
 from extremal.projector import extremal_projector
 from extremal.repmod import (
@@ -119,6 +120,18 @@ def test_coeff_compares_unequal_to_other_types(eng2):
             assert not c == other and c != other
             assert not other == c and other != c
         assert c not in [None] and c in [None, c]
+
+
+def test_taylor_element_arithmetic_refuses_other_types():
+    # + and - with a non-element raise TypeError, not AttributeError
+    one = shared_engine(2).one(2)
+    for other in (1, None, Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            one + other
+        with pytest.raises(TypeError):
+            one - other
+        with pytest.raises(TypeError):
+            other + one
 
 
 def test_from_expr_reads_primitive_int_forms(eng2, eng3):

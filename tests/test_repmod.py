@@ -8,6 +8,7 @@ from extremal.algebra import build_root_system
 from extremal.exact import Radical, sqrt_of_rational
 from extremal.pbw import RewriteEngine, SingularWeightError, rewrite_word
 from extremal.repmod import (
+    ModuleVector,
     TruncationError,
     apply_element,
     mat_eq,
@@ -48,6 +49,20 @@ def test_su2_irrep_shape():
         su2_irrep(Fraction(1, 3))
     with pytest.raises(ValueError):
         su2_irrep(-1)
+
+
+def test_module_vector_refuses_other_types():
+    # == with another type is False and arithmetic raises TypeError, not
+    # AttributeError
+    v = ModuleVector({0: 1})
+    for other in (None, 0, "x", {0: 1}):
+        assert not v == other and v != other
+        assert not other == v and other != v
+        with pytest.raises(TypeError):
+            v + other
+        with pytest.raises(TypeError):
+            v - other
+    assert v == ModuleVector({0: 1}) and v != ModuleVector({0: 2})
 
 
 def test_su2_defining_relations():

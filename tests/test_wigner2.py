@@ -142,6 +142,29 @@ def test_ninej_values():
     ) == _rat(Fraction(-1, 144))
 
 
+def test_recoupling_symbols_on_negative_and_bad_labels():
+    # a negative label fails every triangle it is in: the symbol is 0
+    for k in range(6):
+        js = [1] * 6
+        js[k] = -HALF
+        assert not sixj(*js)
+        js[k] = -1
+        assert not sixj(*js)
+    ones = [1] * 9
+    for k in range(9):
+        js = list(ones)
+        js[k] = -1
+        assert not ninej((js[0:3], js[3:6], js[6:9]))
+    # all nine 1: exchanging two rows flips the sign by (-1)^9
+    assert ninej(((1, 1, 1), (1, 1, 1), (1, 1, 1))) == _rat(0)
+    assert ninej(((1, 1, 0), (1, 1, 0), (0, 0, 0))) == _rat(Fraction(1, 3))
+    # a label that is no half-integer is refused
+    with pytest.raises(ValueError):
+        sixj(Fraction(1, 3), 1, 1, 1, 1, 1)
+    with pytest.raises(ValueError):
+        ninej(((1, 1, 1), (1, Fraction(1, 3), 1), (1, 1, 1)))
+
+
 # -- independent oracles for 6j and 9j --------------------------------
 
 
@@ -233,7 +256,7 @@ def test_cgc_closed_at_large_spin_factors_only_the_prefactor(monkeypatch):
     split = exact._squarefree_split
     monkeypatch.setattr(exact, "_squarefree_split",
                         lambda n: radicands.append(n) or split(n))
-    wigner2._cgc_closed.cache_clear()
+    wigner2.cgc_closed_doubled.cache_clear()
     j = Fraction(20)
     rows = {}
     for j3 in (Fraction(32), Fraction(18)):
