@@ -395,10 +395,7 @@ def main(argv=None):
     build = globals()["records_" + args.command.replace("-", "_")]
     try:
         records = build(args)
-    except CliError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
+    except (CliError, ValueError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except (RuntimeError, ArithmeticError) as exc:

@@ -1,10 +1,13 @@
-"""Exact arithmetic kernel: sums of square roots, factorials, and half-integer
-spins with their ranges and projections.
+"""Exact arithmetic kernel: sums of square roots, factorials, and the one
+parser of half-integer labels.
 
 Every coefficient in the package ultimately lives in the field generated over Q
 by square roots of positive integers.  A value is kept as a canonical finite sum
 sum_d c_d * sqrt(d) with squarefree radicands d, so structural equality is
 numeric equality.
+
+`doubled` parses half-integer labels once into the ints 2j, on which the
+su(2) and su(3) layers range them and apply the one triangle rule, `triangle`.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ __all__ = [
     "sqrt_of_rational",
     "parse_radical",
     "half",
-    "spin_range",
-    "projections",
+    "doubled",
+    "triangle",
 ]
 
 
@@ -35,20 +38,14 @@ def half(x):
     return f
 
 
-def spin_range(lo, hi):
-    """The spins lo, lo + 1/2, ... up to hi."""
-    x = Fraction(lo)
-    while x <= hi:
-        yield x
-        x += Fraction(1, 2)
+def doubled(*labels):
+    """Half-integer labels as doubled ints; ValueError for any other label."""
+    return tuple(f.numerator * (2 // f.denominator) for f in map(half, labels))
 
 
-def projections(j):
-    """The projections j, j - 1, ..., -j of spin j."""
-    m = j
-    while m >= -j:
-        yield m
-        m -= 1
+def triangle(a, b, c):
+    """|a-b| <= c <= a+b with an even sum, on doubled labels; false if one is negative."""
+    return abs(a - b) <= c <= a + b and (a + b + c) % 2 == 0
 
 
 def _squarefree_split(n):

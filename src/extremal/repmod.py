@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import Radical, SingularWeightError, TruncationError, half, sqrt_of_rational
+from .exact import Radical, SingularWeightError, TruncationError, doubled, sqrt_of_rational
 
 __all__ = [
     "Irrep",
@@ -194,11 +194,12 @@ class ModuleVector:
 
 
 @lru_cache(maxsize=None)
-def _su2_cached(jnum, jden):
-    j = Fraction(jnum, jden)
-    if j < 0:
+def _su2_cached(d):
+    """su2_irrep of the doubled spin d."""
+    if d < 0:
         raise ValueError("spin must be a nonnegative half-integer")
-    ms = [j - k for k in range(int(2 * j) + 1)]  # highest first
+    j = Fraction(d, 2)
+    ms = [j - k for k in range(d + 1)]  # highest first
     tags = ["m=%s" % m for m in ms]
     weights = [(Fraction(2) * m,) for m in ms]
     # J- |j m> = sqrt((j+m)(j-m+1)) |j m-1>
@@ -211,8 +212,7 @@ def _su2_cached(jnum, jden):
 
 
 def su2_irrep(j):
-    j = half(j)
-    return _su2_cached(j.numerator, j.denominator)
+    return _su2_cached(*doubled(j))
 
 
 # -- su(3) -----------------------------------------------------------

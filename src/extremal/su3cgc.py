@@ -24,11 +24,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import build_root_system
-from .exact import Radical, factorial_ratio, half, spin_range, sqrt_of_rational
+from .exact import Radical, doubled, factorial_ratio, sqrt_of_rational, triangle
 from .projector import apply_projector
-from .repmod import tensor
-from .su3gt import gt_basis, gt_label_index, gt_module, gt_multiplets
-from .wigner2 import cgc_closed, ninej, sixj
+from .repmod import su3_label, tensor
+from .su3gt import _gt_index, gt_basis, gt_label_index, gt_module
+from .wigner2 import cgc_closed_doubled, ninej_doubled, sixj_doubled
 
 __all__ = [
     "pair_module",
@@ -130,8 +130,12 @@ def projector_matrix_element(
 
     route="direct" reads it off the coupled vectors (authoritative);
     route="formula" evaluates the closed Wigner-calculus expression.
-    Both refuse a label that is not in its irrep with ValueError.
+    Both refuse a label that is not in its irrep with ValueError; the
+    direct route checks the desk-scale guard on L1, L2 and L3 first.
     """
+    if route == "direct":
+        for L in (L1, L2, L3):
+            su3_label(*L)
     for L, g in ((L1, g1), (L2, g2), (L3, g3), (L3, g3p), (L1, g1p), (L2, g2p)):
         gt_label_index(*L, g)
     if route == "direct":
@@ -157,65 +161,70 @@ def _pme_direct(L1, g1, L2, g2, L3, g3, g3p, g1p, g2p):
 
 def _pme_formula(L1, g1, L2, g2, L3, g3, g3p, g1p, g2p):
     # the sum over (j1'', j2'', t1'', t2'', t3'') of a shared factor times
-    # side(bra) times side(ket), inside the prefactors of both sides
+    # side(bra) times side(ket), inside the prefactors of both sides; every
+    # label is doubled (J = 2j, T = 2t), and so is mu/2
     (lam1, mu1), (lam2, mu2), (lam3, mu3) = L1, L2, L3
-    mu12, mu22, mu32 = Fraction(mu1, 2), Fraction(mu2, 2), Fraction(mu3, 2)
+
+    def pair(lam, mu, J, T):
+        # the factorial arguments lam + mu/2 - j + t + 1 and lam + mu/2 - j - t
+        return [(2 * lam + mu - J + T) // 2 + 1, (2 * lam + mu - J - T) // 2]
+
     # weight conservation: the isospin projections are balanced by the two
     # t-CGCs below, the hypercharges by an implicit constraint on the j
-    # labels (y1 + y2 = y3 on both sides)
-    delta = Fraction((2 * lam1 + mu1) + (2 * lam2 + mu2) - (2 * lam3 + mu3), 6)
+    # labels (y1 + y2 = y3 on both sides): j1 + j2 - j3 = delta
+    delta, off = divmod((2 * lam1 + mu1) + (2 * lam2 + mu2) - (2 * lam3 + mu3), 3)
+    if off:
+        return _ZERO
     outer = Radical.from_rational((lam3 + 1) * (mu3 + 1) * (lam3 + mu3 + 2))
     a_sq = Fraction(1)
     sides = []
     for labels in ((g1, g2, g3), (g1p, g2p, g3p)):
-        (j1, t1, t1z), (j2, t2, t2z), (j3, t3, t3z) = ([half(x) for x in g] for g in labels)
-        if j1 + j2 - j3 != delta:
+        J1, T1, T1z, J2, T2, T2z, J3, T3, T3z = doubled(*labels[0], *labels[1], *labels[2])
+        if J1 + J2 - J3 != delta or T1z + T2z != T3z or not triangle(T1, T2, T3):
             return _ZERO
-        outer = outer * cgc_closed(t1, t1z, t2, t2z, t3, t3z)
+        outer = outer * cgc_closed_doubled(T1, T1z, T2, T2z, T3, T3z)
         a_sq *= factorial_ratio(
-            [2 * j1 + 1, 2 * j2 + 1,
-             lam3 + mu32 - j3 + t3 + 1, lam3 + mu32 - j3 - t3],
-            [lam1 + mu12 - j1 + t1 + 1, lam1 + mu12 - j1 - t1,
-             lam2 + mu22 - j2 + t2 + 1, lam2 + mu22 - j2 - t2, 2 * j3],
-        ) * (2 * t1 + 1) * (2 * t2 + 1)
-        sides.append((j1, t1, j2, t2, j3, t3))
+            [J1 + 1, J2 + 1] + pair(lam3, mu3, J3, T3),
+            pair(lam1, mu1, J1, T1) + pair(lam2, mu2, J2, T2) + [J3],
+        ) * (T1 + 1) * (T2 + 1)
+        sides.append((J1, T1, J2, T2, J3, T3))
     if not outer:
         return _ZERO
 
-    def side(j1, t1, j2, t2, j3, t3):
+    def side(J1, T1, J2, T2, J3, T3):
         # one side's factors at the summation point
-        jsum = j1 + j2 - j1pp - j2pp
-        out = sixj(j1 - j1pp, j1pp, j1, mu12, t1, t1pp) * sixj(
-            j2 - j2pp, j2pp, j2, mu22, t2, t2pp
-        ) * sixj(j3, rest, jsum, t3pp, t3, mu32)
+        Jsum = J1 + J2 - J1pp - J2pp
+        out = sixj_doubled(J1 - J1pp, J1pp, J1, mu1, T1, T1pp) * sixj_doubled(
+            J2 - J2pp, J2pp, J2, mu2, T2, T2pp
+        ) * sixj_doubled(J3, rest, Jsum, T3pp, T3, mu3)
         if not out:
             return out
-        rat = factorial_ratio([2 * jsum + 1], [2 * (j1 - j1pp), 2 * (j2 - j2pp)])
-        nine = ninej(((j1 - j1pp, j2 - j2pp, jsum), (t1pp, t2pp, t3pp), (t1, t2, t3)))
+        rat = factorial_ratio([Jsum + 1], [J1 - J1pp, J2 - J2pp])
+        nine = ninej_doubled(((J1 - J1pp, J2 - J2pp, Jsum), (T1pp, T2pp, T3pp), (T1, T2, T3)))
         return out * nine * rat
 
     bra, ket = sides
     # (j1'', t1''), (j2'', t2'') run over the (j, t) multiplets of L1, L2 by
-    # ascending j: any other point fails a 6j triangle (j'', mu/2, t'') in side
-    m1 = [(j, t) for j, t in gt_multiplets(*L1) if j <= min(bra[0], ket[0])]
-    m2 = [(j, t) for j, t in gt_multiplets(*L2) if j <= min(bra[2], ket[2])]
+    # ascending j, and t3'' over the triangle (t1'', t2'', t3''): any other
+    # point fails a 6j triangle in side
+    m1 = [(J, T) for J, T, Tz in _gt_index(*L1)[1] if Tz == T and J <= min(bra[0], ket[0])]
+    m2 = [(J, T) for J, T, Tz in _gt_index(*L2)[1] if Tz == T and J <= min(bra[2], ket[2])]
     total = _ZERO
-    for j1pp, t1pp in m1:
-        for j2pp, t2pp in m2:
-            rest = delta - j1pp - j2pp  # j1 + j2 - j3 - j1'' - j2'', both sides
+    for J1pp, T1pp in m1:
+        for J2pp, T2pp in m2:
+            rest = delta - J1pp - J2pp  # j1 + j2 - j3 - j1'' - j2'', both sides
             if rest < 0:
                 break
-            for t3pp in spin_range(abs(t1pp - t2pp), t1pp + t2pp):
+            for T3pp in range(abs(T1pp - T2pp), T1pp + T2pp + 1, 2):
                 b = side(*bra)
                 if not b:
                     continue
                 shared = factorial_ratio(
-                    [lam1 + mu12 - j1pp + t1pp + 1, lam1 + mu12 - j1pp - t1pp,
-                     lam2 + mu22 - j2pp + t2pp + 1, lam2 + mu22 - j2pp - t2pp],
-                    [2 * j1pp, 2 * j2pp, 2 * rest,
-                     lam3 + mu32 + rest + t3pp + 2, lam3 + mu32 + rest - t3pp + 1],
-                ) * (2 * t1pp + 1) * (2 * t2pp + 1) * (2 * t3pp + 1)
+                    pair(lam1, mu1, J1pp, T1pp) + pair(lam2, mu2, J2pp, T2pp),
+                    [J1pp, J2pp, rest, (2 * lam3 + mu3 + rest + T3pp) // 2 + 2,
+                     (2 * lam3 + mu3 + rest - T3pp) // 2 + 1],
+                ) * (T1pp + 1) * (T2pp + 1) * (T3pp + 1)
                 # the phase (-1)^(2(j1 + j2 + j3 - j1'' - j2'')) is the
                 # same on both sides, as j1 + j2 + j3 = delta + 2 j3
-                total = total + b * side(*ket) * (shared * (-1) ** int(2 * rest))
+                total = total + b * side(*ket) * (shared * (-1) ** rest)
     return outer * sqrt_of_rational(a_sq) * total

@@ -18,6 +18,10 @@ E'_ij = e_{4-i,4-j}, where (j, t, t_z) is the pattern with top row
 bottom entry m11 = mu/2 + j - t_z.  With one sign per e21 step it gives the
 matrices of the projector-built vectors, which the tests check entry for
 entry; it never realizes the irrep.
+
+Labels come in and go out as Fractions but are ranged and tested on doubled
+ints (2j, 2t, 2t_z), like su(2) labels; `_gt_index` is the one record of an
+irrep's labels, in label order with their positions.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import factorial_ratio, half, projections, spin_range, sqrt_of_rational
+from .exact import doubled, factorial_ratio, half, sqrt_of_rational, triangle
 from .projector import apply_factor
 from .repmod import Irrep, ModuleVector, mat_mul, mat_pow_vec, mat_vec, with_raising
 from .repmod import su3_irrep, su3_label
@@ -51,18 +55,10 @@ def su3_engine():
 
 
 def admissible_jt(lam, mu, j, t):
-    """The four label inequalities plus the integrality of mu/2 + j + t."""
-    mu2 = Fraction(mu, 2)
-    if j < 0 or t < 0:
-        return False
-    if (mu2 + j + t).denominator != 1:
-        return False
-    return (
-        mu2 + j - t >= 0
-        and -mu2 + j + t >= 0
-        and mu2 - j + t >= 0
-        and mu2 + j + t <= lam + mu
-    )
+    """Whether (j, t) labels a multiplet of (lam, mu): the triangle (j, mu/2, t)
+    and j + t <= lam + mu/2.  ValueError unless j and t are half-integers."""
+    J, T = doubled(j, t)
+    return triangle(J, mu, T) and J + T <= 2 * lam + mu
 
 
 def enumerate_gt_labels(lam, mu):
@@ -71,19 +67,7 @@ def enumerate_gt_labels(lam, mu):
     Order: ascending j, then ascending t, then descending t_z; the first
     label is the highest-weight one (0, mu/2, mu/2).
     """
-    lam, mu = int(lam), int(mu)
-    if lam < 0 or mu < 0:
-        raise ValueError("labels must be nonnegative")
-    mu2 = Fraction(mu, 2)
-    out = []
-    for j in spin_range(0, lam + mu):
-        # admissible_jt's inequalities solved for t; stepping by 1 from
-        # |j - mu/2| keeps mu/2 + j + t integral
-        t = abs(j - mu2)
-        while t <= min(j + mu2, lam + mu2 - j):
-            out.extend((j, t, tz) for tz in projections(t))
-            t += 1
-    return out
+    return list(_gt_index(int(lam), int(mu))[0])
 
 
 def gt_hypercharge(lam, mu, j):
@@ -95,18 +79,19 @@ def gt_norm_factor(lam, mu, j, t):
     ratio that makes the lowering-operator vector unit length; computed once
     per (lam, mu, j, t)."""
     lam, mu = int(lam), int(mu)
-    j, t = half(j), half(t)
     if not admissible_jt(lam, mu, j, t):
-        raise ValueError("inadmissible (j, t) = (%s, %s) for (%d, %d)" % (j, t, lam, mu))
-    return _gt_norm_factor(lam, mu, j, t)
+        raise ValueError("inadmissible (j, t) = (%s, %s) for (%d, %d)"
+                         % (half(j), half(t), lam, mu))
+    return _gt_norm_factor(lam, mu, *doubled(j, t))
 
 
 @lru_cache(maxsize=None)
-def _gt_norm_factor(lam, mu, j, t):
-    mu2 = Fraction(mu, 2)
+def _gt_norm_factor(lam, mu, J, T):
+    """gt_norm_factor of the doubled labels J = 2j, T = 2t."""
+    top = 2 * lam + mu
     ratio = factorial_ratio(
-        [lam + mu2 - j + t + 1, lam + mu2 - j - t, mu2 + j + t + 1, mu2 - j + t],
-        [lam, mu, lam + mu + 1, j + mu2 - t, j - mu2 + t, 2 * t + 1],
+        [(top - J + T) // 2 + 1, (top - J - T) // 2, (mu + J + T) // 2 + 1, (mu - J + T) // 2],
+        [lam, mu, lam + mu + 1, (J + mu - T) // 2, (J - mu + T) // 2, T + 1],
     )
     return sqrt_of_rational(ratio)
 
@@ -116,39 +101,51 @@ def gt_label_index(lam, mu, label):
 
     ValueError unless it labels a vector there: (j, t) admissible, and
     t - t_z an integer in [0, 2t]."""
-    k = _gt_index(int(lam), int(mu)).get(tuple(half(x) for x in label))
+    k = _gt_index(int(lam), int(mu))[1].get(doubled(*label))
     if k is None:
-        j, t, _ = (half(x) for x in label)
+        j, t, _ = label
         gt_norm_factor(lam, mu, j, t)  # names an inadmissible (j, t)
         raise ValueError("inadmissible GT label %s for (%d, %d)" % (label, lam, mu))
     return k
 
 
 def gt_multiplets(lam, mu):
-    """The (j, t) multiplets of (lam, mu) in label order, from the label index."""
-    return [(j, t) for j, t, tz in _gt_index(int(lam), int(mu)) if tz == t]
+    """The (j, t) multiplets of (lam, mu) in label order."""
+    return [(j, t) for j, t, tz in _gt_index(int(lam), int(mu))[0] if tz == t]
 
 
 @lru_cache(maxsize=64)
 def _gt_index(lam, mu):
-    """{label: position} in label order, the one record of which labels exist."""
-    return {lab: k for k, lab in enumerate(enumerate_gt_labels(lam, mu))}
+    """The one record of which labels (lam, mu) has: its (j, t, t_z) labels
+    in label order, and {(2j, 2t, 2t_z): position}.
+
+    For each 2j = J, the admissible 2t = T run from |J - mu| in steps of 2
+    (the triangle (j, mu/2, t)) up to min(J + mu, 2 lam + mu - J)."""
+    if lam < 0 or mu < 0:
+        raise ValueError("labels must be nonnegative")
+    index = {}
+    for J in range(2 * (lam + mu) + 1):
+        for T in range(abs(J - mu), min(J + mu, 2 * lam + mu - J) + 1, 2):
+            for Tz in range(T, -T - 1, -2):
+                index[(J, T, Tz)] = len(index)
+    # one Fraction per value, shared by the labels: large records stay small
+    halves = {k: Fraction(k, 2) for k in range(-lam - mu, 2 * (lam + mu) + 1)}
+    return tuple((halves[J], halves[T], halves[Tz]) for J, T, Tz in index), index
 
 
 def gt_basis(M, lam, mu, v):
     """Every GT vector of (lam, mu) in label order, built in M from its
     highest vector v: the top of each (j, t) multiplet by the lowering
     operator, and each next t_z by one e32 step over its GT entry."""
-    mu2 = Fraction(mu, 2)
     e21, e31, e32 = (M.matrix(g) for g in ((2, 1), (3, 1), (3, 2)))
     out = []
-    for j, t, tz in enumerate_gt_labels(lam, mu):
-        if tz == t:
-            coords = mat_pow_vec(e21, v.coords, j - mu2 + t)
-            w = ModuleVector(mat_pow_vec(e31, coords, j + mu2 - t))
-            w = apply_factor((2, 3), w, M).scale(gt_norm_factor(lam, mu, j, t))
+    for J, T, Tz in _gt_index(lam, mu)[1]:
+        if Tz == T:
+            coords = mat_pow_vec(e21, v.coords, (J - mu + T) // 2)
+            w = ModuleVector(mat_pow_vec(e31, coords, (J + mu - T) // 2))
+            w = apply_factor((2, 3), w, M).scale(_gt_norm_factor(lam, mu, J, T))
         else:
-            step = sqrt_of_rational(Fraction(1, (t + tz + 1) * (t - tz)))
+            step = sqrt_of_rational(Fraction(4, (T + Tz + 2) * (T - Tz)))
             w = ModuleVector(mat_vec(e32, w.coords)).scale(step)
         out.append(w)
     return out
@@ -181,23 +178,22 @@ def gt_module(lam, mu):
     vectors).  e31 = [e32, e21]; each raising generator is the transpose.
     """
     lam, mu = su3_label(lam, mu)
-    index = _gt_index(lam, mu)
-    tags = list(index)
-    mu2, half1 = Fraction(mu, 2), Fraction(1, 2)
+    tags, index = _gt_index(lam, mu)
     e21, e32 = {}, {}
-    for c, (j, t, tz) in enumerate(tags):
-        if tz > -t:
-            e32[(index[(j, t, tz - 1)], c)] = sqrt_of_rational((t + tz) * (t - tz + 1))
-        m12, m22, m11 = mu2 + j + t, mu2 + j - t, mu2 + j - tz
-        for dt, l, lp, sign in ((half1, m12, m22 - 1, 1), (-half1, m22 - 1, m12, -1)):
-            r = index.get((j + half1, t + dt, tz + half1))
+    for c, (J, T, Tz) in enumerate(index):
+        if Tz > -T:
+            sq = Fraction((T + Tz) * (T - Tz + 2), 4)
+            e32[(index[(J, T, Tz - 2)], c)] = sqrt_of_rational(sq)
+        m12, m22, m11 = (mu + J + T) // 2, (mu + J - T) // 2, (mu + J - Tz) // 2
+        for dT, l, lp, sign in ((1, m12, m22 - 1, 1), (-1, m22 - 1, m12, -1)):
+            r = index.get((J + 1, T + dT, Tz + 1))
             if r is not None:  # also skips the pole of t = 0
                 sq = (lam + mu - l) * (l - mu + 1) * (l + 2) * (l - m11 + 1)
-                e21[(r, c)] = sqrt_of_rational(sq / ((l - lp) * (l - lp + 1)), sign)
+                e21[(r, c)] = sqrt_of_rational(Fraction(sq, (l - lp) * (l - lp + 1)), sign)
     e31 = mat_mul(e32, e21)
     for k, v in mat_mul(e21, e32).items():
         e31[k] = e31.get(k, 0) - v
     mats = {(3, 1): {k: v for k, v in e31.items() if v}, (2, 1): e21, (3, 2): e32}
-    weights = [(Fraction(2 * lam + mu, 2) - 3 * j - tz, 2 * tz) for j, _, tz in tags]
-    return Irrep(algebra="su3", n=3, label=(lam, mu), tags=tags,
+    weights = [(Fraction(2 * lam + mu - 3 * J - Tz, 2), Fraction(Tz)) for J, _, Tz in index]
+    return Irrep(algebra="su3", n=3, label=(lam, mu), tags=list(tags),
                  weights=weights, matrices=with_raising(mats))

@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import Radical, factorial_ratio, half, sqrt_of_rational
+from .exact import Radical, doubled, factorial_ratio, half, sqrt_of_rational, triangle
 from .projector import apply_factor
 from .repmod import ModuleVector, mat_vec, su2_irrep, tensor
 
@@ -27,20 +27,12 @@ __all__ = [
     "cgc_projector_doubled",
     "cgc_table",
     "sixj",
+    "sixj_doubled",
     "ninej",
+    "ninej_doubled",
 ]
 
 _ZERO = Radical.from_rational(0)
-
-
-def _doubled(*labels):
-    """Half-integer labels as doubled ints; ValueError for any other label."""
-    return tuple(f.numerator * (2 // f.denominator) for f in map(half, labels))
-
-
-def _triangle(a, b, c):
-    """|a-b| <= c <= a+b with an even sum, on doubled labels; false if one is negative."""
-    return abs(a - b) <= c <= a + b and (a + b + c) % 2 == 0
 
 
 # -- closed-form CGC --------------------------------------------------
@@ -68,11 +60,11 @@ def cgc_closed_doubled(j1, m1, j2, m2, j3, m3):
 def _coupling(*labels):
     """The labels j1, m1, j2, m2, j3, m3 doubled to ints, or None when a
     selection rule of (j1 m1 j2 m2 | j3 m3) fails."""
-    j1, m1, j2, m2, j3, m3 = doubled = _doubled(*labels)
-    ok = (m1 + m2 == m3 and _triangle(j1, j2, j3)
+    j1, m1, j2, m2, j3, m3 = ints = doubled(*labels)
+    ok = (m1 + m2 == m3 and triangle(j1, j2, j3)
           and all(abs(m) <= j and (j - m) % 2 == 0
                   for j, m in ((j1, m1), (j2, m2), (j3, m3))))
-    return doubled if ok else None
+    return ints if ok else None
 
 
 def cgc_closed(j1, m1, j2, m2, j3, m3):
@@ -88,12 +80,12 @@ def cgc_table(j1, j2, j3=None):
     """The allowed doubled labels (j1 m1 j2 m2 j3 m3) of the j1 x j2 table by
     descending j3, m3, m1; only the j3 block when j3 is given.  ValueError
     for a negative spin or a j3 that the table lacks."""
-    d1, d2 = _doubled(j1, j2)
+    d1, d2 = doubled(j1, j2)
     if d1 < 0 or d2 < 0:
         raise ValueError("spins must be nonnegative")
     j3s = range(d1 + d2, abs(d1 - d2) - 1, -2)
     if j3 is not None:
-        d3 = _doubled(j3)
+        d3 = doubled(j3)
         if d3[0] not in j3s:
             raise ValueError("j3=%s does not occur in %s x %s"
                              % (half(j3), half(j1), half(j2)))
@@ -185,23 +177,28 @@ def _sixj(a, b, c, d, e, f):
     return sqrt_of_rational(delta) * (total * den)
 
 
-def _checked_sixj(a, b, c, d, e, f):
-    """The 6j symbol on doubled labels, zero unless all four triangles hold."""
+def sixj_doubled(a, b, c, d, e, f):
+    """`sixj` on doubled labels."""
     triads = ((a, b, c), (c, d, e), (b, d, f), (a, e, f))
-    return _sixj(a, b, c, d, e, f) if all(_triangle(*t) for t in triads) else _ZERO
+    return _sixj(a, b, c, d, e, f) if all(triangle(*t) for t in triads) else _ZERO
 
 
 def sixj(a, b, c, d, e, f):
     """{a b c; d e f}, zero unless all four coupling triangles hold."""
-    return _checked_sixj(*_doubled(a, b, c, d, e, f))
+    return sixj_doubled(*doubled(a, b, c, d, e, f))
+
+
+def ninej_doubled(rows):
+    """`ninej` on doubled labels."""
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    total = _ZERO
+    for x in range(max(abs(a - i), abs(b - f), abs(d - h)), min(a + i, b + f, d + h) + 1, 2):
+        term = (sixj_doubled(a, b, c, f, i, x) * sixj_doubled(d, e, f, b, x, h)
+                * sixj_doubled(g, h, i, x, a, d))
+        total = total + term * Radical.from_rational((x + 1) * (-1) ** x)
+    return total
 
 
 def ninej(rows):
     """{a b c; d e f; g h i} as the standard 6j contraction over one spin."""
-    (a, b, c), (d, e, f), (g, h, i) = [_doubled(*r) for r in rows]
-    total = _ZERO
-    for x in range(max(abs(a - i), abs(b - f), abs(d - h)), min(a + i, b + f, d + h) + 1, 2):
-        term = (_checked_sixj(a, b, c, f, i, x) * _checked_sixj(d, e, f, b, x, h)
-                * _checked_sixj(g, h, i, x, a, d))
-        total = total + term * Radical.from_rational((x + 1) * (-1) ** x)
-    return total
+    return ninej_doubled([doubled(*r) for r in rows])

@@ -3,9 +3,9 @@
 Nothing in `extremal` calls these.  They are the older or symbolic routes:
 the term-by-term product of `TaylorElement`s, the identity check on full
 products, su(2) general projection operators built as `TaylorElement`s, the
-tensor form of the su(3) projector, the GT lowering word of one label and its
-raising word, the GT module read off the projector-built vectors, and small
-exact matrix algebra.
+tensor form of the su(3) projector, the Fraction admissibility test of GT
+labels, the GT lowering word of one label and its raising word, the GT module
+read off the projector-built vectors, and small exact matrix algebra.
 The tests compare the package's numeric routes against them.
 """
 
@@ -284,6 +284,25 @@ def apply_tensor_form(lam, mu, v, M):
     if not v.is_zero():
         v = apply_element(pt, v, M, singular="zero")
     return v
+
+
+# -- the GT labels in Fractions ------------------------------------------
+
+
+def fraction_admissible_jt(lam, mu, j, t):
+    """The (j, t) admissibility of (lam, mu) as four Fraction inequalities
+    plus the integrality of mu/2 + j + t; false for any other label."""
+    mu2 = Fraction(mu, 2)
+    if j < 0 or t < 0:
+        return False
+    if (mu2 + j + t).denominator != 1:
+        return False
+    return (
+        mu2 + j - t >= 0
+        and -mu2 + j + t >= 0
+        and mu2 - j + t >= 0
+        and mu2 + j + t <= lam + mu
+    )
 
 
 # -- the GT lowering and raising words ----------------------------------

@@ -11,7 +11,7 @@ from itertools import product
 import pytest
 
 from extremal import cli
-from extremal.exact import Radical, projections
+from extremal.exact import Radical
 from extremal.projector import IdentityReport
 from extremal.wigner2 import cgc_closed
 
@@ -251,8 +251,8 @@ def test_cgc_su2_tables_hold_the_allowed_nonzero_coefficients(capsys):
         want = []
         j3 = j1 + j2
         while j3 >= abs(j1 - j2):
-            for m3 in projections(j3):
-                for m1 in projections(j1):
+            for m3 in (j3 - k for k in range(int(2 * j3) + 1)):
+                for m1 in (j1 - k for k in range(int(2 * j1) + 1)):
                     m2 = m3 - m1
                     v = cgc_closed(j1, m1, j2, m2, j3, m3) if abs(m2) <= j2 else None
                     if v:

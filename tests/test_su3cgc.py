@@ -201,6 +201,23 @@ def test_both_routes_refuse_the_same_labels(route, slot, bad, L3):
         projector_matrix_element((1, 0), g1, (0, 1), g2, L3, g3, g3p, g1p, g2p, route=route)
 
 
+@pytest.mark.parametrize("slot", range(3))
+def test_direct_route_checks_the_guard_before_enumerating_labels(monkeypatch, slot):
+    # the labels of (60, 60) would fill a 226,981-label record first
+    from extremal import su3gt
+
+    def refuse(lam, mu):
+        raise AssertionError("labels of (%d, %d) enumerated" % (lam, mu))
+
+    monkeypatch.setattr(su3gt, "_gt_index", refuse)
+    irreps = [(1, 0), (0, 1), (1, 1)]
+    irreps[slot] = (60, 60)
+    L1, L2, L3 = irreps
+    g = (0, 0, 0)
+    with pytest.raises(ValueError, match=r"desk-scale guard: lam \+ mu <= 6"):
+        projector_matrix_element(L1, g, L2, g, L3, g, g, g, g, route="direct")
+
+
 def test_dual_route_singlet_block():
     L1, L2, L3 = (1, 0), (0, 1), (0, 0)
     labels1 = enumerate_gt_labels(*L1)

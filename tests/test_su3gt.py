@@ -12,9 +12,11 @@ from extremal.su3gt import (
     gt_basis,
     gt_hypercharge,
     gt_module,
+    gt_multiplets,
     gt_norm_factor,
     gt_vector,
 )
+from reference import fraction_admissible_jt
 
 HALF = Fraction(1, 2)
 IRREPS = [(1, 0), (0, 1), (2, 0), (1, 1), (2, 1)]
@@ -35,13 +37,13 @@ def test_label_counts_match_dimensions():
 
 
 def _labels_by_scan(lam, mu):
-    """Every half-integer (j, t) pair through admissible_jt: the reference
-    for the closed-form ranges of enumerate_gt_labels."""
+    """Every half-integer (j, t) pair through the Fraction admissibility
+    test: the reference for the int ranges of enumerate_gt_labels."""
     out = []
     for jj in range(0, 2 * (lam + mu) + 1):
         for tt in range(0, 2 * (lam + mu) + 1):
             j, t = Fraction(jj, 2), Fraction(tt, 2)
-            if not admissible_jt(lam, mu, j, t):
+            if not fraction_admissible_jt(lam, mu, j, t):
                 continue
             tz = t
             while tz >= -t:
@@ -77,10 +79,27 @@ def test_norm_factor_computed_once(monkeypatch):
 
 
 def test_admissibility():
-    assert admissible_jt(1, 1, HALF, 1)
-    assert not admissible_jt(1, 1, HALF, HALF)  # mu/2 + j + t not an integer
-    assert not admissible_jt(1, 0, Fraction(2), Fraction(0))
-    assert not admissible_jt(1, 0, Fraction(-1), Fraction(0))
+    for test in (admissible_jt, fraction_admissible_jt):
+        assert test(1, 1, HALF, 1)
+        assert not test(1, 1, HALF, HALF)  # mu/2 + j + t not an integer
+        assert not test(1, 0, Fraction(2), Fraction(0))
+        assert not test(1, 0, Fraction(-1), Fraction(0))
+
+
+def test_admissibility_matches_the_fraction_inequalities():
+    # every half-integer j, t in [-1, lam + mu + 1], for every lam + mu <= 8
+    for lam in range(9):
+        for mu in range(9 - lam):
+            halves = [Fraction(k, 2) for k in range(-2, 2 * (lam + mu + 1) + 1)]
+            for j in halves:
+                for t in halves:
+                    assert admissible_jt(lam, mu, j, t) == fraction_admissible_jt(
+                        lam, mu, j, t), (lam, mu, j, t)
+
+
+def test_admissibility_refuses_a_label_that_is_not_a_half_integer():
+    with pytest.raises(ValueError, match="not a half-integer: 1/3"):
+        admissible_jt(1, 1, Fraction(1, 3), HALF)
 
 
 def test_octet_labels():
@@ -93,6 +112,7 @@ def test_octet_labels():
         (HALF, Fraction(1)),
         (Fraction(1), HALF),
     ]
+    assert gt_multiplets(1, 1) == jt  # in label order: ascending j, then t
 
 
 def test_hypercharge_values():
@@ -271,6 +291,6 @@ def test_gt_vector_checks_the_guard_before_enumerating_labels(monkeypatch):
     def refuse(lam, mu):
         raise AssertionError("labels of (%d, %d) enumerated" % (lam, mu))
 
-    monkeypatch.setattr(su3gt, "enumerate_gt_labels", refuse)
+    monkeypatch.setattr(su3gt, "_gt_index", refuse)
     with pytest.raises(ValueError, match=r"desk-scale guard: lam \+ mu <= 6"):
         gt_vector(60, 60, (0, 30, 30))

@@ -1,6 +1,7 @@
 """su(2) coupling: CGC by two routes, unitarity, symmetries, 6j and 9j,
 and 6j/9j against independent implementations."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -9,9 +10,9 @@ import sympy
 from sympy.physics.wigner import clebsch_gordan, wigner_6j, wigner_9j
 
 from extremal import exact, wigner2
-from extremal.exact import Radical, projections, spin_range, sqrt_of_rational
+from extremal.exact import Radical, sqrt_of_rational
 from extremal.repmod import su2_irrep
-from extremal.wigner2 import cgc_closed, cgc_projector, ninej, sixj
+from extremal.wigner2 import cgc_closed, cgc_projector, ninej, ninej_doubled, sixj, sixj_doubled
 from reference import general_projector, lowering_monomial
 
 HALF = Fraction(1, 2)
@@ -19,6 +20,16 @@ HALF = Fraction(1, 2)
 
 def _rat(q):
     return Radical.from_rational(Fraction(q))
+
+
+def _halves(lo, hi):
+    """lo, lo + 1/2, ..., hi, ranged on doubled ints."""
+    return [Fraction(k, 2) for k in range(int(2 * lo), int(2 * hi) + 1)]
+
+
+def _projections(j):
+    """The projections j, j - 1, ..., -j of spin j."""
+    return [j - k for k in range(int(2 * j) + 1)]
 
 
 def test_cgc_known_values():
@@ -40,11 +51,11 @@ def test_cgc_selection_rules():
 
 
 def test_dual_route_agreement():
-    for j1 in spin_range(HALF, Fraction(3, 2)):
-        for j2 in spin_range(HALF, 1):
-            for j3 in spin_range(abs(j1 - j2), j1 + j2):
-                for m3 in projections(j3):
-                    for m1 in projections(j1):
+    for j1 in _halves(HALF, Fraction(3, 2)):
+        for j2 in _halves(HALF, 1):
+            for j3 in _halves(abs(j1 - j2), j1 + j2):
+                for m3 in _projections(j3):
+                    for m1 in _projections(j1):
                         m2 = m3 - m1
                         if abs(m2) > j2:
                             continue
@@ -59,9 +70,9 @@ def test_cgc_orthogonality():
     # rows: sum over m1 m2 of C(j3 m3) C(j3' m3') = delta
     for j3 in allowed:
         for j3p in allowed:
-            for m3 in projections(min(j3, j3p)):
+            for m3 in _projections(min(j3, j3p)):
                 s = Radical.from_rational(0)
-                for m1 in projections(j1):
+                for m1 in _projections(j1):
                     m2 = m3 - m1
                     if abs(m2) > j2:
                         continue
@@ -89,7 +100,7 @@ def test_lowering_monomial_action():
     j = Fraction(3, 2)
     M = su2_irrep(j)
     top = M.basis_vector("m=3/2")
-    for m in projections(j):
+    for m in _projections(j):
         out = lowering_monomial(j, m).apply(top, M)
         assert out == M.basis_vector("m=%s" % m)
 
@@ -165,6 +176,19 @@ def test_recoupling_symbols_on_negative_and_bad_labels():
         ninej(((1, 1, 1), (1, Fraction(1, 3), 1), (1, 1, 1)))
 
 
+def test_recoupling_symbols_are_parsers_over_the_doubled_cores():
+    # the same value from Fraction labels and from their doubled ints, also
+    # on negative and out-of-triangle labels
+    for ds in product(range(-1, 4), repeat=6):
+        assert sixj(*(Fraction(d, 2) for d in ds)) == sixj_doubled(*ds), ds
+    rng = random.Random(19)
+    for _ in range(500):
+        ds = [rng.randrange(-2, 6) for _ in range(9)]
+        rows = [ds[0:3], ds[3:6], ds[6:9]]
+        halves = [[Fraction(d, 2) for d in r] for r in rows]
+        assert ninej(halves) == ninej_doubled(rows), rows
+
+
 # -- independent oracles for 6j and 9j --------------------------------
 
 
@@ -198,8 +222,8 @@ def _sixj_contraction(a, b, c, d, e, f):
     # (b d) f then (a f) e, at total projection M = e
     total = Radical.from_rational(0)
     M = e
-    for m1 in projections(a):
-        for m2 in projections(b):
+    for m1 in _projections(a):
+        for m2 in _projections(b):
             m3 = M - m1 - m2
             if abs(m3) > d:
                 continue
@@ -221,12 +245,8 @@ def _sixj_contraction(a, b, c, d, e, f):
     return total * norm * Radical.from_rational(phase)
 
 
-def _spins(hi):
-    return list(spin_range(0, hi))
-
-
 def test_sixj_equals_cgc_contraction():
-    for js in product(_spins(2), repeat=6):
+    for js in product(_halves(0, 2), repeat=6):
         if _sixj_valid(*js):
             assert sixj(*js) == _sixj_contraction(*js), js
 
@@ -235,9 +255,9 @@ def test_cgc_against_sympy():
     # every coefficient with j1, j2 <= 2, zeros included
     q = lambda x: sympy.Rational(x.numerator, x.denominator)
     count = 0
-    for j1, j2 in product(_spins(2), repeat=2):
-        for j3 in spin_range(abs(j1 - j2), j1 + j2):
-            for m1, m2 in product(projections(j1), projections(j2)):
+    for j1, j2 in product(_halves(0, 2), repeat=2):
+        for j3 in _halves(abs(j1 - j2), j1 + j2):
+            for m1, m2 in product(_projections(j1), _projections(j2)):
                 if abs(m1 + m2) > j3:
                     continue
                 ref = clebsch_gordan(q(j1), q(j2), q(j3), q(m1), q(m2), q(m1 + m2))
@@ -260,7 +280,7 @@ def test_cgc_closed_at_large_spin_factors_only_the_prefactor(monkeypatch):
     j = Fraction(20)
     rows = {}
     for j3 in (Fraction(32), Fraction(18)):
-        rows[j3] = [cgc_closed(j, m1, j, -m1, j3, 0) for m1 in projections(j)]
+        rows[j3] = [cgc_closed(j, m1, j, -m1, j3, 0) for m1 in _projections(j)]
     assert rows[Fraction(32)][32] == cgc_closed(j, -12, j, 12, 32, 0)
     # the rows of the unitary coupling matrix are orthonormal
     for a, b in product(rows, repeat=2):
@@ -275,7 +295,7 @@ def test_cgc_closed_at_large_spin_factors_only_the_prefactor(monkeypatch):
 
 
 def test_sixj_against_sympy():
-    valid = [js for js in product(_spins(Fraction(3, 2)), repeat=6) if _sixj_valid(*js)]
+    valid = [js for js in product(_halves(0, Fraction(3, 2)), repeat=6) if _sixj_valid(*js)]
     assert len(valid) == 181
     for js in valid:
         ref = wigner_6j(*(sympy.Rational(j.numerator, j.denominator) for j in js))
@@ -283,7 +303,7 @@ def test_sixj_against_sympy():
 
 
 def test_ninej_against_sympy():
-    valid = [js for js in product(_spins(1), repeat=9) if _ninej_valid(*js)]
+    valid = [js for js in product(_halves(0, 1), repeat=9) if _ninej_valid(*js)]
     assert len(valid) == 215
     for js in valid:
         ref = wigner_9j(*(sympy.Rational(j.numerator, j.denominator) for j in js))
@@ -292,9 +312,9 @@ def test_ninej_against_sympy():
 
 
 def test_non_triangle_symbols_vanish():
-    for js in product(_spins(Fraction(3, 2)), repeat=6):
+    for js in product(_halves(0, Fraction(3, 2)), repeat=6):
         if not _sixj_valid(*js):
             assert not sixj(*js), js
-    for js in product(_spins(HALF), repeat=9):
+    for js in product(_halves(0, HALF), repeat=9):
         if not _ninej_valid(*js):
             assert not ninej((js[0:3], js[3:6], js[6:9])), js
