@@ -291,14 +291,30 @@ class CliError(Exception):
     pass
 
 
+def _render_json(records, command):
+    """The bytes of json.dumps(doc, indent=2) + "\n", on json's C encoder.
+
+    Any indent sends json to its pure-Python encoder.  A record is a flat
+    dict of scalars with at least one field, and an encoded string never
+    holds a raw newline, so one compact encode whose item separator carries
+    the field indent, with the record brackets written here, is the same.
+    """
+    head = '{\n  "schema": %s,\n  "command": %s,\n  "records": ' % (
+        json.dumps(SCHEMA), json.dumps(command))
+    if not records:
+        return head + "[]\n}\n"
+    body = json.dumps(records, separators=(",\n      ", ": "))[2:-2]
+    body = body.replace("},\n      {", "\n    },\n    {\n      ")
+    return head + "[\n    {\n      " + body + "\n    }\n  ]\n}\n"
+
+
 def render(records, fmt, command):
     if not records:
         fields = []
     else:
         fields = list(records[0].keys())
     if fmt == "json":
-        doc = {"schema": SCHEMA, "command": command, "records": records}
-        return json.dumps(doc, indent=2, sort_keys=False) + "\n"
+        return _render_json(records, command)
     if fmt == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, quoting=csv.QUOTE_NONNUMERIC, lineterminator="\n")

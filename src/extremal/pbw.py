@@ -437,6 +437,18 @@ class RewriteEngine:
         self._shift_cache[key] = out
         return out
 
+    def root_weight(self, packed):
+        """Weight of a packed word in simple-root coordinates: e_ij adds
+        alpha_i + ... + alpha_{j-1} for i < j and subtracts
+        alpha_j + ... + alpha_{i-1} for i > j."""
+        w = [0] * (self.n - 1)
+        for (i, j), e in packed:
+            if i > j:
+                i, j, e = j, i, -e
+            for k in range(i - 1, j - 1):
+                w[k] += e
+        return w
+
     def h_span_vec(self, i, j):
         """Coefficient vector of e_ii - e_jj over the h_k."""
         v = [0] * (self.n - 1)
@@ -628,6 +640,11 @@ class TaylorElement:
     def degree(packed):
         return sum(e for _, e in packed)
 
+    @staticmethod
+    def height(packed):
+        """Height of a packed raising word: e_ij (i < j) counts j - i."""
+        return sum(e * (j - i) for (i, j), e in packed)
+
     def raising_degree(self, key):
         return self.degree(key[1])
 
@@ -697,6 +714,17 @@ class TaylorElement:
         once, ca shifted past L1 times c1 times cb shifted back past R1,
         and then by each term of La L1 and of the cut R1 Rb.
 
+        Straightening keeps a word's weight, so most of the words that the
+        cut would empty are never straightened.  In simple-root coordinates
+        wt(R1) = wt(Ra Lb) - wt(L1) with wt(L1) <= 0, so each coordinate of
+        wt(R1) is at least max(wt(Ra Lb)_k, 0); and a raising word of
+        degree <= bound has height <= bound * (n - 1), the highest root's
+        height times the degree.  A pair whose Ra Lb forces R1 Rb above
+        that height is skipped before Ra Lb is straightened, and a core
+        term whose R1 Rb is above it before R1 Rb is.  Every term skipped
+        so would have been cut, so the output is unchanged, term by term
+        and in order.
+
         Each output term is kept or dropped by its own raising degree, so a
         smaller `bound` gives exactly the full product's terms of raising
         degree <= bound.  A larger one raises ValueError: terms above an
@@ -709,13 +737,24 @@ class TaylorElement:
             bound = top
         elif bound > top:
             raise ValueError("output bound %d exceeds the inputs' bound %d" % (bound, top))
-        degree = TaylorElement.degree
+        degree, height, weight = TaylorElement.degree, TaylorElement.height, eng.root_weight
+        limit = bound * (eng.n - 1)
+        a_terms = [
+            (eng.unpack(La), eng.unpack(Ra), weight(Ra), ca)
+            for (La, Ra), ca in self.terms.items()
+        ]
+        b_terms = [
+            (eng.unpack(Lb), eng.unpack(Rb), weight(Lb), height(Rb), cb)
+            for (Lb, Rb), cb in other.terms.items()
+        ]
         acc = {}
-        for (La, Ra), ca in self.terms.items():
-            la_letters, ra_letters = eng.unpack(La), eng.unpack(Ra)
-            for (Lb, Rb), cb in other.terms.items():
-                rb_letters = eng.unpack(Rb)
-                for (L1, R1), c1 in eng.reduce(ra_letters + eng.unpack(Lb)).items():
+        for la_letters, ra_letters, wa, ca in a_terms:
+            for lb_letters, rb_letters, wb, hb, cb in b_terms:
+                if hb + sum(x + y for x, y in zip(wa, wb) if x + y > 0) > limit:
+                    continue
+                for (L1, R1), c1 in eng.reduce(ra_letters + lb_letters).items():
+                    if hb + height(R1) > limit:
+                        continue
                     r1_letters = eng.unpack(R1)
                     highs = [
                         (R2, cr)

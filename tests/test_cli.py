@@ -9,6 +9,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extremal import cli
 from extremal.exact import Radical
@@ -373,6 +375,26 @@ def test_cached_parser_keeps_no_state_between_calls(capsys):
     code, out, _ = run(capsys, "cgc-su2", "--j1", "1/2", "--j2", "1/2")
     assert code == 0
     assert out == pretty
+
+
+# text that could break a hand-written layout: escapes, raw newlines, "},"
+# and the separators themselves inside strings, non-ASCII text
+_TRICKY_TEXT = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(["},", '"},\n      {"', "\\", "\n", "\t", "\u00e9\u2211", "[]", ": "]),
+)
+_RECORD = st.dictionaries(
+    _TRICKY_TEXT,
+    st.one_of(st.integers(-10 ** 20, 10 ** 20), st.booleans(), _TRICKY_TEXT),
+    min_size=1, max_size=5,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=st.lists(_RECORD, max_size=4), command=_TRICKY_TEXT)
+def test_json_render_matches_the_indented_dump(records, command):
+    doc = {"schema": cli.SCHEMA, "command": command, "records": records}
+    assert cli.render(records, "json", command) == json.dumps(doc, indent=2) + "\n"
 
 
 # sha256 of stdout for cheap commands; any change to a printed byte (value,

@@ -46,6 +46,11 @@ def eng2():
     return RewriteEngine(SU2)
 
 
+@pytest.fixture(scope="module")
+def eng4():
+    return RewriteEngine(build_root_system(4))
+
+
 # -- Coeff ------------------------------------------------------------
 
 
@@ -495,6 +500,68 @@ def test_cut_product_of_the_su4_projector():
         P.mul(P, N + 1)
     with pytest.raises(ValueError, match="exceeds the inputs' bound 1"):
         P.mul(P.mul(P, 1), 2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_weight_pruned_product_is_the_low_part_of_the_reference(n, eng2, eng3, eng4, data):
+    # the elements of test_cut_product_is_the_low_part_of_the_full_one, and
+    # of su(4), against reference_mul, which straightens every word and
+    # cuts only at the end: the words mul skips by weight change no term
+    sys_ = build_root_system(n)
+    eng = {2: eng2, 3: eng3, 4: eng4}[n]
+    gens = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    cartan = st.tuples(
+        st.sampled_from(["h", "expr", "recip"]), st.integers(1, n - 1), st.integers(-2, 2)
+    )
+    letter = st.one_of(st.sampled_from(gens), cartan)
+
+    def item(w):
+        if w[0] == "recip":
+            return 1 / (sympy.Symbol("h%d" % w[1]) + sympy.Rational(w[2], 2))
+        return _word_item(w)
+
+    def element():
+        N = data.draw(st.integers(0, 4))
+        x = eng.zero(N)
+        for word in data.draw(st.lists(st.lists(letter, max_size=5), min_size=1, max_size=3)):
+            x = x + rewrite_word([item(w) for w in word], sys_, engine=eng, N=N)
+        return x
+
+    a, b = element(), element()
+    full = reference_mul(a, b)
+    for k in range(min(a.bound, b.bound) + 1):
+        assert a.mul(b, k).terms == _low_part(full, k)
+
+
+def test_weight_pruned_su4_projector_product():
+    N = 2
+    su4 = build_root_system(4)
+    P = extremal_projector(su4, N=N, engine=RewriteEngine(su4))
+    full = reference_mul(P, P)
+    for k in range(N + 1):
+        assert P.mul(P, k).terms == _low_part(full, k)
+
+
+def test_product_straightens_no_raising_word_above_the_bound(monkeypatch):
+    # a raising word of degree <= k has height <= 2k in su(3); mul skips
+    # every R1 Rb (and raising Ra Lb) above that height before straightening
+    N = 3
+    eng = RewriteEngine(SU3)
+    P = extremal_projector(SU3, N=N, engine=eng)
+    seen = []
+    reduce = eng.reduce
+
+    def spy(word):
+        seen.append(tuple(word))
+        return reduce(word)
+
+    monkeypatch.setattr(eng, "reduce", spy)
+    P.mul(P, N - 1)
+    raising = [w for w in seen if all(i < j for i, j in w)]
+    assert raising
+    assert max(sum(j - i for i, j in w) for w in raising) <= (N - 1) * 2
 
 
 def test_exponent_letters():
