@@ -179,7 +179,10 @@ def verify_extremal_identities(P):
     terms of degree <= N - 1, the only ones a residual keeps.  The inputs
     stay at bound N, because in su(3) and above straightening can lower the
     raising degree (e23 e12 = e12 e23 - e13), so their degree-N terms still
-    reach degree N - 1.
+    reach degree N - 1.  What the cut saves is straightening: `mul` skips
+    every word whose raising part must exceed height (N - 1)(n - 1), the
+    most a raising word of degree N - 1 can have, by the weight that
+    straightening keeps.
     """
     eng, N = P.engine, P.bound
     deg = N - 1

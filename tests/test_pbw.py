@@ -535,10 +535,9 @@ def test_weight_pruned_product_is_the_low_part_of_the_reference(n, eng2, eng3, e
         assert a.mul(b, k).terms == _low_part(full, k)
 
 
-def test_weight_pruned_su4_projector_product():
+def test_weight_pruned_su4_projector_product(eng4):
     N = 2
-    su4 = build_root_system(4)
-    P = extremal_projector(su4, N=N, engine=RewriteEngine(su4))
+    P = extremal_projector(eng4.sys, N=N, engine=eng4)
     full = reference_mul(P, P)
     for k in range(N + 1):
         assert P.mul(P, k).terms == _low_part(full, k)
@@ -546,7 +545,8 @@ def test_weight_pruned_su4_projector_product():
 
 def test_product_straightens_no_raising_word_above_the_bound(monkeypatch):
     # a raising word of degree <= k has height <= 2k in su(3); mul skips
-    # every R1 Rb (and raising Ra Lb) above that height before straightening
+    # every R1 Rb (and raising Ra Lb) above that height before straightening,
+    # and straightens those at it
     N = 3
     eng = RewriteEngine(SU3)
     P = extremal_projector(SU3, N=N, engine=eng)
@@ -560,8 +560,7 @@ def test_product_straightens_no_raising_word_above_the_bound(monkeypatch):
     monkeypatch.setattr(eng, "reduce", spy)
     P.mul(P, N - 1)
     raising = [w for w in seen if all(i < j for i, j in w)]
-    assert raising
-    assert max(sum(j - i for i, j in w) for w in raising) <= (N - 1) * 2
+    assert max(sum(j - i for i, j in w) for w in raising) == (N - 1) * 2
 
 
 def test_exponent_letters():
