@@ -25,7 +25,7 @@ from .algebra import (
     validate_normal_ordering,
 )
 from . import exact
-from .exact import Radical, sqrt_of_rational
+from .exact import sqrt_of_rational
 # imported at load time on purpose: every perfbench workload must load pbw at
 # set-up, for tracing.install() and so that setup_s and run_s keep their split
 from .pbw import RewriteEngine, TaylorElement
@@ -235,13 +235,8 @@ def _verify_su3_gt(trunc):
     labels = enumerate_gt_labels(lam, mu)
     count_ok = len(labels) == (lam + 1) * (mu + 1) * (lam + mu + 2) // 2
     vecs = [gt_vector(lam, mu, lab) for lab in labels]
-    one = Radical.from_rational(1)
-    gram_ok = True
-    for a, va in enumerate(vecs):
-        for b, vb in enumerate(vecs):
-            want = one if a == b else Radical.from_rational(0)
-            if va.inner(vb) != want:
-                gram_ok = False
+    gram_ok = all(va.inner(vb) == (a == b)
+                  for a, va in enumerate(vecs) for b, vb in enumerate(vecs))
     return [("label_count", count_ok), ("orthonormality", gram_ok)]
 
 
@@ -251,15 +246,8 @@ def _verify_su3_cgc(trunc):
     found = decompose(1, 0, 0, 1)
     decomp_ok = sorted(found) == [(0, 0), (1, 1)]
     mag = sqrt_of_rational(Fraction(1, 3))
-    labs1 = enumerate_gt_labels(1, 0)
-    labs2 = enumerate_gt_labels(0, 1)
-    singlet_ok = True
-    zero = Radical.from_rational(0)
-    for g1 in labs1:
-        for g2 in labs2:
-            v = su3_cgc(1, 0, g1, 0, 1, g2, 0, 0, (0, 0, 0))
-            if v != zero and v != mag and v != -mag:
-                singlet_ok = False
+    singlet_ok = all(su3_cgc(1, 0, g1, 0, 1, g2, 0, 0, (0, 0, 0)) in (0, mag, -mag)
+                     for g1 in enumerate_gt_labels(1, 0) for g2 in enumerate_gt_labels(0, 1))
     return [("decomposition", decomp_ok), ("singlet_magnitudes", singlet_ok)]
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import lru_cache
 
 __all__ = [
     "Radical",
@@ -22,6 +23,7 @@ __all__ = [
     "SingularWeightError",
     "TruncationError",
     "factorial_ratio",
+    "sqrt_factorial_ratio",
     "sqrt_of_rational",
     "parse_radical",
     "half",
@@ -53,6 +55,9 @@ def _squarefree_split(n):
 
     Trial division runs while p^3 <= n; what is left then has at most two
     prime factors, so it is a square or squarefree, and one isqrt tells which.
+    Only small radicands come here: `sqrt_factorial_ratio` splits factorials
+    by Legendre's formula, so no factorial ratio or Racah sum, whose large
+    prime factor q could cost q^(2/3) divisions, reaches it from a coupling formula.
     """
     if n < 1:
         raise ValueError("radicand must be positive, got %r" % (n,))
@@ -160,6 +165,10 @@ class Radical:
         return -(self - other)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            out = Radical.__new__(Radical)
+            out.terms = {d: c * other for d, c in self.terms.items()} if other else {}
+            return out
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -324,11 +333,18 @@ class TruncationError(ValueError):
     """The truncation bound is too small for the requested application."""
 
 
-def _factorial_arg(n):
-    k = int(n)
-    if k != n:
-        raise ValueError("factorial of non-integer %s" % (n,))
-    return k
+def _pole_checked(numerators, denominators):
+    """The arguments as int lists (nums, dens), or None when a denominator is
+    negative (the ratio is 0); PoleError when only a numerator is."""
+    given = list(numerators), list(denominators)
+    nums, dens = [int(n) for n in given[0]], [int(d) for d in given[1]]
+    if (nums, dens) != given:
+        raise ValueError("factorial of non-integer in %s / %s" % given)
+    if min(dens, default=0) < 0:
+        return None
+    if min(nums, default=0) < 0:
+        raise PoleError("factorial of %d in numerator" % min(nums))
+    return nums, dens
 
 
 def factorial_ratio(numerators, denominators):
@@ -339,16 +355,48 @@ def factorial_ratio(numerators, denominators):
     makes the ratio exactly zero (1/(-k)! = 0), and one among the numerators
     (with no denominator pole to kill the term first) raises PoleError.
     """
-    den = 1
-    for d in denominators:
-        d = _factorial_arg(d)
-        if d < 0:
-            return Fraction(0)
-        den *= math.factorial(d)
-    num = 1
-    for n in numerators:
-        n = _factorial_arg(n)
-        if n < 0:
-            raise PoleError("factorial of %s in numerator" % (n,))
-        num *= math.factorial(n)
-    return Fraction(num, den)
+    args = _pole_checked(numerators, denominators)
+    if args is None:
+        return Fraction(0)
+    return Fraction(*(math.prod(map(math.factorial, a)) for a in args))
+
+
+# The factorial arguments of a coupling value are at most j1 + j2 + j3 + 1
+# (a 6j: its largest triad sum + 1), so 256 entries hold every split of a table
+# or symbol with that sum below 255.  The split of n! has about n log2(n) / 2
+# bits: 256 entries at n <= 6001, a 6j at j = 2000, hold about 1.2 MB.
+@lru_cache(maxsize=256)
+def _factorial_split(n):
+    """n! = k^2 * d with d squarefree, by Legendre's formula; returns (k, d)."""
+    k = d = 1
+    for p in range(2, n + 1):
+        if all(p % q for q in range(2, math.isqrt(p) + 1)):
+            e = sum(n // p**i for i in range(1, n.bit_length()))
+            k, d = k * p ** (e // 2), d * p ** (e % 2)
+    return k, d
+
+
+def sqrt_factorial_ratio(numerators, denominators, extra=1, scale=1):
+    """scale * sqrt(extra * prod(n!) / prod(d!)) as a Radical, for an int
+    extra >= 0 and an int or Fraction scale; poles as in `factorial_ratio`.
+
+    The ratio is never formed: the squarefree parts of the cached splits n! =
+    k^2 d combine by one gcd each, s d = g^2 (s/g)(d/g), so only `extra` goes
+    through trial division.
+    """
+    args = _pole_checked(numerators, denominators)
+    out = Radical.__new__(Radical)
+    out.terms = {}
+    if args and scale and extra:
+        k, s = _squarefree_split(extra)
+        den = 1
+        for n in args[0]:
+            a, d = _factorial_split(n)
+            g = math.gcd(s, d)
+            s, k = (s // g) * (d // g), k * a * g
+        for n in args[1]:  # sqrt(s / (a^2 d)) = sqrt(s d) / (a d)
+            a, d = _factorial_split(n)
+            g = math.gcd(s, d)
+            s, k, den = (s // g) * (d // g), k * g, den * a * d
+        out.terms = {s: Fraction(k * scale.numerator, den * scale.denominator)}
+    return out

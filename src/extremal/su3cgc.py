@@ -25,6 +25,7 @@ from functools import lru_cache
 
 from .algebra import build_root_system
 from .exact import Radical, doubled, factorial_ratio, sqrt_of_rational, triangle
+from .exact import sqrt_factorial_ratio
 from .projector import apply_projector
 from .repmod import su3_label, tensor
 from .su3gt import _gt_index, gt_basis, gt_label_index, gt_module
@@ -175,18 +176,17 @@ def _pme_formula(L1, g1, L2, g2, L3, g3, g3p, g1p, g2p):
     delta, off = divmod((2 * lam1 + mu1) + (2 * lam2 + mu2) - (2 * lam3 + mu3), 3)
     if off:
         return _ZERO
-    outer = Radical.from_rational((lam3 + 1) * (mu3 + 1) * (lam3 + mu3 + 2))
-    a_sq = Fraction(1)
+    outer = Radical.from_rational(1)
+    a_num, a_den, a_extra = [], [], 1  # the prefactors of both sides, under one root
     sides = []
     for labels in ((g1, g2, g3), (g1p, g2p, g3p)):
         J1, T1, T1z, J2, T2, T2z, J3, T3, T3z = doubled(*labels[0], *labels[1], *labels[2])
         if J1 + J2 - J3 != delta or T1z + T2z != T3z or not triangle(T1, T2, T3):
             return _ZERO
         outer = outer * cgc_closed_doubled(T1, T1z, T2, T2z, T3, T3z)
-        a_sq *= factorial_ratio(
-            [J1 + 1, J2 + 1] + pair(lam3, mu3, J3, T3),
-            pair(lam1, mu1, J1, T1) + pair(lam2, mu2, J2, T2) + [J3],
-        ) * (T1 + 1) * (T2 + 1)
+        a_num += [J1 + 1, J2 + 1] + pair(lam3, mu3, J3, T3)
+        a_den += pair(lam1, mu1, J1, T1) + pair(lam2, mu2, J2, T2) + [J3]
+        a_extra *= (T1 + 1) * (T2 + 1)
         sides.append((J1, T1, J2, T2, J3, T3))
     if not outer:
         return _ZERO
@@ -227,4 +227,5 @@ def _pme_formula(L1, g1, L2, g2, L3, g3, g3p, g1p, g2p):
                 # the phase (-1)^(2(j1 + j2 + j3 - j1'' - j2'')) is the
                 # same on both sides, as j1 + j2 + j3 = delta + 2 j3
                 total = total + b * side(*ket) * (shared * (-1) ** rest)
-    return outer * sqrt_of_rational(a_sq) * total
+    return outer * sqrt_factorial_ratio(
+        a_num, a_den, a_extra, (lam3 + 1) * (mu3 + 1) * (lam3 + mu3 + 2)) * total

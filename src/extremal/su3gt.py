@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import doubled, factorial_ratio, half, sqrt_of_rational, triangle
+from .exact import doubled, half, sqrt_factorial_ratio, sqrt_of_rational, triangle
 from .projector import apply_factor
 from .repmod import Irrep, ModuleVector, mat_mul, mat_pow_vec, mat_vec, with_raising
 from .repmod import su3_irrep, su3_label
@@ -89,11 +89,10 @@ def gt_norm_factor(lam, mu, j, t):
 def _gt_norm_factor(lam, mu, J, T):
     """gt_norm_factor of the doubled labels J = 2j, T = 2t."""
     top = 2 * lam + mu
-    ratio = factorial_ratio(
+    return sqrt_factorial_ratio(
         [(top - J + T) // 2 + 1, (top - J - T) // 2, (mu + J + T) // 2 + 1, (mu - J + T) // 2],
         [lam, mu, lam + mu + 1, (J + mu - T) // 2, (J - mu + T) // 2, T + 1],
     )
-    return sqrt_of_rational(ratio)
 
 
 def gt_label_index(lam, mu, label):

@@ -16,7 +16,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import Radical, doubled, factorial_ratio, half, sqrt_of_rational, triangle
+from .exact import Radical, doubled, factorial_ratio, half, triangle
+from .exact import sqrt_factorial_ratio
 from .projector import apply_factor
 from .repmod import ModuleVector, mat_vec, su2_irrep, tensor
 
@@ -42,19 +43,17 @@ _ZERO = Radical.from_rational(0)
 def cgc_closed_doubled(j1, m1, j2, m2, j3, m3):
     """`cgc_closed` on doubled labels that the selection rules allow."""
     # Racah's sum in binomials (Johansson & Forssen 2016), on doubled labels:
-    # with a, b, c = j1+j2-j3, j1-j2+j3, -j1+j2+j3, the coefficient is
-    # sqrt(pref) * sum_k (-1)^k C(a,k) C(b, j1-m1-k) C(c, j2+m2-k)
+    # with a, b, c = j1+j2-j3, j1-j2+j3, -j1+j2+j3, the coefficient is the
+    # root below times sum_k (-1)^k C(a,k) C(b, j1-m1-k) C(c, j2+m2-k)
     a, b, c = (j1 + j2 - j3) // 2, (j1 - j2 + j3) // 2, (j2 + j3 - j1) // 2
     x, y = (j1 - m1) // 2, (j2 + m2) // 2
     total = 0
     for k in range(max(0, x - b, y - c), min(a, x, y) + 1):
         term = math.comb(a, k) * math.comb(b, x - k) * math.comb(c, y - k)
         total += -term if k % 2 else term
-    pref = (j3 + 1) * factorial_ratio(
+    return sqrt_factorial_ratio(
         [(j1 + m1) // 2, x, y, (j2 - m2) // 2, (j3 + m3) // 2, (j3 - m3) // 2],
-        [(j1 + j2 + j3) // 2 + 1, a, b, c],
-    )
-    return sqrt_of_rational(pref) * total
+        [(j1 + j2 + j3) // 2 + 1, a, b, c], extra=j3 + 1, scale=total)
 
 
 def _coupling(*labels):
@@ -144,8 +143,9 @@ def cgc_projector_doubled(j1, m1, j2, m2, j3, m3):
     val = lowered[m3].coords.get((j1 - m1) // 2 * (j2 + 1) + (j2 - m2) // 2)
     if val is None:
         return _ZERO
-    scalar = sqrt_of_rational(factorial_ratio([(j3 + m3) // 2], [j3, (j3 - m3) // 2]))
-    return val * scalar * sqrt_of_rational(Fraction(1) / diag)
+    # sqrt((j3+m3)! / ((2 j3)! (j3-m3)!) / diag), with 1/diag = q/p = pq/p^2
+    p, q = diag.numerator, diag.denominator
+    return val * sqrt_factorial_ratio([(j3 + m3) // 2], [j3, (j3 - m3) // 2], p * q, Fraction(1, p))
 
 
 # -- recoupling symbols -----------------------------------------------
@@ -158,10 +158,6 @@ def _sixj(a, b, c, d, e, f):
     # under one square root, times sum_t (-1)^t (t+1)! / prod of seven factorials,
     # summed in ints over the common denominator prod (hi-s)! prod (q-lo)!
     triads = ((a, b, c), (a, e, f), (d, b, f), (d, e, c))
-    delta = factorial_ratio(
-        [n // 2 for x, y, z in triads for n in (x + y - z, x - y + z, -x + y + z)],
-        [(x + y + z) // 2 + 1 for x, y, z in triads],
-    )
     sums = [(x + y + z) // 2 for x, y, z in triads]
     quads = [(a + b + d + e) // 2, (b + c + e + f) // 2, (c + a + f + d) // 2]
     lo, hi = max(sums), min(quads)
@@ -174,7 +170,9 @@ def _sixj(a, b, c, d, e, f):
             term *= math.perm(q - lo, t - lo)
         total += -term if t % 2 else term
     den = factorial_ratio([], [hi - s for s in sums] + [q - lo for q in quads])
-    return sqrt_of_rational(delta) * (total * den)
+    return sqrt_factorial_ratio(
+        [n // 2 for x, y, z in triads for n in (x + y - z, x - y + z, -x + y + z)],
+        [(x + y + z) // 2 + 1 for x, y, z in triads], scale=total * den)
 
 
 def sixj_doubled(a, b, c, d, e, f):
@@ -195,7 +193,7 @@ def ninej_doubled(rows):
     for x in range(max(abs(a - i), abs(b - f), abs(d - h)), min(a + i, b + f, d + h) + 1, 2):
         term = (sixj_doubled(a, b, c, f, i, x) * sixj_doubled(d, e, f, b, x, h)
                 * sixj_doubled(g, h, i, x, a, d))
-        total = total + term * Radical.from_rational((x + 1) * (-1) ** x)
+        total = total + term * ((x + 1) * (-1) ** x)
     return total
 
 

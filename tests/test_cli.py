@@ -451,6 +451,12 @@ STDOUT_DIGESTS = [
      "36158ce3fac4c4ae4a4ca66f475ff9d2dca48609013517c667c0e28e418aa338"),
     ("cgc-su2 --j1 0 --j2 2",
      "8639578483a896ce4b4b8748231094744f32496e51528866e6d427cd09185de8"),
+    ("cgc-su2 --j1 8 --j2 15/2 --format json",
+     "5bdd9cd9d18fc51af5b70f198ddaa1802ceea47d33ab6a5a54a3b2908ca844b8"),
+    ("sixj --j1 19/2 --j2 10 --j3 21/2 --j4 9 --j5 21/2 --j6 10",
+     "f559546b0a7b240fad1f81609e0e2cdda1ad916b1176fec1ec6c20b8360575ee"),
+    ("ninej --j1 4 --j2 7/2 --j3 9/2 --j4 3 --j5 4 --j6 5 --j7 4 --j8 9/2 --j9 7/2",
+     "c33b19147229ebe50f5d6fb7380a4283b4081c9f3fd1712dc143d772ed83db8f"),
 ]
 
 

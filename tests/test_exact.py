@@ -13,12 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import extremal
+from extremal import exact
 from extremal.exact import (
     PoleError,
     Radical,
+    _factorial_split,
     _squarefree_split,
     factorial_ratio,
     parse_radical,
+    sqrt_factorial_ratio,
     sqrt_of_rational,
 )
 
@@ -224,3 +227,76 @@ _radicands = st.one_of(
 @given(_radicands)
 def test_squarefree_split_matches_factorint(n):
     assert _squarefree_split(n) == _split_oracle(n)
+
+
+_args = st.lists(st.integers(-2, 40), max_size=6)
+_scales = st.one_of(st.just(0), st.integers(-10 ** 6, 10 ** 6),
+                    st.fractions(max_denominator=10 ** 4))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_args, _args, st.integers(0, 10 ** 6), _scales)
+def test_sqrt_factorial_ratio_matches_the_formed_ratio(nums, dens, extra, scale):
+    # poles, zero ratios, zero scales and extra > 1 all occur
+    try:
+        want = sqrt_of_rational(extra * factorial_ratio(nums, dens)) * scale
+    except PoleError:
+        with pytest.raises(PoleError):
+            sqrt_factorial_ratio(nums, dens, extra, scale)
+        return
+    got = sqrt_factorial_ratio(nums, dens, extra, scale)
+    assert got == want and hash(got) == hash(want)
+    assert got.terms == want.terms and all(type(c) is Fraction for c in got.terms.values())
+
+
+def test_sqrt_factorial_ratio_poles():
+    assert sqrt_factorial_ratio([3, -1], [2, -1]) == 0
+    assert sqrt_factorial_ratio([-1], [-2], extra=5, scale=7) == 0
+    with pytest.raises(PoleError):
+        sqrt_factorial_ratio([-1], [2], scale=0)
+    with pytest.raises(ValueError):
+        sqrt_factorial_ratio([Fraction(1, 2)], [])
+    # sqrt(2 * 4! / 2!) / 2 = sqrt(24) / 2
+    assert sqrt_factorial_ratio([4], [2], extra=2, scale=Fraction(1, 2)) == Radical({6: 1})
+
+
+def test_factorial_split_is_legendre():
+    for n in range(60):
+        k, d = _factorial_split(n)
+        assert (k, d) == _split_oracle(math.factorial(n))
+
+
+def test_factorial_split_cache_is_bounded():
+    bound = _factorial_split.cache_info().maxsize
+    assert bound is not None
+    _factorial_split.cache_clear()
+    for n in range(bound + 50):
+        _factorial_split(n)
+    assert _factorial_split.cache_info().currsize == bound
+    # the oldest splits were evicted, and come back equal
+    assert _factorial_split(3) == (1, 6)
+    _factorial_split.cache_clear()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.integers(1, 200), st.fractions(max_denominator=50), max_size=5),
+       st.one_of(st.integers(-50, 50), st.fractions(max_denominator=50)))
+def test_radical_times_a_rational_takes_the_scalar_path(terms, x):
+    r = Radical(terms)
+    general = Radical.__mul__(r, Radical.from_rational(x))
+    for got in (r * x, x * r):
+        assert got == general and hash(got) == hash(general)
+        assert got.terms == general.terms
+
+
+def test_sixj_splits_no_radicand_but_its_extra(monkeypatch):
+    # Racah's 6j sum and its factorials never reach trial division
+    from extremal import wigner2
+
+    seen = []
+    split = exact._squarefree_split
+    monkeypatch.setattr(exact, "_squarefree_split", lambda n: seen.append(n) or split(n))
+    wigner2._sixj.cache_clear()
+    assert wigner2.sixj_doubled(20, 20, 20, 20, 20, 20)
+    assert wigner2.sixj_doubled(19, 20, 21, 18, 21, 20)
+    assert seen == [1, 1]

@@ -416,33 +416,35 @@ def test_rewrite_and_star_match_module(n, eng2, eng3, data):
     assert mat_eq(matrix_of(x.star(), M), {(c, r): v for (r, c), v in mat.items()})
 
 
+def _item(w):
+    if w[0] == "recip":
+        return 1 / (sympy.Symbol("h%d" % w[1]) + sympy.Rational(w[2], 2))
+    return _word_item(w)
+
+
+def _element(data, n, eng):
+    """A drawn sum of up to three straightened words in generators and Cartan
+    letters, reciprocals of h_k + c included, at a drawn bound N <= 4."""
+    gens = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    cartan = st.tuples(
+        st.sampled_from(["h", "expr", "recip"]), st.integers(1, n - 1), st.integers(-2, 2)
+    )
+    letter = st.one_of(st.sampled_from(gens), cartan)
+    N = data.draw(st.integers(0, 4))
+    x = eng.zero(N)
+    for word in data.draw(st.lists(st.lists(letter, max_size=5), min_size=1, max_size=3)):
+        x = x + rewrite_word([_item(w) for w in word], eng.sys, engine=eng, N=N)
+    return x
+
+
 @pytest.mark.parametrize("n", [2, 3])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_product_matches_the_term_by_term_reference(n, eng2, eng3, data):
     # cutting R1 Rb before the coefficient arithmetic keeps exactly the
     # terms, and the stored coefficients, of the product truncated last
-    sys_ = SU2 if n == 2 else SU3
     eng = eng2 if n == 2 else eng3
-    gens = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    cartan = st.tuples(
-        st.sampled_from(["h", "expr", "recip"]), st.integers(1, n - 1), st.integers(-2, 2)
-    )
-    letter = st.one_of(st.sampled_from(gens), cartan)
-
-    def item(w):
-        if w[0] == "recip":
-            return 1 / (sympy.Symbol("h%d" % w[1]) + sympy.Rational(w[2], 2))
-        return _word_item(w)
-
-    def element():
-        N = data.draw(st.integers(0, 4))
-        x = eng.zero(N)
-        for word in data.draw(st.lists(st.lists(letter, max_size=5), min_size=1, max_size=3)):
-            x = x + rewrite_word([item(w) for w in word], sys_, engine=eng, N=N)
-        return x
-
-    a, b = element(), element()
+    a, b = _element(data, n, eng), _element(data, n, eng)
     assert (a * b).terms == reference_mul(a, b).terms
 
 
@@ -457,27 +459,8 @@ def _low_part(x, k):
 def test_cut_product_is_the_low_part_of_the_full_one(n, eng2, eng3, data):
     # the elements of test_product_matches_the_term_by_term_reference: an
     # output bound k keeps exactly the full product's terms of degree <= k
-    sys_ = SU2 if n == 2 else SU3
     eng = eng2 if n == 2 else eng3
-    gens = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    cartan = st.tuples(
-        st.sampled_from(["h", "expr", "recip"]), st.integers(1, n - 1), st.integers(-2, 2)
-    )
-    letter = st.one_of(st.sampled_from(gens), cartan)
-
-    def item(w):
-        if w[0] == "recip":
-            return 1 / (sympy.Symbol("h%d" % w[1]) + sympy.Rational(w[2], 2))
-        return _word_item(w)
-
-    def element():
-        N = data.draw(st.integers(0, 4))
-        x = eng.zero(N)
-        for word in data.draw(st.lists(st.lists(letter, max_size=5), min_size=1, max_size=3)):
-            x = x + rewrite_word([item(w) for w in word], sys_, engine=eng, N=N)
-        return x
-
-    a, b = element(), element()
+    a, b = _element(data, n, eng), _element(data, n, eng)
     full = a * b
     top = min(a.bound, b.bound)
     for k in range(top + 1):
@@ -509,27 +492,8 @@ def test_weight_pruned_product_is_the_low_part_of_the_reference(n, eng2, eng3, e
     # the elements of test_cut_product_is_the_low_part_of_the_full_one, and
     # of su(4), against reference_mul, which straightens every word and
     # cuts only at the end: the words mul skips by weight change no term
-    sys_ = build_root_system(n)
     eng = {2: eng2, 3: eng3, 4: eng4}[n]
-    gens = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    cartan = st.tuples(
-        st.sampled_from(["h", "expr", "recip"]), st.integers(1, n - 1), st.integers(-2, 2)
-    )
-    letter = st.one_of(st.sampled_from(gens), cartan)
-
-    def item(w):
-        if w[0] == "recip":
-            return 1 / (sympy.Symbol("h%d" % w[1]) + sympy.Rational(w[2], 2))
-        return _word_item(w)
-
-    def element():
-        N = data.draw(st.integers(0, 4))
-        x = eng.zero(N)
-        for word in data.draw(st.lists(st.lists(letter, max_size=5), min_size=1, max_size=3)):
-            x = x + rewrite_word([item(w) for w in word], sys_, engine=eng, N=N)
-        return x
-
-    a, b = element(), element()
+    a, b = _element(data, n, eng), _element(data, n, eng)
     full = reference_mul(a, b)
     for k in range(min(a.bound, b.bound) + 1):
         assert a.mul(b, k).terms == _low_part(full, k)

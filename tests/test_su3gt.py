@@ -62,13 +62,13 @@ def test_norm_factor_computed_once(monkeypatch):
     from extremal import su3gt
 
     calls = []
-    real = su3gt.factorial_ratio
+    real = su3gt.sqrt_factorial_ratio
 
-    def counting(num, den):
+    def counting(num, den, *rest):
         calls.append(1)
-        return real(num, den)
+        return real(num, den, *rest)
 
-    monkeypatch.setattr(su3gt, "factorial_ratio", counting)
+    monkeypatch.setattr(su3gt, "sqrt_factorial_ratio", counting)
     su3gt._gt_norm_factor.cache_clear()
     jts = {(lam, mu, j, t) for lam, mu in IRREPS
            for j, t, _ in enumerate_gt_labels(lam, mu)}

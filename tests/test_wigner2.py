@@ -269,29 +269,26 @@ def test_cgc_against_sympy():
 
 def test_cgc_closed_at_large_spin_factors_only_the_prefactor(monkeypatch):
     # Racah's sum often has a large prime factor q, and trial division of it
-    # would run to about q^(2/3); only the factorial prefactor, whose primes
-    # are at most j1 + j2 + j3 + 1, may go through the squarefree split.
-    # (20 -12 20 12 | 32 0) is such a coefficient.
+    # would run to about q^(2/3); the squarefree split may see no int larger
+    # than j1 + j2 + j3 + 1, so neither the sum, nor a factorial ratio, nor a
+    # large prime reaches it.  (20 -12 20 12 | 32 0) is such a coefficient.
     radicands = []
     split = exact._squarefree_split
     monkeypatch.setattr(exact, "_squarefree_split",
                         lambda n: radicands.append(n) or split(n))
     wigner2.cgc_closed_doubled.cache_clear()
+    exact._factorial_split.cache_clear()
     j = Fraction(20)
     rows = {}
     for j3 in (Fraction(32), Fraction(18)):
+        radicands.clear()
         rows[j3] = [cgc_closed(j, m1, j, -m1, j3, 0) for m1 in _projections(j)]
+        assert radicands and all(n <= j + j + j3 + 1 for n in radicands), j3
     assert rows[Fraction(32)][32] == cgc_closed(j, -12, j, 12, 32, 0)
     # the rows of the unitary coupling matrix are orthonormal
     for a, b in product(rows, repeat=2):
         dot = sum((x * y for x, y in zip(rows[a], rows[b])), Radical.from_rational(0))
         assert dot == Radical.from_rational(1 if a == b else 0), (a, b)
-    assert len(radicands) == 2 * 41
-    for n in radicands:
-        for p in range(2, 82):
-            while n % p == 0:
-                n //= p
-        assert n == 1
 
 
 def test_sixj_against_sympy():
