@@ -333,7 +333,7 @@ def emit(text, out_path):
         raise
 
 
-@functools.cache
+@functools.cache  # no argument: it holds the one parser
 def build_parser():
     p = argparse.ArgumentParser(
         prog="extremal",

@@ -1,5 +1,5 @@
 """Exact arithmetic kernel: sums of square roots, factorials, and the one
-parser of half-integer labels.
+parser of half-integer labels and one of integer labels.
 
 Every coefficient in the package ultimately lives in the field generated over Q
 by square roots of positive integers.  A value is kept as a canonical finite sum
@@ -7,7 +7,8 @@ sum_d c_d * sqrt(d) with squarefree radicands d, so structural equality is
 numeric equality.
 
 `doubled` parses half-integer labels once into the ints 2j, on which the
-su(2) and su(3) layers range them and apply the one triangle rule, `triangle`.
+su(2) and su(3) layers range them and apply the one triangle rule, `triangle`;
+`integer` parses the su(3) labels (lam, mu).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "sqrt_of_rational",
     "parse_radical",
     "half",
+    "integer",
     "doubled",
     "triangle",
 ]
@@ -38,6 +40,15 @@ def half(x):
     if f.denominator > 2:
         raise ValueError("not a half-integer: %s" % (x,))
     return f
+
+
+def integer(x):
+    """x as an int, from an int, an integral float or string, or a Fraction;
+    ValueError for any other value (no truncation)."""
+    f = x if isinstance(x, (int, Fraction)) else Fraction(x)
+    if f.denominator != 1:
+        raise ValueError("not an integer: %s" % (x,))
+    return f.numerator
 
 
 def doubled(*labels):
@@ -367,11 +378,17 @@ def factorial_ratio(numerators, denominators):
 # bits: 256 entries at n <= 6001, a 6j at j = 2000, hold about 1.2 MB.
 @lru_cache(maxsize=256)
 def _factorial_split(n):
-    """n! = k^2 * d with d squarefree, by Legendre's formula; returns (k, d)."""
+    """n! = k^2 * d with d squarefree, by Legendre's formula over the primes
+    up to n from a sieve of Eratosthenes; returns (k, d)."""
+    prime = bytearray([1]) * (n + 1)
     k = d = 1
     for p in range(2, n + 1):
-        if all(p % q for q in range(2, math.isqrt(p) + 1)):
-            e = sum(n // p**i for i in range(1, n.bit_length()))
+        if prime[p]:
+            prime[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+            e, q = 0, n  # Legendre: e = sum over i of n // p^i
+            while q:
+                q //= p
+                e += q
             k, d = k * p ** (e // 2), d * p ** (e % 2)
     return k, d
 

@@ -53,13 +53,13 @@ __all__ = [
 ]
 
 
-@functools.cache
+@functools.cache  # one entry per rank, and build_root_system admits only n <= 6
 def h_symbols(n):
     """Cartan symbols h1..h_{n-1} for su(n)."""
     return tuple(sympy.Symbol("h%d" % i) for i in range(1, n))
 
 
-@functools.cache
+@functools.cache  # one entry per rank, and build_root_system admits only n <= 6
 def cartan_ring(n):
     """Polynomial ring QQ[h1..h_{n-1}] shared by all engines of one rank."""
     return _poly_ring(",".join("h%d" % i for i in range(1, n)), QQ)[0]
@@ -381,7 +381,6 @@ class RewriteEngine:
         self._shift_cache = {}
         self._word_shift_cache = {}
         self._h_span_cache = {}
-        self._eval_cache = {}  # (Coeff, weight) -> Radical, for repmod.apply_element
 
     # -- coefficients -------------------------------------------------
 
@@ -618,7 +617,7 @@ def rewrite_word(word, sys, N=64, engine=None):
     return out._pruned()
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache  # one entry per rank, and build_root_system admits only n <= 6
 def shared_engine(n):
     """The engine of su(n) in its default normal ordering, one per rank."""
     return RewriteEngine(build_root_system(n))

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import Radical, SingularWeightError, TruncationError, doubled, sqrt_of_rational
+from .exact import Radical, SingularWeightError, TruncationError, doubled, integer
+from .exact import sqrt_of_rational
 
 __all__ = [
     "Irrep",
@@ -193,7 +194,7 @@ class ModuleVector:
 # -- su(2) -----------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _su2_cached(d):
     """su2_irrep of the doubled spin d."""
     if d < 0:
@@ -281,9 +282,9 @@ def _primitive(vec):
 
 
 def su3_label(lam, mu):
-    """(lam, mu) as ints; ValueError unless both are nonnegative and within
-    the desk-scale guard lam + mu <= 6 of the su(3) modules."""
-    lam, mu = int(lam), int(mu)
+    """(lam, mu) as ints; ValueError unless both are nonnegative integers
+    within the desk-scale guard lam + mu <= 6 of the su(3) modules."""
+    lam, mu = integer(lam), integer(mu)
     if lam < 0 or mu < 0:
         raise ValueError("labels must be nonnegative")
     if lam + mu > 6:
@@ -291,7 +292,7 @@ def su3_label(lam, mu):
     return lam, mu
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)  # su3_label admits 28 irreps
 def su3_irrep(lam, mu):
     """Exact su(3) irrep (lam, mu) realized in fund^lam x antifund^mu.
 
@@ -406,18 +407,6 @@ def su3_irrep(lam, mu):
 # -- application of Taylor elements ----------------------------------
 
 
-def _eval_coeff(engine, coeff, weight):
-    cache = engine._eval_cache
-    key = (coeff, weight)
-    try:
-        return cache[key]
-    except KeyError:
-        pass
-    val = Radical.from_rational(coeff.evaluate(list(weight)))
-    cache[key] = val
-    return val
-
-
 def apply_element(x, v, M, singular="raise"):
     """Act with a TaylorElement (any element with .engine, .bound and
     .terms) on a module vector, exactly.
@@ -439,8 +428,7 @@ def apply_element(x, v, M, singular="raise"):
             "module weight diameter %d exceeds truncation bound %d"
             % (M.weight_diameter, x.bound)
         )
-    eng = x.engine
-    if eng.n != M.n:
+    if x.engine.n != M.n:
         raise ValueError("algebra rank mismatch")
     if singular == "zero":
         by_weight = {}
@@ -458,7 +446,6 @@ def apply_element(x, v, M, singular="raise"):
 
 
 def _apply_raw(x, coords, M):
-    eng = x.engine
     out = ModuleVector({})
     for (L, R), coeff in x.terms.items():
         w = dict(coords)
@@ -471,7 +458,7 @@ def _apply_raw(x, coords, M):
         # diagonal Cartan coefficient, evaluated per weight component
         w2 = {}
         for idx, val in w.items():
-            c = _eval_coeff(eng, coeff, M.weights[idx])
+            c = Radical.from_rational(coeff.evaluate(list(M.weights[idx])))
             if c:
                 w2[idx] = val * c
         w = w2

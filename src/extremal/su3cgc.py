@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import build_root_system
-from .exact import Radical, doubled, factorial_ratio, sqrt_of_rational, triangle
+from .exact import Radical, doubled, factorial_ratio, integer, sqrt_of_rational, triangle
 from .exact import sqrt_factorial_ratio
 from .projector import apply_projector
 from .repmod import su3_label, tensor
@@ -46,9 +46,9 @@ _ZERO = Radical.from_rational(0)
 # -- coupled vectors over GT bases -------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def pair_module(lam1, mu1, lam2, mu2):
-    """tensor(gt_module(lam1, mu1), gt_module(lam2, mu2)), built once: basis
+    """tensor(gt_module(lam1, mu1), gt_module(lam2, mu2)), cached: basis
     vector i1 * d2 + i2 is |g1> x |g2>, with tag (g1, g2)."""
     return tensor(gt_module(lam1, mu1), gt_module(lam2, mu2))
 
@@ -58,7 +58,7 @@ def _pair_index(lam1, mu1, g1, lam2, mu2, g2):
     return gt_label_index(lam1, mu1, g1) * d2 + gt_label_index(lam2, mu2, g2)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def decompose(lam1, mu1, lam2, mu2):
     """Coupled highest-weight vectors of every constituent of the product.
 
@@ -94,7 +94,7 @@ def decompose(lam1, mu1, lam2, mu2):
     return found
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def coupled_basis(lam1, mu1, lam2, mu2, lam3, mu3, s):
     """The coupled vectors |s (lam3 mu3) g3> in pair_module(lam1, mu1, lam2,
     mu2), in the GT label order of (lam3, mu3): `gt_basis` applied to the
@@ -134,6 +134,7 @@ def projector_matrix_element(
     Both refuse a label that is not in its irrep with ValueError; the
     direct route checks the desk-scale guard on L1, L2 and L3 first.
     """
+    L1, L2, L3 = (tuple(map(integer, L)) for L in (L1, L2, L3))
     if route == "direct":
         for L in (L1, L2, L3):
             su3_label(*L)

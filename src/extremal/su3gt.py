@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import doubled, half, sqrt_factorial_ratio, sqrt_of_rational, triangle
+from .exact import doubled, half, integer, sqrt_factorial_ratio, sqrt_of_rational, triangle
 from .projector import apply_factor
 from .repmod import Irrep, ModuleVector, mat_mul, mat_pow_vec, mat_vec, with_raising
 from .repmod import su3_irrep, su3_label
@@ -67,7 +67,7 @@ def enumerate_gt_labels(lam, mu):
     Order: ascending j, then ascending t, then descending t_z; the first
     label is the highest-weight one (0, mu/2, mu/2).
     """
-    return list(_gt_index(int(lam), int(mu))[0])
+    return list(_gt_index(integer(lam), integer(mu))[0])
 
 
 def gt_hypercharge(lam, mu, j):
@@ -76,16 +76,16 @@ def gt_hypercharge(lam, mu, j):
 
 def gt_norm_factor(lam, mu, j, t):
     """Normalization N^{(lam mu)}_{jt}: positive square root of a factorial
-    ratio that makes the lowering-operator vector unit length; computed once
-    per (lam, mu, j, t)."""
-    lam, mu = int(lam), int(mu)
+    ratio that makes the lowering-operator vector unit length; memoized per
+    (lam, mu, j, t) in a bounded cache."""
+    lam, mu = integer(lam), integer(mu)
     if not admissible_jt(lam, mu, j, t):
         raise ValueError("inadmissible (j, t) = (%s, %s) for (%d, %d)"
                          % (half(j), half(t), lam, mu))
     return _gt_norm_factor(lam, mu, *doubled(j, t))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _gt_norm_factor(lam, mu, J, T):
     """gt_norm_factor of the doubled labels J = 2j, T = 2t."""
     top = 2 * lam + mu
@@ -100,7 +100,7 @@ def gt_label_index(lam, mu, label):
 
     ValueError unless it labels a vector there: (j, t) admissible, and
     t - t_z an integer in [0, 2t]."""
-    k = _gt_index(int(lam), int(mu))[1].get(doubled(*label))
+    k = _gt_index(integer(lam), integer(mu))[1].get(doubled(*label))
     if k is None:
         j, t, _ = label
         gt_norm_factor(lam, mu, j, t)  # names an inadmissible (j, t)
@@ -110,7 +110,7 @@ def gt_label_index(lam, mu, label):
 
 def gt_multiplets(lam, mu):
     """The (j, t) multiplets of (lam, mu) in label order."""
-    return [(j, t) for j, t, tz in _gt_index(int(lam), int(mu))[0] if tz == t]
+    return [(j, t) for j, t, tz in _gt_index(integer(lam), integer(mu))[0] if tz == t]
 
 
 @lru_cache(maxsize=64)
@@ -157,14 +157,14 @@ def gt_vector(lam, mu, label):
     return _gt_basis(lam, mu)[gt_label_index(lam, mu, label)]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)  # su3_label admits 28 irreps
 def _gt_basis(lam, mu):
     """The GT vectors in label order, built once."""
     M = su3_irrep(lam, mu)
     return gt_basis(M, lam, mu, M.basis_vector(0))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)  # su3_label admits 28 irreps
 def gt_module(lam, mu):
     """The irrep (lam, mu) over its GT basis, built once.
 

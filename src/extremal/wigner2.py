@@ -39,7 +39,6 @@ _ZERO = Radical.from_rational(0)
 # -- closed-form CGC --------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def cgc_closed_doubled(j1, m1, j2, m2, j3, m3):
     """`cgc_closed` on doubled labels that the selection rules allow."""
     # Racah's sum in binomials (Johansson & Forssen 2016), on doubled labels:
@@ -97,19 +96,14 @@ def cgc_table(j1, j2, j3=None):
 # -- projector-route CGC ----------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _coupled_module(j1, j2):
-    return tensor(su2_irrep(Fraction(j1, 2)), su2_irrep(Fraction(j2, 2)))
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _projected_tower(j1, j2, j3):
     """P applied to |j1 j1>|j2 j3-j1>, then lowered step by step; all
     labels doubled.
 
     Returns (diagonal element as Fraction, dict 2*m3 -> raw J_-^{j3-m3} P v0).
     """
-    M = _coupled_module(j1, j2)
+    M = tensor(su2_irrep(Fraction(j1, 2)), su2_irrep(Fraction(j2, 2)))
     v0_idx = (j2 - j3 + j1) // 2  # first factor at m = j1 (index 0)
     pv = apply_factor((1, 2), ModuleVector({v0_idx: 1}), M)  # P's one factor
     diag = pv.coords.get(v0_idx)
@@ -151,7 +145,7 @@ def cgc_projector_doubled(j1, m1, j2, m2, j3, m3):
 # -- recoupling symbols -----------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _sixj(a, b, c, d, e, f):
     # Racah's single sum (Racah 1942), on doubled labels: the product of the
     # four triangle coefficients Delta(xyz) = (x+y-z)!(x-y+z)!(-x+y+z)!/(x+y+z+1)!

@@ -20,6 +20,7 @@ from extremal.exact import (
     _factorial_split,
     _squarefree_split,
     factorial_ratio,
+    integer,
     parse_radical,
     sqrt_factorial_ratio,
     sqrt_of_rational,
@@ -82,6 +83,19 @@ def test_sqrt_of_rational():
     assert sqrt_of_rational(Fraction(1, 2)) == Radical({2: Fraction(1, 2)})
     with pytest.raises(ValueError):
         sqrt_of_rational(-1)
+
+
+@pytest.mark.parametrize("x, n", [(3, 3), (-2, -2), (1.0, 1), ("1", 1), ("-4", -4),
+                                  (Fraction(6, 3), 2), (True, 1)])
+def test_integer_accepts_integral_values(x, n):
+    got = integer(x)
+    assert got == n and type(got) is int
+
+
+@pytest.mark.parametrize("x", [Fraction(3, 2), 1.5, "3/2", 1.9, "2.7", "x"])
+def test_integer_refuses_a_value_it_would_have_to_truncate(x):
+    with pytest.raises(ValueError):
+        integer(x)
 
 
 def test_factorial_ratio_non_integer_raises():

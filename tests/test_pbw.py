@@ -610,18 +610,8 @@ def test_projector_dumps_unchanged():
 def test_apply_element_su2():
     # e12 e21 acts as J+ J-; on the highest vector of spin 1/2 it is the
     # identity, on the lowest it is zero
+    assert "_cache" not in inspect.signature(apply_element).parameters
     M = su2_irrep(Fraction(1, 2))
     x = rewrite_word([(1, 2), (2, 1)], SU2, N=M.weight_diameter)
     assert apply_element(x, M.basis_vector("m=1/2"), M) == M.basis_vector("m=1/2")
     assert apply_element(x, M.basis_vector("m=-1/2"), M).is_zero()
-
-
-def test_apply_element_memo_lives_on_engine():
-    assert "_cache" not in inspect.signature(apply_element).parameters
-    M = su2_irrep(Fraction(1, 2))
-    eng = RewriteEngine(SU2)
-    x = rewrite_word([(1, 2), ("h", 1), (2, 1)], SU2, engine=eng, N=M.weight_diameter)
-    apply_element(x, M.basis_vector("m=1/2"), M)
-    assert eng._eval_cache
-    other = RewriteEngine(SU2)
-    assert not other._eval_cache

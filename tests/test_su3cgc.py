@@ -201,6 +201,17 @@ def test_both_routes_refuse_the_same_labels(route, slot, bad, L3):
         projector_matrix_element((1, 0), g1, (0, 1), g2, L3, g3, g3p, g1p, g2p, route=route)
 
 
+@pytest.mark.parametrize("route", ["direct", "formula"])
+@pytest.mark.parametrize("L1", [(1.0, 0), ("1", "0"), (Fraction(1), 0)])
+def test_both_routes_parse_integral_irrep_labels(route, L1):
+    args = ((0, 0, 0), (0, 1), (HALF, 0, 0), (0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0),
+            (HALF, 0, 0))
+    want = projector_matrix_element((1, 0), *args, route=route)
+    assert want and projector_matrix_element(L1, *args, route=route) == want
+    with pytest.raises(ValueError, match="not an integer"):
+        projector_matrix_element((1.5, 0), *args, route=route)
+
+
 @pytest.mark.parametrize("slot", range(3))
 def test_direct_route_checks_the_guard_before_enumerating_labels(monkeypatch, slot):
     # the labels of (60, 60) would fill a 226,981-label record first

@@ -5,12 +5,13 @@ from fractions import Fraction
 import pytest
 
 from extremal.exact import Radical, sqrt_of_rational
-from extremal.repmod import su3_irrep
+from extremal.repmod import su3_irrep, su3_label
 from extremal.su3gt import (
     admissible_jt,
     enumerate_gt_labels,
     gt_basis,
     gt_hypercharge,
+    gt_label_index,
     gt_module,
     gt_multiplets,
     gt_norm_factor,
@@ -132,6 +133,19 @@ def test_norm_factor_validation():
         for j, t, tz in enumerate_gt_labels(lam, mu):
             if tz == t:
                 assert gt_norm_factor(lam, mu, j, t).sign() == 1
+
+
+@pytest.mark.parametrize("lam", [Fraction(3, 2), 1.5, "3/2", 1.9, 2.7])
+def test_su3_labels_are_not_truncated(lam):
+    before = su3_irrep.cache_info().currsize
+    for call in (lambda: su3_label(lam, 0), lambda: su3_irrep(lam, 0),
+                 lambda: enumerate_gt_labels(lam, 0), lambda: gt_multiplets(lam, 0),
+                 lambda: gt_label_index(lam, 0, (0, 0, 0)),
+                 lambda: gt_norm_factor(lam, 0, 0, 0), lambda: gt_module(lam, 0),
+                 lambda: gt_vector(lam, 0, (0, 0, 0))):
+        with pytest.raises(ValueError):
+            call()
+    assert su3_irrep.cache_info().currsize == before
 
 
 def test_gram_matrix_is_identity():

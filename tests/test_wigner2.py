@@ -9,7 +9,7 @@ import pytest
 import sympy
 from sympy.physics.wigner import clebsch_gordan, wigner_6j, wigner_9j
 
-from extremal import exact, wigner2
+from extremal import exact
 from extremal.exact import Radical, sqrt_of_rational
 from extremal.repmod import su2_irrep
 from extremal.wigner2 import cgc_closed, cgc_projector, ninej, ninej_doubled, sixj, sixj_doubled
@@ -276,7 +276,6 @@ def test_cgc_closed_at_large_spin_factors_only_the_prefactor(monkeypatch):
     split = exact._squarefree_split
     monkeypatch.setattr(exact, "_squarefree_split",
                         lambda n: radicands.append(n) or split(n))
-    wigner2.cgc_closed_doubled.cache_clear()
     exact._factorial_split.cache_clear()
     j = Fraction(20)
     rows = {}
