@@ -19,11 +19,7 @@ import sys
 import tempfile
 from fractions import Fraction
 
-from .algebra import (
-    NormalOrdering,
-    build_root_system,
-    validate_normal_ordering,
-)
+from .algebra import build_root_system
 from . import exact
 from .exact import sqrt_of_rational
 # imported at load time on purpose: every perfbench workload must load pbw at
@@ -64,17 +60,17 @@ def _record(keys, value):
 # -- table builders ---------------------------------------------------
 
 
-def _spin_text(d):
-    """A doubled label printed as its half-integer."""
-    return "%d/2" % d if d % 2 else str(d // 2)
-
-
 def records_cgc_su2(args):
+    table = cgc_table(args.j1, args.j2, args.j3)
+    # every doubled label d of the table has |d| <= 2 j1 + 2 j2; each is
+    # printed as its half-integer once, and the records share the strings
+    top = sum(exact.doubled(args.j1, args.j2))
+    text = {d: "%d/2" % d if d % 2 else str(d // 2) for d in range(-top, top + 1)}
     out = []
-    for labels in cgc_table(args.j1, args.j2, args.j3):
+    for labels in table:
         v = cgc_closed_doubled(*labels)
         if v:
-            keys = zip(("j1", "m1", "j2", "m2", "j3", "m3"), map(_spin_text, labels))
+            keys = zip(("j1", "m1", "j2", "m2", "j3", "m3"), map(text.__getitem__, labels))
             out.append(_record(keys, v))
     return out
 
@@ -156,41 +152,24 @@ def records_gt_basis(args):
     return out
 
 
-def _parse_order(sys_data, text):
+def _parse_order(text):
+    """--order as a tuple of roots; `extremal_projector` checks that they
+    form a normal ordering."""
     seq = []
     for tok in text.split(","):
         tok = tok.strip()
         if len(tok) != 2 or not tok.isdigit():
             raise CliError("bad root %r in --order (want e.g. 12,13,23)" % (tok,))
         seq.append((int(tok[0]), int(tok[1])))
-    seq = tuple(seq)
-    try:
-        ok, _ = validate_normal_ordering(sys_data, seq)
-    except ValueError as exc:
-        raise CliError(str(exc))
-    if not ok:
-        raise CliError("%r is not a normal ordering" % (text,))
-    return NormalOrdering(sequence=seq)
+    return tuple(seq)
 
 
 def records_projector(args):
     n = {"su2": 2, "su3": 3}[args.algebra]
-    sys_data = build_root_system(n)
-    order = _parse_order(sys_data, args.order) if args.order else None
-    P = extremal_projector(sys_data, order=order, N=args.trunc).canonical()
-    out = []
-    for L, c, R in P.monomials():
-        import sympy
-
-        num, den = sympy.fraction(c.as_expr())
-        out.append(
-            {
-                "lowering": P._word_str(L),
-                "coefficient": "(%s)/(%s)" % (num, den) if den != 1 else str(num),
-                "raising": P._word_str(R),
-            }
-        )
-    return out
+    order = _parse_order(args.order) if args.order else None
+    P = extremal_projector(build_root_system(n), order=order, N=args.trunc)
+    return [{"lowering": L, "coefficient": c, "raising": R}
+            for L, c, R in P.monomial_texts()]
 
 
 # -- verification suites ----------------------------------------------

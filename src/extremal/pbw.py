@@ -318,7 +318,7 @@ class Coeff:
         return Coeff(self.ring, num, den, self.q)
 
     def evaluate(self, values):
-        """Value at h = values (sequence of Fractions); Fraction result.
+        """Value at h = values (sequence of ints or Fractions); Fraction result.
 
         Raises SingularWeightError naming the vanishing factor if the reduced
         denominator hits zero.
@@ -841,14 +841,21 @@ class TaylorElement:
             parts.append(name if e == 1 else "%s^%d" % (name, e))
         return " ".join(parts)
 
-    def dump(self):
-        """Stable debug form: `e21^a e31^b * [num/den] * e12^c e13^d` lines."""
-        lines = []
+    def monomial_texts(self):
+        """(lowering, coefficient, raising) text of each canonical monomial,
+        in `monomials` order: words as `e21^a e31`, coefficients as `num` or
+        `(num)/(den)`."""
+        out = []
         for L, c, R in self.canonical().monomials():
             num, den = sympy.fraction(c.as_expr())
-            cs = "[%s]" % num if den == 1 else "[(%s)/(%s)]" % (num, den)
-            seg = [s for s in (self._word_str(L), cs, self._word_str(R)) if s]
-            lines.append(" * ".join(seg))
+            cs = str(num) if den == 1 else "(%s)/(%s)" % (num, den)
+            out.append((self._word_str(L), cs, self._word_str(R)))
+        return out
+
+    def dump(self):
+        """Stable debug form: `e21^a e31^b * [num/den] * e12^c e13^d` lines."""
+        lines = [" * ".join(s for s in (L, "[%s]" % c, R) if s)
+                 for L, c, R in self.monomial_texts()]
         return "\n".join(lines) if lines else "0"
 
     def __repr__(self):

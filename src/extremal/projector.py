@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import normal_ordering
-from .exact import Radical
 from .repmod import ModuleVector, mat_vec
 
 __all__ = [
@@ -114,7 +113,7 @@ def apply_factor(root, v, M):
             continue  # a + n = 0 for a term that acts
         acc = raised[-1]
         for n in range(len(raised) - 1, 0, -1):
-            ratio = Radical.from_rational(Fraction(-1, n * (a + n)))
+            ratio = Fraction(-1, n * (a + n))
             acc = {k: x * ratio for k, x in mat_vec(down, acc).items()}
             for k, x in raised[n - 1].items():
                 acc[k] = acc[k] + x if k in acc else x

@@ -1,7 +1,7 @@
 """Explicit finite-dimensional modules with exact generator matrices.
 
 Matrices are sparse dicts {(row, col): Radical} over an orthonormal basis;
-weights are tuples of h_i eigenvalues (Fractions).  su(3) irreps are realized
+weights are tuples of h_i eigenvalues (ints).  su(3) irreps are realized
 inside tensor powers of the fundamental and antifundamental representations:
 the cyclic submodule of the highest-weight product vector is generated by
 lowering, all in integer arithmetic.  Each lowered vector is Gram-Schmidt
@@ -52,7 +52,8 @@ def mat_vec(mat, vec):
     for (r, c), a in mat.items():
         v = vec.get(c)
         if v is not None:
-            out[r] = out.get(r, _ZERO) + a * v
+            x = a * v
+            out[r] = out[r] + x if r in out else x
     return {k: v for k, v in out.items() if v}
 
 
@@ -72,7 +73,8 @@ def mat_mul(a, b):
     out = {}
     for (r, k), av in a.items():
         for c, bv in by_row.get(k, ()):
-            out[(r, c)] = out.get((r, c), _ZERO) + av * bv
+            x = av * bv
+            out[(r, c)] = out[(r, c)] + x if (r, c) in out else x
     return {k: v for k, v in out.items() if v}
 
 
@@ -102,11 +104,10 @@ class Irrep:
     the stored weights.
     """
 
-    algebra: str           # 'su2' | 'su3'
     n: int
     label: object
     tags: list
-    weights: list          # tuple of Fractions (h_1..h_{n-1} eigenvalues) per tag
+    weights: list          # tuple of ints (h_1..h_{n-1} eigenvalues) per tag
     matrices: dict
 
     @property
@@ -131,15 +132,11 @@ class Irrep:
     def weight_diameter(self):
         """Max total raising degree any monomial can act by before leaving the
         weight support; bounds the truncation needed for exact application."""
-        cached = getattr(self, "_diam", None)
-        if cached is None:
-            # height = sum of the simple-root coordinates; column k of the
-            # inverse su(n) Cartan matrix sums to k(n-k)/2
-            cols = [Fraction(k * (self.n - k), 2) for k in range(1, self.n)]
-            hts = [sum(c * x for c, x in zip(cols, w)) for w in self.weights]
-            cached = int(max(hts) - min(hts))
-            self._diam = cached
-        return cached
+        # height = sum of the simple-root coordinates; column k of the inverse
+        # su(n) Cartan matrix sums to k(n-k)/2, so these are doubled heights
+        cols = [k * (self.n - k) for k in range(1, self.n)]
+        hts = [sum(c * x for c, x in zip(cols, w)) for w in self.weights]
+        return (max(hts) - min(hts)) // 2
 
     def basis_vector(self, idx_or_tag):
         idx = idx_or_tag if isinstance(idx_or_tag, int) else self.index(idx_or_tag)
@@ -159,14 +156,15 @@ class ModuleVector:
             return NotImplemented
         out = dict(self.coords)
         for k, v in other.coords.items():
-            out[k] = out.get(k, _ZERO) + v
+            out[k] = out[k] + v if k in out else v
         return ModuleVector(out)
 
     def __sub__(self, other):
         return self + other.scale(-1) if isinstance(other, ModuleVector) else NotImplemented
 
     def scale(self, c):
-        c = _rad(c)
+        if not isinstance(c, (int, Fraction)):
+            c = _rad(c)
         return ModuleVector({k: v * c for k, v in self.coords.items()})
 
     def inner(self, other):
@@ -202,12 +200,12 @@ def _su2_cached(d):
     j = Fraction(d, 2)
     ms = [j - k for k in range(d + 1)]  # highest first
     tags = ["m=%s" % m for m in ms]
-    weights = [(Fraction(2) * m,) for m in ms]
+    weights = [(d - 2 * k,) for k in range(d + 1)]
     # J- |j m> = sqrt((j+m)(j-m+1)) |j m-1>
     down = {(idx + 1, idx): sqrt_of_rational((j + m) * (j - m + 1))
             for idx, m in enumerate(ms) if m > -j}
     return Irrep(
-        algebra="su2", n=2, label=j, tags=tags, weights=weights,
+        n=2, label=j, tags=tags, weights=weights,
         matrices=with_raising({(2, 1): down}),
     )
 
@@ -222,8 +220,8 @@ def su2_irrep(j):
 def tensor(a, b):
     """Tensor product module with the diagonal action g x 1 + 1 x g on the
     lowering generators; the raising ones are their transposes."""
-    if a.algebra != b.algebra:
-        raise ValueError("algebra mismatch: %s vs %s" % (a.algebra, b.algebra))
+    if a.n != b.n:
+        raise ValueError("rank mismatch: su(%d) vs su(%d)" % (a.n, b.n))
     tags = [(ta, tb) for ta in a.tags for tb in b.tags]
     db = b.dim
     weights = [
@@ -231,19 +229,21 @@ def tensor(a, b):
         for wa in a.weights
         for wb in b.weights
     ]
+    # a lowering matrix is off-diagonal, so an entry of g x 1 moves the
+    # index into a and one of 1 x g keeps it: no key is written twice.  The
+    # entries share the factors' Radicals, which nothing mutates.
     lowering = {}
     for g in {g for g in (*a.matrices, *b.matrices) if g[0] > g[1]}:
         m = {}
         for (r, c), v in a.matrices.get(g, {}).items():
             for k in range(db):
-                m[(r * db + k, c * db + k)] = m.get((r * db + k, c * db + k), _ZERO) + v
+                m[(r * db + k, c * db + k)] = v
         for (r, c), v in b.matrices.get(g, {}).items():
-            for k in range(a.dim):
-                key = (k * db + r, k * db + c)
-                m[key] = m.get(key, _ZERO) + v
-        lowering[g] = {k: v for k, v in m.items() if v}
+            for k in range(0, a.dim * db, db):
+                m[(k + r, k + c)] = v
+        lowering[g] = m
     return Irrep(
-        algebra=a.algebra, n=a.n, label=(a.label, b.label),
+        n=a.n, label=(a.label, b.label),
         tags=tags, weights=weights, matrices=with_raising(lowering),
     )
 
@@ -307,8 +307,7 @@ def su3_irrep(lam, mu):
     lam, mu = su3_label(lam, mu)
     dim_expected = (lam + 1) * (mu + 1) * (lam + mu + 2) // 2
     if lam == 0 and mu == 0:
-        return Irrep(algebra="su3", n=3, label=(0, 0), tags=["0"],
-                     weights=[(Fraction(0), Fraction(0))],
+        return Irrep(n=3, label=(0, 0), tags=["0"], weights=[(0, 0)],
                      matrices=with_raising({g: {} for g in _LOWERING}))
 
     components = [_FUND] * lam + [_ANTIFUND] * mu
@@ -380,7 +379,7 @@ def su3_irrep(lam, mu):
     tags, weights, in_weight = [], [], {}  # in_weight: weight -> basis indices
     for b, (w, _u, _n2) in enumerate(basis):
         tags.append("w=(%s,%s)#%d" % (w[0], w[1], len(in_weight.get(w, ()))))
-        weights.append((Fraction(w[0]), Fraction(w[1])))
+        weights.append(w)
         in_weight.setdefault(w, []).append(b)
 
     # lowering matrices in the orthonormal basis: only the basis vectors of
@@ -400,7 +399,7 @@ def su3_irrep(lam, mu):
                         Fraction(d * d, na * nb), 1 if d > 0 else -1)
         mats[g] = cols
 
-    return Irrep(algebra="su3", n=3, label=(lam, mu), tags=tags,
+    return Irrep(n=3, label=(lam, mu), tags=tags,
                  weights=weights, matrices=with_raising(mats))
 
 
@@ -458,7 +457,7 @@ def _apply_raw(x, coords, M):
         # diagonal Cartan coefficient, evaluated per weight component
         w2 = {}
         for idx, val in w.items():
-            c = Radical.from_rational(coeff.evaluate(list(M.weights[idx])))
+            c = coeff.evaluate(M.weights[idx])
             if c:
                 w2[idx] = val * c
         w = w2

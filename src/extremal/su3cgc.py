@@ -76,8 +76,7 @@ def decompose(lam1, mu1, lam2, mu2):
         hv = apply_projector(_SYS3, Mt.basis_vector(i2), Mt)
         if hv.is_zero():
             continue
-        key = (int(w3[0]), int(w3[1]))
-        basis = found.setdefault(key, [])
+        basis = found.setdefault(w3, [])
         red = hv
         for u in basis:
             red = red - u.scale(u.inner(hv))
@@ -85,7 +84,7 @@ def decompose(lam1, mu1, lam2, mu2):
         if not n2:
             continue
         basis.append(red.scale(sqrt_of_rational(Fraction(1) / n2.to_rational())))
-        total += (key[0] + 1) * (key[1] + 1) * (key[0] + key[1] + 2) // 2
+        total += (w3[0] + 1) * (w3[1] + 1) * (w3[0] + w3[1] + 2) // 2
     if total != Mt.dim:
         raise RuntimeError(
             "decomposition of (%d,%d)x(%d,%d) incomplete: %d of %d"

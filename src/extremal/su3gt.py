@@ -191,8 +191,9 @@ def gt_module(lam, mu):
                 e21[(r, c)] = sqrt_of_rational(Fraction(sq, (l - lp) * (l - lp + 1)), sign)
     e31 = mat_mul(e32, e21)
     for k, v in mat_mul(e21, e32).items():
-        e31[k] = e31.get(k, 0) - v
+        e31[k] = e31[k] - v if k in e31 else -v
     mats = {(3, 1): {k: v for k, v in e31.items() if v}, (2, 1): e21, (3, 2): e32}
-    weights = [(Fraction(2 * lam + mu - 3 * J - Tz, 2), Fraction(Tz)) for J, _, Tz in index]
-    return Irrep(algebra="su3", n=3, label=(lam, mu), tags=list(tags),
+    # h1 is an int: Tz = T = J + mu (mod 2), so 3J + Tz = mu (mod 2)
+    weights = [((2 * lam + mu - 3 * J - Tz) // 2, Tz) for J, _, Tz in index]
+    return Irrep(n=3, label=(lam, mu), tags=list(tags),
                  weights=weights, matrices=with_raising(mats))

@@ -5,7 +5,8 @@ the term-by-term product of `TaylorElement`s, the identity check on full
 products, su(2) general projection operators built as `TaylorElement`s, the
 tensor form of the su(3) projector, the Fraction admissibility test of GT
 labels, the GT lowering word of one label and its raising word, the GT module
-read off the projector-built vectors, and small exact matrix algebra.
+read off the projector-built vectors, the tensor product that accumulates
+and filters its lowering entries, and small exact matrix algebra.
 The tests compare the package's numeric routes against them.
 """
 
@@ -31,6 +32,7 @@ from extremal.repmod import (
     mat_pow_vec,
     mat_vec,
     su3_irrep,
+    with_raising,
 )
 from extremal.su3gt import enumerate_gt_labels, gt_label_index, gt_norm_factor, gt_vector
 
@@ -88,6 +90,30 @@ def mat_rank(a, dim):
         if rank == dim:
             break
     return rank
+
+
+def reference_tensor(a, b):
+    """tensor(a, b) with each lowering entry of g x 1 + 1 x g summed into
+    its key and the zero entries filtered out; `tensor` must give the same
+    entries while writing each one once."""
+    db = b.dim
+    weights = [tuple(wa[k] + wb[k] for k in range(a.n - 1))
+               for wa in a.weights for wb in b.weights]
+    lowering = {}
+    for g in {g for g in (*a.matrices, *b.matrices) if g[0] > g[1]}:
+        m = {}
+        for (r, c), v in a.matrices.get(g, {}).items():
+            for k in range(db):
+                key = (r * db + k, c * db + k)
+                m[key] = m.get(key, _ZERO) + v
+        for (r, c), v in b.matrices.get(g, {}).items():
+            for k in range(a.dim):
+                key = (k * db + r, k * db + c)
+                m[key] = m.get(key, _ZERO) + v
+        lowering[g] = {k: v for k, v in m.items() if v}
+    return Irrep(n=a.n, label=(a.label, b.label),
+                 tags=[(ta, tb) for ta in a.tags for tb in b.tags],
+                 weights=weights, matrices=with_raising(lowering))
 
 
 def casimir_matrix_su2(M):
@@ -366,5 +392,5 @@ def realized_gt_module(lam, mu):
                 if dot:
                     mat[(r, c)] = dot
         mats[g] = mat
-    return Irrep(algebra="su3", n=3, label=(lam, mu), tags=labels,
+    return Irrep(n=3, label=(lam, mu), tags=labels,
                  weights=weights, matrices=mats)

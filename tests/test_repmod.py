@@ -17,7 +17,14 @@ from extremal.repmod import (
     su3_irrep,
     tensor,
 )
-from reference import casimir_matrix_su2, mat_add, mat_identity, mat_scale
+from extremal.su3gt import gt_module
+from reference import (
+    casimir_matrix_su2,
+    mat_add,
+    mat_identity,
+    mat_scale,
+    reference_tensor,
+)
 
 SU2 = build_root_system(2)
 SU3 = build_root_system(3)
@@ -157,6 +164,38 @@ def test_tensor_module():
         assert T.weights[idx] == (wa[0] + wb[0], wa[1] + wb[1])
     with pytest.raises(ValueError):
         tensor(A, su2_irrep(1))
+
+
+def _su3_labels(top):
+    return [(lam, mu) for lam in range(top + 1) for mu in range(top + 1 - lam)]
+
+
+def test_tensor_writes_the_entries_of_the_accumulating_reference():
+    su2 = [su2_irrep(Fraction(d, 2)) for d in range(6)]
+    su3 = [su3_irrep(*L) for L in _su3_labels(2)]
+    pairs = [(a, b) for group in (su2, su3) for a in group for b in group]
+    pairs.append((gt_module(1, 1), gt_module(1, 1)))
+    for a, b in pairs:
+        T, R = tensor(a, b), reference_tensor(a, b)
+        assert (T.tags, T.weights) == (R.tags, R.weights), (a.label, b.label)
+        assert T.matrices.keys() == R.matrices.keys()
+        for g, m in R.matrices.items():
+            assert T.matrices[g].keys() == m.keys(), (a.label, b.label, g)
+            assert all(T.matrices[g][k].terms == v.terms for k, v in m.items())
+
+
+def test_module_weights_are_ints():
+    su2 = [su2_irrep(Fraction(d, 2)) for d in range(9)]
+    su3 = [f(*L) for L in _su3_labels(6) for f in (su3_irrep, gt_module)]
+    modules = su2 + su3
+    for group in (su2, su3):
+        modules += [tensor(a, b) for a in group for b in group if a.dim * b.dim <= 100]
+    for M in modules:
+        assert all(type(x) is int for w in M.weights for x in w), M.label
+        # the Fraction heights that weight_diameter replaced
+        cols = [Fraction(k * (M.n - k), 2) for k in range(1, M.n)]
+        hts = [sum(c * x for c, x in zip(cols, w)) for w in M.weights]
+        assert M.weight_diameter == int(max(hts) - min(hts)), M.label
 
 
 def test_truncation_guard():
