@@ -25,7 +25,9 @@ int to c.  Integer numerators keep the ring arithmetic on Python ints, and
 the powers of the linear forms that bring two coefficients over a common
 denominator are computed once (`form_power`, a bounded memo).  Coeff equality
 is structural and agrees with its hash; equality as rational functions is
-not (a - b).
+not (a - b).  Coefficient text is rendered natively from (num, q, den), in
+the bytes sympy's printer gives; sympy serves the polynomial ring, parsing
+(`from_expr`) and interop (`as_expr`).
 """
 
 from __future__ import annotations
@@ -100,6 +102,39 @@ def _cofactor(ring, factors):
     return p
 
 
+def _sum_text(terms):
+    """sympy's text of a sum of (coefficient, exponent tuple) terms, in
+    order: `h1**2*h2`, `3*h1/4`, joined by ` + ` and ` - `."""
+    out = ""
+    for c, monom in terms:
+        a = abs(c)
+        m = "*".join(("h%d" % i if e == 1 else "h%d**%d" % (i, e))
+                     for i, e in enumerate(monom, 1) if e)
+        if m and a.numerator != 1:
+            m = "%d*%s" % (a.numerator, m)
+        if m and a.denominator != 1:
+            m = "%s/%d" % (m, a.denominator)
+        out += "%s%s" % (" - " if c < 0 else " + ", m or a)
+    return out[3:] if out[1] == "+" else "-" + out[3:]
+
+
+@functools.lru_cache(maxsize=1024)
+def form_text(key, scale=1):
+    """scale * (a.h + c) for the linear form key, as sympy prints it."""
+    terms = [(scale * a, (0,) * i + (1,)) for i, a in enumerate(key[:-1]) if a]
+    return _sum_text(terms + [(scale * key[-1], ())] * bool(key[-1]))
+
+
+def _factor_order(item):
+    """sympy's order of denominator factors (form key, exponent): symbols h_i
+    by name, then sums by their number of terms and term by term (a constant
+    before a symbol term, symbols by name then coefficient, constants by
+    value), then by exponent.  Names h1..h5 sort like their indices."""
+    key, m = item
+    terms = [(1, i, a) for i, a in enumerate(key[:-1]) if a] + [(0, key[-1])] * bool(key[-1])
+    return len(terms) > 1, len(terms), terms, m
+
+
 def _primitive(num, q):
     """(num, q) divided by gcd(content(num), q); q = 1 for num = 0."""
     if q == 1:
@@ -169,7 +204,7 @@ class Coeff:
         """Parse a sympy expression; the denominator must factor into linear
         forms of the h_i."""
         expr = sympy.cancel(sympy.together(sympy.sympify(expr)))
-        num, den = sympy.fraction(expr)
+        num, den = expr.as_numer_denom()
         syms = h_symbols(len(ring.gens) + 1)
         out_num = ring.from_expr(num.subs(zip(syms, (g.as_expr() for g in ring.gens))))
         # factor_list gives primitive integer factors, first coefficient > 0
@@ -332,7 +367,7 @@ class Coeff:
             if v == 0:
                 raise SingularWeightError(
                     "denominator factor %s vanishes at weight %s"
-                    % (form_power(c.ring, k, 1).as_expr(), tuple(map(str, values)))
+                    % (form_text(k), tuple(map(str, values)))
                 )
             den *= v**m
         num = 0
@@ -342,6 +377,36 @@ class Coeff:
                     a *= x**e
             num += a
         return num / den
+
+    def text(self):
+        """`num` or `(num)/(den)`: the text sympy prints for the two halves
+        of fraction(self.as_expr()) when self is reduced.  A one-term
+        numerator hands q to the denominator, where it distributes over a
+        lone factor, `(-h1)/(6*h1 + 6)`; a longer one keeps its rational
+        coefficients, `(h1/2 + 1/2)/(h2 - 1)`, and a positive constant with
+        one negative single-variable term prints constant first, `1 - h1`."""
+        items, q = sorted(self.num.items(), reverse=True), self.q
+        if not items:
+            return "0"
+        if len(items) == 1:
+            terms = [(items[0][1], items[0][0])]
+        else:
+            terms, q = [(Fraction(a, q), m) for m, a in items], 1
+            if (len(terms) == 2 and terms[0][0] < 0 < terms[1][0]
+                    and not any(terms[1][1]) and sum(map(bool, terms[0][1])) == 1):
+                terms.reverse()
+        num = _sum_text(terms)
+        if not self.den:
+            return num if q == 1 else "(%s)/(%d)" % (num, q)
+        factors = sorted(self.den.items(), key=_factor_order)
+        if len(factors) == 1 and factors[0][1] == 1:
+            return "(%s)/(%s)" % (num, form_text(factors[0][0], q))
+        den = [str(q)] if q != 1 else []
+        for key, m in factors:
+            t = form_text(key)  # a sum, unlike a symbol h_i, has a space
+            t = "(%s)" % t if " " in t else t
+            den.append(t if m == 1 else "%s**%d" % (t, m))
+        return "(%s)/(%s)" % (num, "*".join(den))
 
     def as_expr(self):
         """Canonical sympy expression, for display and interop."""
@@ -847,9 +912,7 @@ class TaylorElement:
         `(num)/(den)`."""
         out = []
         for L, c, R in self.canonical().monomials():
-            num, den = sympy.fraction(c.as_expr())
-            cs = str(num) if den == 1 else "(%s)/(%s)" % (num, den)
-            out.append((self._word_str(L), cs, self._word_str(R)))
+            out.append((self._word_str(L), c.text(), self._word_str(R)))
         return out
 
     def dump(self):

@@ -68,10 +68,13 @@ def projector_factor(sys, root, N, engine=None):
 
 
 def _engine_order(sys, order, engine):
-    """engine.order; ValueError if `order` is given and is another ordering."""
-    if order is not None and normal_ordering(sys, order) != engine.order:
-        raise ValueError("order %s differs from the engine's ordering %s"
-                         % (normal_ordering(sys, order).sequence, engine.order.sequence))
+    """engine.order, which its engine validated; ValueError if `order` is
+    given and is another ordering."""
+    if order is not None:
+        order = normal_ordering(sys, order)
+        if order != engine.order:
+            raise ValueError("order %s differs from the engine's ordering %s"
+                             % (order.sequence, engine.order.sequence))
     return engine.order
 
 
@@ -79,10 +82,11 @@ def extremal_projector(sys, order=None, N=4, engine=None):
     """Product of the per-root factors along the normal ordering, left to right."""
     from .pbw import RewriteEngine
 
-    eng = engine if engine is not None else RewriteEngine(sys, order)
-    out = eng.one(N)
-    for root in _engine_order(sys, order, eng).sequence:
-        out = out * projector_factor(sys, root, N, engine=eng)
+    if engine is None:
+        engine, order = RewriteEngine(sys, order), None
+    out = engine.one(N)
+    for root in _engine_order(sys, order, engine).sequence:
+        out = out * projector_factor(sys, root, N, engine=engine)
     return out
 
 
@@ -131,9 +135,8 @@ def apply_projector(sys, v, M, order=None, engine=None):
     """
     if M.n != sys.n:
         raise ValueError("algebra rank mismatch")
-    if engine is not None:
-        order = _engine_order(sys, order, engine)
-    for root in reversed(normal_ordering(sys, order).sequence):
+    order = normal_ordering(sys, order) if engine is None else _engine_order(sys, order, engine)
+    for root in reversed(order.sequence):
         v = apply_factor(root, v, M)
         if v.is_zero():
             break

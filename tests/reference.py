@@ -6,7 +6,8 @@ products, su(2) general projection operators built as `TaylorElement`s, the
 tensor form of the su(3) projector, the Fraction admissibility test of GT
 labels, the GT lowering word of one label and its raising word, the GT module
 read off the projector-built vectors, the tensor product that accumulates
-and filters its lowering entries, and small exact matrix algebra.
+and filters its lowering entries, sympy's printing of a PBW coefficient, and
+small exact matrix algebra.
 The tests compare the package's numeric routes against them.
 """
 
@@ -14,6 +15,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+import sympy
 
 from extremal.algebra import build_root_system
 from extremal.exact import Radical, factorial_ratio, half, sqrt_of_rational
@@ -40,6 +43,16 @@ _ZERO = Radical.from_rational(0)
 _ONE = Radical.from_rational(1)
 _SYS2 = build_root_system(2)
 _SYS3 = build_root_system(3)
+
+
+# -- coefficient text ---------------------------------------------------
+
+
+def reference_coeff_text(c):
+    """A Coeff's text through sympy's printer: the two halves of
+    fraction(c.as_expr()), as `num` or `(num)/(den)`."""
+    num, den = sympy.fraction(c.as_expr())
+    return str(num) if den == 1 else "(%s)/(%s)" % (num, den)
 
 
 # -- exact matrix algebra over Radical -------------------------------

@@ -11,12 +11,14 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import QQ
 
 from extremal.algebra import build_root_system
 from extremal.pbw import (
     Coeff,
     RewriteEngine,
     SingularWeightError,
+    cartan_ring,
     form_power,
     rewrite_word,
     shared_engine,
@@ -30,7 +32,7 @@ from extremal.repmod import (
     su2_irrep,
     su3_irrep,
 )
-from reference import mat_add, mat_identity, mat_scale, reference_mul
+from reference import mat_add, mat_identity, mat_scale, reference_coeff_text, reference_mul
 
 SU2 = build_root_system(2)
 SU3 = build_root_system(3)
@@ -257,6 +259,91 @@ def test_coeff_operations_match_sympy(n, eng2, eng3, data):
     assert others[2] == a
     info = form_power.cache_info()
     assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+def _text_coeffs(n):
+    """Reduced Coeffs of su(n) in every shape their text tells apart: a
+    constant, one term, a constant and one single-variable term, several
+    terms; q = 1 or not; no denominator, a lone factor, a lone power, and
+    several factors, each a symbol h_i or a sum."""
+    k, ring = n - 1, cartan_ring(n)
+    coef = st.integers(-12, 12).filter(bool)
+    monom = st.tuples(*[st.integers(0, 3)] * k)
+    unit = st.integers(0, k - 1).map(lambda i: tuple(int(j == i) for j in range(k)))
+    numerators = st.one_of(
+        coef.map(lambda a: {(0,) * k: a}),
+        st.tuples(monom, coef).map(lambda t: {t[0]: t[1]}),
+        st.tuples(unit, st.integers(1, 3), coef, coef).map(
+            lambda t: {tuple(e * t[1] for e in t[0]): t[2], (0,) * k: t[3]}),
+        st.dictionaries(monom, coef, min_size=2, max_size=4),
+    )
+    forms = st.one_of(
+        unit.map(lambda u: u + (0,)),
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(_primitive_form)
+        .map(lambda f: f[0] + (f[1],)).filter(lambda key: sum(map(bool, key)) > 1),
+    )
+    dens = st.one_of(
+        st.just({}),
+        forms.map(lambda key: {key: 1}),
+        st.tuples(forms, st.integers(2, 3)).map(lambda t: {t[0]: t[1]}),
+        st.dictionaries(forms, st.integers(1, 3), min_size=2, max_size=4),
+    )
+
+    def build(args):
+        num, q, den = args
+        poly = ring.from_dict({m: QQ(a, q) for m, a in num.items()})
+        return Coeff(ring, poly, den).reduced()
+
+    return st.tuples(numerators, st.sampled_from([1, 2, 3, 6, 12]), dens).map(build)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_coeff_text_matches_sympys_printer(n, data):
+    c = data.draw(_text_coeffs(n))
+    assert c.text() == reference_coeff_text(c)
+
+
+@pytest.mark.parametrize("text", [
+    "1 - h1", "1/6 - h1/12", "-h1*h2/12 + 1/2", "1 - 2*h2**3", "-h1*h2 + 1",
+    "(1)/(6)", "(3*h1)/(2)", "h1/2 + 1/2", "-h1**2*h2",
+    "(3*h1)/(2*h2*(h1 - 1))", "(h1/2 + 1/2)/(h2 - 1)", "(-1)/(h1 + h2 + 1)",
+    "(-h1*h2**2)/(6*h1 + 6*h2 + 6)", "(5)/(6*h2)", "(h1 - 1)/(h2)",
+    "(1)/(h1**3*(h2 - 1)**2)", "(-7)/(12*(h1 - h2 + 2)**2)",
+    "(h1 + 2)/(h2*(h1 - 1)*(h1 + h2 + 1))", "(1)/((h1 - h2)*(2*h1 + 1)*(h2 + 1))",
+    "(h2)/((h1 + 1)*(h1 + 2)**2*(h1 + 3))",
+])
+def test_coeff_text_shapes(eng3, text):
+    c = Coeff.from_expr(eng3.ring, sympy.sympify(text)).reduced()
+    assert c.text() == reference_coeff_text(c) == text
+
+
+def test_coeff_text_of_every_projector_coefficient():
+    reverse = ((2, 3), (1, 3), (1, 2))
+    cases = [(SU2, None, 6), (SU3, None, 4), (SU3, reverse, 4), (build_root_system(4), None, 2)]
+    seen = 0
+    for sys_, order, top in cases:
+        eng = RewriteEngine(sys_, order)
+        for N in range(top + 1):
+            for c in extremal_projector(sys_, N=N, engine=eng).canonical().terms.values():
+                assert c.text() == reference_coeff_text(c), c
+                seen += 1
+    assert seen == 409
+
+
+@pytest.mark.parametrize("form, weight, text", [
+    (((1, 0), 0), (0, 5), "h1"),
+    (((1, 1), -1), (0, 1), "h1 + h2 - 1"),
+    (((2, 1), 3), (-2, 1), "2*h1 + h2 + 3"),
+])
+def test_singular_weight_names_the_factor(eng3, form, weight, text):
+    key = form[0] + (form[1],)
+    assert text == str(form_power(eng3.ring, key, 1).as_expr())
+    with pytest.raises(SingularWeightError) as err:
+        eng3.recip_linear([form]).evaluate([Fraction(x) for x in weight])
+    assert str(err.value) == "denominator factor %s vanishes at weight %s" % (
+        text, tuple(map(str, weight)))
 
 
 def test_coeff_eq_does_no_arithmetic(eng3, monkeypatch):

@@ -11,7 +11,13 @@ import sympy
 
 import extremal
 from extremal.algebra import build_root_system
-from extremal.pbw import RewriteEngine, SingularWeightError, TaylorElement, rewrite_word
+from extremal.pbw import (
+    RewriteEngine,
+    SingularWeightError,
+    TaylorElement,
+    rewrite_word,
+    shared_engine,
+)
 from extremal.projector import (
     apply_factor,
     apply_projector,
@@ -163,6 +169,27 @@ def test_an_order_other_than_the_engines_is_refused(function):
     with pytest.raises(ValueError, match=re.escape(message)):
         call(reverse)
     assert call(default) == call(None)
+
+
+def test_a_normal_ordering_is_validated_once(monkeypatch, capsys):
+    from extremal import algebra, cli
+
+    eng = shared_engine(3)
+    calls = []
+    validate = algebra.validate_normal_ordering
+
+    def counting(sys_, seq):
+        calls.append(tuple(seq))
+        return validate(sys_, seq)
+
+    monkeypatch.setattr(algebra, "validate_normal_ordering", counting)
+    assert cli.main(["projector", "--algebra", "su3", "--trunc", "2", "--order", "23,13,12"]) == 0
+    capsys.readouterr()
+    assert calls == [((2, 3), (1, 3), (1, 2))]
+    calls.clear()
+    M = su3_irrep(1, 1)
+    assert apply_projector(SU3, M.basis_vector(0), M, engine=eng) == M.basis_vector(0)
+    assert calls == []
 
 
 def test_apply_projector_fixes_highest_weight():
