@@ -82,7 +82,7 @@ def extremal_projector(sys, order=None, N=4, engine=None):
     """Product of the per-root factors along the normal ordering, left to right."""
     from .pbw import RewriteEngine
 
-    if engine is None:
+    if engine is None:  # the new engine validates `order` and holds it
         engine, order = RewriteEngine(sys, order), None
     out = engine.one(N)
     for root in _engine_order(sys, order, engine).sequence:
