@@ -21,13 +21,16 @@ produces is a product of integer shifts of linear forms in the h_i, and
 keeping the factors explicit makes shifting h -> h + s and pole detection
 cheap.  Each linear form a.h + c is a tuple of ints (a_1, ..., a_{n-1}, c),
 primitive and with its first nonzero a_i positive, so a shift only adds an
-int to c.  Integer numerators keep the ring arithmetic on Python ints, and
+int to c.  A numerator is a dict from packed-int monomials to ints, so a
+monomial product is one int add (Monagan & Pearce, "Polynomial division
+using dynamic arrays, heaps, and packed exponent vectors", CASC 2007), and
 the powers of the linear forms that bring two coefficients over a common
-denominator are computed once (`form_power`, a bounded memo).  Coeff equality
-is structural and agrees with its hash; equality as rational functions is
-not (a - b).  Coefficient text is rendered natively from (num, q, den), in
-the bytes sympy's printer gives; sympy serves the polynomial ring, parsing
-(`from_expr`) and interop (`as_expr`).
+denominator, or that a shift expands, are computed once (`_cofactor`, a
+bounded memo).  Coeff equality is structural and agrees with its hash;
+equality as rational functions is not (a - b).  Coefficient text is rendered
+natively from (num, q, den), in the bytes sympy's printer gives.  The engine
+never loads sympy; it is imported only to parse (`from_expr`) and for interop
+(`as_expr`, `numerator`, `denominator`, `cartan_ring`).
 """
 
 from __future__ import annotations
@@ -35,10 +38,6 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from math import gcd, lcm
-
-import sympy
-from sympy.polys.domains import QQ, ZZ
-from sympy.polys.rings import ring as _poly_ring
 
 from .algebra import NormalOrdering, RootSystemData, build_root_system
 from .exact import SingularWeightError, TruncationError
@@ -58,48 +57,184 @@ __all__ = [
 @functools.cache  # one entry per rank, and build_root_system admits only n <= 6
 def h_symbols(n):
     """Cartan symbols h1..h_{n-1} for su(n)."""
+    import sympy
+
     return tuple(sympy.Symbol("h%d" % i) for i in range(1, n))
 
 
 @functools.cache  # one entry per rank, and build_root_system admits only n <= 6
 def cartan_ring(n):
-    """Polynomial ring QQ[h1..h_{n-1}] shared by all engines of one rank."""
-    return _poly_ring(",".join("h%d" % i for i in range(1, n)), QQ)[0]
+    """Polynomial ring QQ[h1..h_{n-1}] of su(n), for interop with sympy."""
+    from sympy.polys.domains import QQ
+    from sympy.polys.rings import ring
+
+    return ring(",".join("h%d" % i for i in range(1, n)), QQ)[0]
 
 
-@functools.lru_cache(maxsize=8)
-def _integer_ring(ring):
-    """ZZ[h1..h_{n-1}], the ring of Coeff numerators over `ring`."""
-    return ring.clone(domain=ZZ)
+# -- packed numerators ------------------------------------------------
+#
+# The monomial h1^e1 ... hk^ek is the int sum of e_i << BITS * (k - i).  Each
+# stored exponent is below 2^(BITS - 1): the top bit of every field is a
+# guard, so a sum of two exponents never carries into the next field, and a
+# product refuses an output monomial with a guard bit set.  Two 15-bit
+# fields fill one 30-bit digit of a CPython int, where int arithmetic is
+# fastest.
+
+BITS = 15
+_FIELD = (1 << BITS) - 1
+_LIMIT = 1 << (BITS - 1)
+_GUARD = sum(_LIMIT << (BITS * i) for i in range(5))  # k <= 5, as n <= 6
 
 
-@functools.lru_cache(maxsize=1024)
-def form_power(ring, key, m):
-    """(a.h + c)^m in `ring` for the linear form key = (a_1, ..., a_{n-1}, c).
+def _pack(monom):
+    """An exponent tuple as a packed monomial."""
+    m = 0
+    for e in monom:
+        if e >= _LIMIT:
+            raise OverflowError("exponent %d exceeds the %d-bit field" % (e, BITS - 1))
+        m = (m << BITS) | e
+    return m
 
-    Bounded memo: Coeff.__add__ pads numerators with these powers, and the
-    same few forms recur throughout a series product.
-    """
-    if m != 1:
-        return form_power(ring, key, 1) ** m
-    p = ring(key[-1])
-    for g, a in zip(ring.gens, key[:-1]):
-        if a:
-            p = p + g * a
+
+def _unpack(m, k):
+    """The exponent tuple of a packed monomial in k variables."""
+    return tuple((m >> (BITS * (k - 1 - i))) & _FIELD for i in range(k))
+
+
+def _form(key):
+    """The linear form a.h + c of key = (a_1, ..., a_k, c) as a numerator."""
+    k = len(key) - 1
+    p = {1 << (BITS * (k - 1 - i)): a for i, a in enumerate(key[:-1]) if a}
+    if key[-1]:
+        p[0] = key[-1]
     return p
 
 
-@functools.lru_cache(maxsize=1024)
-def _cofactor(ring, factors):
-    """prod (a.h + c)^m over factors = ((key, m), ...) in `ring`.
+def _mul(a, b):
+    """Product of two numerators; OverflowError when an exponent reaches the
+    guard bit."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        (mb, cb), = b.items()
+        if not mb:
+            return a if cb == 1 else {m: c * cb for m, c in a.items()}
+        out = {m + mb: c * cb for m, c in a.items()}
+    else:
+        out = {}
+        get = out.get
+        for mb, cb in b.items():
+            for ma, ca in a.items():
+                m = ma + mb
+                out[m] = get(m, 0) + ca * cb
+        if 0 in out.values():
+            out = {m: c for m, c in out.items() if c}
+    if any(map(_GUARD.__and__, out)):
+        raise OverflowError("a product's exponent exceeds the %d-bit field" % (BITS - 1))
+    return out
 
-    Bounded memo, like form_power: the numerator padding of one
-    Coeff.__add__ is one multiply by this product.
+
+def _add(a, b):
+    """Sum of two numerators."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = dict(a)
+    get = out.get
+    for m, c in b.items():
+        c += get(m, 0)
+        if c:
+            out[m] = c
+        else:
+            del out[m]
+    return out
+
+
+def _shift(num, svec):
+    """num with h_i -> h_i + svec[i]: a term's power h_i^e expands as
+    (h_i + s)^e, a memoized power of that linear form."""
+    k = len(svec)
+    for i, s in enumerate(svec):
+        if not s:
+            continue
+        at = BITS * (k - 1 - i)
+        key = tuple(int(j == i) for j in range(k)) + (s,)
+        out = {}
+        get = out.get
+        for m, c in num.items():
+            e = (m >> at) & _FIELD
+            if not e:
+                out[m] = get(m, 0) + c
+                continue
+            m -= e << at
+            for mm, b in _cofactor(((key, e),)).items():
+                mm += m
+                out[mm] = get(mm, 0) + c * b
+        num = {m: c for m, c in out.items() if c} if 0 in out.values() else out
+    return num
+
+
+def _divide(num, key):
+    """num / (a.h + c) for a primitive linear form key, or None if it does
+    not divide.  Lex-leading-term division over ZZ: the form's leading term
+    is a_i h_i for its first nonzero a_i, and a quotient exists over ZZ when
+    one exists over QQ (Gauss's lemma), so the first remainder term that
+    a_i h_i does not divide ends the division."""
+    k = len(key) - 1
+    i = next(j for j, a in enumerate(key[:-1]) if a)
+    lead, at = key[i], BITS * (k - 1 - i)
+    rest = [(m, -a) for m, a in _form(key).items() if m != 1 << at]
+    rem, quo = dict(num), {}
+    while rem:
+        m = max(rem)
+        c = rem.pop(m)
+        if not (m >> at) & _FIELD or c % lead:
+            return None
+        m, c = m - (1 << at), c // lead
+        quo[m] = c
+        for mm, a in rest:
+            mm += m
+            v = rem.get(mm, 0) + c * a
+            if v:
+                rem[mm] = v
+            else:
+                del rem[mm]
+    return quo
+
+
+@functools.lru_cache(maxsize=2048)
+def _cofactor(factors):
+    """prod (a.h + c)^m over factors = ((key, m), ...), as a numerator.
+
+    Bounded memo of the linear-form powers and their products: the padding
+    of one Coeff.__add__ is one such product, a shift expands each power
+    h_i^e as one, and the same few recur throughout a series product.
     """
-    p = form_power(ring, *factors[0])
-    for k, m in factors[1:]:
-        p = p * form_power(ring, k, m)
+    if len(factors) == 1:
+        (key, m), = factors
+        base = p = _form(key)
+        for _ in range(m - 1):
+            p = _mul(p, base)
+        return p
+    p = _cofactor(factors[:1])
+    for f in factors[1:]:
+        p = _mul(p, _cofactor((f,)))
     return p
+
+
+def _padded(num, s, forms):
+    """num times the int s and the powers of linear forms ((key, m), ...)."""
+    if forms:
+        pad = _cofactor(tuple(sorted(forms)))
+        return _mul(num, pad if s == 1 else {m: c * s for m, c in pad.items()})
+    return num if s == 1 else {m: c * s for m, c in num.items()}
+
+
+def _poly(n, num, q=1):
+    """num / q as a polynomial of cartan_ring(n), over QQ."""
+    from sympy.polys.domains import QQ
+
+    k = n - 1
+    return cartan_ring(n).from_dict({_unpack(m, k): QQ(c, q) for m, c in num.items()})
 
 
 def _sum_text(terms):
@@ -144,32 +279,24 @@ def _primitive(num, q):
         g = gcd(g, c)
         if g == 1:
             return num, q
-    return (num.quo_ground(g) if num else num), q // g
-
-
-def _poly_mul(a, b):
-    """a * b, with a constant factor applied as a scalar."""
-    for x, y in ((a, b), (b, a)):
-        if len(y) == 1:
-            c = y.get(y.ring.zero_monom)
-            if c is not None:
-                return x if c == 1 else x.mul_ground(c)
-    return a * b
+    return {m: c // g for m, c in num.items()}, q // g
 
 
 class Coeff:
     """Rational function of the h_i with the denominator kept factored.
 
-    The value is num / (q * prod den): num is a polynomial over ZZ (sympy
-    PolyElement in the clone of `ring` over ZZ), q a positive int with
+    The value is num / (q * prod den) for su(n): num is a packed numerator
+    (a dict from monomials, the exponents of h1..h_{n-1} in BITS-bit fields
+    with h1 highest, so int order is lex order, to ints; an exponent must
+    stay below 2^(BITS - 1), the guard bit), q a positive int with
     gcd(content(num), q) = 1, kept so by every operation, and den maps a
     linear form a.h + c, encoded as a tuple of ints (a_1, ..., a_{n-1}, c)
     that is primitive and has its first nonzero a_i positive, to its
-    multiplicity.  Integer numerators keep sympy's ring arithmetic on Python
-    ints; numerator() and denominator() give the value's two halves as
-    polynomials of `ring`, over QQ.  The denominator is not reduced on
-    construction (zero testing only needs the numerator); reduced() divides
-    out denominator factors before evaluation or printing, exactly over ZZ
+    multiplicity.  numerator() and denominator() give the value's two halves
+    as sympy polynomials of cartan_ring(n), over QQ.  The denominator is not
+    reduced on construction
+    (zero testing only needs the numerator); reduced() divides out
+    denominator factors before evaluation or printing, exactly over ZZ
     because each form is primitive (Gauss's lemma).
 
     == compares (num, q, den) by structure and agrees with hash, so memo
@@ -177,16 +304,21 @@ class Coeff:
     Equality as rational functions is not (a - b).
     """
 
-    __slots__ = ("ring", "num", "q", "den")
+    __slots__ = ("n", "num", "q", "den")
 
-    def __init__(self, ring, num, den=None, q=1):
-        """`ring` is the QQ ring; a numerator from it has its denominators
-        cleared into q here.  Internal callers pass a ZZ numerator and the q
-        that goes with it."""
-        if num.ring is ring:
+    def __init__(self, n, num, den=None, q=1):
+        """`n` is the rank of su(n), or a sympy ring of the h_i; `num` is a
+        packed numerator that goes with q, or a sympy polynomial, converted
+        here with its denominators cleared into q."""
+        if type(n) is not int:
+            n = len(n.gens) + 1
+        if type(num) is not dict:
+            if len(num.ring.gens) != n - 1:
+                raise ValueError("a polynomial in %d variables for su(%d)"
+                                 % (len(num.ring.gens), n))
             c, num = num.clear_denoms()
-            num, q = num.set_ring(_integer_ring(ring)), q * int(c)
-        self.ring = ring
+            num, q = _primitive({_pack(m): int(a) for m, a in num.items()}, q * int(c))
+        self.n = n
         self.num = num
         self.q = q
         self.den = den or {}
@@ -194,15 +326,19 @@ class Coeff:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_rational(cls, ring, q):
+    def from_rational(cls, n, q):
         """An int, Fraction or sympy Rational as a constant Coeff."""
-        zz = _integer_ring(ring)
-        return cls(ring, zz.ground_new(int(q.numerator)), None, int(q.denominator))
+        p = int(q.numerator)
+        return cls(n, {0: p} if p else {}, None, int(q.denominator))
 
     @classmethod
-    def from_expr(cls, ring, expr):
+    def from_expr(cls, n, expr):
         """Parse a sympy expression; the denominator must factor into linear
         forms of the h_i."""
+        import sympy
+        from sympy.polys.domains import QQ
+
+        ring = cartan_ring(n) if type(n) is int else n
         expr = sympy.cancel(sympy.together(sympy.sympify(expr)))
         num, den = expr.as_numer_denom()
         syms = h_symbols(len(ring.gens) + 1)
@@ -219,16 +355,12 @@ class Coeff:
         return cls(ring, out_num * QQ(int(const.q), int(const.p)), factors)
 
     def numerator(self):
-        """num / q as a polynomial of `ring` (over QQ)."""
-        p = self.num.set_ring(self.ring)
-        return p if self.q == 1 else p.mul_ground(QQ(1, self.q))
+        """num / q as a polynomial of cartan_ring(n) (over QQ)."""
+        return _poly(self.n, self.num, self.q)
 
     def denominator(self):
-        """Product of the denominator factors as a polynomial of `ring`."""
-        p = self.ring.one
-        for k, m in self.den.items():
-            p = p * form_power(self.ring, k, m)
-        return p
+        """Product of the denominator factors as a polynomial of cartan_ring(n)."""
+        return _poly(self.n, _cofactor(tuple(sorted(self.den.items()))) if self.den else {0: 1})
 
     # -- predicates ---------------------------------------------------
 
@@ -236,99 +368,96 @@ class Coeff:
         return bool(self.num)
 
     def is_one(self):
-        return not self.den and self.q == 1 and self.num == self.num.ring.one
+        return not self.den and self.q == 1 and self.num == {0: 1}
 
     def __hash__(self):
-        if not self.den and self.num.is_ground:
+        num = self.num
+        if not self.den and not any(num):
             # a constant equals its int or Fraction, so it hashes as one
-            return hash(Fraction(int(self.num.get(self.num.ring.zero_monom, 0)), self.q))
-        # not hash(self.num): a PolyElement caches its hash, and sympy's
-        # in-place building (as in div) can cache it before the last term
-        return hash((frozenset(self.num.items()), self.q, frozenset(self.den.items())))
+            return hash(Fraction(num.get(0, 0), self.q))
+        return hash((frozenset(num.items()), self.q, frozenset(self.den.items())))
 
     def __eq__(self, other):
         """Structural equality of (num, q, den); see the class docstring.
         An int or Fraction compares as a constant; any other type is left
         to its own __eq__."""
         if isinstance(other, (int, Fraction)):
-            other = Coeff.from_rational(self.ring, other)
+            other = Coeff.from_rational(self.n, other)
         elif not isinstance(other, Coeff):
             return NotImplemented
         return self.q == other.q and self.num == other.num and self.den == other.den
 
     # -- arithmetic ---------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, Coeff):
-            return other
-        return Coeff.from_rational(self.ring, other)
-
     def __mul__(self, other):
-        other = self._coerce(other)
+        if not isinstance(other, Coeff):
+            other = Coeff.from_rational(self.n, other)
         den = self.den
         if other.den:
-            den = dict(den)
-            for k, m in other.den.items():
-                den[k] = den.get(k, 0) + m
-        num, q = _primitive(_poly_mul(self.num, other.num), self.q * other.q)
-        return Coeff(self.ring, num, den, q)
+            if den:
+                den = dict(den)
+                for k, m in other.den.items():
+                    den[k] = den.get(k, 0) + m
+            else:
+                den = other.den
+        num, q = _primitive(_mul(self.num, other.num), self.q * other.q)
+        return Coeff(self.n, num, den, q)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return Coeff(self.ring, -self.num, self.den, self.q)
+        return Coeff(self.n, {m: -c for m, c in self.num.items()}, self.den, self.q)
 
     def __add__(self, other):
-        other = self._coerce(other)
+        if not isinstance(other, Coeff):
+            other = Coeff.from_rational(self.n, other)
         if not other.num:
             return self
         if not self.num:
             return other
-        na, nb = self.num, other.num
         q = lcm(self.q, other.q)
-        if q != self.q:
-            na = na * (q // self.q)
-        if q != other.q:
-            nb = nb * (q // other.q)
-        den = self.den
+        # each numerator is padded to q and by the denominator forms it lacks
+        den, forms_a, forms_b = self.den, (), ()
         if den != other.den:
-            # pad each numerator with one cofactor: the forms it lacks
-            den, pad_a, pad_b = dict(den), [], []
+            den, forms_a, forms_b = dict(den), [], []
             for k, mb in other.den.items():
                 ma = den.get(k, 0)
                 if ma < mb:
-                    pad_a.append((k, mb - ma))
+                    forms_a.append((k, mb - ma))
                     den[k] = mb
             for k, ma in self.den.items():
                 mb = other.den.get(k, 0)
                 if mb < ma:
-                    pad_b.append((k, ma - mb))
-            if pad_a:
-                na = na * _cofactor(na.ring, tuple(sorted(pad_a)))
-            if pad_b:
-                nb = nb * _cofactor(nb.ring, tuple(sorted(pad_b)))
-        num, q = _primitive(na + nb, q)
-        return Coeff(self.ring, num, den, q)
+                    forms_b.append((k, ma - mb))
+        num = _add(_padded(self.num, q // self.q, forms_a),
+                   _padded(other.num, q // other.q, forms_b))
+        num, q = _primitive(num, q)
+        return Coeff(self.n, num, den, q)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self + (-other)
 
     def shift(self, svec, scale=1):
         """h_k -> h_k + scale * svec[k], exactly, in place of substitution."""
         if not any(svec) or scale == 0:
             return self
         num = self.num
-        if not num.is_ground:
-            for g, s in zip(num.ring.gens, svec):
-                if s:
-                    num = num.compose(g, g + scale * s)
+        if any(num):
+            num = _shift(num, [scale * s for s in svec])
         den = {}
         for k, m in self.den.items():
             delta = scale * sum(a * s for a, s in zip(k[:-1], svec))
             den[k[:-1] + (k[-1] + delta,)] = m
-        return Coeff(self.ring, num, den, self.q)
+        return Coeff(self.n, num, den, self.q)
+
+    def times_forms(self, den):
+        """self times prod (a.h + c)^m over den = {key: m}, as polynomials."""
+        if not den:
+            return self
+        num, q = _primitive(_mul(self.num, _cofactor(tuple(sorted(den.items())))), self.q)
+        return Coeff(self.n, num, self.den, q)
 
     # -- normal form --------------------------------------------------
 
@@ -339,18 +468,19 @@ class Coeff:
         (Gauss's lemma), and dividing keeps gcd(content(num), q) = 1.
         """
         if not self.num:
-            return Coeff(self.ring, self.num)
+            return Coeff(self.n, {})
         num, den = self.num, {}
         for k, m in self.den.items():
-            p = form_power(num.ring, k, 1)
             while m > 0:
-                quo, r = num.div(p)
-                if r:
+                quo = _divide(num, k)
+                if quo is None:
                     break
                 num, m = quo, m - 1
             if m:
                 den[k] = m
-        return Coeff(self.ring, num, den, self.q)
+        if num is self.num:
+            return self
+        return Coeff(self.n, num, den, self.q)
 
     def evaluate(self, values):
         """Value at h = values (sequence of ints or Fractions); Fraction result.
@@ -370,9 +500,9 @@ class Coeff:
                     % (form_text(k), tuple(map(str, values)))
                 )
             den *= v**m
-        num = 0
+        num, k = 0, len(values)
         for monom, a in c.num.items():
-            for x, e in zip(values, monom):
+            for x, e in zip(values, _unpack(monom, k)):
                 if e:
                     a *= x**e
             num += a
@@ -385,7 +515,8 @@ class Coeff:
         lone factor, `(-h1)/(6*h1 + 6)`; a longer one keeps its rational
         coefficients, `(h1/2 + 1/2)/(h2 - 1)`, and a positive constant with
         one negative single-variable term prints constant first, `1 - h1`."""
-        items, q = sorted(self.num.items(), reverse=True), self.q
+        k, q = self.n - 1, self.q
+        items = [(_unpack(m, k), a) for m, a in sorted(self.num.items(), reverse=True)]
         if not items:
             return "0"
         if len(items) == 1:
@@ -413,7 +544,7 @@ class Coeff:
         c = self.reduced()
         e = c.numerator().as_expr()
         for k, m in sorted(c.den.items()):
-            e = e / form_power(c.ring, k, 1).as_expr() ** m
+            e = e / _poly(c.n, _form(k)).as_expr() ** m
         return e
 
     def __repr__(self):
@@ -433,8 +564,7 @@ class RewriteEngine:
         self.sys = sys
         self.n = sys.n
         self.order = normal_ordering(sys, order)
-        self.ring = cartan_ring(self.n)
-        self.coeff_one = Coeff(self.ring, self.ring.one)
+        self.coeff_one = Coeff(self.n, {0: 1})
         # place of each letter in a normal-ordered word: lowering letters
         # before raising ones, each kind in the order of its roots
         seq = self.order.sequence
@@ -449,13 +579,18 @@ class RewriteEngine:
 
     # -- coefficients -------------------------------------------------
 
+    @property
+    def ring(self):
+        """cartan_ring(n), built on first use, for interop with sympy."""
+        return cartan_ring(self.n)
+
     def coeff(self, x):
         """Coerce a number, Fraction, sympy expression, or Coeff."""
         if isinstance(x, Coeff):
             return x
         if isinstance(x, (int, Fraction)):
-            return Coeff.from_rational(self.ring, x)
-        return Coeff.from_expr(self.ring, x)
+            return Coeff.from_rational(self.n, x)
+        return Coeff.from_expr(self.n, x)
 
     def recip_linear(self, factors):
         """1 / prod of linear forms; each factor is (svec over h, const), ints
@@ -464,7 +599,7 @@ class RewriteEngine:
         for svec, c in factors:
             key = tuple(svec) + (c,)
             den[key] = den.get(key, 0) + 1
-        return Coeff(self.ring, self.ring.one, den)
+        return Coeff(self.n, {0: 1}, den)
 
     # -- letters ------------------------------------------------------
 
@@ -525,11 +660,8 @@ class RewriteEngine:
         """e_ii - e_jj as a Coeff (i < j: h_i + ... + h_{j-1}), memoized."""
         c = self._h_span_cache.get((i, j))
         if c is None:
-            p = self.ring.zero
-            for k, a in enumerate(self.h_span_vec(i, j)):
-                if a:
-                    p = p + self.ring.gens[k] * a
-            c = self._h_span_cache[(i, j)] = Coeff(self.ring, p)
+            num = _form(self.h_span_vec(i, j) + (0,))
+            c = self._h_span_cache[(i, j)] = Coeff(self.n, num)
         return c
 
     def commutator(self, a, b):
@@ -673,7 +805,7 @@ def rewrite_word(word, sys, N=64, engine=None):
             gens.extend([item] * exp)
             continue
         if isinstance(item, tuple):
-            item = Coeff(eng.ring, eng.ring.gens[item[1] - 1])
+            item = eng.h_span(item[1], item[1] + 1)  # h_k = e_kk - e_{k+1,k+1}
         cartans.extend([(eng.coeff(item), len(gens))] * exp)
     f = eng.coeff_one
     for c, at in cartans:
@@ -689,14 +821,20 @@ def shared_engine(n):
 
 
 class TaylorElement:
-    """Truncated formal sum of PBW normal monomials."""
+    """Truncated formal sum of PBW normal monomials.
 
-    __slots__ = ("engine", "bound", "terms")
+    An element that canonical() built knows it, and canonical() returns it
+    as it is: products and star are canonical already, so output reduces
+    each coefficient once.
+    """
+
+    __slots__ = ("engine", "bound", "terms", "_canonical")
 
     def __init__(self, engine, bound, terms):
         self.engine = engine
         self.bound = bound
         self.terms = terms
+        self._canonical = False
 
     # -- structure ----------------------------------------------------
 
@@ -719,12 +857,17 @@ class TaylorElement:
         return self
 
     def canonical(self):
+        """The element with every coefficient reduced and the zeros dropped."""
+        if self._canonical:
+            return self
         out = {}
         for k, v in self.terms.items():
             v = v.reduced()
             if v:
                 out[k] = v
-        return TaylorElement(self.engine, self.bound, out)
+        out = TaylorElement(self.engine, self.bound, out)
+        out._canonical = True
+        return out
 
     def monomials(self):
         """Sorted list of (lowering, coeff, raising) for stable output."""
@@ -876,7 +1019,7 @@ class TaylorElement:
         for k, v in self.terms.items():
             val = v.evaluate(values)
             if val != 0:
-                out[k] = Coeff.from_rational(eng.ring, val)
+                out[k] = Coeff.from_rational(eng.n, val)
         return TaylorElement(eng, self.bound, out)
 
     # -- comparison ---------------------------------------------------

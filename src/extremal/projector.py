@@ -9,7 +9,8 @@ truncated at the element's raising bound; the full projector is the product of
 the factors in a normal ordering of the positive roots.  On a module vector
 of weight lam, phi_{gamma,n} is the number phi_{gamma,n}(lam): `apply_factor`
 and `apply_projector` act with it and build no symbolic element.  Only the
-symbolic functions import `pbw`, and so sympy, when they are called.
+symbolic functions import `pbw`, when they are called, and `pbw` loads sympy
+only to parse or convert expressions.
 """
 
 from __future__ import annotations
@@ -220,11 +221,11 @@ def no_go_polynomial_residual(sys, N):
         fracs = {key: c.reduced() for key, c in factor.terms.items()}
         cleared = {}
         for key, c in fracs.items():
-            num = c.numerator()
+            num = Coeff(eng.n, c.num, None, c.q)  # c times its own denominator
             for k2, c2 in fracs.items():
                 if k2 != key:
-                    num = num * c2.denominator()
-            cleared[key] = Coeff(eng.ring, num)
+                    num = num.times_forms(c2.den)
+            cleared[key] = num
         out = out * TaylorElement(eng, big, cleared)
     i, j = sys.simple_roots[0]
     e_plus = eng.generator(i, j, big)

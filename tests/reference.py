@@ -6,8 +6,9 @@ products, su(2) general projection operators built as `TaylorElement`s, the
 tensor form of the su(3) projector, the Fraction admissibility test of GT
 labels, the GT lowering word of one label and its raising word, the GT module
 read off the projector-built vectors, the tensor product that accumulates
-and filters its lowering entries, sympy's printing of a PBW coefficient, and
-small exact matrix algebra.
+and filters its lowering entries, sympy's printing of a PBW coefficient, the
+sympy polynomial ring arithmetic of coefficient numerators, and small exact
+matrix algebra.
 The tests compare the package's numeric routes against them.
 """
 
@@ -53,6 +54,35 @@ def reference_coeff_text(c):
     fraction(c.as_expr()), as `num` or `(num)/(den)`."""
     num, den = sympy.fraction(c.as_expr())
     return str(num) if den == 1 else "(%s)/(%s)" % (num, den)
+
+
+# -- coefficient numerators as sympy polynomials ------------------------
+#
+# The ring route that `Coeff` numerators took before they were packed ints:
+# the oracle of the native kernels `pbw._mul`, `_add`, `_shift`, `_divide`.
+
+
+def reference_form(ring, key):
+    """The linear form a.h + c of key = (a_1, ..., a_k, c) in `ring`."""
+    p = ring(key[-1])
+    for g, a in zip(ring.gens, key[:-1]):
+        if a:
+            p = p + g * a
+    return p
+
+
+def reference_shift(p, svec):
+    """p with h_i -> h_i + svec[i], by composition."""
+    for g, s in zip(p.ring.gens, svec):
+        if s:
+            p = p.compose(g, g + s)
+    return p
+
+
+def reference_divide(p, key):
+    """p / (a.h + c) by sympy's division, or None if the form does not divide p."""
+    quo, rem = p.div(reference_form(p.ring, key))
+    return None if rem else quo
 
 
 # -- exact matrix algebra over Radical -------------------------------

@@ -5,6 +5,9 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -467,3 +470,35 @@ def test_stdout_bytes_unchanged(capsys, command, digest):
     code, out, _ = run(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_the_cli_loads_no_sympy():
+    # the engine holds packed-int numerators, so serving every subcommand,
+    # the symbolic ones included, leaves sympy unloaded; parsing and
+    # interop import it when they are called
+    code = """
+import contextlib, io, sys
+from extremal import cli
+requests = [
+    ["cgc-su2", "--j1", "1", "--j2", "1/2"],
+    ["cgc-su3", "--lam1", "1", "--mu1", "0", "--lam2", "0", "--mu2", "1"],
+    ["sixj", "--j1", "1", "--j2", "1", "--j3", "1", "--j4", "1", "--j5", "1", "--j6", "1"],
+    ["ninej", "--j1", "1", "--j2", "1", "--j3", "0", "--j4", "1", "--j5", "1",
+     "--j6", "0", "--j7", "0", "--j8", "0", "--j9", "0"],
+    ["gt-basis", "--lam", "1", "--mu", "1"],
+    ["projector", "--algebra", "su3", "--trunc", "3", "--format", "json"],
+] + [["verify", "--suite", s] for s in sorted(cli.SUITES)]
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in requests:
+        assert cli.main(argv) == 0, argv
+assert "sympy" not in sys.modules, sorted(m for m in sys.modules if "sympy" in m)[:5]
+from extremal.pbw import Coeff
+c = Coeff.from_expr(3, "(h1 + 2)/(h2 + 1)**2")
+print(c.text(), c.as_expr())
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "(h1 + 2)/((h2 + 1)**2) (h1 + 2)/(h2 + 1)**2\n"

@@ -15,11 +15,15 @@ from sympy.polys.domains import QQ
 
 from extremal.algebra import build_root_system
 from extremal.pbw import (
+    BITS,
     Coeff,
     RewriteEngine,
     SingularWeightError,
+    _add,
+    _cofactor,
+    _divide,
+    _mul,
     cartan_ring,
-    form_power,
     rewrite_word,
     shared_engine,
 )
@@ -32,7 +36,16 @@ from extremal.repmod import (
     su2_irrep,
     su3_irrep,
 )
-from reference import mat_add, mat_identity, mat_scale, reference_coeff_text, reference_mul
+from reference import (
+    mat_add,
+    mat_identity,
+    mat_scale,
+    reference_coeff_text,
+    reference_divide,
+    reference_form,
+    reference_mul,
+    reference_shift,
+)
 
 SU2 = build_root_system(2)
 SU3 = build_root_system(3)
@@ -150,7 +163,7 @@ def test_from_expr_reads_primitive_int_forms(eng2, eng3):
     h2 = sympy.Symbol("h2")
     c = Coeff.from_expr(eng3.ring, 1 / ((2 * h1 + 1) * (h2 - h1) * (-3 * h2 + 1)))
     assert c.den == {(2, 0, 1): 1, (1, -1, 0): 1, (0, 3, -1): 1}
-    assert c.num == eng3.ring(1)  # the signs of h2 - h1 and -3 h2 + 1 cancel
+    assert c.num == {0: 1}  # the signs of h2 - h1 and -3 h2 + 1 cancel
 
 
 def test_from_expr_multiplicities_are_ints(eng2):
@@ -223,6 +236,7 @@ def _keys_canonical(c):
         assert next(x for x in key[:-1] if x) > 0, key
     # value num / (q * den): integer numerator, q > 0 coprime to its content
     assert type(c.q) is int and c.q > 0
+    assert all(type(m) is int and m >= 0 for m in c.num)
     assert all(type(x) is int for x in c.num.values())
     assert math.gcd(c.q, *c.num.values()) == 1
 
@@ -257,8 +271,86 @@ def test_coeff_operations_match_sympy(n, eng2, eng3, data):
             if x == y:
                 assert hash(x) == hash(y)
     assert others[2] == a
-    info = form_power.cache_info()
+    info = _cofactor.cache_info()
     assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_native_kernels_match_the_ring_route(n, data):
+    # packed numerators against sympy's polynomial ring, the route they replace
+    ring = cartan_ring(n)
+    monom = st.tuples(*[st.integers(0, 3)] * (n - 1))
+    polys = st.dictionaries(monom, st.integers(-9, 9).filter(bool), max_size=5).map(ring.from_dict)
+    a, b = data.draw(polys), data.draw(polys)
+    pa, pb = Coeff(n, a).num, Coeff(n, b).num
+
+    def poly(num):
+        return Coeff(n, num).numerator()
+
+    assert poly(pa) == a and poly(pb) == b
+    assert poly(_mul(pa, pb)) == a * b
+    assert poly(_add(pa, pb)) == a + b
+    svec = data.draw(st.tuples(*[st.integers(-2, 2)] * (n - 1)))
+    for scale in (1, -1, 2, -2):
+        shifted = Coeff(n, pa).shift(svec, scale)
+        assert shifted.numerator() == reference_shift(a, [scale * s for s in svec])
+    svec_f, c_f = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+                            .map(_primitive_form))
+    key = svec_f + (c_f,)
+    form = reference_form(ring, key)
+    assert _divide(Coeff(n, a * form).num, key) == pa
+    quo = _divide(pa, key)
+    want = reference_divide(a, key)
+    assert (quo is None) == (want is None)
+    if quo is not None:
+        assert poly(quo) == want
+    # a rational numerator and a factored denominator round-trip through sympy
+    c = Coeff(n, a * QQ(1, 6))
+    assert c.numerator() == a * QQ(1, 6)
+    assert Coeff(n, c.numerator()) == c
+    den = data.draw(st.dictionaries(st.just(key), st.integers(1, 3)))
+    want = ring.one
+    for k, m in den.items():
+        want = want * reference_form(ring, k) ** m
+    assert Coeff(n, pa, den).denominator() == want
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_packed_exponents_refuse_to_overflow(n):
+    # squaring a one-term coefficient doubles its exponent; at 2^(BITS - 1)
+    # the field's guard bit is set, and the product raises instead of
+    # carrying into the next field
+    eng = shared_engine(n)
+    for i in range(1, n):
+        c = eng.h_span(i, i + 1)
+        squarings = 0
+        with pytest.raises(OverflowError, match="exceeds the 14-bit field"):
+            for _ in range(2 * BITS):
+                c = c * c
+                squarings += 1
+        assert squarings == BITS - 2
+        values = [Fraction(2 + j) for j in range(n - 1)]
+        assert c.evaluate(values) == values[i - 1] ** (2 ** (BITS - 2))
+    # an exponent of a sympy polynomial is checked where it is converted
+    ring = cartan_ring(n)
+    with pytest.raises(OverflowError):
+        Coeff(ring, ring.gens[0] ** (2 ** 20))
+
+
+def test_output_reduces_each_coefficient_once(monkeypatch):
+    # products and star return canonical elements, which dump as they are
+    P = extremal_projector(SU3, N=2, engine=RewriteEngine(SU3))
+    S = P.star()
+    texts = P.dump(), S.dump()
+
+    def refuse(self):
+        raise AssertionError("a canonical element's coefficient reduced again")
+
+    monkeypatch.setattr(Coeff, "reduced", refuse)
+    assert (P.dump(), S.dump()) == texts
+    assert P.canonical() is P
 
 
 def _text_coeffs(n):
@@ -339,7 +431,7 @@ def test_coeff_text_of_every_projector_coefficient():
 ])
 def test_singular_weight_names_the_factor(eng3, form, weight, text):
     key = form[0] + (form[1],)
-    assert text == str(form_power(eng3.ring, key, 1).as_expr())
+    assert text == str(reference_form(eng3.ring, key).as_expr())
     with pytest.raises(SingularWeightError) as err:
         eng3.recip_linear([form]).evaluate([Fraction(x) for x in weight])
     assert str(err.value) == "denominator factor %s vanishes at weight %s" % (
