@@ -452,12 +452,12 @@ class Coeff:
             den[k[:-1] + (k[-1] + delta,)] = m
         return Coeff(self.n, num, den, self.q)
 
-    def times_forms(self, den):
-        """self times prod (a.h + c)^m over den = {key: m}, as polynomials."""
-        if not den:
-            return self
-        num, q = _primitive(_mul(self.num, _cofactor(tuple(sorted(den.items())))), self.q)
-        return Coeff(self.n, num, self.den, q)
+    def cleared(self, den):
+        """The polynomial self times its own denominator and the linear
+        forms den = {key: m}: num / q * prod (a.h + c)^m over den."""
+        num = _mul(self.num, _cofactor(tuple(sorted(den.items())))) if den else self.num
+        num, q = _primitive(num, self.q)
+        return Coeff(self.n, num, None, q)
 
     # -- normal form --------------------------------------------------
 

@@ -209,7 +209,7 @@ def no_go_polynomial_residual(sys, N):
     A nonzero result witnesses that no polynomial solves the annihilation
     equations; the series identity lives only in the Taylor extension.
     """
-    from .pbw import Coeff, RewriteEngine, TaylorElement
+    from .pbw import RewriteEngine, TaylorElement
 
     eng = RewriteEngine(sys)
     big = 4 * N + 8  # large enough that nothing is dropped: computation is exact
@@ -221,11 +221,12 @@ def no_go_polynomial_residual(sys, N):
         fracs = {key: c.reduced() for key, c in factor.terms.items()}
         cleared = {}
         for key, c in fracs.items():
-            num = Coeff(eng.n, c.num, None, c.q)  # c times its own denominator
+            others = {}
             for k2, c2 in fracs.items():
                 if k2 != key:
-                    num = num.times_forms(c2.den)
-            cleared[key] = num
+                    for form, m in c2.den.items():
+                        others[form] = others.get(form, 0) + m
+            cleared[key] = c.cleared(others)
         out = out * TaylorElement(eng, big, cleared)
     i, j = sys.simple_roots[0]
     e_plus = eng.generator(i, j, big)
