@@ -78,7 +78,8 @@ def cartan_ring(n):
 # guard, so a sum of two exponents never carries into the next field, and a
 # product refuses an output monomial with a guard bit set.  Two 15-bit
 # fields fill one 30-bit digit of a CPython int, where int arithmetic is
-# fastest.
+# fastest.  No numerator is changed in place: Coeffs and the `_cofactor`
+# memo share them.
 
 BITS = 15
 _FIELD = (1 << BITS) - 1
@@ -294,10 +295,10 @@ class Coeff:
     that is primitive and has its first nonzero a_i positive, to its
     multiplicity.  numerator() and denominator() give the value's two halves
     as sympy polynomials of cartan_ring(n), over QQ.  The denominator is not
-    reduced on construction
-    (zero testing only needs the numerator); reduced() divides out
-    denominator factors before evaluation or printing, exactly over ZZ
-    because each form is primitive (Gauss's lemma).
+    reduced on construction (zero testing only needs the numerator);
+    reduced() divides out denominator factors before evaluation or
+    printing, exactly over ZZ because each form is primitive (Gauss's
+    lemma).
 
     == compares (num, q, den) by structure and agrees with hash, so memo
     probes never do polynomial arithmetic; (h+1)/(h+1) == 1 is False.
