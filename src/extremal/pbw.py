@@ -29,8 +29,8 @@ denominator, or that a shift expands, are computed once (`_cofactor`, a
 bounded memo).  Coeff equality is structural and agrees with its hash;
 equality as rational functions is not (a - b).  Coefficient text is rendered
 natively from (num, q, den), in the bytes sympy's printer gives.  The engine
-never loads sympy; it is imported only to parse (`from_expr`) and for interop
-(`as_expr`, `numerator`, `denominator`, `cartan_ring`).
+never loads sympy; it is imported only by `h_symbols`, to parse
+(`Coeff.from_expr`) and to build an expression (`Coeff.as_expr`).
 """
 
 from __future__ import annotations
@@ -60,15 +60,6 @@ def h_symbols(n):
     import sympy
 
     return tuple(sympy.Symbol("h%d" % i) for i in range(1, n))
-
-
-@functools.cache  # one entry per rank, and build_root_system admits only n <= 6
-def cartan_ring(n):
-    """Polynomial ring QQ[h1..h_{n-1}] of su(n), for interop with sympy."""
-    from sympy.polys.domains import QQ
-    from sympy.polys.rings import ring
-
-    return ring(",".join("h%d" % i for i in range(1, n)), QQ)[0]
 
 
 # -- packed numerators ------------------------------------------------
@@ -230,14 +221,6 @@ def _padded(num, s, forms):
     return num if s == 1 else {m: c * s for m, c in num.items()}
 
 
-def _poly(n, num, q=1):
-    """num / q as a polynomial of cartan_ring(n), over QQ."""
-    from sympy.polys.domains import QQ
-
-    k = n - 1
-    return cartan_ring(n).from_dict({_unpack(m, k): QQ(c, q) for m, c in num.items()})
-
-
 def _sum_text(terms):
     """sympy's text of a sum of (coefficient, exponent tuple) terms, in
     order: `h1**2*h2`, `3*h1/4`, joined by ` + ` and ` - `."""
@@ -293,11 +276,11 @@ class Coeff:
     gcd(content(num), q) = 1, kept so by every operation, and den maps a
     linear form a.h + c, encoded as a tuple of ints (a_1, ..., a_{n-1}, c)
     that is primitive and has its first nonzero a_i positive, to its
-    multiplicity.  numerator() and denominator() give the value's two halves
-    as sympy polynomials of cartan_ring(n), over QQ.  The denominator is not
-    reduced on construction (zero testing only needs the numerator);
-    reduced() divides out denominator factors before evaluation or
-    printing, exactly over ZZ because each form is primitive (Gauss's
+    multiplicity.  This is the one format: sympy enters only through
+    from_expr, which parses, and as_expr, which builds an expression.  The
+    denominator is not reduced on construction (zero testing only needs the
+    numerator); reduced() divides out denominator factors before evaluation
+    or printing, exactly over ZZ because each form is primitive (Gauss's
     lemma).
 
     == compares (num, q, den) by structure and agrees with hash, so memo
@@ -308,17 +291,8 @@ class Coeff:
     __slots__ = ("n", "num", "q", "den")
 
     def __init__(self, n, num, den=None, q=1):
-        """`n` is the rank of su(n), or a sympy ring of the h_i; `num` is a
-        packed numerator that goes with q, or a sympy polynomial, converted
-        here with its denominators cleared into q."""
-        if type(n) is not int:
-            n = len(n.gens) + 1
-        if type(num) is not dict:
-            if len(num.ring.gens) != n - 1:
-                raise ValueError("a polynomial in %d variables for su(%d)"
-                                 % (len(num.ring.gens), n))
-            c, num = num.clear_denoms()
-            num, q = _primitive({_pack(m): int(a) for m, a in num.items()}, q * int(c))
+        """`n` is the int rank of su(n) and `num` a packed numerator that
+        goes with q; a sympy expression enters through from_expr."""
         self.n = n
         self.num = num
         self.q = q
@@ -334,16 +308,17 @@ class Coeff:
 
     @classmethod
     def from_expr(cls, n, expr):
-        """Parse a sympy expression; the denominator must factor into linear
-        forms of the h_i."""
+        """Parse a sympy expression in h1..h_{n-1} for su(n); the denominator
+        must factor into linear forms of the h_i."""
         import sympy
-        from sympy.polys.domains import QQ
 
-        ring = cartan_ring(n) if type(n) is int else n
-        expr = sympy.cancel(sympy.together(sympy.sympify(expr)))
-        num, den = expr.as_numer_denom()
-        syms = h_symbols(len(ring.gens) + 1)
-        out_num = ring.from_expr(num.subs(zip(syms, (g.as_expr() for g in ring.gens))))
+        syms = h_symbols(n)
+        expr = sympy.sympify(expr)
+        foreign = expr.free_symbols - set(syms)
+        if foreign:
+            raise ValueError("symbols outside h1..h%d of su(%d): %s"
+                             % (n - 1, n, ", ".join(sorted(map(str, foreign)))))
+        num, den = sympy.cancel(sympy.together(expr)).as_numer_denom()
         # factor_list gives primitive integer factors, first coefficient > 0
         const, flist = sympy.factor_list(den, *syms)
         factors = {}
@@ -353,15 +328,11 @@ class Coeff:
                 raise ValueError("nonlinear denominator factor: %s" % f)
             key = tuple(int(poly.coeff_monomial(m)) for m in syms + (1,))
             factors[key] = factors.get(key, 0) + int(mult)
-        return cls(ring, out_num * QQ(int(const.q), int(const.p)), factors)
-
-    def numerator(self):
-        """num / q as a polynomial of cartan_ring(n) (over QQ)."""
-        return _poly(self.n, self.num, self.q)
-
-    def denominator(self):
-        """Product of the denominator factors as a polynomial of cartan_ring(n)."""
-        return _poly(self.n, _cofactor(tuple(sorted(self.den.items()))) if self.den else {0: 1})
+        # the numerator over QQ, its denominators cleared into q
+        terms = [(m, c) for m, c in sympy.Poly(num / const, *syms, domain="QQ").terms() if c]
+        q = lcm(*(int(c.q) for _, c in terms))
+        out, q = _primitive({_pack(m): int(c * q) for m, c in terms}, q)
+        return cls(n, out, factors, q)
 
     # -- predicates ---------------------------------------------------
 
@@ -542,14 +513,23 @@ class Coeff:
 
     def as_expr(self):
         """Canonical sympy expression, for display and interop."""
+        import sympy
+
+        syms, k = h_symbols(self.n), self.n - 1
+
+        def poly(num, q=1):
+            return sympy.Add(*(sympy.Mul(sympy.Rational(c, q), *(
+                sympy.Pow(x, e) for x, e in zip(syms, _unpack(m, k)) if e))
+                for m, c in num.items()))
+
         c = self.reduced()
-        e = c.numerator().as_expr()
-        for k, m in sorted(c.den.items()):
-            e = e / _poly(c.n, _form(k)).as_expr() ** m
+        e = poly(c.num, c.q)
+        for key, m in sorted(c.den.items()):
+            e = e / poly(_form(key)) ** m
         return e
 
     def __repr__(self):
-        return "Coeff(%s)" % self.as_expr()
+        return "Coeff(%s)" % self.reduced().text()
 
 
 class RewriteEngine:
@@ -579,11 +559,6 @@ class RewriteEngine:
         self._h_span_cache = {}
 
     # -- coefficients -------------------------------------------------
-
-    @property
-    def ring(self):
-        """cartan_ring(n), built on first use, for interop with sympy."""
-        return cartan_ring(self.n)
 
     def coeff(self, x):
         """Coerce a number, Fraction, sympy expression, or Coeff."""
@@ -794,7 +769,9 @@ def rewrite_word(word, sys, N=64, engine=None):
     word items are generator pairs (i, j), Cartan letters ('h', k), Cartan
     expressions (sympy or Coeff), or (item, exponent) pairs.  Each Cartan
     letter moves to the right end of the word, c X = X c(h + s_X), so only
-    the generators are straightened.
+    the generators are straightened.  A generator pair that is not an
+    off-diagonal pair of su(n), or a Cartan index outside 1..n-1, raises
+    ValueError naming the letter.
     """
     eng = engine if engine is not None else RewriteEngine(sys)
     gens, cartans = [], []
@@ -803,9 +780,15 @@ def rewrite_word(word, sys, N=64, engine=None):
         if isinstance(item, tuple) and len(item) == 2 and isinstance(item[0], tuple):
             item, exp = item  # ((i,j), e) or (('h',k), e)
         if isinstance(item, tuple) and item[0] != "h":
+            if item not in eng._rank:
+                raise ValueError("letter %r is not an off-diagonal pair (i, j) of su(%d)"
+                                 % (item, eng.n))
             gens.extend([item] * exp)
             continue
         if isinstance(item, tuple):
+            if item[1] not in range(1, eng.n):
+                raise ValueError("Cartan letter %r is outside h1..h%d of su(%d)"
+                                 % (item, eng.n - 1, eng.n))
             item = eng.h_span(item[1], item[1] + 1)  # h_k = e_kk - e_{k+1,k+1}
         cartans.extend([(eng.coeff(item), len(gens))] * exp)
     f = eng.coeff_one

@@ -7,21 +7,24 @@ tensor form of the su(3) projector, the Fraction admissibility test of GT
 labels, the GT lowering word of one label and its raising word, the GT module
 read off the projector-built vectors, the tensor product that accumulates
 and filters its lowering entries, sympy's printing of a PBW coefficient, the
-sympy polynomial ring arithmetic of coefficient numerators, and small exact
-matrix algebra.
+sympy polynomial ring route of coefficients (their numerator arithmetic,
+parsing and expressions), and small exact matrix algebra.
 The tests compare the package's numeric routes against them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
 import sympy
+from sympy.polys.domains import QQ
+from sympy.polys.rings import ring as poly_ring
 
 from extremal.algebra import build_root_system
 from extremal.exact import Radical, factorial_ratio, half, sqrt_of_rational
-from extremal.pbw import TaylorElement, shared_engine
+from extremal.pbw import Coeff, TaylorElement, _pack, _unpack, shared_engine
 from extremal.projector import (
     IdentityReport,
     apply_factor,
@@ -56,10 +59,66 @@ def reference_coeff_text(c):
     return str(num) if den == 1 else "(%s)/(%s)" % (num, den)
 
 
-# -- coefficient numerators as sympy polynomials ------------------------
+# -- coefficients through sympy's polynomial ring -----------------------
 #
-# The ring route that `Coeff` numerators took before they were packed ints:
-# the oracle of the native kernels `pbw._mul`, `_add`, `_shift`, `_divide`.
+# The ring route that `Coeff` took before its numerators were packed ints:
+# the oracle of the native kernels `pbw._mul`, `_add`, `_shift`, `_divide`,
+# and of `Coeff.from_expr` and `Coeff.as_expr`.
+
+
+@functools.cache
+def cartan_ring(n):
+    """Polynomial ring QQ[h1..h_{n-1}] of su(n)."""
+    return poly_ring(",".join("h%d" % i for i in range(1, n)), QQ)[0]
+
+
+def coeff_from_poly(p, den=None):
+    """The Coeff p / prod (a.h + c)^m over den = {key: m}, for a polynomial p
+    of cartan_ring(n), with p's denominators cleared into q."""
+    c, p = p.clear_denoms()
+    q = int(c)
+    g = math.gcd(q, *map(int, p.values()))
+    return Coeff(len(p.ring.gens) + 1, {_pack(m): int(a) // g for m, a in p.items()}, den, q // g)
+
+
+def numerator(c):
+    """num / q of a Coeff as a polynomial of cartan_ring(n)."""
+    k = c.n - 1
+    return cartan_ring(c.n).from_dict({_unpack(m, k): QQ(a, c.q) for m, a in c.num.items()})
+
+
+def denominator(c):
+    """The product of a Coeff's denominator factors in cartan_ring(n)."""
+    ring = cartan_ring(c.n)
+    p = ring.one
+    for key, m in c.den.items():
+        p = p * reference_form(ring, key) ** m
+    return p
+
+
+def reference_from_expr(n, expr):
+    """Coeff.from_expr through the ring: the numerator read into
+    cartan_ring(n), the denominator split by sympy.factor_list."""
+    ring = cartan_ring(n)
+    syms = ring.symbols
+    num, den = sympy.cancel(sympy.together(sympy.sympify(expr))).as_numer_denom()
+    const, flist = sympy.factor_list(den, *syms)
+    factors = {}
+    for f, mult in flist:
+        poly = sympy.Poly(f, *syms, domain="ZZ")
+        key = tuple(int(poly.coeff_monomial(m)) for m in syms + (1,))
+        factors[key] = factors.get(key, 0) + int(mult)
+    return coeff_from_poly(ring.from_expr(num) * QQ(int(const.q), int(const.p)), factors)
+
+
+def reference_as_expr(c):
+    """Coeff.as_expr through the ring: the reduced numerator's expression
+    divided by each denominator form's, in sorted order."""
+    c = c.reduced()
+    e = numerator(c).as_expr()
+    for key, m in sorted(c.den.items()):
+        e = e / reference_form(cartan_ring(c.n), key).as_expr() ** m
+    return e
 
 
 def reference_form(ring, key):

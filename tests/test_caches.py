@@ -13,8 +13,7 @@ from extremal.exact import triangle
 
 # caches whose key space is finite without a bound: the rank n <= 6 of
 # build_root_system, and the one argument parser
-UNBOUNDED_BY_DESIGN = {"pbw.h_symbols", "pbw.cartan_ring", "pbw.shared_engine",
-                       "cli.build_parser"}
+UNBOUNDED_BY_DESIGN = {"pbw.h_symbols", "pbw.shared_engine", "cli.build_parser"}
 
 
 def _caches():

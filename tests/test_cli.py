@@ -1,6 +1,7 @@
 """Command-line interface: formats, determinism, exit codes, atomic output."""
 
 import argparse
+import ast
 import csv
 import hashlib
 import io
@@ -491,8 +492,12 @@ requests = [
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in requests:
         assert cli.main(argv) == 0, argv
+from extremal.pbw import Coeff, rewrite_word, shared_engine
+eng = shared_engine(3)
+c = eng.recip_linear([((1, 1), 1)]) * eng.h_span(1, 2) * Coeff.from_rational(3, 2)
+x = rewrite_word([(1, 2), (2, 1)], eng.sys, N=2, engine=eng)
+print(repr(c), repr(x))
 assert "sympy" not in sys.modules, sorted(m for m in sys.modules if "sympy" in m)[:5]
-from extremal.pbw import Coeff
 c = Coeff.from_expr(3, "(h1 + 2)/(h2 + 1)**2")
 print(c.text(), c.as_expr())
 """
@@ -501,4 +506,34 @@ print(c.text(), c.as_expr())
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "(h1 + 2)/((h2 + 1)**2) (h1 + 2)/(h2 + 1)**2\n"
+    assert done.stdout == ("Coeff((2*h1)/(h1 + h2 + 1)) TaylorElement(N=2,\n[h1]\ne21 * [1] * e12\n)\n"
+                           "(h1 + 2)/((h2 + 1)**2) (h1 + 2)/(h2 + 1)**2\n")
+
+
+def test_sympy_is_imported_only_to_parse_and_print():
+    # h_symbols, Coeff.from_expr and Coeff.as_expr are sympy's only entry
+    # points into the package; every other module and function runs without it
+    pkg = os.path.dirname(os.path.abspath(cli.__file__))
+    found = []
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, module, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Import):
+                names = [a.name for a in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module or ""]
+            else:
+                names = []
+            if any(m == "sympy" or m.startswith("sympy.") for m in names):
+                found.append((module, ".".join(scope)))
+            visit(child, module, scope)
+
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as f:
+                visit(ast.parse(f.read()), name, ())
+    assert sorted(found) == [("pbw.py", "Coeff.as_expr"), ("pbw.py", "Coeff.from_expr"),
+                             ("pbw.py", "h_symbols")]

@@ -23,7 +23,6 @@ from extremal.pbw import (
     _cofactor,
     _divide,
     _mul,
-    cartan_ring,
     rewrite_word,
     shared_engine,
 )
@@ -37,12 +36,18 @@ from extremal.repmod import (
     su3_irrep,
 )
 from reference import (
+    cartan_ring,
+    coeff_from_poly,
+    denominator,
     mat_add,
     mat_identity,
     mat_scale,
+    numerator,
+    reference_as_expr,
     reference_coeff_text,
     reference_divide,
     reference_form,
+    reference_from_expr,
     reference_mul,
     reference_shift,
 )
@@ -70,8 +75,8 @@ def eng4():
 
 
 def test_coeff_rational_arithmetic(eng3):
-    a = Coeff.from_rational(eng3.ring, Fraction(1, 2))
-    b = Coeff.from_rational(eng3.ring, 3)
+    a = Coeff.from_rational(eng3.n, Fraction(1, 2))
+    b = Coeff.from_rational(eng3.n, 3)
     assert (a + b).evaluate([0, 0]) == Fraction(7, 2)
     assert (a * b).evaluate([0, 0]) == Fraction(3, 2)
     assert (-a).evaluate([0, 0]) == Fraction(-1, 2)
@@ -81,7 +86,7 @@ def test_coeff_rational_arithmetic(eng3):
 
 def test_coeff_from_expr_with_denominator(eng3):
     h1, h2 = sympy.symbols("h1 h2")
-    c = Coeff.from_expr(eng3.ring, (h1 + 2) / (h2 + 1))
+    c = Coeff.from_expr(eng3.n, (h1 + 2) / (h2 + 1))
     assert c.evaluate([2, 3]) == Fraction(4, 4)
     with pytest.raises(SingularWeightError):
         c.evaluate([0, -1])
@@ -89,38 +94,38 @@ def test_coeff_from_expr_with_denominator(eng3):
 
 def test_coeff_shift(eng3):
     h1, h2 = sympy.symbols("h1 h2")
-    c = Coeff.from_expr(eng3.ring, (h1 + 1) / (h2 + 2))
+    c = Coeff.from_expr(eng3.n, (h1 + 1) / (h2 + 2))
     s = c.shift((1, -1), scale=2)  # h1 -> h1 + 2, h2 -> h2 - 2
     assert s.evaluate([0, 2]) == Fraction(3, 2)
-    ref = Coeff.from_expr(eng3.ring, (h1 + 3) / h2)
+    ref = Coeff.from_expr(eng3.n, (h1 + 3) / h2)
     assert s == ref
 
 
 def test_coeff_reduced_cancellation(eng3):
     h1, h2 = sympy.symbols("h1 h2")
-    c = Coeff.from_expr(eng3.ring, (h1 + 1) * (h2 + 2) / (h2 + 2))
+    c = Coeff.from_expr(eng3.n, (h1 + 1) * (h2 + 2) / (h2 + 2))
     r = c.reduced()
     assert not r.den
-    assert r == Coeff.from_expr(eng3.ring, h1 + 1)
+    assert r == Coeff.from_expr(eng3.n, h1 + 1)
 
 
 def test_coeff_semantic_equality(eng3):
     h1, h2 = sympy.symbols("h1 h2")
-    a = Coeff.from_expr(eng3.ring, (h1 ** 2 - 1) / (h1 + 1))
-    b = Coeff.from_expr(eng3.ring, h1 - 1)
+    a = Coeff.from_expr(eng3.n, (h1 ** 2 - 1) / (h1 + 1))
+    b = Coeff.from_expr(eng3.n, h1 - 1)
     assert a == b
 
 
 def test_coeff_structural_equality(eng2):
     # == compares (num, den) as stored; not (a - b) compares rational functions
-    h = eng2.ring.gens[0]
+    h = cartan_ring(2).gens[0]
     a = eng2.recip_linear([((1,), 2)])
-    b = a * Coeff(eng2.ring, h + 3) * eng2.recip_linear([((1,), 3)])
+    b = a * coeff_from_poly(h + 3) * eng2.recip_linear([((1,), 3)])
     assert b != a and not (b - a)
     assert b.reduced() == a
     assert hash(b.reduced()) == hash(a)
-    assert Coeff.from_rational(eng2.ring, 3) == 3
-    assert Coeff.from_rational(eng2.ring, Fraction(1, 2)) == Fraction(1, 2)
+    assert Coeff.from_rational(eng2.n, 3) == 3
+    assert Coeff.from_rational(eng2.n, Fraction(1, 2)) == Fraction(1, 2)
 
 
 def test_constant_coeff_hashes_as_its_fraction(eng2):
@@ -134,8 +139,8 @@ def test_constant_coeff_hashes_as_its_fraction(eng2):
 
 def test_coeff_compares_unequal_to_other_types(eng2):
     # a type Coeff cannot coerce is unequal, not an AttributeError
-    h = eng2.ring.gens[0]
-    for c in (eng2.coeff(3), Coeff(eng2.ring, h + 1), eng2.recip_linear([((1,), 2)])):
+    h = cartan_ring(2).gens[0]
+    for c in (eng2.coeff(3), coeff_from_poly(h + 1), eng2.recip_linear([((1,), 2)])):
         for other in (None, "x", 1.5, (1,)):
             assert not c == other and c != other
             assert not other == c and other != c
@@ -157,11 +162,11 @@ def test_taylor_element_arithmetic_refuses_other_types():
 def test_from_expr_reads_primitive_int_forms(eng2, eng3):
     h1 = sympy.Symbol("h1")
     for eng in (eng2, eng3):
-        c = Coeff.from_expr(eng.ring, 1 / (2 * h1 + 4))
+        c = Coeff.from_expr(eng.n, 1 / (2 * h1 + 4))
         ref = eng.recip_linear([((1,) + (0,) * (eng.n - 2), 2)]) * Fraction(1, 2)
         assert c == ref and hash(c) == hash(ref)
     h2 = sympy.Symbol("h2")
-    c = Coeff.from_expr(eng3.ring, 1 / ((2 * h1 + 1) * (h2 - h1) * (-3 * h2 + 1)))
+    c = Coeff.from_expr(eng3.n, 1 / ((2 * h1 + 1) * (h2 - h1) * (-3 * h2 + 1)))
     assert c.den == {(2, 0, 1): 1, (1, -1, 0): 1, (0, 3, -1): 1}
     assert c.num == {0: 1}  # the signs of h2 - h1 and -3 h2 + 1 cancel
 
@@ -170,10 +175,55 @@ def test_from_expr_multiplicities_are_ints(eng2):
     # sympy's factor_list reports multiplicities as sympy Integers, which a
     # ring polynomial refuses as an exponent when __add__ pads a numerator
     h1 = sympy.Symbol("h1")
-    a = Coeff.from_expr(eng2.ring, 1 / h1 ** 2)
+    a = Coeff.from_expr(eng2.n, 1 / h1 ** 2)
     assert all(type(m) is int for m in a.den.values())
     b = eng2.recip_linear([((1,), 0)])
     assert (a - b).as_expr() == sympy.cancel(1 / h1 ** 2 - 1 / h1)
+
+
+@pytest.mark.parametrize("n, expr, names", [
+    (2, "1/x", "x"),
+    (3, "x + h1", "x"),
+    (3, "(h1 + y)/(h2 - x)", "x, y"),
+    (3, "h3/(h1 + 1)", "h3"),
+])
+def test_from_expr_refuses_foreign_symbols(n, expr, names):
+    with pytest.raises(ValueError) as err:
+        Coeff.from_expr(n, expr)
+    assert str(err.value) == "symbols outside h1..h%d of su(%d): %s" % (n - 1, n, names)
+
+
+def _rational_functions(n):
+    """sympy expressions p / (s * prod of linear forms^m) in h1..h_{n-1},
+    with rational coefficients and forms that need not be primitive, and
+    sums of two of them."""
+    syms = [sympy.Symbol("h%d" % k) for k in range(1, n)]
+    small = st.integers(-3, 3)
+    monom = st.tuples(*[st.integers(0, 2)] * (n - 1))
+    coef = st.fractions(-6, 6, max_denominator=4).filter(bool)
+    poly = st.dictionaries(monom, coef, max_size=3).map(lambda d: sympy.Add(*(
+        sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(x ** e for x, e in zip(syms, m)))
+        for m, c in d.items())))
+    form = st.lists(small, min_size=n, max_size=n).filter(lambda f: any(f[:-1])).map(
+        lambda f: sum(a * x for a, x in zip(f, syms)) + f[-1])
+    dens = st.lists(st.tuples(form, st.integers(1, 2)), max_size=2).map(
+        lambda fs: sympy.Mul(*(f ** m for f, m in fs)))
+    term = st.tuples(poly, st.sampled_from([1, -2, 3]), dens).map(lambda t: t[0] / (t[1] * t[2]))
+    return st.one_of(term, st.tuples(term, term).map(lambda t: t[0] + t[1]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_from_expr_and_as_expr_match_the_ring_route(n, data):
+    # parsing gives the (num, q, den) of the sympy ring route it replaced,
+    # and the expression of a Coeff, parsed or computed, its srepr
+    expr = data.draw(_rational_functions(n))
+    c, ref = Coeff.from_expr(n, expr), reference_from_expr(n, expr)
+    assert (c.num, c.q, c.den) == (ref.num, ref.q, ref.den)
+    svec = data.draw(st.tuples(*[st.integers(-2, 2)] * (n - 1)))
+    for x in (c, c * c.shift(svec, -1)):
+        assert sympy.srepr(x.as_expr()) == sympy.srepr(reference_as_expr(x))
 
 
 def _primitive_form(coeffs):
@@ -188,7 +238,7 @@ def _primitive_form(coeffs):
 
 def _coeff_strategy(eng):
     """(Coeff, sympy expression) pairs built by the Coeff operations."""
-    n, ring = eng.n, eng.ring
+    n, ring = eng.n, cartan_ring(eng.n)
     syms = [sympy.Symbol("h%d" % k) for k in range(1, n)]
     small = st.integers(-3, 3)
     form = st.lists(small, min_size=n, max_size=n).map(_primitive_form)
@@ -201,12 +251,12 @@ def _coeff_strategy(eng):
 
     def poly(cs):
         p = sum(c * x for c, x in zip(cs, syms)) + cs[-1]
-        return Coeff(ring, ring.from_expr(p)), p
+        return coeff_from_poly(ring.from_expr(p)), p
 
     def parsed(args):
         p, f, k = args
         expr = linear(*p) / (k * linear(*f))
-        return Coeff.from_expr(ring, expr), expr
+        return Coeff.from_expr(n, expr), expr
 
     def shifted(args):
         (c, e), svec, scale = args
@@ -254,8 +304,8 @@ def test_coeff_operations_match_sympy(n, eng2, eng3, data):
     form = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(_primitive_form))
     lin = eng.recip_linear([form])
     others = [
-        Coeff.from_expr(eng.ring, a.as_expr()),
-        a * Coeff(eng.ring, lin.denominator()) * lin,
+        Coeff.from_expr(eng.n, a.as_expr()),
+        a * coeff_from_poly(denominator(lin)) * lin,
         a.shift(form[0], 1).shift(form[0], -1),
         data.draw(coeffs)[0],
     ]
@@ -284,10 +334,10 @@ def test_native_kernels_match_the_ring_route(n, data):
     monom = st.tuples(*[st.integers(0, 3)] * (n - 1))
     polys = st.dictionaries(monom, st.integers(-9, 9).filter(bool), max_size=5).map(ring.from_dict)
     a, b = data.draw(polys), data.draw(polys)
-    pa, pb = Coeff(n, a).num, Coeff(n, b).num
+    pa, pb = coeff_from_poly(a).num, coeff_from_poly(b).num
 
     def poly(num):
-        return Coeff(n, num).numerator()
+        return numerator(Coeff(n, num))
 
     assert poly(pa) == a and poly(pb) == b
     assert poly(_mul(pa, pb)) == a * b
@@ -295,26 +345,26 @@ def test_native_kernels_match_the_ring_route(n, data):
     svec = data.draw(st.tuples(*[st.integers(-2, 2)] * (n - 1)))
     for scale in (1, -1, 2, -2):
         shifted = Coeff(n, pa).shift(svec, scale)
-        assert shifted.numerator() == reference_shift(a, [scale * s for s in svec])
+        assert numerator(shifted) == reference_shift(a, [scale * s for s in svec])
     svec_f, c_f = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)
                             .map(_primitive_form))
     key = svec_f + (c_f,)
     form = reference_form(ring, key)
-    assert _divide(Coeff(n, a * form).num, key) == pa
+    assert _divide(coeff_from_poly(a * form).num, key) == pa
     quo = _divide(pa, key)
     want = reference_divide(a, key)
     assert (quo is None) == (want is None)
     if quo is not None:
         assert poly(quo) == want
     # a rational numerator and a factored denominator round-trip through sympy
-    c = Coeff(n, a * QQ(1, 6))
-    assert c.numerator() == a * QQ(1, 6)
-    assert Coeff(n, c.numerator()) == c
+    c = coeff_from_poly(a * QQ(1, 6))
+    assert numerator(c) == a * QQ(1, 6)
+    assert coeff_from_poly(numerator(c)) == c
     den = data.draw(st.dictionaries(st.just(key), st.integers(1, 3)))
     want = ring.one
     for k, m in den.items():
         want = want * reference_form(ring, k) ** m
-    assert Coeff(n, pa, den).denominator() == want
+    assert denominator(Coeff(n, pa, den)) == want
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -333,10 +383,12 @@ def test_packed_exponents_refuse_to_overflow(n):
         assert squarings == BITS - 2
         values = [Fraction(2 + j) for j in range(n - 1)]
         assert c.evaluate(values) == values[i - 1] ** (2 ** (BITS - 2))
-    # an exponent of a sympy polynomial is checked where it is converted
-    ring = cartan_ring(n)
-    with pytest.raises(OverflowError):
-        Coeff(ring, ring.gens[0] ** (2 ** 20))
+    # a parsed exponent is checked where it is packed: 2^(BITS - 1) - 1 is
+    # the largest a field holds
+    h1 = sympy.Symbol("h1")
+    assert Coeff.from_expr(n, h1 ** (2 ** (BITS - 1) - 1)).evaluate([1] * (n - 1)) == 1
+    with pytest.raises(OverflowError, match="exceeds the 14-bit field"):
+        Coeff.from_expr(n, h1 ** (2 ** (BITS - 1)))
 
 
 def test_output_reduces_each_coefficient_once(monkeypatch):
@@ -384,7 +436,7 @@ def _text_coeffs(n):
     def build(args):
         num, q, den = args
         poly = ring.from_dict({m: QQ(a, q) for m, a in num.items()})
-        return Coeff(ring, poly, den).reduced()
+        return coeff_from_poly(poly, den).reduced()
 
     return st.tuples(numerators, st.sampled_from([1, 2, 3, 6, 12]), dens).map(build)
 
@@ -407,7 +459,7 @@ def test_coeff_text_matches_sympys_printer(n, data):
     "(h2)/((h1 + 1)*(h1 + 2)**2*(h1 + 3))",
 ])
 def test_coeff_text_shapes(eng3, text):
-    c = Coeff.from_expr(eng3.ring, sympy.sympify(text)).reduced()
+    c = Coeff.from_expr(eng3.n, sympy.sympify(text)).reduced()
     assert c.text() == reference_coeff_text(c) == text
 
 
@@ -431,7 +483,7 @@ def test_coeff_text_of_every_projector_coefficient():
 ])
 def test_singular_weight_names_the_factor(eng3, form, weight, text):
     key = form[0] + (form[1],)
-    assert text == str(reference_form(eng3.ring, key).as_expr())
+    assert text == str(reference_form(cartan_ring(eng3.n), key).as_expr())
     with pytest.raises(SingularWeightError) as err:
         eng3.recip_linear([form]).evaluate([Fraction(x) for x in weight])
     assert str(err.value) == "denominator factor %s vanishes at weight %s" % (
@@ -490,6 +542,21 @@ def test_cartan_letters_shift_through(eng3):
     assert lhs.equals_mod_filtration(rhs)
 
 
+@pytest.mark.parametrize("word, letter", [
+    ([("h", 0)], "Cartan letter ('h', 0) is outside h1..h2 of su(3)"),
+    ([("h", 3)], "Cartan letter ('h', 3) is outside h1..h2 of su(3)"),
+    ([(("h", -1), 2)], "Cartan letter ('h', -1) is outside h1..h2 of su(3)"),
+    ([(1, 4)], "letter (1, 4) is not an off-diagonal pair (i, j) of su(3)"),
+    ([(1, 1)], "letter (1, 1) is not an off-diagonal pair (i, j) of su(3)"),
+    ([(1, 2), ((0, 1), 2)], "letter (0, 1) is not an off-diagonal pair (i, j) of su(3)"),
+    ([(1, 4), (2, 1)], "letter (1, 4) is not an off-diagonal pair (i, j) of su(3)"),
+])
+def test_rewrite_word_refuses_letters_outside_su3(eng3, word, letter):
+    with pytest.raises(ValueError) as err:
+        rewrite_word(word, SU3, engine=eng3, N=4)
+    assert str(err.value) == letter
+
+
 def test_multiplication_associative(eng3):
     a = rewrite_word([(2, 1), (1, 3)], SU3, engine=eng3, N=6)
     b = rewrite_word([(1, 2), (3, 2)], SU3, engine=eng3, N=6)
@@ -517,15 +584,16 @@ def test_rewrite_matches_module_action():
 
 def _root_string(eng, a, b, N):
     """e^a f^b = sum_k k! C(a,k) C(b,k) f^(b-k) prod_{i=1..k}(h - a - b + k + i) e^(a-k)"""
-    h = eng.ring.gens[0]
+    ring = cartan_ring(eng.n)
+    h = ring.gens[0]
     ref = eng.zero(N)
     for k in range(min(a, b) + 1):
-        poly = eng.ring(math.factorial(k) * math.comb(a, k) * math.comb(b, k))
+        poly = ring(math.factorial(k) * math.comb(a, k) * math.comb(b, k))
         for i in range(1, k + 1):
             poly = poly * (h - a - b + k + i)
         low = (((2, 1), b - k),) if b > k else ()
         high = (((1, 2), a - k),) if a > k else ()
-        ref = ref + eng.monomial(low, Coeff(eng.ring, poly), high, N)
+        ref = ref + eng.monomial(low, coeff_from_poly(poly), high, N)
     return ref
 
 
