@@ -288,7 +288,7 @@ class Coeff:
     Equality as rational functions is not (a - b).
     """
 
-    __slots__ = ("n", "num", "q", "den")
+    __slots__ = ("n", "num", "q", "den", "_hash")
 
     def __init__(self, n, num, den=None, q=1):
         """`n` is the int rank of su(n) and `num` a packed numerator that
@@ -297,6 +297,7 @@ class Coeff:
         self.num = num
         self.q = q
         self.den = den or {}
+        self._hash = None
 
     # -- constructors -------------------------------------------------
 
@@ -343,11 +344,18 @@ class Coeff:
         return not self.den and self.q == 1 and self.num == {0: 1}
 
     def __hash__(self):
-        num = self.num
-        if not self.den and not any(num):
-            # a constant equals its int or Fraction, so it hashes as one
-            return hash(Fraction(num.get(0, 0), self.q))
-        return hash((frozenset(num.items()), self.q, frozenset(self.den.items())))
+        # computed once: numerators and denominators are shared between
+        # coefficients and never changed in place
+        h = self._hash
+        if h is None:
+            num = self.num
+            if not self.den and not any(num):
+                # a constant equals its int or Fraction, so it hashes as one
+                h = hash(Fraction(num.get(0, 0), self.q))
+            else:
+                h = hash((frozenset(num.items()), self.q, frozenset(self.den.items())))
+            self._hash = h
+        return h
 
     def __eq__(self, other):
         """Structural equality of (num, q, den); see the class docstring.
@@ -749,8 +757,18 @@ class RewriteEngine:
         return TaylorElement(self, bound, {((), ()): self.coeff_one})
 
     def monomial(self, lowering, coeff, raising, bound):
+        """lowering * coeff * raising, each word of ((i, j), exponent)
+        items; ValueError naming a letter that is not an off-diagonal pair
+        (i, j) of su(n)."""
         key = (tuple(lowering), tuple(raising))
+        for g, _ in key[0] + key[1]:
+            self._check_pair(g)
         return TaylorElement(self, bound, {key: self.coeff(coeff)})
+
+    def _check_pair(self, g):
+        if g not in self._rank:
+            raise ValueError("letter %r is not an off-diagonal pair (i, j) of su(%d)"
+                             % (g, self.n))
 
     def generator(self, i, j, bound):
         if i == j:
@@ -780,9 +798,7 @@ def rewrite_word(word, sys, N=64, engine=None):
         if isinstance(item, tuple) and len(item) == 2 and isinstance(item[0], tuple):
             item, exp = item  # ((i,j), e) or (('h',k), e)
         if isinstance(item, tuple) and item[0] != "h":
-            if item not in eng._rank:
-                raise ValueError("letter %r is not an off-diagonal pair (i, j) of su(%d)"
-                                 % (item, eng.n))
+            eng._check_pair(item)
             gens.extend([item] * exp)
             continue
         if isinstance(item, tuple):

@@ -8,7 +8,8 @@ The factor for a positive root gamma is the series
 truncated at the element's raising bound; the full projector is the product of
 the factors in a normal ordering of the positive roots.  On a module vector
 of weight lam, phi_{gamma,n} is the number phi_{gamma,n}(lam): `apply_factor`
-and `apply_projector` act with it and build no symbolic element.  Only the
+and `apply_projector` act with it and build no symbolic element, over the
+module's rational frame (`factor_on_frame`), in ints.  Only the
 symbolic functions import `pbw`, when they are called, and `pbw` loads sympy
 only to parse or convert expressions.
 """
@@ -20,12 +21,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import normal_ordering
-from .repmod import ModuleVector, mat_vec
+from .repmod import frame_apply, frame_sum
 
 __all__ = [
     "projector_factor",
     "extremal_projector",
     "apply_factor",
+    "factor_on_frame",
     "apply_projector",
     "verify_extremal_identities",
     "IdentityReport",
@@ -92,7 +94,14 @@ def extremal_projector(sys, order=None, N=4, engine=None):
 
 
 def apply_factor(root, v, M):
-    """Act with P_gamma, gamma = root, on a module vector.
+    """Act with P_gamma, gamma = root, on a module vector, over M's frame
+    (`factor_on_frame`)."""
+    return M.from_frame(factor_on_frame(root, M.to_frame(v), M))
+
+
+def factor_on_frame(root, parts, M):
+    """Act with P_gamma, gamma = root, on the frame parts {k: (s, x)} of a
+    vector of M (`Irrep.to_frame`), in int arithmetic on each part's x.
 
     On a component u of weight lam it is sum_n c_n e_{-gamma}^n e_gamma^n u,
     c_0 = 1, c_n = c_{n-1} / (-n (a + n)), a = <lam,gamma> + (rho,gamma),
@@ -103,32 +112,35 @@ def apply_factor(root, v, M):
     i, j = root
     if not 1 <= i < j <= M.n:
         raise ValueError("%r is not a positive root of su(%d)" % (root, M.n))
-    up, down = M.matrix(root), M.matrix((j, i))
-    by_weight = {}
-    for idx, val in v.coords.items():
-        by_weight.setdefault(M.weights[idx], {})[idx] = val
+    up, down = M.frame[root], M.frame[(j, i)]
     out = {}
-    for w, u in by_weight.items():
-        raised = [u]  # e_gamma^n u for n = 0, 1, ... while nonzero
-        while raised[-1]:
-            raised.append(mat_vec(up, raised[-1]))
-        raised.pop()
-        a = sum(w[i - 1:j - 1]) + j - i
-        if -len(raised) < a < 0:
-            continue  # a + n = 0 for a term that acts
-        acc = raised[-1]
-        for n in range(len(raised) - 1, 0, -1):
-            ratio = Fraction(-1, n * (a + n))
-            acc = {k: x * ratio for k, x in mat_vec(down, acc).items()}
-            for k, x in raised[n - 1].items():
-                acc[k] = acc[k] + x if k in acc else x
-        out.update(acc)
-    return ModuleVector(out)
+    for k, (s, x) in parts.items():
+        by_weight = {}
+        for idx, val in x.items():
+            by_weight.setdefault(M.weights[idx], {})[idx] = val
+        acted = []
+        for w, u in by_weight.items():
+            raised = [(1, u)]  # e_gamma^n u for n = 0, 1, ... while nonzero
+            while raised[-1][1]:
+                raised.append(frame_apply(up, raised[-1]))
+            raised.pop()
+            a = sum(w[i - 1:j - 1]) + j - i
+            if -len(raised) < a < 0:
+                continue  # a + n = 0 for a term that acts
+            acc = raised[-1]
+            for n in range(len(raised) - 1, 0, -1):
+                t, y = frame_apply(down, acc)
+                acc = frame_sum([(t * Fraction(-1, n * (a + n)), y), raised[n - 1]])
+            acted.append(acc)
+        t, y = frame_sum(acted)
+        out[k] = (s * t, y)
+    return out
 
 
 def apply_projector(sys, v, M, order=None, engine=None):
-    """Act with the extremal projector on a module vector by apply_factor,
-    rightmost factor first; an `engine` supplies the ordering, and `order` must match it.
+    """Act with the extremal projector on a module vector by
+    `factor_on_frame`, rightmost factor first, over M's frame; an `engine`
+    supplies the ordering, and `order` must match it.
 
     The expanded PBW product of the factors picks up spurious poles that
     cancel between its monomials; each factor alone meets poles only on
@@ -137,11 +149,12 @@ def apply_projector(sys, v, M, order=None, engine=None):
     if M.n != sys.n:
         raise ValueError("algebra rank mismatch")
     order = normal_ordering(sys, order) if engine is None else _engine_order(sys, order, engine)
+    parts = M.to_frame(v)
     for root in reversed(order.sequence):
-        v = apply_factor(root, v, M)
-        if v.is_zero():
+        parts = factor_on_frame(root, parts, M)
+        if not any(parts.values()):
             break
-    return v
+    return M.from_frame(parts)
 
 
 @dataclass

@@ -1,15 +1,29 @@
-"""Explicit finite-dimensional modules with exact generator matrices.
+"""Explicit finite-dimensional modules over an exact rational frame.
 
-Matrices are sparse dicts {(row, col): Radical} over an orthonormal basis;
-weights are tuples of h_i eigenvalues (ints).  su(3) irreps are realized
-inside tensor powers of the fundamental and antifundamental representations:
-the cyclic submodule of the highest-weight product vector is generated by
-lowering, all in integer arithmetic.  Each lowered vector is Gram-Schmidt
-reduced against its weight space as it is found, into a primitive integer
-vector u, the orthonormal basis is u/|u|, and a lowering matrix entry is the
-integer u_a . (e_ij u_b) over |u_a| |u_b|, one square root per nonzero
-entry.  Every raising matrix is the transpose of a lowering one
-(`with_raising`).
+Every module carries an orthogonal frame: basis vectors f_b whose squared
+norms nu_b are squarefree positive ints, and for each generator e_ij its
+rational matrix Q, e_ij f_b = sum_a q_ab f_a, as a `FrameMatrix`: one
+denominator and int numerators by column, as the vectors it meets are
+sparse.  Over the orthonormal basis e_b = f_b / sqrt(nu_b) the entry of
+e_ij is q_ab sqrt(nu_a / nu_b).  `Irrep.matrices` is that Radical view,
+built on first read, for `apply_element` and the checks.
+
+A vector enters the frame by `Irrep.to_frame` as frame parts {k: (s, x)}:
+sqrt(k) s sum_b x_b f_b over squarefree k, s rational and x an int vector.
+It is acted on in ints (`frame_apply`, `frame_sum`, and the projector's
+`factor_on_frame`), and leaves by `Irrep.from_frame` with one square root
+per coordinate, sqrt(k nu_b), taken by one gcd as both factors are
+squarefree.  Weights are tuples of h_i eigenvalues (ints).
+
+su(3) irreps are realized in Sym^lam(V) x Sym^mu(V*), V the fundamental
+representation: the cyclic submodule of the highest-weight product vector is
+generated by lowering, in integer arithmetic on the coordinates of the
+orbits of product basis vectors under permuting equal tensor factors.  Each
+lowered vector is Gram-Schmidt reduced against its weight space as it is
+found, into a primitive integer vector u_b, and the frame is f_b = u_b / k_b
+with |u_b|^2 = k_b^2 nu_b.  su(2) irreps and the GT modules of `su3gt` take
+their frames from their closed matrix entries (`frame_of_entries`), and a
+tensor product from its factors'.
 """
 
 from __future__ import annotations
@@ -17,10 +31,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import combinations_with_replacement
+from typing import NamedTuple
 
 from .exact import Radical, SingularWeightError, TruncationError, doubled, integer
-from .exact import sqrt_of_rational
+from .exact import _squarefree_split, sqrt_of_rational
 
 __all__ = [
     "Irrep",
@@ -29,6 +45,11 @@ __all__ = [
     "su3_label",
     "su3_irrep",
     "tensor",
+    "FrameMatrix",
+    "col_vec",
+    "frame_apply",
+    "frame_sum",
+    "frame_of_entries",
     "with_raising",
     "apply_element",
     "matrix_of",
@@ -44,7 +65,14 @@ def _rad(x):
     return Radical.from_rational(x)
 
 
-# -- small exact linear algebra over Radical -------------------------
+def _term(d, c):
+    """The one-term Radical c sqrt(d), for a squarefree d and a Fraction c."""
+    out = Radical.__new__(Radical)
+    out.terms = {d: c}
+    return out
+
+
+# -- small exact sparse linear algebra --------------------------------
 
 
 def mat_vec(mat, vec):
@@ -83,13 +111,127 @@ def mat_eq(a, b):
     return all(a.get(k, _ZERO) == b.get(k, _ZERO) for k in keys)
 
 
-def with_raising(lowering):
-    """The generator matrices from the lowering ones {(i, j): matrix}, i > j:
-    over an orthonormal basis with real entries, e_ji is the transpose of e_ij."""
+def col_vec(by_col, vec, k=1):
+    """A column-indexed matrix {col: [(row, value)]} applied k times to a
+    sparse vector, stopping once it vanishes."""
+    for _ in range(k):
+        out = {}
+        for c, x in vec.items():
+            for r, a in by_col.get(c, ()):
+                out[r] = out.get(r, 0) + a * x
+        vec = {r: v for r, v in out.items() if v}
+        if not vec:
+            break
+    return vec
+
+
+# -- frames ----------------------------------------------------------
+
+
+class FrameMatrix(NamedTuple):
+    """The rational matrix cols / den over a frame: den is a positive int
+    and cols {col: [(row, int)]} holds the numerators by column."""
+
+    den: int
+    cols: dict
+
+
+_NO_MATRIX = FrameMatrix(1, {})
+
+
+def _frame_matrix(cols):
+    """The FrameMatrix of rational entries {col: [(row, q)]}."""
+    den = math.lcm(*(q.denominator for entries in cols.values() for _, q in entries))
+    return FrameMatrix(den, {c: [(r, q.numerator * (den // q.denominator)) for r, q in entries]
+                             for c, entries in cols.items()})
+
+
+def _primitive_part(s, x):
+    """(s g, x / g) for the content g of the int vector x, which keeps the
+    ints of a frame part small."""
+    g = math.gcd(*x.values())
+    if g > 1:
+        return s * g, {b: v // g for b, v in x.items()}
+    return s, x
+
+
+def frame_apply(mat, part, k=1):
+    """The FrameMatrix applied k times to a frame part (s, x): s rational,
+    x an int vector, standing for s x."""
+    s, x = part
+    x = col_vec(mat.cols, x, k)
+    return _primitive_part(Fraction(s, mat.den ** k) if mat.den > 1 else s, x)
+
+
+def frame_sum(parts):
+    """The sum of frame parts (s_i, x_i) as one part (r, x): r is the
+    rational gcd of the s_i, so each s_i / r is an int."""
+    parts = [(s, x) for s, x in parts if x]
+    if not parts:
+        return 1, {}
+    r = Fraction(math.gcd(*(s.numerator for s, _ in parts)),
+                 math.lcm(*(s.denominator for s, _ in parts)))
+    out = {}
+    for s, x in parts:
+        m = s.numerator // r.numerator * (r.denominator // s.denominator)
+        for b, v in x.items():
+            out[b] = out.get(b, 0) + m * v
+    return _primitive_part(r, {b: v for b, v in out.items() if v})
+
+
+def with_raising(lowering, nu):
+    """The frame matrices from the lowering ones {(i, j): FrameMatrix},
+    i > j: e_ji is the transpose of e_ij over the orthonormal basis, so its
+    frame entry is q_ba = q_ab nu_a / nu_b."""
     mats = dict(lowering)
-    for (i, j), m in lowering.items():
-        mats[(j, i)] = {(c, r): v for (r, c), v in m.items()}
+    for (i, j), (den, cols) in lowering.items():
+        up = {}
+        for c, entries in cols.items():
+            for r, z in entries:
+                up.setdefault(r, []).append((c, Fraction(z * nu[r], den * nu[c])))
+        mats[(j, i)] = _frame_matrix(up)
     return mats
+
+
+def frame_of_entries(lowering, dim):
+    """(nu, lowering FrameMatrices) from lowering matrices whose entries
+    are one-term Radicals c sqrt(d), on a module whose entries connect every
+    basis vector to vector 0.
+
+    A walk over the entries from nu_0 = 1 gives each newly reached vector
+    the squarefree class of nu_b d, so that q_ab = c sqrt(d nu_b / nu_a) is
+    rational on the walk's edges; RuntimeError if another entry is not.
+    """
+    nu = [None] * dim
+    nu[0] = 1
+    edges = {}
+    for m in lowering.values():
+        for (r, c), x in m.items():
+            (d, _), = x.terms.items()
+            edges.setdefault(c, []).append((r, d))
+            edges.setdefault(r, []).append((c, d))
+    stack = [0]
+    while stack:
+        b = stack.pop()
+        for a, d in edges.get(b, ()):
+            if nu[a] is None:
+                g = math.gcd(d, nu[b])
+                nu[a] = d // g * (nu[b] // g)
+                stack.append(a)
+    if None in nu:
+        raise RuntimeError("module entries do not connect all %d basis vectors" % dim)
+    frame = {}
+    for gen, m in lowering.items():
+        q = {}
+        for (r, c), x in m.items():
+            (d, coeff), = x.terms.items()
+            s = d * nu[c] * nu[r]
+            root = math.isqrt(s)
+            if root * root != s:
+                raise RuntimeError("entry %s of e%d%d is irrational over the frame" % (x, *gen))
+            q.setdefault(c, []).append((r, coeff * root / nu[r]))
+        frame[gen] = _frame_matrix(q)
+    return nu, frame
 
 
 # -- modules ---------------------------------------------------------
@@ -97,22 +239,42 @@ def with_raising(lowering):
 
 @dataclass
 class Irrep:
-    """An explicit module (irreducible or a tensor product) with exact matrices.
+    """An explicit module (irreducible or a tensor product) over its frame.
 
-    matrices maps generator pairs (i, j), i != j, to sparse Radical matrices
-    over the orthonormal basis; Cartan matrices are diagonal and derived from
-    the stored weights.
+    nu[b] is the squarefree squared norm of frame vector f_b, and frame maps
+    each generator pair (i, j), i != j, to its `FrameMatrix`.  `matrices`
+    holds the same generators over the orthonormal basis f_b / sqrt(nu_b),
+    as Radicals; Cartan matrices are diagonal and derived from the stored
+    weights.
     """
 
     n: int
     label: object
     tags: list
     weights: list          # tuple of ints (h_1..h_{n-1} eigenvalues) per tag
-    matrices: dict
+    nu: list               # squarefree int per tag
+    frame: dict
 
     @property
     def dim(self):
         return len(self.tags)
+
+    @cached_property
+    def matrices(self):
+        """The Radical matrices over the orthonormal basis, built on first
+        read: q_ab sqrt(nu_a / nu_b) = (q_ab g / nu_b) sqrt(nu_a nu_b / g^2)."""
+        nu = self.nu
+        out = {}
+        for gen, (den, cols) in self.frame.items():
+            mat = {}
+            for c, entries in cols.items():
+                b = nu[c]
+                for r, z in entries:
+                    a = nu[r]
+                    g = math.gcd(a, b)
+                    mat[(r, c)] = _term(a // g * (b // g), Fraction(z * g, den * b))
+            out[gen] = mat
+        return out
 
     def matrix(self, letter):
         """Matrix of a generator letter: (i, j) pair or ('h', k)."""
@@ -142,9 +304,53 @@ class Irrep:
         idx = idx_or_tag if isinstance(idx_or_tag, int) else self.index(idx_or_tag)
         return ModuleVector({idx: _ONE})
 
+    def to_frame(self, v):
+        """v as frame parts {k: (s, x)}, v = sum_k sqrt(k) s sum_b x_b f_b
+        over squarefree k, with s rational and x an int vector: the term
+        c sqrt(d) of coordinate b is (c g / nu_b) sqrt(d nu_b / g^2) f_b,
+        g = gcd(d, nu_b)."""
+        nu = self.nu
+        parts = {}
+        for b, x in v.coords.items():
+            n = nu[b]
+            for d, c in x.terms.items():
+                g = math.gcd(d, n)
+                parts.setdefault(d // g * (n // g), {})[b] = c * g / n
+        out = {}
+        for k, cs in parts.items():
+            den = math.lcm(*(c.denominator for c in cs.values()))
+            out[k] = _primitive_part(Fraction(1, den), {
+                b: c.numerator * (den // c.denominator) for b, c in cs.items()})
+        return out
+
+    def from_frame(self, parts, scale=_ONE):
+        """The ModuleVector of frame parts {k: (s, x)} times the one-term
+        Radical `scale`, c sqrt(d): coordinate b gains s c g x_b g'
+        sqrt(k' nu_b / g'^2) from each part, with k' = k d / g^2 for
+        g = gcd(k, d), and g' = gcd(k', nu_b)."""
+        (d, c), = scale.terms.items()
+        nu = self.nu
+        coords = {}
+        for k, (s, x) in parts.items():
+            g = math.gcd(k, d)
+            k, s = k // g * (d // g), s * c * g
+            p, q = s.numerator, s.denominator
+            for b, v in x.items():
+                n = nu[b]
+                g = math.gcd(k, n)
+                t = _term(k // g * (n // g), Fraction(p * v * g, q))
+                coords[b] = coords[b] + t if b in coords else t
+        return ModuleVector(coords)
+
+    def frame_dot(self, x, y):
+        """The inner product of sum_b x_b f_b and sum_b y_b f_b."""
+        nu = self.nu
+        return sum(c * y[b] * nu[b] for b, c in x.items() if b in y)
+
 
 class ModuleVector:
-    """Finite-support vector over a module basis, Radical coordinates."""
+    """Finite-support vector over a module's orthonormal basis, Radical
+    coordinates."""
 
     __slots__ = ("coords",)
 
@@ -204,22 +410,27 @@ def _su2_cached(d):
     # J- |j m> = sqrt((j+m)(j-m+1)) |j m-1>
     down = {(idx + 1, idx): sqrt_of_rational((j + m) * (j - m + 1))
             for idx, m in enumerate(ms) if m > -j}
-    return Irrep(
-        n=2, label=j, tags=tags, weights=weights,
-        matrices=with_raising({(2, 1): down}),
-    )
+    nu, lowering = frame_of_entries({(2, 1): down}, d + 1)
+    return Irrep(n=2, label=j, tags=tags, weights=weights, nu=nu,
+                 frame=with_raising(lowering, nu))
 
 
 def su2_irrep(j):
     return _su2_cached(*doubled(j))
 
 
-# -- su(3) -----------------------------------------------------------
+# -- tensor products -------------------------------------------------
 
 
 def tensor(a, b):
-    """Tensor product module with the diagonal action g x 1 + 1 x g on the
-    lowering generators; the raising ones are their transposes."""
+    """Tensor product module with the diagonal action g x 1 + 1 x g.
+
+    Its frame vector (i, k) is f_i x f_k / g_ik, g_ik = gcd(nu_i, nu_k), of
+    squarefree squared norm nu_i nu_k / g_ik^2; an entry q of g x 1 or
+    1 x g that moves (i, k) to (i', k') becomes q g_i'k' / g_ik.  Over the
+    denominator lcm(den_a, den_b) G, G the lcm of the g_ik, its numerators
+    are ints.
+    """
     if a.n != b.n:
         raise ValueError("rank mismatch: su(%d) vs su(%d)" % (a.n, b.n))
     tags = [(ta, tb) for ta in a.tags for tb in b.tags]
@@ -229,23 +440,35 @@ def tensor(a, b):
         for wa in a.weights
         for wb in b.weights
     ]
-    # a lowering matrix is off-diagonal, so an entry of g x 1 moves the
-    # index into a and one of 1 x g keeps it: no key is written twice.  The
-    # entries share the factors' Radicals, which nothing mutates.
-    lowering = {}
-    for g in {g for g in (*a.matrices, *b.matrices) if g[0] > g[1]}:
+    pairs = [(x, y) for x in a.nu for y in b.nu]
+    gcds = [math.gcd(x, y) for x, y in pairs]
+    nu = [x * y // (g * g) for (x, y), g in zip(pairs, gcds)]
+    big = math.lcm(*gcds)
+    # index (i, k) is i * db + k.  A generator matrix is off-diagonal, so an
+    # entry of g x 1 moves i and one of 1 x g moves k: no key is written twice
+    frame = {}
+    for g in {*a.frame, *b.frame}:
+        (den_a, cols_a), (den_b, cols_b) = a.frame.get(g, _NO_MATRIX), b.frame.get(g, _NO_MATRIX)
+        den = math.lcm(den_a, den_b)
+        fa, fb = den // den_a * big, den // den_b * big
         m = {}
-        for (r, c), v in a.matrices.get(g, {}).items():
+        for c, entries in cols_a.items():
             for k in range(db):
-                m[(r * db + k, c * db + k)] = v
-        for (r, c), v in b.matrices.get(g, {}).items():
-            for k in range(0, a.dim * db, db):
-                m[(k + r, k + c)] = v
-        lowering[g] = m
-    return Irrep(
-        n=a.n, label=(a.label, b.label),
-        tags=tags, weights=weights, matrices=with_raising(lowering),
-    )
+                j = c * db + k
+                f = fa // gcds[j]
+                m.setdefault(j, []).extend(
+                    [(r * db + k, z * f * gcds[r * db + k]) for r, z in entries])
+        for c, entries in cols_b.items():
+            for i in range(0, a.dim * db, db):
+                j = i + c
+                f = fb // gcds[j]
+                m.setdefault(j, []).extend([(i + r, z * f * gcds[i + r]) for r, z in entries])
+        frame[g] = FrameMatrix(den * big, m)
+    return Irrep(n=a.n, label=(a.label, b.label), tags=tags, weights=weights,
+                 nu=nu, frame=frame)
+
+
+# -- su(3) -----------------------------------------------------------
 
 
 # The lowering generators of su(3), in the order the realization applies them.
@@ -261,26 +484,6 @@ _ANTIFUND = (((-1, 0), (1, -1), (0, 1)),
              {(i, j): (j - 1, i - 1, -1) for i, j in _LOWERING})
 
 
-def _int_mat_vec(by_col, vec):
-    """Column-indexed integer matrix {col: [(row, value)]} on a sparse vector."""
-    out = {}
-    for c, x in vec.items():
-        for r, a in by_col.get(c, ()):
-            out[r] = out.get(r, 0) + a * x
-    return {k: v for k, v in out.items() if v}
-
-
-def _dot(u, v):
-    return sum(x * v[k] for k, x in u.items() if k in v)
-
-
-def _primitive(vec):
-    g = 0
-    for x in vec.values():
-        g = math.gcd(g, x)
-    return {k: x // g for k, x in vec.items()}
-
-
 def su3_label(lam, mu):
     """(lam, mu) as ints; ValueError unless both are nonnegative integers
     within the desk-scale guard lam + mu <= 6 of the su(3) modules."""
@@ -292,48 +495,77 @@ def su3_label(lam, mu):
     return lam, mu
 
 
-@lru_cache(maxsize=32)  # su3_label admits 28 irreps
 def su3_irrep(lam, mu):
-    """Exact su(3) irrep (lam, mu) realized in fund^lam x antifund^mu.
+    """Exact su(3) irrep (lam, mu) realized in Sym^lam(V) x Sym^mu(V*).
 
-    The cyclic submodule of the highest-weight product vector is generated by
-    lowering, and each lowered vector is Gram-Schmidt reduced, in integer
-    arithmetic, against the basis already found in its weight space; a zero
-    residual marks it dependent.  Basis vector b is u_b / |u_b| for the
-    primitive residual u_b, signed so that its first product-basis coordinate
-    is positive, and the entry (a, b) of a lowering generator is
-    d / (|u_a| |u_b|) with the integer d = u_a . (e_ij u_b).
+    The labels are parsed by `su3_label` before the cache, so every spelling
+    of one irrep shares one entry; `cache_info` and `cache_clear` are the
+    cache's.
+
+    A basis vector of fund^lam x antifund^mu is a digit string, its product
+    index the base-3 number of its digits.  Permuting the first lam digits,
+    or the last mu, commutes with su(3), so the cyclic submodule of the
+    highest-weight product vector has equal coordinates on each orbit of
+    such permutations.  It is generated there by lowering, with one
+    coordinate per orbit, keyed by the least product index in the orbit,
+    and the product inner product weights each orbit by its size.  Each
+    lowered vector is Gram-Schmidt reduced, in integer arithmetic, against
+    the basis already found in its weight space; a zero residual marks it
+    dependent.  Basis vector b is u_b / |u_b| for the primitive residual
+    u_b, signed so that its first product-basis coordinate is positive, and
+    the entry (a, b) of a lowering generator is d / (|u_a| |u_b|) with the
+    integer d = u_a . (e_ij u_b).
     """
-    lam, mu = su3_label(lam, mu)
+    return _su3_irrep(*su3_label(lam, mu))
+
+
+@lru_cache(maxsize=32)  # su3_label admits 28 irreps
+def _su3_irrep(lam, mu):
+    """su3_irrep of int labels."""
     dim_expected = (lam + 1) * (mu + 1) * (lam + mu + 2) // 2
     if lam == 0 and mu == 0:
-        return Irrep(n=3, label=(0, 0), tags=["0"], weights=[(0, 0)],
-                     matrices=with_raising({g: {} for g in _LOWERING}))
+        return Irrep(n=3, label=(0, 0), tags=["0"], weights=[(0, 0)], nu=[1],
+                     frame=with_raising({g: _NO_MATRIX for g in _LOWERING}, [1]))
 
-    components = [_FUND] * lam + [_ANTIFUND] * mu
-    total = 3 ** len(components)
-    strides = [3 ** k for k in reversed(range(len(components)))]
+    # the orbits: each block of digits sorted ascending, the least product
+    # index of the orbit; its size is a product of multinomials
+    strides = [3 ** k for k in reversed(range(lam + mu))]
+    keys, size, pweights = {}, {}, {}
+    for fund in combinations_with_replacement(range(3), lam):
+        for anti in combinations_with_replacement(range(3), mu):
+            key = sum(d * s for d, s in zip(fund + anti, strides))
+            keys[(fund, anti)] = key
+            size[key] = _arrangements(fund) * _arrangements(anti)
+            pweights[key] = tuple(
+                sum(_FUND[0][d][k] for d in fund) + sum(_ANTIFUND[0][d][k] for d in anti)
+                for k in (0, 1))
 
-    # product-space weights; product index = sum of digit * stride
-    pweights = [(0, 0)]
-    for cw, _ in components:
-        pweights = [(a + x, b + y) for a, b in pweights for x, y in cw]
-
-    # product-space lowering matrices, indexed by column
+    # orbit-space lowering matrices, indexed by column: the coordinate of
+    # e_ij x at an orbit is that at its least digit string, where e_ij turns
+    # each digit r of a block into the digit c (entry (r, c, val)) of the
+    # source orbit
     def pmatrix(g):
         by_col = {}
-        for (_, entries), stride in zip(components, strides):
-            r, c, val = entries[g]
-            for idx in range(total):
-                if idx // stride % 3 == c:
-                    by_col.setdefault(idx, []).append((idx + (r - c) * stride, val))
+        for (fund, anti), row in keys.items():
+            for block, (_, entries) in ((0, _FUND), (1, _ANTIFUND)):
+                r, c, val = entries[g]
+                digits = (fund, anti)[block]
+                count = digits.count(r)
+                if count:
+                    moved = list(digits)
+                    moved.remove(r)
+                    moved = tuple(sorted(moved + [c]))
+                    col = keys[(moved, anti) if block == 0 else (fund, moved)]
+                    by_col.setdefault(col, []).append((row, count * val))
         return by_col
 
     lowering = {g: pmatrix(g) for g in _LOWERING}
 
+    def dot(u, v):
+        return sum(x * v[k] * size[k] for k, x in u.items() if k in v)
+
     # highest-weight product vector: every fundamental at e1, antifund at f3
-    hi_idx = sum(s * (0 if comp is _FUND else 2) for comp, s in zip(components, strides))
-    highest = {hi_idx: 1}
+    highest = {keys[((0,) * lam, (2,) * mu)]: 1}
 
     by_weight = {}  # weight -> [(primitive integer vector, its squared norm)]
 
@@ -341,19 +573,17 @@ def su3_irrep(lam, mu):
         if not vec:
             return False
         found = by_weight.setdefault(pweights[next(iter(vec))], [])
-        red = dict(vec)
-        for u, n2 in found:
-            dot = _dot(red, u)
-            if dot:
-                # n2 * (red - (<red,u>/<u,u>) u): a positive multiple of the step
-                red = {k: n2 * red.get(k, 0) - dot * u.get(k, 0) for k in set(red) | set(u)}
-                red = {k: x for k, x in red.items() if x}
-        if not red:
+        _, u = _primitive_part(1, vec)
+        for w, n2 in found:
+            d = dot(u, w)
+            if d:
+                # n2 u - <u,w> w: a positive multiple of u - (<u,w>/<w,w>) w
+                _, u = frame_sum([(n2, u), (-d, w)])
+        if not u:
             return False
-        u = _primitive(red)
         if u[min(u)] < 0:  # phase: first product-basis coordinate positive
             u = {k: -x for k, x in u.items()}
-        found.append((u, _dot(u, u)))
+        found.append((u, dot(u, u)))
         return True
 
     # cyclic submodule via repeated lowering, grouped by weight
@@ -362,7 +592,7 @@ def su3_irrep(lam, mu):
     while queue:
         vec = queue.pop()
         for mat in lowering.values():
-            nxt = _int_mat_vec(mat, vec)
+            nxt = col_vec(mat, vec)
             if insert(nxt):
                 queue.append(nxt)
 
@@ -382,25 +612,38 @@ def su3_irrep(lam, mu):
         weights.append(w)
         in_weight.setdefault(w, []).append(b)
 
-    # lowering matrices in the orthonormal basis: only the basis vectors of
-    # the weight space that e_ij maps u_b into can pair with its image
-    mats = {}
+    # the frame f_b = u_b / k_b with |u_b|^2 = k_b^2 nu_b; as e_ij u_b =
+    # sum_a (d / |u_a|^2) u_a, its frame entry is d / (k_a k_b nu_a).  Only
+    # the basis vectors of the weight space that e_ij maps u_b into can pair
+    # with its image.
+    ks, nu = zip(*(_squarefree_split(n2) for _w, _u, n2 in basis))
+    frame = {}
     for g, pmat in lowering.items():
         cols = {}
-        for b, (_w, ub, nb) in enumerate(basis):
-            img = _int_mat_vec(pmat, ub)
+        for b, (_w, ub, _nb) in enumerate(basis):
+            img = col_vec(pmat, ub)
             if not img:
                 continue
             for a in in_weight.get(pweights[next(iter(img))], ()):
-                _wa, ua, na = basis[a]
-                d = _dot(img, ua)
+                d = dot(img, basis[a][1])
                 if d:
-                    cols[(a, b)] = sqrt_of_rational(
-                        Fraction(d * d, na * nb), 1 if d > 0 else -1)
-        mats[g] = cols
+                    cols.setdefault(b, []).append((a, Fraction(d, ks[a] * ks[b] * nu[a])))
+        frame[g] = _frame_matrix(cols)
 
-    return Irrep(n=3, label=(lam, mu), tags=tags,
-                 weights=weights, matrices=with_raising(mats))
+    return Irrep(n=3, label=(lam, mu), tags=tags, weights=weights,
+                 nu=list(nu), frame=with_raising(frame, nu))
+
+
+su3_irrep.cache_info = _su3_irrep.cache_info
+su3_irrep.cache_clear = _su3_irrep.cache_clear
+
+
+def _arrangements(digits):
+    """The number of distinct orderings of a sorted digit tuple."""
+    out = math.factorial(len(digits))
+    for d in set(digits):
+        out //= math.factorial(digits.count(d))
+    return out
 
 
 # -- application of Taylor elements ----------------------------------

@@ -5,7 +5,11 @@ Route (b), the authoritative one, works on the tensor product of two irreps,
 each over its GT basis (`su3gt.gt_module`), so that the product basis is
 the |g1> x |g2>: the coupled-system extremal projector yields the coupled
 highest vectors, `su3gt.gt_basis` the rest of each coupled basis, and a CGC
-is one coordinate of a coupled vector.  Route (a) evaluates the
+is one coordinate of a coupled vector.  The product carries the factors'
+rational frame (`repmod.tensor`), and `decompose` orthogonalizes the
+projected vectors there, in ints under the frame's nu-weighted inner
+product, so each coupled highest vector takes one square root per
+coordinate, 1/sqrt(n^2) times the frame's.  Route (a) evaluates the
 closed Wigner-calculus expression (su(2) CGCs, 6j and 9j symbols with fixed
 brace layouts); the two must agree, which is what pins down the layout and
 phase conventions recorded here.
@@ -27,7 +31,7 @@ from .algebra import build_root_system
 from .exact import Radical, doubled, factorial_ratio, integer, sqrt_of_rational, triangle
 from .exact import sqrt_factorial_ratio
 from .projector import apply_projector
-from .repmod import su3_label, tensor
+from .repmod import frame_sum, su3_label, tensor
 from .su3gt import _gt_index, gt_basis, gt_label_index, gt_module
 from .wigner2 import cgc_closed_doubled, ninej_doubled, sixj_doubled
 
@@ -68,6 +72,7 @@ def decompose(lam1, mu1, lam2, mu2):
     """
     Mt = pair_module(lam1, mu1, lam2, mu2)
     found = {}
+    orth = {}  # weight -> [(int frame coordinates of a kept residual, its squared norm)]
     total = 0
     for i2 in range(gt_module(lam2, mu2).dim):
         w3 = Mt.weights[i2]
@@ -76,14 +81,21 @@ def decompose(lam1, mu1, lam2, mu2):
         hv = apply_projector(_SYS3, Mt.basis_vector(i2), Mt)
         if hv.is_zero():
             continue
-        basis = found.setdefault(w3, [])
-        red = hv
-        for u in basis:
-            red = red - u.scale(u.inner(hv))
-        n2 = red.norm2()
-        if not n2:
+        # a basis vector's projection has one frame part, whose int
+        # coordinates span its line; Gram-Schmidt on those stays in ints
+        [(_, red)] = Mt.to_frame(hv).values()
+        basis = orth.setdefault(w3, [])
+        for u, n2 in basis:
+            dot = Mt.frame_dot(u, red)
+            if dot:
+                # n2 red - <u,red> u: a positive multiple of the step
+                _, red = frame_sum([(n2, red), (-dot, u)])
+        if not red:
             continue
-        basis.append(red.scale(sqrt_of_rational(Fraction(1) / n2.to_rational())))
+        n2 = Mt.frame_dot(red, red)
+        basis.append((red, n2))
+        unit = Mt.from_frame({1: (1, red)}, sqrt_of_rational(Fraction(1, n2)))
+        found.setdefault(w3, []).append(unit)
         total += (w3[0] + 1) * (w3[1] + 1) * (w3[0] + w3[1] + 2) // 2
     if total != Mt.dim:
         raise RuntimeError(

@@ -6,18 +6,23 @@ of them from a highest vector |h>, climbing each (j, t) multiplet once: its
 top vector (t_z = t) is N_jt * P^t * e31^(j + mu/2 - t) * e21^(j - mu/2 + t) |h>,
 where P^t is the extremal projector of the T-spin su(2) subalgebra
 (T+ = e23, T- = e32, T0 = (e22 - e33)/2), applied as the (2,3) factor of the
-su(3) projector by `projector.apply_factor`, and N_jt a closed-form factorial
+su(3) projector by `projector.factor_on_frame`, and N_jt a closed-form factorial
 normalization.  Each lower t_z is e32 on the vector before it, divided by
-the e32 entry sqrt((t + t_z + 1)(t - t_z)).  `gt_vector` reads the vectors
-built in the realized module `su3_irrep`.
+the e32 entry sqrt((t + t_z + 1)(t - t_z)).  The work runs over the module's
+rational frame (`repmod`): the lowering, the projector factor and the e32
+steps act on int frame parts, and the norm and the steps are one one-term
+Radical per vector, applied as the vector leaves the frame.  `gt_vector`
+reads the vectors built in the realized module `su3_irrep`.
 
 `gt_module` is the irrep over its GT basis from the closed Gelfand-Tsetlin
-matrix elements (Molev, arXiv math/0211289, Thm 2.3) in the frame
+matrix elements (Molev, arXiv math/0211289, Thm 2.3) for the generators
 E'_ij = e_{4-i,4-j}, where (j, t, t_z) is the pattern with top row
 (lam + mu, mu, 0), middle row (m12, m22) = (mu/2 + j + t, mu/2 + j - t) and
 bottom entry m11 = mu/2 + j - t_z.  With one sign per e21 step it gives the
 matrices of the projector-built vectors, which the tests check entry for
-entry; it never realizes the irrep.
+entry; it never realizes the irrep.  Its frame comes from the e21 and e32
+entries by `repmod.frame_of_entries`, and e31 = [e32, e21] is taken over it,
+in ints; its Radical `matrices` are built on first read.
 
 Labels come in and go out as Fractions but are ranged and tested on doubled
 ints (2j, 2t, 2t_z), like su(2) labels; `_gt_index` is the one record of an
@@ -30,9 +35,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import doubled, half, integer, sqrt_factorial_ratio, sqrt_of_rational, triangle
-from .projector import apply_factor
-from .repmod import Irrep, ModuleVector, mat_mul, mat_pow_vec, mat_vec, with_raising
-from .repmod import su3_irrep, su3_label
+from .projector import factor_on_frame
+from .repmod import FrameMatrix, Irrep, col_vec, frame_apply, frame_of_entries
+from .repmod import su3_irrep, su3_label, with_raising
 
 __all__ = [
     "enumerate_gt_labels",
@@ -135,18 +140,24 @@ def _gt_index(lam, mu):
 def gt_basis(M, lam, mu, v):
     """Every GT vector of (lam, mu) in label order, built in M from its
     highest vector v: the top of each (j, t) multiplet by the lowering
-    operator, and each next t_z by one e32 step over its GT entry."""
-    e21, e31, e32 = (M.matrix(g) for g in ((2, 1), (3, 1), (3, 2)))
+    operator, and each next t_z by one e32 step over its GT entry.
+
+    The work runs over M's frame (`Irrep.to_frame`), in ints and one
+    rational scale per frame part; the norm and the e32 steps multiply one
+    one-term Radical per vector, and each vector leaves the frame once."""
+    e21, e31, e32 = (M.frame[g] for g in ((2, 1), (3, 1), (3, 2)))
+    top = M.to_frame(v)
     out = []
     for J, T, Tz in _gt_index(lam, mu)[1]:
         if Tz == T:
-            coords = mat_pow_vec(e21, v.coords, (J - mu + T) // 2)
-            w = ModuleVector(mat_pow_vec(e31, coords, (J + mu - T) // 2))
-            w = apply_factor((2, 3), w, M).scale(_gt_norm_factor(lam, mu, J, T))
+            w = {k: frame_apply(e31, frame_apply(e21, p, (J - mu + T) // 2), (J + mu - T) // 2)
+                 for k, p in top.items()}
+            w = factor_on_frame((2, 3), w, M)
+            scale = _gt_norm_factor(lam, mu, J, T)
         else:
-            step = sqrt_of_rational(Fraction(4, (T + Tz + 2) * (T - Tz)))
-            w = ModuleVector(mat_vec(e32, w.coords)).scale(step)
-        out.append(w)
+            w = {k: frame_apply(e32, p) for k, p in w.items()}
+            scale = scale * sqrt_of_rational(Fraction(4, (T + Tz + 2) * (T - Tz)))
+        out.append(M.from_frame(w, scale))
     return out
 
 
@@ -164,9 +175,10 @@ def _gt_basis(lam, mu):
     return gt_basis(M, lam, mu, M.basis_vector(0))
 
 
-@lru_cache(maxsize=32)  # su3_label admits 28 irreps
 def gt_module(lam, mu):
-    """The irrep (lam, mu) over its GT basis, built once.
+    """The irrep (lam, mu) over its GT basis, built once per irrep: the
+    labels are parsed by `su3_label` before the cache, whose `cache_info`
+    and `cache_clear` these are.
 
     Tags are the GT labels in label order; h1 = (2 lam + mu)/2 - 3j - t_z,
     h2 = 2 t_z.  e32 lowers t_z by sqrt((t + t_z)(t - t_z + 1)).  e21 = E'_23
@@ -174,9 +186,16 @@ def gt_module(lam, mu):
     sign * sqrt((lam+mu-l)(l-mu+1)(l+2)(l-m11+1) / ((l-l')(l-l'+1))): t + 1/2
     raises m12 (l = m12, l' = m22 - 1, sign +1) and t - 1/2 raises m22
     (l = m22 - 1, l' = m12, sign -1, the phase of the projector-built
-    vectors).  e31 = [e32, e21]; each raising generator is the transpose.
+    vectors).  The frame comes from the e21 and e32 entries
+    (`repmod.frame_of_entries`); e31 = [e32, e21] over it, and each raising
+    generator is the transpose.
     """
-    lam, mu = su3_label(lam, mu)
+    return _gt_module(*su3_label(lam, mu))
+
+
+@lru_cache(maxsize=32)  # su3_label admits 28 irreps
+def _gt_module(lam, mu):
+    """gt_module of int labels."""
     tags, index = _gt_index(lam, mu)
     e21, e32 = {}, {}
     for c, (J, T, Tz) in enumerate(index):
@@ -189,11 +208,22 @@ def gt_module(lam, mu):
             if r is not None:  # also skips the pole of t = 0
                 sq = (lam + mu - l) * (l - mu + 1) * (l + 2) * (l - m11 + 1)
                 e21[(r, c)] = sqrt_of_rational(Fraction(sq, (l - lp) * (l - lp + 1)), sign)
-    e31 = mat_mul(e32, e21)
-    for k, v in mat_mul(e21, e32).items():
-        e31[k] = e31[k] - v if k in e31 else -v
-    mats = {(3, 1): {k: v for k, v in e31.items() if v}, (2, 1): e21, (3, 2): e32}
+    nu, frame = frame_of_entries({(2, 1): e21, (3, 2): e32}, len(index))
+    (d21, f21), (d32, f32) = frame[(2, 1)], frame[(3, 2)]
+    e31 = {}
+    for c in range(len(index)):
+        # column c of e32 e21 - e21 e32, over the denominator d21 d32
+        col = col_vec(f32, dict(f21.get(c, ())))
+        for r, v in col_vec(f21, dict(f32.get(c, ()))).items():
+            col[r] = col.get(r, 0) - v
+        if any(col.values()):
+            e31[c] = [(r, v) for r, v in col.items() if v]
+    frame[(3, 1)] = FrameMatrix(d21 * d32, e31)
     # h1 is an int: Tz = T = J + mu (mod 2), so 3J + Tz = mu (mod 2)
     weights = [((2 * lam + mu - 3 * J - Tz) // 2, Tz) for J, _, Tz in index]
-    return Irrep(n=3, label=(lam, mu), tags=list(tags),
-                 weights=weights, matrices=with_raising(mats))
+    return Irrep(n=3, label=(lam, mu), tags=list(tags), weights=weights,
+                 nu=nu, frame=with_raising(frame, nu))
+
+
+gt_module.cache_info = _gt_module.cache_info
+gt_module.cache_clear = _gt_module.cache_clear

@@ -18,8 +18,8 @@ from functools import lru_cache
 
 from .exact import Radical, doubled, factorial_ratio, half, triangle
 from .exact import sqrt_factorial_ratio
-from .projector import apply_factor
-from .repmod import ModuleVector, mat_vec, su2_irrep, tensor
+from .projector import factor_on_frame
+from .repmod import frame_apply, su2_irrep, tensor
 
 __all__ = [
     "cgc_closed",
@@ -105,15 +105,17 @@ def _projected_tower(j1, j2, j3):
     """
     M = tensor(su2_irrep(Fraction(j1, 2)), su2_irrep(Fraction(j2, 2)))
     v0_idx = (j2 - j3 + j1) // 2  # first factor at m = j1 (index 0)
-    pv = apply_factor((1, 2), ModuleVector({v0_idx: 1}), M)  # P's one factor
+    # P's one factor, and the lowering, over M's frame
+    parts = factor_on_frame((1, 2), M.to_frame(M.basis_vector(v0_idx)), M)
+    pv = M.from_frame(parts)
     diag = pv.coords.get(v0_idx)
     if diag is None:
         return None
     lowered = {j3: pv}
-    jminus = M.matrix((2, 1))
+    jminus = M.frame[(2, 1)]
     for m3 in range(j3 - 2, -j3 - 1, -2):
-        pv = ModuleVector(mat_vec(jminus, pv.coords))
-        lowered[m3] = pv
+        parts = {k: frame_apply(jminus, p) for k, p in parts.items()}
+        lowered[m3] = M.from_frame(parts)
     return diag.to_rational(), lowered
 
 

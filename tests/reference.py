@@ -8,7 +8,9 @@ labels, the GT lowering word of one label and its raising word, the GT module
 read off the projector-built vectors, the tensor product that accumulates
 and filters its lowering entries, sympy's printing of a PBW coefficient, the
 sympy polynomial ring route of coefficients (their numerator arithmetic,
-parsing and expressions), and small exact matrix algebra.
+parsing and expressions), small exact matrix algebra, the su(3) irreps
+realized in the full product space fund^lam x antifund^mu, and
+`apply_factor` and `gt_basis` on Radical vectors and matrices.
 The tests compare the package's numeric routes against them.
 """
 
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import sympy
@@ -32,16 +35,21 @@ from extremal.projector import (
     projector_factor,
 )
 from extremal.repmod import (
-    Irrep,
     ModuleVector,
     apply_element,
     mat_mul,
     mat_pow_vec,
     mat_vec,
     su3_irrep,
-    with_raising,
 )
-from extremal.su3gt import enumerate_gt_labels, gt_label_index, gt_norm_factor, gt_vector
+from extremal.su3gt import (
+    _gt_index,
+    _gt_norm_factor,
+    enumerate_gt_labels,
+    gt_label_index,
+    gt_norm_factor,
+    gt_vector,
+)
 
 _ZERO = Radical.from_rational(0)
 _ONE = Radical.from_rational(1)
@@ -194,6 +202,34 @@ def mat_rank(a, dim):
     return rank
 
 
+@dataclass
+class ReferenceModule:
+    """A module given by its Radical matrices over an orthonormal basis, as
+    the reference routes build them."""
+
+    n: int
+    label: object
+    tags: list
+    weights: list
+    matrices: dict
+
+    @property
+    def dim(self):
+        return len(self.tags)
+
+    def matrix(self, letter):
+        return self.matrices.get(tuple(letter), {})
+
+
+def radical_with_raising(lowering):
+    """The generator matrices from the lowering ones {(i, j): matrix}, i > j:
+    over an orthonormal basis with real entries, e_ji is the transpose of e_ij."""
+    mats = dict(lowering)
+    for (i, j), m in lowering.items():
+        mats[(j, i)] = {(c, r): v for (r, c), v in m.items()}
+    return mats
+
+
 def reference_tensor(a, b):
     """tensor(a, b) with each lowering entry of g x 1 + 1 x g summed into
     its key and the zero entries filtered out; `tensor` must give the same
@@ -213,9 +249,9 @@ def reference_tensor(a, b):
                 key = (k * db + r, k * db + c)
                 m[key] = m.get(key, _ZERO) + v
         lowering[g] = {k: v for k, v in m.items() if v}
-    return Irrep(n=a.n, label=(a.label, b.label),
-                 tags=[(ta, tb) for ta in a.tags for tb in b.tags],
-                 weights=weights, matrices=with_raising(lowering))
+    return ReferenceModule(n=a.n, label=(a.label, b.label),
+                           tags=[(ta, tb) for ta in a.tags for tb in b.tags],
+                           weights=weights, matrices=radical_with_raising(lowering))
 
 
 def casimir_matrix_su2(M):
@@ -494,5 +530,156 @@ def realized_gt_module(lam, mu):
                 if dot:
                     mat[(r, c)] = dot
         mats[g] = mat
-    return Irrep(n=3, label=(lam, mu), tags=labels,
-                 weights=weights, matrices=mats)
+    return ReferenceModule(n=3, label=(lam, mu), tags=labels,
+                           weights=weights, matrices=mats)
+
+
+# -- su(3) irreps in the full product space, and the Radical-vector routes
+
+
+# A tensor factor of the realization: the weights of its three basis vectors,
+# and, per lowering generator e_ij, its one nonzero matrix entry (row, col,
+# value).  The fundamental has e_ij = E_ij; the antifundamental is its dual,
+# -E_ji.
+_LOWERING = ((2, 1), (3, 1), (3, 2))
+_FUND = (((1, 0), (-1, 1), (0, -1)),
+         {(i, j): (i - 1, j - 1, 1) for i, j in _LOWERING})
+_ANTIFUND = (((-1, 0), (1, -1), (0, 1)),
+             {(i, j): (j - 1, i - 1, -1) for i, j in _LOWERING})
+
+
+def _int_mat_vec(by_col, vec):
+    out = {}
+    for c, x in vec.items():
+        for r, a in by_col.get(c, ()):
+            out[r] = out.get(r, 0) + a * x
+    return {k: v for k, v in out.items() if v}
+
+
+def _dot(u, v):
+    return sum(x * v[k] for k, x in u.items() if k in v)
+
+
+def reference_su3_irrep(lam, mu):
+    """su3_irrep(lam, mu) realized in all of fund^lam x antifund^mu, one
+    coordinate per product basis vector (3^(lam + mu) of them): the
+    cyclic submodule of the highest-weight product vector by lowering, each
+    lowered vector Gram-Schmidt reduced in integer arithmetic into a
+    primitive u_b with a positive first coordinate, and the entry (a, b) of
+    a lowering generator d / (|u_a| |u_b|), d = u_a . (e_ij u_b)."""
+    if lam == 0 and mu == 0:
+        return ReferenceModule(3, (0, 0), ["0"], [(0, 0)],
+                               radical_with_raising({g: {} for g in _LOWERING}))
+    components = [_FUND] * lam + [_ANTIFUND] * mu
+    total = 3 ** len(components)
+    strides = [3 ** k for k in reversed(range(len(components)))]
+    pweights = [(0, 0)]
+    for cw, _ in components:
+        pweights = [(a + x, b + y) for a, b in pweights for x, y in cw]
+
+    def pmatrix(g):
+        by_col = {}
+        for (_, entries), stride in zip(components, strides):
+            r, c, val = entries[g]
+            for idx in range(total):
+                if idx // stride % 3 == c:
+                    by_col.setdefault(idx, []).append((idx + (r - c) * stride, val))
+        return by_col
+
+    lowering = {g: pmatrix(g) for g in _LOWERING}
+    hi_idx = sum(s * (0 if comp is _FUND else 2) for comp, s in zip(components, strides))
+    highest = {hi_idx: 1}
+    by_weight = {}
+
+    def insert(vec):
+        if not vec:
+            return False
+        found = by_weight.setdefault(pweights[next(iter(vec))], [])
+        red = dict(vec)
+        for u, n2 in found:
+            dot = _dot(red, u)
+            if dot:
+                red = {k: n2 * red.get(k, 0) - dot * u.get(k, 0) for k in set(red) | set(u)}
+                red = {k: x for k, x in red.items() if x}
+        if not red:
+            return False
+        g = 0
+        for x in red.values():
+            g = math.gcd(g, x)
+        u = {k: x // g for k, x in red.items()}
+        if u[min(u)] < 0:
+            u = {k: -x for k, x in u.items()}
+        found.append((u, _dot(u, u)))
+        return True
+
+    insert(highest)
+    queue = [highest]
+    while queue:
+        vec = queue.pop()
+        for mat in lowering.values():
+            nxt = _int_mat_vec(mat, vec)
+            if insert(nxt):
+                queue.append(nxt)
+    order = sorted(by_weight, key=lambda w: (-(w[0] + w[1]), -w[0], -w[1]))
+    basis = [(w, u, n2) for w in order for u, n2 in by_weight[w]]
+    tags, weights, in_weight = [], [], {}
+    for b, (w, _u, _n2) in enumerate(basis):
+        tags.append("w=(%s,%s)#%d" % (w[0], w[1], len(in_weight.get(w, ()))))
+        weights.append(w)
+        in_weight.setdefault(w, []).append(b)
+    mats = {}
+    for g, pmat in lowering.items():
+        cols = {}
+        for b, (_w, ub, nb) in enumerate(basis):
+            img = _int_mat_vec(pmat, ub)
+            if not img:
+                continue
+            for a in in_weight.get(pweights[next(iter(img))], ()):
+                _wa, ua, na = basis[a]
+                d = _dot(img, ua)
+                if d:
+                    cols[(a, b)] = sqrt_of_rational(Fraction(d * d, na * nb), 1 if d > 0 else -1)
+        mats[g] = cols
+    return ReferenceModule(3, (lam, mu), tags, weights, radical_with_raising(mats))
+
+
+def reference_apply_factor(root, v, M):
+    """apply_factor on the Radical coordinates and matrices of M."""
+    i, j = root
+    up, down = M.matrix(root), M.matrix((j, i))
+    by_weight = {}
+    for idx, val in v.coords.items():
+        by_weight.setdefault(M.weights[idx], {})[idx] = val
+    out = {}
+    for w, u in by_weight.items():
+        raised = [u]
+        while raised[-1]:
+            raised.append(mat_vec(up, raised[-1]))
+        raised.pop()
+        a = sum(w[i - 1:j - 1]) + j - i
+        if -len(raised) < a < 0:
+            continue
+        acc = raised[-1]
+        for n in range(len(raised) - 1, 0, -1):
+            ratio = Fraction(-1, n * (a + n))
+            acc = {k: x * ratio for k, x in mat_vec(down, acc).items()}
+            for k, x in raised[n - 1].items():
+                acc[k] = acc[k] + x if k in acc else x
+        out.update(acc)
+    return ModuleVector(out)
+
+
+def reference_gt_basis(M, lam, mu, v):
+    """gt_basis on the Radical coordinates and matrices of M."""
+    e21, e31, e32 = (M.matrix(g) for g in ((2, 1), (3, 1), (3, 2)))
+    out = []
+    for J, T, Tz in _gt_index(lam, mu)[1]:
+        if Tz == T:
+            coords = mat_pow_vec(e21, v.coords, (J - mu + T) // 2)
+            w = ModuleVector(mat_pow_vec(e31, coords, (J + mu - T) // 2))
+            w = reference_apply_factor((2, 3), w, M).scale(_gt_norm_factor(lam, mu, J, T))
+        else:
+            step = sqrt_of_rational(Fraction(4, (T + Tz + 2) * (T - Tz)))
+            w = ModuleVector(mat_vec(e32, w.coords)).scale(step)
+        out.append(w)
+    return out

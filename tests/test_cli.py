@@ -443,6 +443,8 @@ STDOUT_DIGESTS = [
      "444087a162b05fde2ea6cb92c25359706b0f40c2f8606ecc4c024fff3ffa27d4"),
     ("gt-basis --lam 4 --mu 2 --format json",
      "bfeb6e7022a090147d8b86a9187f32bdfb59a2af64d53491a17c17c9da7e5d07"),
+    ("cgc-su3 --lam1 2 --mu1 2 --lam2 1 --mu2 1 --format json",
+     "cff61df31a2c6956fc1d8f2e4a3410e17cc8daf3d436c38f62b2ca2e6ceb1c44"),
     ("cgc-su3 --lam1 1 --mu1 1 --lam2 1 --mu2 1 --format csv",
      "00e89808760d035663a84d424ce7ca39e3381712fb9c61e2f3897643eb8574de"),
     ("cgc-su3 --lam1 0 --mu1 2 --lam2 2 --mu2 0",

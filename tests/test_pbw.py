@@ -557,6 +557,37 @@ def test_rewrite_word_refuses_letters_outside_su3(eng3, word, letter):
     assert str(err.value) == letter
 
 
+@pytest.mark.parametrize("build, letter", [
+    (lambda eng: eng.generator(1, 4, 2), (1, 4)),
+    (lambda eng: eng.generator(4, 1, 2), (4, 1)),
+    (lambda eng: eng.generator(0, 2, 2), (0, 2)),
+    (lambda eng: eng.monomial((((2, 1), 1),), 1, (((1, 4), 2),), 2), (1, 4)),
+    (lambda eng: eng.monomial((((3, 0), 1),), 1, (), 2), (3, 0)),
+])
+def test_engine_elements_refuse_pairs_outside_su3(build, letter):
+    # the element was built before and failed only when multiplied, with
+    # an IndexError from the weight bound
+    with pytest.raises(ValueError) as err:
+        build(shared_engine(3))
+    assert str(err.value) == "letter %r is not an off-diagonal pair (i, j) of su(3)" % (letter,)
+    eng = shared_engine(3)
+    assert eng.monomial((((2, 1), 1),), 1, (((1, 2), 1),), 2).terms
+    with pytest.raises(ValueError, match="diagonal letters"):
+        eng.generator(2, 2, 2)
+
+
+def test_coeff_hash_is_computed_once(eng3):
+    # the hash sits in a slot after the first call; equal coefficients
+    # built apart hash alike, constants as their Fraction
+    h1, h2 = sympy.symbols("h1 h2")
+    c = eng3.coeff(h1 / (h1 + h2 + 3))
+    assert c._hash is None
+    first = hash(c)
+    assert c._hash == first and hash(c) == first
+    assert hash(eng3.coeff(h1 / (h1 + h2 + 3))) == first
+    assert hash(eng3.coeff(Fraction(3, 4))) == hash(Fraction(3, 4))
+
+
 def test_multiplication_associative(eng3):
     a = rewrite_word([(2, 1), (1, 3)], SU3, engine=eng3, N=6)
     b = rewrite_word([(1, 2), (3, 2)], SU3, engine=eng3, N=6)

@@ -1,6 +1,7 @@
 """Projector factors, sequential application, and the defining identities."""
 
 import os
+import random
 import re
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 import sympy
 
 import extremal
-from extremal.algebra import build_root_system
+from extremal.algebra import build_root_system, normal_ordering
 from extremal.pbw import (
     RewriteEngine,
     SingularWeightError,
@@ -35,7 +36,7 @@ from extremal.repmod import (
     su3_irrep,
     tensor,
 )
-from reference import mat_rank, reference_verify
+from reference import mat_rank, reference_apply_factor, reference_verify
 
 SU2 = build_root_system(2)
 SU3 = build_root_system(3)
@@ -275,6 +276,27 @@ def test_apply_projector_matches_symbolic_factors_in_both_orderings():
                     w = apply_element(f, w, M, singular="zero")
                 assert apply_projector(SU3, v, M, order=order) == w, (order, M.label, b)
                 assert apply_projector(SU3, v, M, engine=eng) == w
+
+
+def test_frame_factors_match_the_radical_route():
+    # vectors with several square-root classes per coordinate, on su(2)
+    # and su(3) products: each factor, and the projector as their product
+    from extremal.exact import sqrt_of_rational
+    from extremal.repmod import ModuleVector
+
+    rng = random.Random(11)
+    roots = [sqrt_of_rational(Fraction(rng.randint(1, 30), rng.randint(1, 6)), rng.choice((1, -1)))
+             for _ in range(20)]
+    for sys, modules in ((SU2, _su2_pairs()), (SU3, _su3_pairs())):
+        for M in modules:
+            for _ in range(4):
+                idx = rng.sample(range(M.dim), min(6, M.dim))
+                v = ModuleVector({b: rng.choice(roots) + rng.choice(roots) for b in idx})
+                want = v
+                for root in reversed(normal_ordering(sys).sequence):
+                    assert apply_factor(root, v, M) == reference_apply_factor(root, v, M), root
+                    want = reference_apply_factor(root, want, M)
+                assert apply_projector(sys, v, M) == want, M.label
 
 
 def test_apply_factor_zeroes_a_component_at_a_pole():

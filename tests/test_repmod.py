@@ -1,5 +1,6 @@
 """Explicit modules: matrices, defining relations, application of elements."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from reference import (
     mat_add,
     mat_identity,
     mat_scale,
+    reference_su3_irrep,
     reference_tensor,
 )
 
@@ -358,3 +360,94 @@ def test_su3_irrep_equals_radical_construction():
             assert M.tags == tags, (lam, mu)
             assert M.weights == weights, (lam, mu)
             assert M.matrices == mats, (lam, mu)
+
+
+# -- the orbit realization and the rational frames
+
+LABELS = [(lam, t - lam) for t in range(7) for lam in range(t + 1)]
+
+
+def _same_matrices(got, want, where):
+    assert got.keys() == want.keys(), where
+    for g, m in want.items():
+        assert got[g].keys() == m.keys(), (where, g)
+        assert all(got[g][k].terms == v.terms for k, v in m.items()), (where, g)
+
+
+def test_su3_irrep_equals_the_product_space_builder():
+    # one coordinate per orbit against one per product basis vector, on
+    # every irrep the guard admits
+    assert len(LABELS) == 28
+    for lam, mu in LABELS:
+        M, R = su3_irrep(lam, mu), reference_su3_irrep(lam, mu)
+        assert (M.tags, M.weights) == (R.tags, R.weights), (lam, mu)
+        _same_matrices(M.matrices, R.matrices, (lam, mu))
+
+
+def _squarefree(n):
+    return all(n % (p * p) for p in range(2, int(n ** 0.5) + 1))
+
+
+def _frame_modules():
+    su2 = [su2_irrep(Fraction(d, 2)) for d in range(7)]
+    su3 = [su3_irrep(*L) for L in LABELS]
+    gt = [gt_module(*L) for L in LABELS]
+    products = [(a, b) for a in su2 for b in su2]
+    products += [(a, b) for group in (su3, gt) for a in group for b in group
+                 if a.dim * b.dim <= 64]
+    products += [(gt_module(2, 2), gt_module(2, 2)), (su3_irrep(1, 1), gt_module(2, 1))]
+    return su2 + su3 + gt, products
+
+
+def test_frames_are_rational_and_rebuild_the_matrices():
+    # nu_b is a positive squarefree int, each q_ab a ratio of ints, and
+    # q_ab sqrt(nu_a / nu_b) is the entry of the Radical matrices
+    modules, products = _frame_modules()
+    for M in modules + [tensor(a, b) for a, b in products]:
+        assert len(M.nu) == M.dim, M.label
+        assert all(type(n) is int and n > 0 and _squarefree(n) for n in M.nu), M.label
+        rebuilt = {}
+        for g, (den, cols) in M.frame.items():
+            assert type(den) is int and den > 0, (M.label, g)
+            mat = rebuilt[g] = {}
+            for c, entries in cols.items():
+                for r, z in entries:
+                    assert type(z) is int and z, (M.label, g)
+                    q = Fraction(z, den)
+                    mat[(r, c)] = sqrt_of_rational(q * q * M.nu[r] / M.nu[c], 1 if q > 0 else -1)
+        _same_matrices(M.matrices, rebuilt, M.label)
+
+
+def test_tensor_frames_give_the_reference_products():
+    _, products = _frame_modules()
+    for a, b in products:
+        T, R = tensor(a, b), reference_tensor(a, b)
+        assert (T.tags, T.weights) == (R.tags, R.weights), (a.label, b.label)
+        _same_matrices(T.matrices, R.matrices, (a.label, b.label))
+
+
+def test_vectors_cross_the_frame_exactly():
+    # sums of square roots in several squarefree classes per coordinate
+    rng = random.Random(3)
+    roots = [sqrt_of_rational(Fraction(rng.randint(1, 40), rng.randint(1, 9)), rng.choice((1, -1)))
+             for _ in range(30)]
+    modules = (su2_irrep(Fraction(5, 2)), su3_irrep(2, 1), gt_module(2, 1),
+               tensor(gt_module(1, 1), su3_irrep(1, 0)))
+    for M in modules:
+        for _ in range(10):
+            idx = rng.sample(range(M.dim), min(5, M.dim))
+            v = ModuleVector({b: rng.choice(roots) + rng.choice(roots) for b in idx})
+            parts = M.to_frame(v)
+            assert all(type(x) is int for _, xs in parts.values() for x in xs.values())
+            assert M.from_frame(parts) == v, M.label
+        assert M.from_frame(M.to_frame(ModuleVector({}))).is_zero()
+
+
+@pytest.mark.parametrize("build", [su3_irrep, gt_module], ids=["su3_irrep", "gt_module"])
+def test_spellings_of_one_su3_label_share_one_cache_entry(build):
+    build.cache_clear()
+    first = build(1, 1)
+    assert build("1", "1") is first and build(Fraction(1), 1) is first
+    info = build.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
+    build.cache_clear()

@@ -217,6 +217,25 @@ def test_gt_module_matches_the_realized_route():
                 assert mat_eq(G.matrices[g], R.matrices[g]), (lam, mu, g)
 
 
+def test_gt_basis_matches_the_radical_route():
+    # the frame route against gt_basis on Radical vectors and matrices:
+    # from the highest vector of every irrep the guard admits, and from
+    # each coupled highest vector of two products, multiplicity 2 included
+    from extremal.su3cgc import decompose, pair_module
+    from reference import reference_gt_basis
+
+    for lam in range(7):
+        for mu in range(7 - lam):
+            M = su3_irrep(lam, mu)
+            v = M.basis_vector(0)
+            assert gt_basis(M, lam, mu, v) == reference_gt_basis(M, lam, mu, v), (lam, mu)
+    for L1, L2 in (((1, 1), (1, 1)), ((2, 1), (1, 1))):
+        Mt = pair_module(*L1, *L2)
+        for L3, copies in decompose(*L1, *L2).items():
+            for v in copies:
+                assert gt_basis(Mt, *L3, v) == reference_gt_basis(Mt, *L3, v), (L1, L2, L3)
+
+
 def test_gt_matrices_satisfy_commutators():
     # the GT-basis matrices define the same representation: spot-check
     # [e12, e21] on the octet equals e11 - e22 = diag(h1)
