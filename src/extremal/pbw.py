@@ -314,7 +314,9 @@ class Coeff:
         import sympy
 
         syms = h_symbols(n)
+        by_name = {h.name: h for h in syms}  # h1 with assumptions is h1 too
         expr = sympy.sympify(expr)
+        expr = expr.xreplace({s: by_name[s.name] for s in expr.free_symbols if s.name in by_name})
         foreign = expr.free_symbols - set(syms)
         if foreign:
             raise ValueError("symbols outside h1..h%d of su(%d): %s"
@@ -757,12 +759,20 @@ class RewriteEngine:
         return TaylorElement(self, bound, {((), ()): self.coeff_one})
 
     def monomial(self, lowering, coeff, raising, bound):
-        """lowering * coeff * raising, each word of ((i, j), exponent)
-        items; ValueError naming a letter that is not an off-diagonal pair
-        (i, j) of su(n)."""
+        """lowering * coeff * raising, words of ((i, j), exponent) items in
+        normal order: lowering letters, then raising ones, each word rising in
+        `_rank`.  ValueError naming a letter that is not an off-diagonal pair
+        (i, j) of su(n), is out of that order, or has no positive int exponent."""
         key = (tuple(lowering), tuple(raising))
-        for g, _ in key[0] + key[1]:
-            self._check_pair(g)
+        half = len(self.order.sequence)
+        for word, low in zip(key, (0, half)):
+            at = low
+            for g, e in word:
+                self._check_pair(g)
+                if not (isinstance(e, int) and e > 0 and at <= self._rank[g] < low + half):
+                    raise ValueError("letter %r with exponent %r is not a factor of a "
+                                     "normal-ordered monomial of su(%d)" % (g, e, self.n))
+                at = self._rank[g] + 1
         return TaylorElement(self, bound, {key: self.coeff(coeff)})
 
     def _check_pair(self, g):
@@ -797,6 +807,8 @@ def rewrite_word(word, sys, N=64, engine=None):
         exp = 1
         if isinstance(item, tuple) and len(item) == 2 and isinstance(item[0], tuple):
             item, exp = item  # ((i,j), e) or (('h',k), e)
+            if not isinstance(exp, int) or exp < 0:
+                raise ValueError("exponent %r of %r is not a nonnegative int" % (exp, item))
         if isinstance(item, tuple) and item[0] != "h":
             eng._check_pair(item)
             gens.extend([item] * exp)

@@ -22,8 +22,9 @@ orbits of product basis vectors under permuting equal tensor factors.  Each
 lowered vector is Gram-Schmidt reduced against its weight space as it is
 found, into a primitive integer vector u_b, and the frame is f_b = u_b / k_b
 with |u_b|^2 = k_b^2 nu_b.  su(2) irreps and the GT modules of `su3gt` take
-their frames from their closed matrix entries (`frame_of_entries`), and a
-tensor product from its factors'.
+their frames from their squared matrix entries (`frame_of_entries`), and a
+tensor product from its factors'; every raising matrix is a lowering one
+transposed (`with_raising`).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from itertools import combinations_with_replacement
 from typing import NamedTuple
 
 from .exact import Radical, SingularWeightError, TruncationError, doubled, integer
-from .exact import _squarefree_split, sqrt_of_rational
+from .exact import _squarefree_split
 
 __all__ = [
     "Irrep",
@@ -182,56 +183,49 @@ def frame_sum(parts):
 def with_raising(lowering, nu):
     """The frame matrices from the lowering ones {(i, j): FrameMatrix},
     i > j: e_ji is the transpose of e_ij over the orthonormal basis, so its
-    frame entry is q_ba = q_ab nu_a / nu_b."""
+    frame entry q_ba = q_ab nu_a / nu_b is the int z nu_a (L / nu_b) over den
+    L, L = lcm(nu), left unreduced: `frame_apply` moves content to scales."""
     mats = dict(lowering)
+    L = math.lcm(*nu)
     for (i, j), (den, cols) in lowering.items():
         up = {}
         for c, entries in cols.items():
+            f = L // nu[c]
             for r, z in entries:
-                up.setdefault(r, []).append((c, Fraction(z * nu[r], den * nu[c])))
-        mats[(j, i)] = _frame_matrix(up)
+                up.setdefault(r, []).append((c, z * nu[r] * f))
+        mats[(j, i)] = FrameMatrix(den * L, up)
     return mats
 
 
 def frame_of_entries(lowering, dim):
-    """(nu, lowering FrameMatrices) from lowering matrices whose entries
-    are one-term Radicals c sqrt(d), on a module whose entries connect every
-    basis vector to vector 0.
+    """(nu, lowering FrameMatrices) from lowering matrices of squared
+    entries {(r, c): (sign, x)}, each sign sqrt(x) for a positive Fraction
+    x, on a module whose basis order lowers: every vector b > 0 is the row
+    of an entry whose column comes before it.
 
-    A walk over the entries from nu_0 = 1 gives each newly reached vector
-    the squarefree class of nu_b d, so that q_ab = c sqrt(d nu_b / nu_a) is
-    rational on the walk's edges; RuntimeError if another entry is not.
+    One pass over the entries in column order gives each newly reached row
+    r the squarefree class nu_r of x nu_c, so that q_rc = sign sqrt(x nu_c
+    nu_r) / nu_r is rational; RuntimeError if another entry is not, or if
+    no entry reaches a vector.
     """
-    nu = [None] * dim
-    nu[0] = 1
-    edges = {}
-    for m in lowering.values():
-        for (r, c), x in m.items():
-            (d, _), = x.terms.items()
-            edges.setdefault(c, []).append((r, d))
-            edges.setdefault(r, []).append((c, d))
-    stack = [0]
-    while stack:
-        b = stack.pop()
-        for a, d in edges.get(b, ()):
-            if nu[a] is None:
-                g = math.gcd(d, nu[b])
-                nu[a] = d // g * (nu[b] // g)
-                stack.append(a)
+    nu = [1] + [None] * (dim - 1)
+    cols = {gen: {} for gen in lowering}
+    entries = ((gen, *e) for gen, m in lowering.items() for e in m.items())
+    for gen, (r, c), (sign, x) in sorted(entries, key=lambda e: e[1][1]):
+        if nu[c] is None:
+            break  # no entry reaches c: refused below
+        if nu[r] is None:
+            nu[r] = _squarefree_split(x.numerator * x.denominator * nu[c])[1]
+        x = x * nu[c] * nu[r]
+        p = x.numerator * x.denominator
+        root = math.isqrt(p)
+        if root * root != p:
+            raise RuntimeError("entry (%d, %d) of e%d%d is irrational over the frame"
+                               % (r, c, *gen))
+        cols[gen].setdefault(c, []).append((r, Fraction(sign * root, x.denominator * nu[r])))
     if None in nu:
-        raise RuntimeError("module entries do not connect all %d basis vectors" % dim)
-    frame = {}
-    for gen, m in lowering.items():
-        q = {}
-        for (r, c), x in m.items():
-            (d, coeff), = x.terms.items()
-            s = d * nu[c] * nu[r]
-            root = math.isqrt(s)
-            if root * root != s:
-                raise RuntimeError("entry %s of e%d%d is irrational over the frame" % (x, *gen))
-            q.setdefault(c, []).append((r, coeff * root / nu[r]))
-        frame[gen] = _frame_matrix(q)
-    return nu, frame
+        raise RuntimeError("no module entry reaches basis vector %d" % nu.index(None))
+    return nu, {gen: _frame_matrix(q) for gen, q in cols.items()}
 
 
 # -- modules ---------------------------------------------------------
@@ -408,8 +402,7 @@ def _su2_cached(d):
     tags = ["m=%s" % m for m in ms]
     weights = [(d - 2 * k,) for k in range(d + 1)]
     # J- |j m> = sqrt((j+m)(j-m+1)) |j m-1>
-    down = {(idx + 1, idx): sqrt_of_rational((j + m) * (j - m + 1))
-            for idx, m in enumerate(ms) if m > -j}
+    down = {(idx + 1, idx): (1, (j + m) * (j - m + 1)) for idx, m in enumerate(ms) if m > -j}
     nu, lowering = frame_of_entries({(2, 1): down}, d + 1)
     return Irrep(n=2, label=j, tags=tags, weights=weights, nu=nu,
                  frame=with_raising(lowering, nu))
@@ -428,18 +421,14 @@ def tensor(a, b):
     Its frame vector (i, k) is f_i x f_k / g_ik, g_ik = gcd(nu_i, nu_k), of
     squarefree squared norm nu_i nu_k / g_ik^2; an entry q of g x 1 or
     1 x g that moves (i, k) to (i', k') becomes q g_i'k' / g_ik.  Over the
-    denominator lcm(den_a, den_b) G, G the lcm of the g_ik, its numerators
-    are ints.
+    denominator lcm(den_a, den_b) G, G the lcm of the g_ik, the numerators
+    of each lowering generator are ints; `with_raising` transposes them.
     """
     if a.n != b.n:
         raise ValueError("rank mismatch: su(%d) vs su(%d)" % (a.n, b.n))
     tags = [(ta, tb) for ta in a.tags for tb in b.tags]
     db = b.dim
-    weights = [
-        tuple(wa[k] + wb[k] for k in range(a.n - 1))
-        for wa in a.weights
-        for wb in b.weights
-    ]
+    weights = [tuple(x + y for x, y in zip(wa, wb)) for wa in a.weights for wb in b.weights]
     pairs = [(x, y) for x in a.nu for y in b.nu]
     gcds = [math.gcd(x, y) for x, y in pairs]
     nu = [x * y // (g * g) for (x, y), g in zip(pairs, gcds)]
@@ -447,7 +436,7 @@ def tensor(a, b):
     # index (i, k) is i * db + k.  A generator matrix is off-diagonal, so an
     # entry of g x 1 moves i and one of 1 x g moves k: no key is written twice
     frame = {}
-    for g in {*a.frame, *b.frame}:
+    for g in {g for g in (*a.frame, *b.frame) if g[0] > g[1]}:
         (den_a, cols_a), (den_b, cols_b) = a.frame.get(g, _NO_MATRIX), b.frame.get(g, _NO_MATRIX)
         den = math.lcm(den_a, den_b)
         fa, fb = den // den_a * big, den // den_b * big
@@ -465,7 +454,7 @@ def tensor(a, b):
                 m.setdefault(j, []).extend([(i + r, z * f * gcds[i + r]) for r, z in entries])
         frame[g] = FrameMatrix(den * big, m)
     return Irrep(n=a.n, label=(a.label, b.label), tags=tags, weights=weights,
-                 nu=nu, frame=frame)
+                 nu=nu, frame=with_raising(frame, nu))
 
 
 # -- su(3) -----------------------------------------------------------

@@ -186,7 +186,7 @@ def gt_module(lam, mu):
     sign * sqrt((lam+mu-l)(l-mu+1)(l+2)(l-m11+1) / ((l-l')(l-l'+1))): t + 1/2
     raises m12 (l = m12, l' = m22 - 1, sign +1) and t - 1/2 raises m22
     (l = m22 - 1, l' = m12, sign -1, the phase of the projector-built
-    vectors).  The frame comes from the e21 and e32 entries
+    vectors).  The frame comes from the squared e21 and e32 entries
     (`repmod.frame_of_entries`); e31 = [e32, e21] over it, and each raising
     generator is the transpose.
     """
@@ -200,14 +200,13 @@ def _gt_module(lam, mu):
     e21, e32 = {}, {}
     for c, (J, T, Tz) in enumerate(index):
         if Tz > -T:
-            sq = Fraction((T + Tz) * (T - Tz + 2), 4)
-            e32[(index[(J, T, Tz - 2)], c)] = sqrt_of_rational(sq)
+            e32[(index[(J, T, Tz - 2)], c)] = (1, Fraction((T + Tz) * (T - Tz + 2), 4))
         m12, m22, m11 = (mu + J + T) // 2, (mu + J - T) // 2, (mu + J - Tz) // 2
         for dT, l, lp, sign in ((1, m12, m22 - 1, 1), (-1, m22 - 1, m12, -1)):
             r = index.get((J + 1, T + dT, Tz + 1))
             if r is not None:  # also skips the pole of t = 0
                 sq = (lam + mu - l) * (l - mu + 1) * (l + 2) * (l - m11 + 1)
-                e21[(r, c)] = sqrt_of_rational(Fraction(sq, (l - lp) * (l - lp + 1)), sign)
+                e21[(r, c)] = (sign, Fraction(sq, (l - lp) * (l - lp + 1)))
     nu, frame = frame_of_entries({(2, 1): e21, (3, 2): e32}, len(index))
     (d21, f21), (d32, f32) = frame[(2, 1)], frame[(3, 2)]
     e31 = {}

@@ -23,6 +23,7 @@ from extremal.pbw import (
     _cofactor,
     _divide,
     _mul,
+    h_symbols,
     rewrite_word,
     shared_engine,
 )
@@ -191,6 +192,14 @@ def test_from_expr_refuses_foreign_symbols(n, expr, names):
     with pytest.raises(ValueError) as err:
         Coeff.from_expr(n, expr)
     assert str(err.value) == "symbols outside h1..h%d of su(%d): %s" % (n - 1, n, names)
+
+
+def test_from_expr_reads_named_cartan_symbols_as_the_generators():
+    h1 = h_symbols(3)[0]
+    for named in (sympy.Symbol("h1", positive=True), sympy.Symbol("h1", integer=True)):
+        assert Coeff.from_expr(3, named + 1) == Coeff.from_expr(3, h1 + 1)
+    with pytest.raises(ValueError, match="symbols outside h1..h2 of su\\(3\\): x$"):
+        Coeff.from_expr(3, sympy.Symbol("x", positive=True) + 1)
 
 
 def _rational_functions(n):
@@ -574,6 +583,47 @@ def test_engine_elements_refuse_pairs_outside_su3(build, letter):
     assert eng.monomial((((2, 1), 1),), 1, (((1, 2), 1),), 2).terms
     with pytest.raises(ValueError, match="diagonal letters"):
         eng.generator(2, 2, 2)
+
+
+def _refusal(build):
+    with pytest.raises(ValueError) as err:
+        build(shared_engine(3))
+    return str(err.value)
+
+
+def test_monomial_refuses_a_zero_exponent():
+    # the letter stayed in the key: x - 1 kept two terms and x != 1
+    assert _refusal(lambda eng: eng.monomial((((2, 1), 0),), 1, (), 3)) == (
+        "letter (2, 1) with exponent 0 is not a factor of a normal-ordered monomial of su(3)")
+    for e in (-1, 1.0, Fraction(1)):
+        assert "exponent %r" % (e,) in _refusal(lambda eng: eng.monomial((), 1, (((1, 2), e),), 3))
+
+
+@pytest.mark.parametrize("lowering, raising, letter", [
+    ((((1, 2), 1),), (), (1, 2)),
+    ((), (((2, 1), 1),), (2, 1)),
+    ((((3, 1), 1), ((2, 1), 1)), (), (2, 1)),
+    ((((2, 1), 1), ((2, 1), 2)), (), (2, 1)),
+    ((), (((1, 3), 1), ((1, 2), 1)), (1, 2)),
+])
+def test_monomial_refuses_words_out_of_normal_order(lowering, raising, letter):
+    # a raising letter in the lowering word was filed as a lowering word
+    assert _refusal(lambda eng: eng.monomial(lowering, 1, raising, 3)).startswith(
+        "letter %r with exponent" % (letter,))
+    eng = shared_engine(3)
+    assert eng.monomial((((2, 1), 1),), 1, (), 3).equals_mod_filtration(eng.generator(2, 1, 3))
+    assert eng.monomial((((2, 1), 2), ((3, 1), 1)), 1, (((1, 2), 1), ((1, 3), 1)), 3).terms
+
+
+@pytest.mark.parametrize("exponent", [-2, 1.0, Fraction(1, 2)])
+def test_rewrite_word_refuses_a_negative_or_non_int_exponent(exponent):
+    # a negative exponent dropped its letter: the word below gave e21
+    su2 = shared_engine(2)
+    with pytest.raises(ValueError) as err:
+        rewrite_word([((1, 2), exponent), ((2, 1), 1)], su2.sys, engine=su2)
+    assert str(err.value) == "exponent %r of (1, 2) is not a nonnegative int" % (exponent,)
+    word = rewrite_word([((1, 2), 0), ((2, 1), 1)], su2.sys, engine=su2)
+    assert word.equals_mod_filtration(su2.generator(2, 1, 64))
 
 
 def test_coeff_hash_is_computed_once(eng3):

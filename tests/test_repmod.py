@@ -12,6 +12,7 @@ from extremal.repmod import (
     ModuleVector,
     TruncationError,
     apply_element,
+    frame_of_entries,
     mat_eq,
     mat_mul,
     su2_irrep,
@@ -415,7 +416,32 @@ def test_frames_are_rational_and_rebuild_the_matrices():
                     assert type(z) is int and z, (M.label, g)
                     q = Fraction(z, den)
                     mat[(r, c)] = sqrt_of_rational(q * q * M.nu[r] / M.nu[c], 1 if q > 0 else -1)
+            # e_ji is the transpose of e_ij over the orthonormal basis:
+            # q_ba nu_b = q_ab nu_a, in ints over both denominators
+            up_den, up_cols = M.frame[g[::-1]]
+            down = {(c, r): z * M.nu[r] * up_den for c, entries in cols.items() for r, z in entries}
+            up = {(r, c): z * M.nu[r] * den for c, entries in up_cols.items() for r, z in entries}
+            assert down == up, (M.label, g)
         _same_matrices(M.matrices, rebuilt, M.label)
+
+
+def test_frame_of_entries_refuses_an_irrational_entry():
+    # the first entry gives nu_1 = 1, and then q = sqrt(2) for the second
+    one, two = (1, Fraction(1)), (1, Fraction(2))
+    with pytest.raises(RuntimeError, match=r"entry \(1, 0\) of e32 is irrational"):
+        frame_of_entries({(2, 1): {(1, 0): one}, (3, 2): {(1, 0): two}}, 2)
+    four = (-1, Fraction(4))
+    assert frame_of_entries({(2, 1): {(1, 0): one}, (3, 2): {(1, 0): four}}, 2)[0] == [1, 1]
+
+
+def test_frame_of_entries_refuses_a_vector_no_entry_reaches():
+    entry = (1, Fraction(3, 2))
+    with pytest.raises(RuntimeError, match="no module entry reaches basis vector 2"):
+        frame_of_entries({(2, 1): {(1, 0): entry}}, 3)
+    # vector 1 is only a column: the basis order does not lower
+    with pytest.raises(RuntimeError, match="no module entry reaches basis vector 1"):
+        frame_of_entries({(2, 1): {(0, 1): entry}}, 2)
+    assert frame_of_entries({(2, 1): {(1, 0): entry, (2, 1): entry}}, 3)[0] == [1, 6, 1]
 
 
 def test_tensor_frames_give_the_reference_products():
