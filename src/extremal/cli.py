@@ -382,7 +382,7 @@ def main(argv=None):
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except (RuntimeError, ArithmeticError) as exc:
-        # a failed self-check, a singular weight or pole, the recursion limit
+        # a failed self-check, a weight or factorial pole, the recursion limit
         print("error: %s: %s" % (type(exc).__name__, " ".join(str(exc).split())),
               file=sys.stderr)
         return 4

@@ -95,7 +95,7 @@ class Radical:
 
     terms maps squarefree radicand d >= 1 to a nonzero Fraction coefficient;
     the represented value is sum c_d * sqrt(d).  Closed under +, -, *, and
-    (for nonzero values) division.
+    (for nonzero values) `inverse`.
     """
 
     __slots__ = ("terms",)
@@ -121,9 +121,6 @@ class Radical:
         return out
 
     # -- queries ------------------------------------------------------
-
-    def is_zero(self):
-        return not self.terms
 
     def is_rational(self):
         return not self.terms or set(self.terms) == {1}
@@ -172,9 +169,6 @@ class Radical:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return -(self - other)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             out = Radical.__new__(Radical)
@@ -211,23 +205,6 @@ class Radical:
         denom = a * a - Radical({1: Fraction(p)}) * b * b
         conj = a - Radical({p: Fraction(1)}) * b
         return conj * denom.inverse()
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers")
-        out = Radical.from_rational(1)
-        for _ in range(n):
-            out = out * self
-        return out
 
     # -- comparison / hashing ----------------------------------------
 
@@ -312,20 +289,18 @@ def parse_radical(s):
     return Radical(terms)
 
 
-def sqrt_of_rational(r, sign=1):
-    """sign * sqrt(r) for a nonnegative rational r, in canonical Radical form."""
+def sqrt_of_rational(r):
+    """sqrt(r) for a nonnegative rational r, in canonical Radical form."""
     r = Fraction(r)
     if r < 0:
         raise ValueError("square root of negative rational %s" % r)
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
     if r == 0:
         return Radical.from_rational(0)
     # sqrt(p/q) = sqrt(p*q)/q
     n = r.numerator * r.denominator
     k, d = _squarefree_split(n)
     out = Radical.__new__(Radical)
-    out.terms = {d: Fraction(sign * k, r.denominator)}
+    out.terms = {d: Fraction(k, r.denominator)}
     return out
 
 

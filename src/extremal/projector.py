@@ -106,8 +106,8 @@ def factor_on_frame(root, parts, M):
     On a component u of weight lam it is sum_n c_n e_{-gamma}^n e_gamma^n u,
     c_0 = 1, c_n = c_{n-1} / (-n (a + n)), a = <lam,gamma> + (rho,gamma),
     summed by Horner's rule until e_gamma^n u vanishes.  A component on which
-    a term with a + n = 0 acts goes to zero, as in apply_element(...,
-    singular="zero"): a < 0 is non-dominant, where the projector has no image.
+    a term with a + n = 0 acts goes to zero, as in the zeroing oracle of the
+    tests: a < 0 is non-dominant, where the projector has no image.
     """
     i, j = root
     if not 1 <= i < j <= M.n:

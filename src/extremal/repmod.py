@@ -36,7 +36,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from typing import NamedTuple
 
-from .exact import Radical, SingularWeightError, TruncationError, doubled, integer
+from .exact import Radical, TruncationError, doubled, integer
 from .exact import _squarefree_split
 
 __all__ = [
@@ -52,6 +52,7 @@ __all__ = [
     "frame_sum",
     "frame_of_entries",
     "with_raising",
+    "orthogonalize",
     "apply_element",
     "matrix_of",
 ]
@@ -180,6 +181,21 @@ def frame_sum(parts):
     return _primitive_part(r, {b: v for b, v in out.items() if v})
 
 
+def orthogonalize(u, found, dot):
+    """The primitive int vector along u - sum (<u,w> / <w,w>) w over found =
+    [(w, <w,w>)] under the inner product dot, or {} if u is in their span:
+    each step <w,w> u - <u,w> w is a positive multiple of the rational one."""
+    _, u = _primitive_part(1, u)
+    for w, n2 in found:
+        d = dot(u, w)
+        if d:
+            out = {b: n2 * x for b, x in u.items()}
+            for b, x in w.items():
+                out[b] = out.get(b, 0) - d * x
+            _, u = _primitive_part(1, {b: x for b, x in out.items() if x})
+    return u
+
+
 def with_raising(lowering, nu):
     """The frame matrices from the lowering ones {(i, j): FrameMatrix},
     i > j: e_ji is the transpose of e_ij over the orthonormal basis, so its
@@ -294,15 +310,24 @@ class Irrep:
         hts = [sum(c * x for c, x in zip(cols, w)) for w in self.weights]
         return (max(hts) - min(hts)) // 2
 
+    def _check_indices(self, indices):
+        """ValueError naming an index that no basis vector has."""
+        for b in indices:
+            if not 0 <= b < len(self.tags):
+                raise ValueError("basis index %d outside the module of dimension %d"
+                                 % (b, len(self.tags)))
+
     def basis_vector(self, idx_or_tag):
         idx = idx_or_tag if isinstance(idx_or_tag, int) else self.index(idx_or_tag)
+        self._check_indices((idx,))
         return ModuleVector({idx: _ONE})
 
     def to_frame(self, v):
         """v as frame parts {k: (s, x)}, v = sum_k sqrt(k) s sum_b x_b f_b
         over squarefree k, with s rational and x an int vector: the term
         c sqrt(d) of coordinate b is (c g / nu_b) sqrt(d nu_b / g^2) f_b,
-        g = gcd(d, nu_b)."""
+        g = gcd(d, nu_b); ValueError for a coordinate outside the module."""
+        self._check_indices(v.coords)
         nu = self.nu
         parts = {}
         for b, x in v.coords.items():
@@ -498,7 +523,7 @@ def su3_irrep(lam, mu):
     such permutations.  It is generated there by lowering, with one
     coordinate per orbit, keyed by the least product index in the orbit,
     and the product inner product weights each orbit by its size.  Each
-    lowered vector is Gram-Schmidt reduced, in integer arithmetic, against
+    lowered vector is Gram-Schmidt reduced in ints (`orthogonalize`) against
     the basis already found in its weight space; a zero residual marks it
     dependent.  Basis vector b is u_b / |u_b| for the primitive residual
     u_b, signed so that its first product-basis coordinate is positive, and
@@ -562,12 +587,7 @@ def _su3_irrep(lam, mu):
         if not vec:
             return False
         found = by_weight.setdefault(pweights[next(iter(vec))], [])
-        _, u = _primitive_part(1, vec)
-        for w, n2 in found:
-            d = dot(u, w)
-            if d:
-                # n2 u - <u,w> w: a positive multiple of u - (<u,w>/<w,w>) w
-                _, u = frame_sum([(n2, u), (-d, w)])
+        u = orthogonalize(vec, found, dot)
         if not u:
             return False
         if u[min(u)] < 0:  # phase: first product-basis coordinate positive
@@ -638,22 +658,15 @@ def _arrangements(digits):
 # -- application of Taylor elements ----------------------------------
 
 
-def apply_element(x, v, M, singular="raise"):
+def apply_element(x, v, M):
     """Act with a TaylorElement (any element with .engine, .bound and
     .terms) on a module vector, exactly.
 
     Refuses when the module's weight diameter exceeds the truncation bound
-    (dropped monomials could then act nonzero).
-
-    singular="zero" routes around the poles of a projector series: the source
-    vector is split into weight components, and a component whose processing
-    hits a vanishing denominator is sent to zero.  That is the correct value
-    for an extremal projector, whose image consists of highest-weight vectors:
-    none exists at a non-dominant weight.  The routing therefore insists the
-    offending component's weight is non-dominant and re-raises otherwise.
+    (dropped monomials could then act nonzero), and a coordinate outside
+    the module; a coefficient pole at a weight it meets raises
+    SingularWeightError.
     """
-    if singular not in ("raise", "zero"):
-        raise ValueError("singular must be 'raise' or 'zero'")
     if M.weight_diameter > x.bound:
         raise TruncationError(
             "module weight diameter %d exceeds truncation bound %d"
@@ -661,25 +674,10 @@ def apply_element(x, v, M, singular="raise"):
         )
     if x.engine.n != M.n:
         raise ValueError("algebra rank mismatch")
-    if singular == "zero":
-        by_weight = {}
-        for idx, val in v.coords.items():
-            by_weight.setdefault(M.weights[idx], {})[idx] = val
-        out = ModuleVector({})
-        for w, coords in sorted(by_weight.items()):
-            try:
-                out = out + _apply_raw(x, coords, M)
-            except SingularWeightError:
-                if all(c >= 0 for c in w):
-                    raise  # a pole on a dominant component is a real error
-        return out
-    return _apply_raw(x, dict(v.coords), M)
-
-
-def _apply_raw(x, coords, M):
+    M._check_indices(v.coords)
     out = ModuleVector({})
     for (L, R), coeff in x.terms.items():
-        w = dict(coords)
+        w = dict(v.coords)
         for g, e in reversed(R):
             w = mat_pow_vec(M.matrix(g), w, e)
             if not w:
@@ -702,11 +700,11 @@ def _apply_raw(x, coords, M):
     return out
 
 
-def matrix_of(x, M, singular="raise"):
+def matrix_of(x, M):
     """Matrix of a TaylorElement on the module, columns by basis order."""
     out = {}
     for b in range(M.dim):
-        img = apply_element(x, ModuleVector({b: _ONE}), M, singular=singular)
+        img = apply_element(x, ModuleVector({b: _ONE}), M)
         for r, v in img.coords.items():
             out[(r, b)] = v
     return out

@@ -7,12 +7,12 @@ the |g1> x |g2>: the coupled-system extremal projector yields the coupled
 highest vectors, `su3gt.gt_basis` the rest of each coupled basis, and a CGC
 is one coordinate of a coupled vector.  The product carries the factors'
 rational frame (`repmod.tensor`), and `decompose` orthogonalizes the
-projected vectors there, in ints under the frame's nu-weighted inner
-product, so each coupled highest vector takes one square root per
-coordinate, 1/sqrt(n^2) times the frame's.  Route (a) evaluates the
-closed Wigner-calculus expression (su(2) CGCs, 6j and 9j symbols with fixed
-brace layouts); the two must agree, which is what pins down the layout and
-phase conventions recorded here.
+projected vectors there by `repmod.orthogonalize`, in ints under the
+frame's nu-weighted inner product, so each coupled highest vector takes one
+square root per coordinate, 1/sqrt(n^2) times the frame's.  Route (a)
+evaluates the closed Wigner-calculus expression (su(2) CGCs, 6j and 9j
+symbols with fixed brace layouts); the two must agree, which is what pins
+down the layout and phase conventions recorded here.
 
 Multiplicity convention: for each target highest weight, candidate seeds
 |L1 h> x |L2 g2'> are scanned in the fixed GT label order of L2, a seed is
@@ -31,7 +31,7 @@ from .algebra import build_root_system
 from .exact import Radical, doubled, factorial_ratio, integer, sqrt_of_rational, triangle
 from .exact import sqrt_factorial_ratio
 from .projector import apply_projector
-from .repmod import frame_sum, su3_label, tensor
+from .repmod import orthogonalize, su3_label, tensor
 from .su3gt import _gt_index, gt_basis, gt_label_index, gt_module
 from .wigner2 import cgc_closed_doubled, ninej_doubled, sixj_doubled
 
@@ -50,11 +50,20 @@ _ZERO = Radical.from_rational(0)
 # -- coupled vectors over GT bases -------------------------------------
 
 
-@lru_cache(maxsize=16)
 def pair_module(lam1, mu1, lam2, mu2):
-    """tensor(gt_module(lam1, mu1), gt_module(lam2, mu2)), cached: basis
-    vector i1 * d2 + i2 is |g1> x |g2>, with tag (g1, g2)."""
+    """tensor(gt_module(lam1, mu1), gt_module(lam2, mu2)), built once per
+    pair of labels as parsed by `su3_label`: basis vector i1 * d2 + i2 is
+    |g1> x |g2>, with tag (g1, g2)."""
+    return _pair_module(*su3_label(lam1, mu1), *su3_label(lam2, mu2))
+
+
+@lru_cache(maxsize=16)
+def _pair_module(lam1, mu1, lam2, mu2):
     return tensor(gt_module(lam1, mu1), gt_module(lam2, mu2))
+
+
+pair_module.cache_info = _pair_module.cache_info
+pair_module.cache_clear = _pair_module.cache_clear
 
 
 def _pair_index(lam1, mu1, g1, lam2, mu2, g2):
@@ -62,14 +71,19 @@ def _pair_index(lam1, mu1, g1, lam2, mu2, g2):
     return gt_label_index(lam1, mu1, g1) * d2 + gt_label_index(lam2, mu2, g2)
 
 
-@lru_cache(maxsize=16)
 def decompose(lam1, mu1, lam2, mu2):
     """Coupled highest-weight vectors of every constituent of the product.
 
     Returns a dict (lam3, mu3) -> list of orthonormal ModuleVectors in
     pair_module(lam1, mu1, lam2, mu2), indexed by the multiplicity label
     s - 1.  The seeds |L1 h> x |L2 g2> are its basis vectors 0 * d2 + i2.
+    The labels are parsed by `su3_label` before the cache.
     """
+    return _decompose(*su3_label(lam1, mu1), *su3_label(lam2, mu2))
+
+
+@lru_cache(maxsize=16)
+def _decompose(lam1, mu1, lam2, mu2):
     Mt = pair_module(lam1, mu1, lam2, mu2)
     found = {}
     orth = {}  # weight -> [(int frame coordinates of a kept residual, its squared norm)]
@@ -85,11 +99,7 @@ def decompose(lam1, mu1, lam2, mu2):
         # coordinates span its line; Gram-Schmidt on those stays in ints
         [(_, red)] = Mt.to_frame(hv).values()
         basis = orth.setdefault(w3, [])
-        for u, n2 in basis:
-            dot = Mt.frame_dot(u, red)
-            if dot:
-                # n2 red - <u,red> u: a positive multiple of the step
-                _, red = frame_sum([(n2, red), (-dot, u)])
+        red = orthogonalize(red, basis, Mt.frame_dot)
         if not red:
             continue
         n2 = Mt.frame_dot(red, red)
@@ -105,12 +115,24 @@ def decompose(lam1, mu1, lam2, mu2):
     return found
 
 
-@lru_cache(maxsize=64)
+decompose.cache_info = _decompose.cache_info
+decompose.cache_clear = _decompose.cache_clear
+
+
 def coupled_basis(lam1, mu1, lam2, mu2, lam3, mu3, s):
     """The coupled vectors |s (lam3 mu3) g3> in pair_module(lam1, mu1, lam2,
     mu2), in the GT label order of (lam3, mu3): `gt_basis` applied to the
     s-th coupled highest vector.  The coordinate of the one for g3 at the
-    tag (g1, g2) is the CGC ((lam1 mu1) g1, (lam2 mu2) g2 | s (lam3 mu3) g3)."""
+    tag (g1, g2) is the CGC ((lam1 mu1) g1, (lam2 mu2) g2 | s (lam3 mu3) g3).
+
+    The factors' labels are parsed by `su3_label` and lam3, mu3 and s by
+    `exact.integer` before the cache: a constituent may exceed the guard."""
+    return _coupled_basis(*su3_label(lam1, mu1), *su3_label(lam2, mu2),
+                          integer(lam3), integer(mu3), integer(s))
+
+
+@lru_cache(maxsize=64)
+def _coupled_basis(lam1, mu1, lam2, mu2, lam3, mu3, s):
     found = decompose(lam1, mu1, lam2, mu2)
     copies = found.get((lam3, mu3), ())
     if not 1 <= s <= len(copies):
@@ -120,6 +142,10 @@ def coupled_basis(lam1, mu1, lam2, mu2, lam3, mu3, s):
         )
     Mt = pair_module(lam1, mu1, lam2, mu2)
     return gt_basis(Mt, lam3, mu3, copies[s - 1])
+
+
+coupled_basis.cache_info = _coupled_basis.cache_info
+coupled_basis.cache_clear = _coupled_basis.cache_clear
 
 
 def su3_cgc(lam1, mu1, g1, lam2, mu2, g2, lam3, mu3, g3, s=1):

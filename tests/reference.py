@@ -2,7 +2,9 @@
 
 Nothing in `extremal` calls these.  They are the older or symbolic routes:
 the term-by-term product of `TaylorElement`s, the identity check on full
-products, su(2) general projection operators built as `TaylorElement`s, the
+products, the zeroing route that applies a symbolic element past its poles
+(`apply_zeroing`, the oracle of `apply_factor` and `apply_projector`), su(2)
+general projection operators built as `TaylorElement`s, the
 tensor form of the su(3) projector, the Fraction admissibility test of GT
 labels, the GT lowering word of one label and its raising word, the GT module
 read off the projector-built vectors, the tensor product that accumulates
@@ -26,7 +28,7 @@ from sympy.polys.domains import QQ
 from sympy.polys.rings import ring as poly_ring
 
 from extremal.algebra import build_root_system
-from extremal.exact import Radical, factorial_ratio, half, sqrt_of_rational
+from extremal.exact import Radical, SingularWeightError, factorial_ratio, half, sqrt_of_rational
 from extremal.pbw import Coeff, TaylorElement, _pack, _unpack, shared_engine
 from extremal.projector import (
     IdentityReport,
@@ -313,6 +315,39 @@ def reference_verify(P):
     return IdentityReport(annihilation_left=left, annihilation_right=right, idempotency=idem)
 
 
+# -- the zeroing route: symbolic elements past their poles --------------
+
+
+def apply_zeroing(x, v, M):
+    """apply_element(x, v, M) on each weight component of v, with a
+    component whose processing hits a vanishing denominator sent to zero.
+
+    That is the correct value for an extremal projector, whose image
+    consists of highest-weight vectors: none exists at a non-dominant
+    weight.  So the offending component's weight must be non-dominant; a
+    pole on a dominant one re-raises."""
+    by_weight = {}
+    for idx, val in v.coords.items():
+        by_weight.setdefault(M.weights[idx], {})[idx] = val
+    out = ModuleVector({})
+    for w, coords in sorted(by_weight.items()):
+        try:
+            out = out + apply_element(x, ModuleVector(coords), M)
+        except SingularWeightError:
+            if all(c >= 0 for c in w):
+                raise  # a pole on a dominant component is a real error
+    return out
+
+
+def zeroing_matrix(x, M):
+    """matrix_of(x, M) through apply_zeroing, columns by basis order."""
+    out = {}
+    for b in range(M.dim):
+        for r, v in apply_zeroing(x, M.basis_vector(b), M).coords.items():
+            out[(r, b)] = v
+    return out
+
+
 # -- su(2) general projection operators as symbolic elements ----------
 
 
@@ -337,8 +372,8 @@ class ScaledElement:
     def star(self):
         return ScaledElement(self.scalar, self.element.star())
 
-    def apply(self, v, M, singular="raise"):
-        return apply_element(self.element, v, M, singular=singular).scale(self.scalar)
+    def apply(self, v, M):
+        return apply_element(self.element, v, M).scale(self.scalar)
 
     def __repr__(self):
         return "ScaledElement(%s, %r)" % (self.scalar, self.element)
@@ -442,11 +477,11 @@ def apply_tensor_form(lam, mu, v, M):
     """Act with the tensor form of the projector on a module vector by
     applying its three factors sequentially."""
     pt, mid, _ = tensor_form_parts(lam, mu, M.weight_diameter)
-    v = apply_element(pt, v, M, singular="zero")
+    v = apply_zeroing(pt, v, M)
     if not v.is_zero():
-        v = apply_element(mid, v, M, singular="zero")
+        v = apply_zeroing(mid, v, M)
     if not v.is_zero():
-        v = apply_element(pt, v, M, singular="zero")
+        v = apply_zeroing(pt, v, M)
     return v
 
 
@@ -638,7 +673,7 @@ def reference_su3_irrep(lam, mu):
                 _wa, ua, na = basis[a]
                 d = _dot(img, ua)
                 if d:
-                    cols[(a, b)] = sqrt_of_rational(Fraction(d * d, na * nb), 1 if d > 0 else -1)
+                    cols[(a, b)] = sqrt_of_rational(Fraction(d * d, na * nb)) * (1 if d > 0 else -1)
         mats[g] = cols
     return ReferenceModule(3, (lam, mu), tags, weights, radical_with_raising(mats))
 

@@ -21,7 +21,6 @@ from extremal.projector import (
     verify_extremal_identities,
 )
 from extremal.repmod import (
-    apply_element,
     mat_eq,
     mat_mul,
     matrix_of,
@@ -38,7 +37,7 @@ from extremal.su3gt import (
     gt_vector,
 )
 from extremal.wigner2 import cgc_closed, cgc_projector
-from reference import mat_rank
+from reference import apply_zeroing, mat_rank, zeroing_matrix
 
 SU2 = build_root_system(2)
 SU3 = build_root_system(3)
@@ -73,13 +72,13 @@ def test_criterion_1_su2_projector_action():
     P8 = extremal_projector(SU2, N=8, engine=eng)
     for j in _spin_range(0, 4):
         M = su2_irrep(j)
-        mat = matrix_of(P8, M, singular="zero")
+        mat = zeroing_matrix(P8, M)
         assert mat == {(0, 0): ONE}
     for j1 in _spin_range(HALF, 2):
         for j2 in _spin_range(HALF, 2):
             M = tensor(su2_irrep(j1), su2_irrep(j2))
             P = extremal_projector(SU2, N=M.weight_diameter, engine=eng)
-            mat = matrix_of(P, M, singular="zero")
+            mat = zeroing_matrix(P, M)
             assert mat_eq(mat_mul(mat, mat), mat)
             jp = M.matrix((1, 2))
             jm = M.matrix((2, 1))
@@ -216,7 +215,7 @@ def test_criterion_6_gt_bases():
             for _ in range(int(j + mu2 - t)):
                 coords = mat_vec(M.matrix((3, 1)), coords)
             pt = projector_factor(SU3, (2, 3), M.weight_diameter, engine=shared_engine(3))
-            u = apply_element(pt, ModuleVector(coords), M, singular="zero")
+            u = apply_zeroing(pt, ModuleVector(coords), M)
             n = gt_norm_factor(lam, mu, j, t)
             assert n * n * u.norm2() == ONE, (lam, mu, j, t)
         # derived GT matrices satisfy the commutation relations ...

@@ -29,14 +29,19 @@ from extremal.projector import (
 )
 from extremal.repmod import (
     apply_element,
-    matrix_of,
     mat_eq,
     mat_mul,
     su2_irrep,
     su3_irrep,
     tensor,
 )
-from reference import mat_rank, reference_apply_factor, reference_verify
+from reference import (
+    apply_zeroing,
+    mat_rank,
+    reference_apply_factor,
+    reference_verify,
+    zeroing_matrix,
+)
 
 SU2 = build_root_system(2)
 SU3 = build_root_system(3)
@@ -89,7 +94,7 @@ def test_projector_rank_on_su2_pairs():
     for j1, j2 in cases:
         M = tensor(su2_irrep(j1), su2_irrep(j2))
         P = extremal_projector(SU2, N=M.weight_diameter)
-        mat = matrix_of(P, M, singular="zero")
+        mat = zeroing_matrix(P, M)
         expected = int(2 * min(Fraction(j1), Fraction(j2))) + 1
         assert mat_rank(mat, M.dim) == expected
         assert mat_eq(mat_mul(mat, mat), mat)
@@ -206,7 +211,7 @@ def test_expanded_product_matches_sequential_on_safe_weights():
     P = extremal_projector(SU3, N=M.weight_diameter)
     for idx in range(M.dim):
         v = M.basis_vector(idx)
-        assert apply_element(P, v, M, singular="zero") == apply_projector(SU3, v, M)
+        assert apply_zeroing(P, v, M) == apply_projector(SU3, v, M)
 
 
 def test_no_go_residual_is_nonzero():
@@ -249,7 +254,7 @@ def _su3_pairs():
 
 def test_apply_factor_matches_symbolic_factor():
     # every positive root on every basis vector, poles included: the
-    # symbolic factor with singular="zero" is the oracle
+    # symbolic factor on the zeroing route is the oracle
     zeroed = 0
     for sys, modules in ((SU2, _su2_pairs()), (SU3, _su3_pairs())):
         eng = RewriteEngine(sys)
@@ -259,7 +264,7 @@ def test_apply_factor_matches_symbolic_factor():
                 for b in range(M.dim):
                     v = M.basis_vector(b)
                     got = apply_factor(root, v, M)
-                    assert got == apply_element(f, v, M, singular="zero"), (M.label, root, b)
+                    assert got == apply_zeroing(f, v, M), (M.label, root, b)
                     zeroed += got.is_zero()
     assert zeroed
 
@@ -273,7 +278,7 @@ def test_apply_projector_matches_symbolic_factors_in_both_orderings():
             for b in range(M.dim):
                 v = w = M.basis_vector(b)
                 for f in factors:
-                    w = apply_element(f, w, M, singular="zero")
+                    w = apply_zeroing(f, w, M)
                 assert apply_projector(SU3, v, M, order=order) == w, (order, M.label, b)
                 assert apply_projector(SU3, v, M, engine=eng) == w
 
@@ -285,7 +290,7 @@ def test_frame_factors_match_the_radical_route():
     from extremal.repmod import ModuleVector
 
     rng = random.Random(11)
-    roots = [sqrt_of_rational(Fraction(rng.randint(1, 30), rng.randint(1, 6)), rng.choice((1, -1)))
+    roots = [sqrt_of_rational(Fraction(rng.randint(1, 30), rng.randint(1, 6))) * rng.choice((1, -1))
              for _ in range(20)]
     for sys, modules in ((SU2, _su2_pairs()), (SU3, _su3_pairs())):
         for M in modules:
@@ -308,7 +313,7 @@ def test_apply_factor_zeroes_a_component_at_a_pole():
     f = projector_factor(SU2, (1, 2), M.weight_diameter)
     with pytest.raises(SingularWeightError):
         apply_element(f, v, M)
-    assert apply_element(f, v, M, singular="zero").is_zero()
+    assert apply_zeroing(f, v, M).is_zero()
     assert apply_factor((1, 2), v, M).is_zero()
     # the highest weight has no term beyond n = 0 and is fixed
     top = M.basis_vector(("m=1", "m=1"))
@@ -327,7 +332,7 @@ def test_numeric_routes_never_reach_the_symbolic_engine(monkeypatch, capsys):
               su3cgc.coupled_basis, wigner2._projected_tower)
     for cache in caches:
         cache.cache_clear()
-    monkeypatch.setattr(repmod, "_apply_raw", refuse)
+    monkeypatch.setattr(repmod, "apply_element", refuse)
     try:
         M = tensor(su3_irrep(1, 1), su3_irrep(1, 0))
         assert apply_projector(SU3, M.basis_vector(0), M) == M.basis_vector(0)

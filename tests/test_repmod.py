@@ -1,9 +1,13 @@
 """Explicit modules: matrices, defining relations, application of elements."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extremal.algebra import build_root_system
 from extremal.exact import Radical, sqrt_of_rational
@@ -15,12 +19,16 @@ from extremal.repmod import (
     frame_of_entries,
     mat_eq,
     mat_mul,
+    orthogonalize,
     su2_irrep,
     su3_irrep,
     tensor,
 )
-from extremal.su3gt import gt_module
+from extremal.projector import apply_factor, apply_projector
+from extremal.su3cgc import coupled_basis, decompose, pair_module
+from extremal.su3gt import gt_basis, gt_module
 from reference import (
+    apply_zeroing,
     casimir_matrix_su2,
     mat_add,
     mat_identity,
@@ -209,8 +217,6 @@ def test_truncation_guard():
 
 
 def test_singular_routing():
-    import sympy
-
     eng = RewriteEngine(SU2)
     M = su2_irrep(1)
     h1 = sympy.Symbol("h1")
@@ -219,12 +225,69 @@ def test_singular_routing():
     v = M.basis_vector("m=1") + M.basis_vector("m=-1")
     with pytest.raises(SingularWeightError):
         apply_element(x, v, M)
-    out = apply_element(x, v, M, singular="zero")
+    out = apply_zeroing(x, v, M)
     assert out == M.basis_vector("m=1").scale(Fraction(1, 4))
     # a pole on a dominant component is a real error even under "zero"
     y = eng.cartan(1 / h1, M.weight_diameter)
     with pytest.raises(SingularWeightError):
-        apply_element(y, M.basis_vector("m=0"), M, singular="zero")
+        apply_zeroing(y, M.basis_vector("m=0"), M)
+
+
+@pytest.mark.parametrize("entry", ["to_frame", "apply_factor", "apply_projector", "gt_basis",
+                                   "apply_element", "basis_vector"])
+def test_an_index_outside_the_module_is_refused(entry):
+    # -1 would wrap to the last vector's weight and norm, and dim past them
+    M = su3_irrep(1, 1)
+    x = rewrite_word([(1, 2)], SU3, N=M.weight_diameter)
+    for b in (-1, M.dim):
+        v = ModuleVector({0: 1, b: 1})
+        calls = {
+            "to_frame": lambda: M.to_frame(v),
+            "apply_factor": lambda: apply_factor((1, 2), v, M),
+            "apply_projector": lambda: apply_projector(SU3, v, M),
+            "gt_basis": lambda: gt_basis(M, 1, 1, v),
+            "apply_element": lambda: apply_element(x, v, M),
+            "basis_vector": lambda: M.basis_vector(b),
+        }
+        with pytest.raises(ValueError, match=r"basis index %d outside the module of dimension 8$"
+                           % b):
+            calls[entry]()
+
+
+_int_vectors = st.dictionaries(st.integers(0, 5), st.integers(-6, 6).filter(bool), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_int_vectors, min_size=1, max_size=6),
+       st.lists(st.integers(1, 7), min_size=6, max_size=6))
+def test_orthogonalize_is_a_positive_multiple_of_the_rational_step(vectors, weights):
+    # the vectors in order, each reduced against those kept before it, as the
+    # su(3) realization and decompose do; the oracle is Gram-Schmidt in
+    # Fractions, and the rank of the kept vectors with u decides dependence
+    def dot(u, v):
+        return sum(x * v[b] * weights[b] for b, x in u.items() if b in v)
+
+    found, rational = [], []
+    for u in vectors:
+        r = {b: Fraction(x) for b, x in u.items()}
+        for w in rational:
+            c = dot(r, w) / dot(w, w)
+            r = {b: r.get(b, 0) - c * w.get(b, 0) for b in r.keys() | w.keys()}
+            r = {b: x for b, x in r.items() if x}
+        rows = [[v.get(b, 0) for b in range(6)] for v in rational + [u]]
+        independent = sympy.Matrix(rows).rank() == len(rows)
+        got = orthogonalize(u, found, dot)
+        assert bool(got) == bool(r) == independent
+        if not got:
+            continue
+        assert all(type(x) is int and x for x in got.values())
+        assert math.gcd(*got.values()) == 1
+        assert all(dot(got, w) == 0 for w, _ in found)
+        assert got.keys() == r.keys()
+        t = got[min(r)] / r[min(r)]
+        assert t > 0 and all(got[b] == t * r[b] for b in r)
+        found.append((got, dot(got, got)))
+        rational.append(r)
 
 
 # -- the Radical Gram-Schmidt construction of su(3) irreps, kept as an oracle
@@ -415,7 +478,7 @@ def test_frames_are_rational_and_rebuild_the_matrices():
                 for r, z in entries:
                     assert type(z) is int and z, (M.label, g)
                     q = Fraction(z, den)
-                    mat[(r, c)] = sqrt_of_rational(q * q * M.nu[r] / M.nu[c], 1 if q > 0 else -1)
+                    mat[(r, c)] = sqrt_of_rational(q * q * M.nu[r] / M.nu[c]) * (1 if q > 0 else -1)
             # e_ji is the transpose of e_ij over the orthonormal basis:
             # q_ba nu_b = q_ab nu_a, in ints over both denominators
             up_den, up_cols = M.frame[g[::-1]]
@@ -455,7 +518,7 @@ def test_tensor_frames_give_the_reference_products():
 def test_vectors_cross_the_frame_exactly():
     # sums of square roots in several squarefree classes per coordinate
     rng = random.Random(3)
-    roots = [sqrt_of_rational(Fraction(rng.randint(1, 40), rng.randint(1, 9)), rng.choice((1, -1)))
+    roots = [sqrt_of_rational(Fraction(rng.randint(1, 40), rng.randint(1, 9))) * rng.choice((1, -1))
              for _ in range(30)]
     modules = (su2_irrep(Fraction(5, 2)), su3_irrep(2, 1), gt_module(2, 1),
                tensor(gt_module(1, 1), su3_irrep(1, 0)))
@@ -469,11 +532,17 @@ def test_vectors_cross_the_frame_exactly():
         assert M.from_frame(M.to_frame(ModuleVector({}))).is_zero()
 
 
-@pytest.mark.parametrize("build", [su3_irrep, gt_module], ids=["su3_irrep", "gt_module"])
-def test_spellings_of_one_su3_label_share_one_cache_entry(build):
+@pytest.mark.parametrize("build, args", [
+    (su3_irrep, (1, 1)),
+    (gt_module, (1, 1)),
+    (pair_module, (1, 0, 0, 1)),
+    (decompose, (1, 0, 0, 1)),
+    (coupled_basis, (1, 0, 0, 1, 1, 1, 1)),
+], ids=["su3_irrep", "gt_module", "pair_module", "decompose", "coupled_basis"])
+def test_spellings_of_one_su3_label_share_one_cache_entry(build, args):
     build.cache_clear()
-    first = build(1, 1)
-    assert build("1", "1") is first and build(Fraction(1), 1) is first
+    first = build(*args)
+    assert build(*map(str, args)) is first and build(Fraction(args[0]), *args[1:]) is first
     info = build.cache_info()
     assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
     build.cache_clear()

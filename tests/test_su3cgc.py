@@ -1,5 +1,6 @@
 """su(3) Clebsch-Gordan coefficients: decompositions, tensor form, dual routes."""
 
+import hashlib
 from fractions import Fraction
 from functools import lru_cache
 
@@ -8,7 +9,7 @@ import pytest
 from extremal.algebra import build_root_system
 from extremal.exact import Radical, sqrt_of_rational
 from extremal.projector import apply_projector
-from extremal.repmod import ModuleVector, mat_vec, su3_irrep, tensor
+from extremal.repmod import ModuleVector, mat_vec, su2_irrep, su3_irrep, tensor
 from extremal.su3cgc import (
     coupled_basis,
     decompose,
@@ -17,7 +18,14 @@ from extremal.su3cgc import (
     su3_cgc,
 )
 from extremal.su3gt import enumerate_gt_labels, gt_label_index, gt_module, gt_vector
-from reference import apply_tensor_form, build_tensor_form, coeff_A, gt_lower, gt_raise
+from reference import (
+    apply_tensor_form,
+    apply_zeroing,
+    build_tensor_form,
+    coeff_A,
+    gt_lower,
+    gt_raise,
+)
 
 SU3 = build_root_system(3)
 HALF = Fraction(1, 2)
@@ -98,6 +106,18 @@ def test_cgc_unitarity_rows():
             assert total == _rat(1), (g1, g2)
 
 
+def test_string_labels_give_the_values_of_int_labels():
+    # the target (4, 4) of (2, 2) x (2, 2) is past the guard of the factors
+    g1, g2 = (0, 0, 0), (HALF, 0, 0)
+    assert su3_cgc("1", "0", g1, "0", "1", g2, "0", "0", (0, 0, 0)) == su3_cgc(
+        1, 0, g1, 0, 1, g2, 0, 0, (0, 0, 0))
+    assert coupled_basis("1", "1", "1", "1", "1", "1", "2") == coupled_basis(1, 1, 1, 1, 1, 1, 2)
+    top = _highest(4, 4)
+    assert su3_cgc(2, 2, _highest(2, 2), 2, 2, _highest(2, 2), "4", "4", top) == _rat(1)
+    with pytest.raises(ValueError, match="not an integer"):
+        coupled_basis(1, 0, 0, 1, "1.5", 1, 1)
+
+
 def test_multiplicity_index_validation():
     with pytest.raises(ValueError):
         su3_cgc(1, 0, _highest(1, 0), 0, 1, _highest(0, 1), 2, 0,
@@ -128,24 +148,21 @@ def test_tensor_form_matches_projector():
 
 def test_build_tensor_form_is_expanded_product():
     # the expanded element matches sequential application where it is regular
-    from extremal.repmod import apply_element
-
     M = su3_irrep(1, 1)
     tf = build_tensor_form(1, 1, M.weight_diameter)
     v = M.basis_vector(0)  # highest weight (1,1)
-    assert apply_element(tf, v, M, singular="zero") == v
+    assert apply_zeroing(tf, v, M) == v
 
 
 def test_tensor_form_builds_every_factor_on_the_given_engine():
     from extremal.pbw import RewriteEngine
-    from extremal.repmod import apply_element
 
     eng = RewriteEngine(SU3, ((2, 3), (1, 3), (1, 2)))
     M = su3_irrep(1, 1)
     tf = build_tensor_form(1, 1, M.weight_diameter, engine=eng)
     assert tf.engine is eng
     v = M.basis_vector(0)  # highest weight (1,1)
-    assert apply_element(tf, v, M, singular="zero") == v
+    assert apply_zeroing(tf, v, M) == v
 
 
 @pytest.mark.parametrize("bad", ["g3", "g3p"])
@@ -432,3 +449,46 @@ def test_coupled_vectors_are_unitary_and_equivariant():
             for a, u in enumerate(basis):
                 for b in range(a, len(basis)):
                     assert u.inner(basis[b]) == _rat(1 if a == b else 0), (L1, L2, a, b)
+
+
+# the sha1 of the modules, every GT vector and every coupled vector with
+# lam1 + mu1 + lam2 + mu2 <= 4; no frame, basis or coupled vector may move
+MODULES_AND_BASES_SHA1 = "cf82f678c8706ffc5498d176e0ff9e71ecfb8d8f"
+
+
+def _vector_items(v):
+    return sorted((b, str(c)) for b, c in v.coords.items())
+
+
+def test_modules_and_bases_unchanged():
+    h = hashlib.sha1()
+
+    def add(*item):
+        h.update(("%r\n" % (item,)).encode())
+
+    def module(label, M):
+        mats = sorted((g, sorted((k, str(c)) for k, c in m.items()))
+                      for g, m in M.matrices.items())
+        add(label, M.tags, M.weights, M.nu, mats)
+
+    for d in range(13):
+        module(("su2", d), su2_irrep(Fraction(d, 2)))
+    for L in _factors(6):
+        module(("su3", L), su3_irrep(*L))
+        module(("gt", L), gt_module(*L))
+    module("1/2 x 1", tensor(su2_irrep(HALF), su2_irrep(1)))
+    module("(1,0) x (0,1)", tensor(su3_irrep(1, 0), su3_irrep(0, 1)))
+    module("gt (1,1) x (1,0)", tensor(gt_module(1, 1), gt_module(1, 0)))
+    for L in _factors(6):
+        for g in enumerate_gt_labels(*L):
+            add(L, g, _vector_items(gt_vector(*L, g)))
+    count = 0
+    for L1 in _factors(4):
+        for L2 in _factors(4 - sum(L1)):
+            for L3, copies in sorted(decompose(*L1, *L2).items()):
+                for s in range(1, len(copies) + 1):
+                    for v in coupled_basis(*L1, *L2, *L3, s):
+                        add(L1, L2, L3, s, _vector_items(v))
+                        count += 1
+    assert count == 1639
+    assert h.hexdigest() == MODULES_AND_BASES_SHA1
