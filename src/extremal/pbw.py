@@ -9,34 +9,32 @@ positive roots.  A TaylorElement additionally carries a truncation bound N:
 monomials of total raising degree > N are dropped, and equality is understood
 modulo that filtration.
 
-Straightening works on words of generators only.  A Cartan coefficient rides
+Straightening works on words of generators only: a Cartan coefficient rides
 beside the word at its right end and moves past generators by an exact shift,
-f(h) X = X f(h + s_X), so every memo key is a tuple of generator pairs.
+f(h) X = X f(h + s_X).  A word folds into normal form one generator at a time
+from the right, reduce(g w) = g reduce(w), each step a memoized product of a
+generator with a normal word of one kind (the PBW commutation rules of
+Humphreys, "Introduction to Lie Algebras and Representation Theory", 17.3).
 
 Generators are index pairs (i, j), i != j, for e_ij; Cartan letters are
-rational functions of h1..h_{n-1}, h_i = e_ii - e_{i+1,i+1}.  Coefficients are
-stored as num / (q * den): an integer polynomial numerator, one positive int
-q, and a factored denominator.  Every denominator that the projector series
-produces is a product of integer shifts of linear forms in the h_i, and
-keeping the factors explicit makes shifting h -> h + s and pole detection
-cheap.  Each linear form a.h + c is a tuple of ints (a_1, ..., a_{n-1}, c),
-primitive and with its first nonzero a_i positive, so a shift only adds an
-int to c.  A numerator is a dict from packed-int monomials to ints, so a
-monomial product is one int add (Monagan & Pearce, "Polynomial division
-using dynamic arrays, heaps, and packed exponent vectors", CASC 2007), and
-the powers of the linear forms that bring two coefficients over a common
-denominator, or that a shift expands, are computed once (`_cofactor`, a
-bounded memo).  Coeff equality is structural and agrees with its hash;
-equality as rational functions is not (a - b).  Coefficient text is rendered
-natively from (num, q, den), in the bytes sympy's printer gives.  The engine
-never loads sympy; it is imported only by `h_symbols`, to parse
-(`Coeff.from_expr`) and to build an expression (`Coeff.as_expr`).
+rational functions of h1..h_{n-1}, h_i = e_ii - e_{i+1,i+1}, held as a Coeff:
+an integer numerator of packed-int monomials (Monagan & Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors", CASC
+2007) over one positive int and a factored denominator.  Every denominator
+the projector series produces is a product of integer shifts of linear forms
+in the h_i, so a shift h -> h + s only adds ints and poles are read off the
+factors.  Coeff equality is structural and agrees with its hash; equality as
+rational functions is not (a - b).  Coefficient text is rendered natively, in
+the bytes sympy's printer gives.  The engine never loads sympy; `h_symbols`
+imports it only to parse (`Coeff.from_expr`) and to build an expression
+(`Coeff.as_expr`).
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from itertools import groupby
 from math import gcd, lcm
 
 from .algebra import NormalOrdering, RootSystemData, build_root_system
@@ -542,6 +540,18 @@ class Coeff:
         return "Coeff(%s)" % self.reduced().text()
 
 
+def _prepend(g, P):
+    """The normal word g P, when g goes first."""
+    return ((g, P[0][1] + 1),) + P[1:] if P and P[0][0] == g else ((g, 1),) + P
+
+
+def _times(a, b):
+    """a * b for ints and Coeffs, with no product by the int 1."""
+    if a.__class__ is int and a == 1:
+        return b
+    return a if b.__class__ is int and b == 1 else a * b
+
+
 class RewriteEngine:
     """Straightening engine for one su(n) with one fixed normal ordering.
 
@@ -581,32 +591,23 @@ class RewriteEngine:
     def recip_linear(self, factors):
         """1 / prod of linear forms; each factor is (svec over h, const), ints
         with the first nonzero entry of svec positive and no common divisor."""
-        den = {}
-        for svec, c in factors:
-            key = tuple(svec) + (c,)
-            den[key] = den.get(key, 0) + 1
-        return Coeff(self.n, {0: 1}, den)
+        keys = [tuple(svec) + (c,) for svec, c in factors]
+        return Coeff(self.n, {0: 1}, {key: keys.count(key) for key in keys})
 
     # -- letters ------------------------------------------------------
 
     def shift_vector(self, g):
         """[h_k, e_g] = s_k e_g; returns tuple s over k = 1..n-1."""
         i, j = g
-        return tuple(
-            (k == i) - (k == j) - (k + 1 == i) + (k + 1 == j)
-            for k in range(1, self.n)
-        )
+        return tuple((k == i) - (k == j) - (k + 1 == i) + (k + 1 == j) for k in range(1, self.n))
 
     def word_shift(self, letters):
         """Sum of the shift vectors of a word of generators, memoized."""
         key = tuple(letters)
         s = self._word_shift_cache.get(key)
         if s is None:
-            s = [0] * (self.n - 1)
-            for g in key:
-                for k, x in enumerate(self.shift_vector(g)):
-                    s[k] += x
-            s = self._word_shift_cache[key] = tuple(s)
+            vecs = [self.shift_vector(g) for g in key] or [(0,) * (self.n - 1)]
+            s = self._word_shift_cache[key] = tuple(map(sum, zip(*vecs)))
         return s
 
     def shift_expr(self, coeff, svec, scale=1):
@@ -614,12 +615,9 @@ class RewriteEngine:
         if not any(svec) or scale == 0:
             return coeff
         key = (coeff, svec, scale)
-        try:
-            return self._shift_cache[key]
-        except KeyError:
-            pass
-        out = coeff.shift(svec, scale)
-        self._shift_cache[key] = out
+        out = self._shift_cache.get(key)
+        if out is None:
+            out = self._shift_cache[key] = coeff.shift(svec, scale)
         return out
 
     def root_weight(self, packed):
@@ -636,95 +634,149 @@ class RewriteEngine:
 
     def h_span_vec(self, i, j):
         """Coefficient vector of e_ii - e_jj over the h_k."""
-        v = [0] * (self.n - 1)
-        lo, hi, sign = (i, j, 1) if i < j else (j, i, -1)
-        for k in range(lo, hi):
-            v[k - 1] = sign
-        return tuple(v)
+        lo, hi = sorted((i, j))
+        return tuple((1 if i < j else -1) * (lo <= k < hi) for k in range(1, self.n))
 
     def h_span(self, i, j):
         """e_ii - e_jj as a Coeff (i < j: h_i + ... + h_{j-1}), memoized."""
         c = self._h_span_cache.get((i, j))
         if c is None:
-            num = _form(self.h_span_vec(i, j) + (0,))
-            c = self._h_span_cache[(i, j)] = Coeff(self.n, num)
+            c = self._h_span_cache[(i, j)] = Coeff(self.n, _form(self.h_span_vec(i, j) + (0,)))
         return c
 
     def commutator(self, a, b):
-        """[e_a, e_b] as a list of (sign, letter); letter is a generator pair
-        or a Cartan Coeff."""
-        i, j = a
-        k, l = b
-        out = []
-        if j == k and i == l:
-            out.append((1, self.h_span(i, j)))
-            return out
+        """[e_a, e_b] as (sign, letter), the letter a generator pair or a
+        Cartan Coeff; (0, None) when they commute."""
+        (i, j), (k, l) = a, b
         if j == k:
-            out.append((1, (i, l)))
-        if i == l:
-            out.append((-1, (k, j)))
-        return out
+            return 1, (self.h_span(i, j) if i == l else (i, l))
+        return (-1, (k, j)) if i == l else (0, None)
 
     # -- straightening ------------------------------------------------
+    #
+    # One memo holds each straightened suffix word, each product (g, P) of a
+    # letter with a normal word of one kind (`_task`), and each product of
+    # two words of one kind (`product`).  Products wait on each other on one
+    # explicit stack (`_run`), so no straightening nests a frame per letter.
 
     def reduce(self, word):
         """Normal-order a word of generators; returns dict {(L, R): Coeff}.
 
-        Words hold generators only.  L and R are tuples of ((i,j), exp) in
-        ordering sequence order; the coefficient sits between them.  A Cartan
-        commutator met while straightening rides at the right end of the word
-        (head h rest = head rest h(h + s_rest)) and enters the coefficient
-        through times_right.  Exact (no truncation).  Every intermediate word
-        is memoized on its tuple of generator pairs, so repeated straightening
-        of the same subproblems (ubiquitous in series products) costs nothing.
-        A worklist stands in for recursion: a word is straightened once the
-        words it swaps and contracts to are in the memo, so the stack depth
-        does not grow with the word.
+        L and R are tuples of ((i,j), exp) in ordering sequence order; the
+        coefficient sits between them.  Exact (no truncation).  The longest
+        normal-ordered suffix of the word is its own normal form, and each
+        letter before it folds into the normal form of the suffix after it
+        (`_fold`).  Every suffix so straightened is memoized on its tuple of
+        generator pairs, so words that share a tail share its work.
         """
         word = tuple(word)
-        cache, rank = self._reduce_cache, self._rank
-        if word in cache:
-            return cache[word]
-        todo = [word]
-        while todo:
-            w = todo[-1]
-            if w in cache:
-                todo.pop()
-                continue
-            for i in range(len(w) - 1):
-                if rank[w[i]] > rank[w[i + 1]]:
-                    break
-            else:
-                low = [g for g in w if g[0] > g[1]]
-                high = [g for g in w if g[0] < g[1]]
-                cache[w] = {(self._pack(low), self._pack(high)): self.coeff_one}
-                todo.pop()
-                continue
-            a, b = w[i], w[i + 1]
-            head, rest = w[:i], w[i + 2 :]
-            parts = [(1, head + (b, a) + rest, None)]
-            for sign, letter in self.commutator(a, b):
-                if isinstance(letter, tuple):
-                    parts.append((sign, head + (letter,) + rest, None))
+        memo, rank = self._reduce_cache, self._rank
+        out = memo.get(word)
+        if out is not None:
+            return out
+        i = max(len(word) - 1, 0)  # word[i:] is the longest normal suffix
+        while i and rank[word[i - 1]] <= rank[word[i]]:
+            i -= 1
+        j = i  # and word[j:] the longest memoized one, when j < i
+        while j and word[j - 1 :] in memo:
+            j -= 1
+        if j < i:
+            out = memo[word[j:]]
+        else:
+            low = [g for g in word[i:] if g[0] > g[1]]
+            out = {(self._pack(low), self._pack(word[i + len(low) :])): self.coeff_one}
+        for k in range(j - 1, -1, -1):
+            out = memo[word[k:]] = self._run(self._fold(word[k], out))
+        memo[word] = out
+        return out
+
+    def product(self, A, B):
+        """Normal words A and B of one kind multiplied: {word: int}, memoized."""
+        if not A or not B:
+            return {A or B: 1}
+        out = self._reduce_cache.get((A, B))
+        if out is None:
+            terms = {((B, ()) if B[0][0][0] > B[0][0][1] else ((), B)): 1}
+            for g in reversed(self.unpack(A)):
+                terms = self._run(self._fold(g, terms))
+            out = self._reduce_cache[(A, B)] = {L or R: m for (L, R), m in terms.items()}
+        return out
+
+    def _known(self, g, P):
+        """The product g P if g goes first or it is memoized, else None."""
+        if g[0] > g[1]:
+            if not P or self._rank[g] <= self._rank[P[0][0]]:
+                return {(_prepend(g, P), ()): 1}
+        elif not P or (P[0][0][0] < P[0][0][1] and self._rank[g] <= self._rank[P[0][0]]):
+            return {((), _prepend(g, P)): 1}
+        return self._reduce_cache.get((g, P))
+
+    def _fold(self, g, terms):
+        """g times the normal terms {(L, R): c}, c an int or a Coeff: a
+        generator that yields each product (g, P) it needs and does not
+        know, is sent its value, and returns the normal terms.  A lowering g
+        multiplies L; a raising one gives g L = sum L' c' R', and c moves
+        left past R' = r as c(h - s_r), before r R is a raising product."""
+        out = {}
+        for (L, R), c in terms.items():
+            prod = self._known(g, L)
+            if prod is None:
+                prod = yield (g, L)
+            for (L2, R1), c1 in prod.items():
+                if R1:
+                    r = R1[0][0]
+                    c1 = _times(c1, c if c.__class__ is int else c.shift(self.word_shift((r,)), -1))
+                    high = self._known(r, R)
+                    if high is None:
+                        high = yield (r, R)
                 else:
-                    parts.append((sign, head + rest, letter))
-            missing = [u for _, u, _ in parts if u not in cache]
-            if missing:
-                todo.extend(missing)
+                    c1, high = _times(c1, c), {((), R): 1}
+                for (_, R2), m in high.items():
+                    key, v = (L2, R2), _times(c1, m)
+                    cur = out.get(key)
+                    out[key] = v if cur is None else cur + v
+        return {k: v for k, v in out.items() if v}
+
+    def _task(self, g, P):
+        """Generator of the product g P = l (g P') + [g, l] P', memoized.
+        For g and P of one kind its terms are words of that kind with int
+        multiplicities; for g raising and P lowering they are L' c' R', R'
+        empty or one raising letter, c' an int or a Coeff."""
+        l, e = P[0]
+        rest = ((l, e - 1),) + P[1:] if e > 1 else P[1:]
+        sub = self._known(g, rest)
+        if sub is None:
+            sub = yield (g, rest)
+        out = yield from self._fold(l, sub)
+        sign, x = self.commutator(g, l)
+        part = {}
+        if isinstance(x, Coeff):  # h P' = P' h(h + s_P')
+            s = [sum(e * self.word_shift((y,))[k] for y, e in rest) for k in range(self.n - 1)]
+            part = {(rest, ()): x.shift(s)}
+        elif x:
+            part = self._known(x, rest)
+            if part is None:
+                part = yield (x, rest)
+        for k, v in part.items():
+            out[k] = out.get(k, 0) + (v if sign > 0 else -v)
+        out = self._reduce_cache[(g, P)] = {k: v for k, v in out.items() if v}
+        return out
+
+    def _run(self, gen):
+        """Drive a straightening generator and the tasks it waits on to its end."""
+        memo, stack, value = self._reduce_cache, [gen], None
+        while True:
+            try:
+                need = stack[-1].send(value)
+            except StopIteration as done:
+                stack.pop()
+                if not stack:
+                    return done.value
+                value = done.value
                 continue
-            out = dict(cache[parts[0][1]])
-            for sign, u, letter in parts[1:]:
-                sub = cache[u]
-                if letter is not None:
-                    sub = self.times_right(sub, self.shift_expr(letter, self.word_shift(rest)))
-                for k, v in sub.items():
-                    if sign < 0:
-                        v = -v
-                    cur = out.get(k)
-                    out[k] = v if cur is None else cur + v
-            cache[w] = {k: v for k, v in out.items() if v}
-            todo.pop()
-        return cache[word]
+            value = memo.get(need)
+            if value is None:
+                stack.append(self._task(*need))
 
     def times_right(self, terms, f):
         """terms times the Cartan coefficient f on the right:
@@ -734,14 +786,9 @@ class RewriteEngine:
             for (L, R), c in terms.items()
         }
 
-    def _pack(self, letters):
-        packed = []
-        for g in letters:
-            if packed and packed[-1][0] == g:
-                packed[-1][1] += 1
-            else:
-                packed.append([g, 1])
-        return tuple((g, e) for g, e in packed)
+    @staticmethod
+    def _pack(letters):
+        return tuple((g, len(list(run))) for g, run in groupby(letters))
 
     def unpack(self, packed):
         """The letters of a packed word, as a tuple; memoized."""
@@ -783,9 +830,8 @@ class RewriteEngine:
     def generator(self, i, j, bound):
         if i == j:
             raise ValueError("diagonal letters are Cartan polynomials")
-        if i < j:
-            return self.monomial((), 1, (((i, j), 1),), bound)
-        return self.monomial((((i, j), 1),), 1, (), bound)
+        word = (((i, j), 1),)
+        return self.monomial((), 1, word, bound) if i < j else self.monomial(word, 1, (), bound)
 
     def cartan(self, expr, bound):
         return self.monomial((), expr, (), bound)
@@ -822,8 +868,7 @@ def rewrite_word(word, sys, N=64, engine=None):
     f = eng.coeff_one
     for c, at in cartans:
         f = f * eng.shift_expr(c, eng.word_shift(gens[at:]))
-    out = TaylorElement(eng, N, eng.times_right(eng.reduce(gens), f))
-    return out._pruned()
+    return TaylorElement(eng, N, eng.times_right(eng.reduce(gens), f))._pruned()
 
 
 @functools.cache  # one entry per rank, and build_root_system admits only n <= 6
@@ -863,20 +908,14 @@ class TaylorElement:
         return self.degree(key[1])
 
     def _pruned(self):
-        self.terms = {
-            k: v for k, v in self.terms.items() if self.degree(k[1]) <= self.bound
-        }
+        self.terms = {k: v for k, v in self.terms.items() if self.degree(k[1]) <= self.bound}
         return self
 
     def canonical(self):
         """The element with every coefficient reduced and the zeros dropped."""
         if self._canonical:
             return self
-        out = {}
-        for k, v in self.terms.items():
-            v = v.reduced()
-            if v:
-                out[k] = v
+        out = {k: r for k, v in self.terms.items() if (r := v.reduced())}
         out = TaylorElement(self.engine, self.bound, out)
         out._canonical = True
         return out
@@ -889,12 +928,9 @@ class TaylorElement:
     # -- arithmetic ---------------------------------------------------
 
     def _check_compat(self, other):
-        if self.engine is not other.engine:
-            if (
-                self.engine.sys != other.engine.sys
-                or self.engine.order != other.engine.order
-            ):
-                raise ValueError("incompatible root systems or orderings")
+        a, b = self.engine, other.engine
+        if a is not b and (a.sys, a.order) != (b.sys, b.order):
+            raise ValueError("incompatible root systems or orderings")
 
     def __add__(self, other):
         if not isinstance(other, TaylorElement):
@@ -927,22 +963,21 @@ class TaylorElement:
         """Product truncated at `bound`, by default the smaller input bound.
 
         Each pair of terms La ca Ra . Lb cb Rb straightens Ra Lb into core
-        terms L1 c1 R1.  Filter first: R1 Rb is straightened and cut to
-        raising degree <= bound before any coefficient arithmetic, and a
-        core term with nothing left is skipped.  The kept ones multiply
-        once, ca shifted past L1 times c1 times cb shifted back past R1,
-        and then by each term of La L1 and of the cut R1 Rb.
+        terms L1 c1 R1.  Filter first: R1 Rb is multiplied out (`product`)
+        and cut to raising degree <= bound before any coefficient
+        arithmetic, and a core term with nothing left is skipped.  The kept
+        ones multiply once, ca shifted past L1 times c1 times cb shifted
+        back past R1, and then by the int multiplicity of each term of La L1
+        and of the cut R1 Rb.
 
         Straightening keeps a word's weight, so most of the words that the
         cut would empty are never straightened.  In simple-root coordinates
         wt(R1) = wt(Ra Lb) - wt(L1) with wt(L1) <= 0, so each coordinate of
-        wt(R1) is at least max(wt(Ra Lb)_k, 0); and a raising word of
-        degree <= bound has height <= bound * (n - 1), the highest root's
-        height times the degree.  A pair whose Ra Lb forces R1 Rb above
-        that height is skipped before Ra Lb is straightened, and a core
-        term whose R1 Rb is above it before R1 Rb is.  Every term skipped
-        so would have been cut, so the output is unchanged, term by term
-        and in order.
+        wt(R1) is at least max(wt(Ra Lb)_k, 0), and a raising word of degree
+        <= bound has height <= bound * (n - 1).  A pair whose Ra Lb forces
+        R1 Rb above that height is skipped before Ra Lb is straightened, and
+        a core term whose R1 Rb is above it before R1 Rb is multiplied.
+        Every term skipped so would have been cut, so the output is unchanged.
 
         Each output term is kept or dropped by its own raising degree, so a
         smaller `bound` gives exactly the full product's terms of raising
@@ -958,42 +993,31 @@ class TaylorElement:
             raise ValueError("output bound %d exceeds the inputs' bound %d" % (bound, top))
         degree, height, weight = TaylorElement.degree, TaylorElement.height, eng.root_weight
         limit = bound * (eng.n - 1)
-        a_terms = [
-            (eng.unpack(La), eng.unpack(Ra), weight(Ra), ca)
-            for (La, Ra), ca in self.terms.items()
-        ]
+        a_terms = [(La, eng.unpack(Ra), weight(Ra), ca) for (La, Ra), ca in self.terms.items()]
         b_terms = [
-            (eng.unpack(Lb), eng.unpack(Rb), weight(Lb), height(Rb), cb)
+            (eng.unpack(Lb), Rb, weight(Lb), height(Rb), cb)
             for (Lb, Rb), cb in other.terms.items()
         ]
         acc = {}
-        for la_letters, ra_letters, wa, ca in a_terms:
-            for lb_letters, rb_letters, wb, hb, cb in b_terms:
+        for La, ra_letters, wa, ca in a_terms:
+            for lb_letters, Rb, wb, hb, cb in b_terms:
                 if hb + sum(x + y for x, y in zip(wa, wb) if x + y > 0) > limit:
                     continue
                 for (L1, R1), c1 in eng.reduce(ra_letters + lb_letters).items():
                     if hb + height(R1) > limit:
                         continue
-                    r1_letters = eng.unpack(R1)
-                    highs = [
-                        (R2, cr)
-                        for (_e, R2), cr in eng.reduce(r1_letters + rb_letters).items()
-                        if degree(R2) <= bound
-                    ]
+                    highs = [(R2, m) for R2, m in eng.product(R1, Rb).items() if degree(R2) <= bound]
                     if not highs:
                         continue
                     # La ca L1 c1 R1 cb Rb: ca moves right past L1, cb left past R1
-                    l1_letters = eng.unpack(L1)
                     mid = (
-                        eng.shift_expr(ca, eng.word_shift(l1_letters))
+                        eng.shift_expr(ca, eng.word_shift(eng.unpack(L1)))
                         * c1
-                        * eng.shift_expr(cb, eng.word_shift(r1_letters), scale=-1)
+                        * eng.shift_expr(cb, eng.word_shift(eng.unpack(R1)), scale=-1)
                     )
-                    for (L2, _e), cl in eng.reduce(la_letters + l1_letters).items():
-                        left = cl * mid
-                        for R2, cr in highs:
-                            key = (L2, R2)
-                            v = left * cr
+                    for L2, ml in eng.product(La, L1).items():
+                        for R2, mr in highs:
+                            key, v = (L2, R2), _times(mid, ml * mr)
                             cur = acc.get(key)
                             acc[key] = v if cur is None else cur + v
         return TaylorElement(eng, bound, acc).canonical()
@@ -1027,11 +1051,8 @@ class TaylorElement:
         """
         eng = self.engine
         values = [Fraction(weight.get(i, 0)) for i in range(1, eng.n)]
-        out = {}
-        for k, v in self.terms.items():
-            val = v.evaluate(values)
-            if val != 0:
-                out[k] = Coeff.from_rational(eng.n, val)
+        out = {k: Coeff.from_rational(eng.n, x) for k, v in self.terms.items()
+               if (x := v.evaluate(values))}
         return TaylorElement(eng, self.bound, out)
 
     # -- comparison ---------------------------------------------------
@@ -1055,11 +1076,7 @@ class TaylorElement:
 
     @staticmethod
     def _word_str(packed):
-        parts = []
-        for (i, j), e in packed:
-            name = "e%d%d" % (i, j)
-            parts.append(name if e == 1 else "%s^%d" % (name, e))
-        return " ".join(parts)
+        return " ".join("e%d%d" % g + ("^%d" % e if e > 1 else "") for g, e in packed)
 
     def monomial_texts(self):
         """(lowering, coefficient, raising) text of each canonical monomial,

@@ -144,9 +144,17 @@ def gt_basis(M, lam, mu, v):
 
     The work runs over M's frame (`Irrep.to_frame`), in ints and one
     rational scale per frame part; the norm and the e32 steps multiply one
-    one-term Radical per vector, and each vector leaves the frame once."""
+    one-term Radical per vector, and each vector leaves the frame once.
+    The labels are read by `exact.integer`, as a coupled target may lie
+    beyond the guard of `su3_label`; ValueError unless every coordinate of
+    v has weight (lam, mu)."""
+    lam, mu = integer(lam), integer(mu)
     e21, e31, e32 = (M.frame[g] for g in ((2, 1), (3, 1), (3, 2)))
     top = M.to_frame(v)
+    for b in v.coords:
+        if tuple(M.weights[b]) != (lam, mu):
+            raise ValueError("coordinate %d of v has weight %s, not (%d, %d)"
+                             % (b, tuple(M.weights[b]), lam, mu))
     out = []
     for J, T, Tz in _gt_index(lam, mu)[1]:
         if Tz == T:

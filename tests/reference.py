@@ -1,7 +1,8 @@
 """Reference routes kept as independent checks of the package.
 
 Nothing in `extremal` calls these.  They are the older or symbolic routes:
-the term-by-term product of `TaylorElement`s, the identity check on full
+the letter-by-letter straightening of PBW words, the term-by-term product of
+`TaylorElement`s, the identity check on full
 products, the zeroing route that applies a symbolic element past its poles
 (`apply_zeroing`, the oracle of `apply_factor` and `apply_projector`), su(2)
 general projection operators built as `TaylorElement`s, the
@@ -261,6 +262,57 @@ def casimir_matrix_su2(M):
     jp, jm = M.matrix((1, 2)), M.matrix((2, 1))
     j0 = mat_scale(M.matrix(("h", 1)), Fraction(1, 2))
     return mat_add(mat_mul(jm, jp), mat_add(mat_mul(j0, j0), j0))
+
+
+# -- letter-by-letter straightening ------------------------------------
+
+
+def reference_reduce(eng, word, memo):
+    """`eng.reduce(word)` by swapping adjacent letters: the first pair a b
+    out of normal order becomes b a + [a, b], and every intermediate word is
+    straightened once into the dict `memo`, which calls may share.  A Cartan commutator rides at the right end of the word, head h
+    rest = head rest h(h + s_rest).  A worklist stands in for recursion: a
+    word is straightened once the words it swaps and contracts to are."""
+    word = tuple(word)
+    cache, rank = memo, eng._rank
+    todo = [word]
+    while todo:
+        w = todo[-1]
+        if w in cache:
+            todo.pop()
+            continue
+        for i in range(len(w) - 1):
+            if rank[w[i]] > rank[w[i + 1]]:
+                break
+        else:
+            low = [g for g in w if g[0] > g[1]]
+            cache[w] = {(eng._pack(low), eng._pack(w[len(low):])): eng.coeff_one}
+            todo.pop()
+            continue
+        a, b = w[i], w[i + 1]
+        head, rest = w[:i], w[i + 2:]
+        parts = [(1, head + (b, a) + rest, None)]
+        sign, letter = eng.commutator(a, b)
+        if isinstance(letter, tuple):
+            parts.append((sign, head + (letter,) + rest, None))
+        elif letter is not None:
+            parts.append((sign, head + rest, letter))
+        missing = [u for _, u, _ in parts if u not in cache]
+        if missing:
+            todo.extend(missing)
+            continue
+        out = dict(cache[parts[0][1]])
+        for sign, u, letter in parts[1:]:
+            sub = cache[u]
+            if letter is not None:
+                sub = eng.times_right(sub, eng.shift_expr(letter, eng.word_shift(rest)))
+            for k, v in sub.items():
+                v = v if sign > 0 else -v
+                cur = out.get(k)
+                out[k] = v if cur is None else cur + v
+        cache[w] = {k: v for k, v in out.items() if v}
+        todo.pop()
+    return cache[word]
 
 
 # -- the term-by-term series product ----------------------------------

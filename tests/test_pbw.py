@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import QQ
 
-from extremal.algebra import build_root_system
+from extremal.algebra import build_root_system, enumerate_normal_orderings
 from extremal.pbw import (
     BITS,
     Coeff,
@@ -50,6 +50,7 @@ from reference import (
     reference_form,
     reference_from_expr,
     reference_mul,
+    reference_reduce,
     reference_shift,
 )
 
@@ -678,6 +679,12 @@ def _root_string(eng, a, b, N):
     return ref
 
 
+def _int_leaves(key):
+    """A memo key (a word of generator pairs, or a product's pair of a
+    letter or a packed word and a packed word) holds ints only."""
+    return all(_int_leaves(x) if isinstance(x, tuple) else isinstance(x, int) for x in key)
+
+
 def test_root_string_closed_formula():
     for a in range(9):
         for b in range(9):
@@ -688,12 +695,12 @@ def test_root_string_closed_formula():
             # polynomial in the word length (memoizing whole words with
             # Cartan letters in them filled 137k entries for e^8 f^8)
             assert len(eng._reduce_cache) < 1000, (a, b)
-            assert all(isinstance(i, int) for word in eng._reduce_cache
-                       for g in word for i in g)
+            assert all(map(_int_leaves, eng._reduce_cache))
 
 
 def test_straightening_stack_stays_flat():
-    # e^10 f^10 takes 100 swaps; straightening must not nest a frame per swap
+    # e^40 f^40 folds 40 letters, each through products that wait on
+    # shorter ones; straightening must not nest a frame per letter or product
     depth, frame = 0, sys._getframe()
     while frame is not None:
         depth, frame = depth + 1, frame.f_back
@@ -701,10 +708,71 @@ def test_straightening_stack_stays_flat():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(depth + 50)
     try:
-        x = rewrite_word([((1, 2), 10), ((2, 1), 10)], SU2, engine=eng, N=16)
+        x = rewrite_word([((1, 2), 40), ((2, 1), 40)], SU2, engine=eng, N=40)
     finally:
         sys.setrecursionlimit(limit)
-    assert x.equals_mod_filtration(_root_string(eng, 10, 10, 16))
+    assert x.equals_mod_filtration(_root_string(eng, 40, 40, 40))
+
+
+def test_root_string_memos_stay_linear():
+    # the fold keeps the normal form of each suffix e^k f^32 and the product
+    # of e with each f^k; swapping letters one pair at a time memoized 11,473
+    # intermediate words here
+    eng = RewriteEngine(SU2)
+    x = rewrite_word([((1, 2), 32), ((2, 1), 32)], SU2, engine=eng, N=32)
+    assert x.equals_mod_filtration(_root_string(eng, 32, 32, 32))
+    memos = [v for name, v in vars(eng).items() if name.endswith("_cache")]
+    assert len(memos) == 5 and sum(map(len, memos)) < 200
+
+
+def _same_normal_form(eng, word, memo):
+    fold, letters = eng.reduce(word), reference_reduce(eng, word, memo)
+    assert fold.keys() == letters.keys(), word
+    assert all(not (fold[k] - letters[k]) for k in fold), word
+
+
+def _letters(n):
+    return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fold_matches_letter_by_letter_straightening(n, data):
+    # random words in any normal ordering of su(2) to su(4), against the
+    # straightening that swaps one adjacent pair at a time
+    sys_ = build_root_system(n)
+    order = data.draw(st.sampled_from(enumerate_normal_orderings(sys_)))
+    eng = RewriteEngine(sys_, order)
+    memo = {}
+    for word in data.draw(st.lists(st.lists(st.sampled_from(_letters(n)), max_size=8),
+                                   min_size=1, max_size=3)):
+        _same_normal_form(eng, word, memo)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_fold_matches_letter_by_letter_on_root_strings(n):
+    # the sl(2) string e_g^a e_-g^b of every root g, a, b <= 12
+    eng = RewriteEngine(build_root_system(n))
+    for i, j in eng.sys.positive_roots:
+        memo = {}
+        for a in range(13):
+            for b in range(13):
+                _same_normal_form(eng, [(i, j)] * a + [(j, i)] * b, memo)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_fold_matches_letter_by_letter_on_heisenberg_pairs(n):
+    # e12^a e23^b and its reverse, raising and lowering, in every normal
+    # ordering: [e12, e23] = e13 commutes with both
+    sys_ = build_root_system(n)
+    for order in enumerate_normal_orderings(sys_):
+        eng, memo = RewriteEngine(sys_, order), {}
+        for x, y in (((1, 2), (2, 3)), ((2, 1), (3, 2))):
+            for a in range(7):
+                for b in range(7):
+                    _same_normal_form(eng, [x] * a + [y] * b, memo)
+                    _same_normal_form(eng, [y] * b + [x] * a, memo)
 
 
 def _cartan_matrix(M, letter):
@@ -837,19 +905,24 @@ def test_weight_pruned_su4_projector_product(eng4):
 
 def test_product_straightens_no_raising_word_above_the_bound(monkeypatch):
     # a raising word of degree <= k has height <= 2k in su(3); mul skips
-    # every R1 Rb (and raising Ra Lb) above that height before straightening,
-    # and straightens those at it
+    # every R1 Rb (and raising Ra Lb) above that height before straightening
+    # or multiplying it out (`product`), and straightens those at it
     N = 3
     eng = RewriteEngine(SU3)
     P = extremal_projector(SU3, N=N, engine=eng)
     seen = []
-    reduce = eng.reduce
+    reduce, product = eng.reduce, eng.product
 
     def spy(word):
         seen.append(tuple(word))
         return reduce(word)
 
+    def spy_product(A, B):
+        seen.append(eng.unpack(A) + eng.unpack(B))
+        return product(A, B)
+
     monkeypatch.setattr(eng, "reduce", spy)
+    monkeypatch.setattr(eng, "product", spy_product)
     P.mul(P, N - 1)
     raising = [w for w in seen if all(i < j for i, j in w)]
     assert max(sum(j - i for i, j in w) for w in raising) == (N - 1) * 2

@@ -236,6 +236,18 @@ def test_gt_basis_matches_the_radical_route():
                 assert gt_basis(Mt, *L3, v) == reference_gt_basis(Mt, *L3, v), (L1, L2, L3)
 
 
+def test_gt_basis_checks_the_weight_and_reads_string_labels():
+    # a highest vector of (1, 1) is no highest vector of (2, 0), and the
+    # labels are read like every other su(3) label
+    M = su3_irrep(1, 1)
+    v = M.basis_vector(0)
+    with pytest.raises(ValueError, match=r"has weight \(1, 1\), not \(2, 0\)"):
+        gt_basis(M, 2, 0, v)
+    with pytest.raises(ValueError, match="not an integer"):
+        gt_basis(M, "1/2", 1, v)
+    assert gt_basis(M, "1", "1", v) == gt_basis(M, 1, 1, v)
+
+
 def test_gt_matrices_satisfy_commutators():
     # the GT-basis matrices define the same representation: spot-check
     # [e12, e21] on the octet equals e11 - e22 = diag(h1)
