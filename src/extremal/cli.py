@@ -31,7 +31,7 @@ from .projector import (
     no_go_polynomial_residual,
     verify_extremal_identities,
 )
-from .repmod import su3_label
+from .repmod import su3_dim, su3_label
 from .su3gt import enumerate_gt_labels, gt_hypercharge, gt_norm_factor, gt_vector
 from .wigner2 import cgc_closed_doubled, cgc_projector_doubled, cgc_table, ninej, sixj
 
@@ -212,7 +212,7 @@ def _verify_su2_cgc(trunc):
 def _verify_su3_gt(trunc):
     lam, mu = (1, 1)
     labels = enumerate_gt_labels(lam, mu)
-    count_ok = len(labels) == (lam + 1) * (mu + 1) * (lam + mu + 2) // 2
+    count_ok = len(labels) == su3_dim(lam, mu)
     vecs = [gt_vector(lam, mu, lab) for lab in labels]
     gram_ok = all(va.inner(vb) == (a == b)
                   for a, va in enumerate(vecs) for b, vb in enumerate(vecs))

@@ -8,7 +8,7 @@ numeric equality.
 
 `doubled` parses half-integer labels once into the ints 2j, on which the
 su(2) and su(3) layers range them and apply the one triangle rule, `triangle`;
-`integer` parses the su(3) labels (lam, mu).
+`integer` parses the su(3) labels (lam, mu); `label_cache` parses before caching.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 __all__ = [
     "Radical",
@@ -31,6 +31,7 @@ __all__ = [
     "integer",
     "doubled",
     "triangle",
+    "label_cache",
 ]
 
 
@@ -59,6 +60,24 @@ def doubled(*labels):
 def triangle(a, b, c):
     """|a-b| <= c <= a+b with an even sum, on doubled labels; false if one is negative."""
     return abs(a - b) <= c <= a + b and (a + b + c) % 2 == 0
+
+
+def label_cache(maxsize, parse):
+    """Cache a builder in an lru_cache of `maxsize` entries keyed by
+    parse(*labels), so a refused label raises before the cache is touched and
+    every spelling of one label shares one entry; the public function carries
+    the cache's `cache_info`, `cache_clear` and `cache_parameters`."""
+    def decorate(build):
+        cached = lru_cache(maxsize=maxsize)(build)
+
+        @wraps(build)
+        def builder(*labels):
+            return cached(*parse(*labels))
+
+        for name in ("cache_info", "cache_clear", "cache_parameters"):
+            setattr(builder, name, getattr(cached, name))
+        return builder
+    return decorate
 
 
 def _squarefree_split(n):

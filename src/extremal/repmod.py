@@ -32,11 +32,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations_with_replacement
 from typing import NamedTuple
 
-from .exact import Radical, TruncationError, doubled, integer
+from .exact import Radical, TruncationError, doubled, integer, label_cache
 from .exact import _squarefree_split
 
 __all__ = [
@@ -45,6 +45,7 @@ __all__ = [
     "su2_irrep",
     "su3_label",
     "su3_irrep",
+    "su3_dim",
     "tensor",
     "FrameMatrix",
     "col_vec",
@@ -417,11 +418,17 @@ class ModuleVector:
 # -- su(2) -----------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def _su2_cached(d):
-    """su2_irrep of the doubled spin d."""
-    if d < 0:
-        raise ValueError("spin must be a nonnegative half-integer")
+def _spin(j):
+    """(2j,) for a nonnegative half-integer spin j."""
+    d = doubled(j)
+    if d[0] < 0:
+        raise ValueError("spin must be a nonnegative half-integer, got %s" % (j,))
+    return d
+
+
+@label_cache(64, _spin)
+def su2_irrep(d):
+    """su2_irrep(j): the irrep of spin j, built from the doubled spin d = 2j."""
     j = Fraction(d, 2)
     ms = [j - k for k in range(d + 1)]  # highest first
     tags = ["m=%s" % m for m in ms]
@@ -431,10 +438,6 @@ def _su2_cached(d):
     nu, lowering = frame_of_entries({(2, 1): down}, d + 1)
     return Irrep(n=2, label=j, tags=tags, weights=weights, nu=nu,
                  frame=with_raising(lowering, nu))
-
-
-def su2_irrep(j):
-    return _su2_cached(*doubled(j))
 
 
 # -- tensor products -------------------------------------------------
@@ -498,23 +501,31 @@ _ANTIFUND = (((-1, 0), (1, -1), (0, 1)),
              {(i, j): (j - 1, i - 1, -1) for i, j in _LOWERING})
 
 
-def su3_label(lam, mu):
-    """(lam, mu) as ints; ValueError unless both are nonnegative integers
-    within the desk-scale guard lam + mu <= 6 of the su(3) modules."""
+def _irrep_label(lam, mu):
+    """(lam, mu) as ints; ValueError unless both are nonnegative integers."""
     lam, mu = integer(lam), integer(mu)
     if lam < 0 or mu < 0:
         raise ValueError("labels must be nonnegative")
+    return lam, mu
+
+
+def su3_label(lam, mu):
+    """(lam, mu) as ints; ValueError unless both are nonnegative integers
+    within the desk-scale guard lam + mu <= 6 of the su(3) modules."""
+    lam, mu = _irrep_label(lam, mu)
     if lam + mu > 6:
         raise ValueError("desk-scale guard: lam + mu <= 6")
     return lam, mu
 
 
+def su3_dim(lam, mu):
+    """The dimension of the su(3) irrep (lam, mu), by Weyl's formula."""
+    return (lam + 1) * (mu + 1) * (lam + mu + 2) // 2
+
+
+@label_cache(32, su3_label)  # su3_label admits 28 irreps
 def su3_irrep(lam, mu):
     """Exact su(3) irrep (lam, mu) realized in Sym^lam(V) x Sym^mu(V*).
-
-    The labels are parsed by `su3_label` before the cache, so every spelling
-    of one irrep shares one entry; `cache_info` and `cache_clear` are the
-    cache's.
 
     A basis vector of fund^lam x antifund^mu is a digit string, its product
     index the base-3 number of its digits.  Permuting the first lam digits,
@@ -530,13 +541,6 @@ def su3_irrep(lam, mu):
     the entry (a, b) of a lowering generator is d / (|u_a| |u_b|) with the
     integer d = u_a . (e_ij u_b).
     """
-    return _su3_irrep(*su3_label(lam, mu))
-
-
-@lru_cache(maxsize=32)  # su3_label admits 28 irreps
-def _su3_irrep(lam, mu):
-    """su3_irrep of int labels."""
-    dim_expected = (lam + 1) * (mu + 1) * (lam + mu + 2) // 2
     if lam == 0 and mu == 0:
         return Irrep(n=3, label=(0, 0), tags=["0"], weights=[(0, 0)], nu=[1],
                      frame=with_raising({g: _NO_MATRIX for g in _LOWERING}, [1]))
@@ -609,11 +613,9 @@ def _su3_irrep(lam, mu):
     # the exact height), then by descending weight
     order = sorted(by_weight, key=lambda w: (-(w[0] + w[1]), -w[0], -w[1]))
     basis = [(w, u, n2) for w in order for u, n2 in by_weight[w]]
-    if len(basis) != dim_expected:
-        raise RuntimeError(
-            "su(3) irrep (%d,%d): got %d basis vectors, expected %d"
-            % (lam, mu, len(basis), dim_expected)
-        )
+    if len(basis) != su3_dim(lam, mu):
+        raise RuntimeError("su(3) irrep (%d,%d): got %d basis vectors, expected %d"
+                           % (lam, mu, len(basis), su3_dim(lam, mu)))
 
     tags, weights, in_weight = [], [], {}  # in_weight: weight -> basis indices
     for b, (w, _u, _n2) in enumerate(basis):
@@ -642,9 +644,6 @@ def _su3_irrep(lam, mu):
     return Irrep(n=3, label=(lam, mu), tags=tags, weights=weights,
                  nu=list(nu), frame=with_raising(frame, nu))
 
-
-su3_irrep.cache_info = _su3_irrep.cache_info
-su3_irrep.cache_clear = _su3_irrep.cache_clear
 
 
 def _arrangements(digits):

@@ -25,13 +25,12 @@ convention is deterministic but not canonical.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .algebra import build_root_system
-from .exact import Radical, doubled, factorial_ratio, integer, sqrt_of_rational, triangle
-from .exact import sqrt_factorial_ratio
+from .exact import Radical, doubled, factorial_ratio, integer, label_cache, sqrt_of_rational
+from .exact import sqrt_factorial_ratio, triangle
 from .projector import apply_projector
-from .repmod import orthogonalize, su3_label, tensor
+from .repmod import _irrep_label, orthogonalize, su3_dim, su3_label, tensor
 from .su3gt import _gt_index, gt_basis, gt_label_index, gt_module
 from .wigner2 import cgc_closed_doubled, ninej_doubled, sixj_doubled
 
@@ -50,20 +49,26 @@ _ZERO = Radical.from_rational(0)
 # -- coupled vectors over GT bases -------------------------------------
 
 
+def _pair_labels(lam1, mu1, lam2, mu2):
+    """Both factors' labels, each parsed by `su3_label`."""
+    return su3_label(lam1, mu1) + su3_label(lam2, mu2)
+
+
+def _coupled_labels(lam1, mu1, lam2, mu2, lam3, mu3, s):
+    """The factors' labels by `su3_label`, then lam3, mu3 >= 0 and s >= 1 by
+    `exact.integer` with no guard, as a constituent may exceed it."""
+    labels = _pair_labels(lam1, mu1, lam2, mu2) + (integer(lam3), integer(mu3), integer(s))
+    if min(labels[4:6]) < 0 or labels[6] < 1:
+        raise ValueError("want lam3, mu3 >= 0 and s >= 1, got (%d,%d), s=%d" % labels[4:])
+    return labels
+
+
+@label_cache(16, _pair_labels)
 def pair_module(lam1, mu1, lam2, mu2):
     """tensor(gt_module(lam1, mu1), gt_module(lam2, mu2)), built once per
-    pair of labels as parsed by `su3_label`: basis vector i1 * d2 + i2 is
-    |g1> x |g2>, with tag (g1, g2)."""
-    return _pair_module(*su3_label(lam1, mu1), *su3_label(lam2, mu2))
-
-
-@lru_cache(maxsize=16)
-def _pair_module(lam1, mu1, lam2, mu2):
+    pair of labels: basis vector i1 * d2 + i2 is |g1> x |g2>, with tag
+    (g1, g2)."""
     return tensor(gt_module(lam1, mu1), gt_module(lam2, mu2))
-
-
-pair_module.cache_info = _pair_module.cache_info
-pair_module.cache_clear = _pair_module.cache_clear
 
 
 def _pair_index(lam1, mu1, g1, lam2, mu2, g2):
@@ -71,19 +76,14 @@ def _pair_index(lam1, mu1, g1, lam2, mu2, g2):
     return gt_label_index(lam1, mu1, g1) * d2 + gt_label_index(lam2, mu2, g2)
 
 
+@label_cache(16, _pair_labels)
 def decompose(lam1, mu1, lam2, mu2):
     """Coupled highest-weight vectors of every constituent of the product.
 
     Returns a dict (lam3, mu3) -> list of orthonormal ModuleVectors in
     pair_module(lam1, mu1, lam2, mu2), indexed by the multiplicity label
     s - 1.  The seeds |L1 h> x |L2 g2> are its basis vectors 0 * d2 + i2.
-    The labels are parsed by `su3_label` before the cache.
     """
-    return _decompose(*su3_label(lam1, mu1), *su3_label(lam2, mu2))
-
-
-@lru_cache(maxsize=16)
-def _decompose(lam1, mu1, lam2, mu2):
     Mt = pair_module(lam1, mu1, lam2, mu2)
     found = {}
     orth = {}  # weight -> [(int frame coordinates of a kept residual, its squared norm)]
@@ -106,46 +106,27 @@ def _decompose(lam1, mu1, lam2, mu2):
         basis.append((red, n2))
         unit = Mt.from_frame({1: (1, red)}, sqrt_of_rational(Fraction(1, n2)))
         found.setdefault(w3, []).append(unit)
-        total += (w3[0] + 1) * (w3[1] + 1) * (w3[0] + w3[1] + 2) // 2
+        total += su3_dim(*w3)
     if total != Mt.dim:
-        raise RuntimeError(
-            "decomposition of (%d,%d)x(%d,%d) incomplete: %d of %d"
-            % (lam1, mu1, lam2, mu2, total, Mt.dim)
-        )
+        raise RuntimeError("decomposition of (%d,%d)x(%d,%d) incomplete: %d of %d"
+                           % (lam1, mu1, lam2, mu2, total, Mt.dim))
     return found
 
 
-decompose.cache_info = _decompose.cache_info
-decompose.cache_clear = _decompose.cache_clear
-
-
+@label_cache(64, _coupled_labels)
 def coupled_basis(lam1, mu1, lam2, mu2, lam3, mu3, s):
     """The coupled vectors |s (lam3 mu3) g3> in pair_module(lam1, mu1, lam2,
     mu2), in the GT label order of (lam3, mu3): `gt_basis` applied to the
     s-th coupled highest vector.  The coordinate of the one for g3 at the
     tag (g1, g2) is the CGC ((lam1 mu1) g1, (lam2 mu2) g2 | s (lam3 mu3) g3).
-
-    The factors' labels are parsed by `su3_label` and lam3, mu3 and s by
-    `exact.integer` before the cache: a constituent may exceed the guard."""
-    return _coupled_basis(*su3_label(lam1, mu1), *su3_label(lam2, mu2),
-                          integer(lam3), integer(mu3), integer(s))
-
-
-@lru_cache(maxsize=64)
-def _coupled_basis(lam1, mu1, lam2, mu2, lam3, mu3, s):
+    ValueError when s exceeds the multiplicity of (lam3, mu3)."""
     found = decompose(lam1, mu1, lam2, mu2)
     copies = found.get((lam3, mu3), ())
-    if not 1 <= s <= len(copies):
-        raise ValueError(
-            "(%d,%d) appears %d times in (%d,%d)x(%d,%d); s=%d"
-            % (lam3, mu3, len(copies), lam1, mu1, lam2, mu2, s)
-        )
+    if s > len(copies):
+        raise ValueError("(%d,%d) appears %d times in (%d,%d)x(%d,%d); s=%d"
+                         % (lam3, mu3, len(copies), lam1, mu1, lam2, mu2, s))
     Mt = pair_module(lam1, mu1, lam2, mu2)
     return gt_basis(Mt, lam3, mu3, copies[s - 1])
-
-
-coupled_basis.cache_info = _coupled_basis.cache_info
-coupled_basis.cache_clear = _coupled_basis.cache_clear
 
 
 def su3_cgc(lam1, mu1, g1, lam2, mu2, g2, lam3, mu3, g3, s=1):
@@ -161,9 +142,7 @@ def su3_cgc(lam1, mu1, g1, lam2, mu2, g2, lam3, mu3, g3, s=1):
 # -- projector matrix elements by two routes --------------------------
 
 
-def projector_matrix_element(
-    L1, g1, L2, g2, L3, g3, g3p, g1p, g2p, route="direct"
-):
+def projector_matrix_element(L1, g1, L2, g2, L3, g3, g3p, g1p, g2p, route="direct"):
     """<L1 g1| <L2 g2| P^{L3}_{g3, g3'} |L1 g1'> |L2 g2'>.
 
     route="direct" reads it off the coupled vectors (authoritative);
@@ -171,17 +150,13 @@ def projector_matrix_element(
     Both refuse a label that is not in its irrep with ValueError; the
     direct route checks the desk-scale guard on L1, L2 and L3 first.
     """
-    L1, L2, L3 = (tuple(map(integer, L)) for L in (L1, L2, L3))
-    if route == "direct":
-        for L in (L1, L2, L3):
-            su3_label(*L)
+    direct = route == "direct"
+    if not direct and route != "formula":
+        raise ValueError("route must be 'direct' or 'formula'")
+    L1, L2, L3 = ((su3_label if direct else _irrep_label)(*L) for L in (L1, L2, L3))
     for L, g in ((L1, g1), (L2, g2), (L3, g3), (L3, g3p), (L1, g1p), (L2, g2p)):
         gt_label_index(*L, g)
-    if route == "direct":
-        return _pme_direct(L1, g1, L2, g2, L3, g3, g3p, g1p, g2p)
-    if route == "formula":
-        return _pme_formula(L1, g1, L2, g2, L3, g3, g3p, g1p, g2p)
-    raise ValueError("route must be 'direct' or 'formula'")
+    return (_pme_direct if direct else _pme_formula)(L1, g1, L2, g2, L3, g3, g3p, g1p, g2p)
 
 
 def _pme_direct(L1, g1, L2, g2, L3, g3, g3p, g1p, g2p):
@@ -190,7 +165,7 @@ def _pme_direct(L1, g1, L2, g2, L3, g3, g3p, g1p, g2p):
     ket = _pair_index(*L1, g1p, *L2, g2p)
     k3, k3p = gt_label_index(*L3, g3), gt_label_index(*L3, g3p)
     total = _ZERO
-    for s in range(1, len(decompose(*L1, *L2).get(tuple(L3), ())) + 1):
+    for s in range(1, len(decompose(*L1, *L2).get(L3, ())) + 1):
         basis = coupled_basis(*L1, *L2, *L3, s)
         u, v = basis[k3].coords.get(bra), basis[k3p].coords.get(ket)
         if u and v:

@@ -34,9 +34,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import doubled, half, integer, sqrt_factorial_ratio, sqrt_of_rational, triangle
+from .exact import doubled, half, integer, label_cache, sqrt_factorial_ratio, sqrt_of_rational
+from .exact import triangle
 from .projector import factor_on_frame
-from .repmod import FrameMatrix, Irrep, col_vec, frame_apply, frame_of_entries
+from .repmod import FrameMatrix, Irrep, _irrep_label, col_vec, frame_apply, frame_of_entries
 from .repmod import su3_irrep, su3_label, with_raising
 
 __all__ = [
@@ -72,7 +73,7 @@ def enumerate_gt_labels(lam, mu):
     Order: ascending j, then ascending t, then descending t_z; the first
     label is the highest-weight one (0, mu/2, mu/2).
     """
-    return list(_gt_index(integer(lam), integer(mu))[0])
+    return list(_gt_index(lam, mu)[0])
 
 
 def gt_hypercharge(lam, mu, j):
@@ -105,28 +106,26 @@ def gt_label_index(lam, mu, label):
 
     ValueError unless it labels a vector there: (j, t) admissible, and
     t - t_z an integer in [0, 2t]."""
-    k = _gt_index(integer(lam), integer(mu))[1].get(doubled(*label))
+    k = _gt_index(lam, mu)[1].get(doubled(*label))
     if k is None:
         j, t, _ = label
         gt_norm_factor(lam, mu, j, t)  # names an inadmissible (j, t)
-        raise ValueError("inadmissible GT label %s for (%d, %d)" % (label, lam, mu))
+        raise ValueError("inadmissible GT label %s for (%s, %s)" % (label, lam, mu))
     return k
 
 
 def gt_multiplets(lam, mu):
     """The (j, t) multiplets of (lam, mu) in label order."""
-    return [(j, t) for j, t, tz in _gt_index(integer(lam), integer(mu))[0] if tz == t]
+    return [(j, t) for j, t, tz in _gt_index(lam, mu)[0] if tz == t]
 
 
-@lru_cache(maxsize=64)
+@label_cache(64, _irrep_label)  # no guard: a coupled target's labels are read too
 def _gt_index(lam, mu):
     """The one record of which labels (lam, mu) has: its (j, t, t_z) labels
     in label order, and {(2j, 2t, 2t_z): position}.
 
     For each 2j = J, the admissible 2t = T run from |J - mu| in steps of 2
     (the triangle (j, mu/2, t)) up to min(J + mu, 2 lam + mu - J)."""
-    if lam < 0 or mu < 0:
-        raise ValueError("labels must be nonnegative")
     index = {}
     for J in range(2 * (lam + mu) + 1):
         for T in range(abs(J - mu), min(J + mu, 2 * lam + mu - J) + 1, 2):
@@ -172,21 +171,19 @@ def gt_basis(M, lam, mu, v):
 def gt_vector(lam, mu, label):
     """The GT basis vector for `label` as exact coordinates in the realized
     module of su3_irrep(lam, mu)."""
-    lam, mu = su3_label(lam, mu)
     return _gt_basis(lam, mu)[gt_label_index(lam, mu, label)]
 
 
-@lru_cache(maxsize=32)  # su3_label admits 28 irreps
+@label_cache(32, su3_label)  # su3_label admits 28 irreps
 def _gt_basis(lam, mu):
     """The GT vectors in label order, built once."""
     M = su3_irrep(lam, mu)
     return gt_basis(M, lam, mu, M.basis_vector(0))
 
 
+@label_cache(32, su3_label)  # su3_label admits 28 irreps
 def gt_module(lam, mu):
-    """The irrep (lam, mu) over its GT basis, built once per irrep: the
-    labels are parsed by `su3_label` before the cache, whose `cache_info`
-    and `cache_clear` these are.
+    """The irrep (lam, mu) over its GT basis, built once per irrep.
 
     Tags are the GT labels in label order; h1 = (2 lam + mu)/2 - 3j - t_z,
     h2 = 2 t_z.  e32 lowers t_z by sqrt((t + t_z)(t - t_z + 1)).  e21 = E'_23
@@ -198,12 +195,6 @@ def gt_module(lam, mu):
     (`repmod.frame_of_entries`); e31 = [e32, e21] over it, and each raising
     generator is the transpose.
     """
-    return _gt_module(*su3_label(lam, mu))
-
-
-@lru_cache(maxsize=32)  # su3_label admits 28 irreps
-def _gt_module(lam, mu):
-    """gt_module of int labels."""
     tags, index = _gt_index(lam, mu)
     e21, e32 = {}, {}
     for c, (J, T, Tz) in enumerate(index):
@@ -230,7 +221,3 @@ def _gt_module(lam, mu):
     weights = [((2 * lam + mu - 3 * J - Tz) // 2, Tz) for J, _, Tz in index]
     return Irrep(n=3, label=(lam, mu), tags=list(tags), weights=weights,
                  nu=nu, frame=with_raising(frame, nu))
-
-
-gt_module.cache_info = _gt_module.cache_info
-gt_module.cache_clear = _gt_module.cache_clear

@@ -7,6 +7,8 @@ import tracemalloc
 from fractions import Fraction
 from itertools import product
 
+import pytest
+
 import extremal
 from extremal import cli, repmod, wigner2
 from extremal.exact import triangle
@@ -14,6 +16,13 @@ from extremal.exact import triangle
 # caches whose key space is finite without a bound: the rank n <= 6 of
 # build_root_system, and the one argument parser
 UNBOUNDED_BY_DESIGN = {"pbw.h_symbols", "pbw.shared_engine", "cli.build_parser"}
+
+# every builder declared with exact.label_cache, and its bound
+LABEL_CACHED = {
+    "repmod.su2_irrep": 64, "repmod.su3_irrep": 32, "su3gt._gt_index": 64,
+    "su3gt._gt_basis": 32, "su3gt.gt_module": 32, "su3cgc.pair_module": 16,
+    "su3cgc.decompose": 16, "su3cgc.coupled_basis": 64,
+}
 
 
 def _caches():
@@ -35,6 +44,49 @@ def test_every_cache_is_bounded_or_finite_by_design():
     assert unbounded <= UNBOUNDED_BY_DESIGN, unbounded - UNBOUNDED_BY_DESIGN
 
 
+def test_every_label_cached_builder_is_listed_under_its_public_name():
+    # exact.label_cache keeps its lru_cache off the module: the bound check
+    # above sees it only through the public name
+    caches = _caches()
+    assert {name: caches.get(name) for name in LABEL_CACHED} == LABEL_CACHED
+
+
+def _refused_labels():
+    """A pytest.param(builder, labels) for each label a label-cached builder refuses."""
+    from extremal import su3cgc, su3gt
+
+    builders = {
+        "su3_irrep": (repmod.su3_irrep, (1, 1), True),
+        "gt_module": (su3gt.gt_module, (1, 1), True),
+        "_gt_basis": (su3gt._gt_basis, (1, 1), True),
+        "_gt_index": (su3gt._gt_index, (1, 1), False),
+        "pair_module": (su3cgc.pair_module, (1, 0, 0, 1), True),
+        "decompose": (su3cgc.decompose, (1, 0, 0, 1), True),
+        "coupled_basis": (su3cgc.coupled_basis, (1, 0, 0, 1, 1, 1, 1), True),
+    }
+    cases = [("su2_irrep", repmod.su2_irrep, (j,))
+             for j in (-1, Fraction(-1, 2), Fraction(1, 3), "x")]
+    for name, (build, good, guarded) in builders.items():
+        bad = [-1, Fraction(1, 2), "x"]
+        cases += [(name, build, (lam,) + good[1:]) for lam in bad]
+        cases += [(name, build, good[:1] + (mu,) + good[2:]) for mu in bad]
+        if guarded:
+            cases.append((name, build, (7, 0) + good[2:]))
+    build = builders["coupled_basis"][0]
+    cases += [("coupled_basis", build, (1, 0, 0, 1) + tail)
+              for tail in ((-1, 1, 1), (1, -1, 1), (1, 1, 0), (1, 1, -1), (1, 1, "x"))]
+    return [pytest.param(build, labels, id="%s(%s)" % (name, ", ".join(map(repr, labels))))
+            for name, build, labels in cases]
+
+
+@pytest.mark.parametrize("build, labels", _refused_labels())
+def test_a_refused_label_leaves_the_cache_untouched(build, labels):
+    before = build.cache_info()
+    with pytest.raises(ValueError):
+        build(*labels)
+    assert build.cache_info() == before
+
+
 def test_sixj_cache_stays_at_its_bound():
     bound = wigner2._sixj.cache_info().maxsize
     labels = [js for js in product(range(7), repeat=6)
@@ -51,12 +103,12 @@ def test_sixj_cache_stays_at_its_bound():
 
 
 def test_su2_irrep_cache_stays_at_its_bound():
-    bound = repmod._su2_cached.cache_info().maxsize
-    repmod._su2_cached.cache_clear()
+    bound = repmod.su2_irrep.cache_info().maxsize
+    repmod.su2_irrep.cache_clear()
     dims = [repmod.su2_irrep(Fraction(d, 2)).dim for d in range(bound + 10)]
     assert dims == [d + 1 for d in range(bound + 10)]
-    assert repmod._su2_cached.cache_info().currsize == bound
-    repmod._su2_cached.cache_clear()
+    assert repmod.su2_irrep.cache_info().currsize == bound
+    repmod.su2_irrep.cache_clear()
 
 
 def test_a_cgc_table_leaves_no_values_held(capsys):
