@@ -466,8 +466,12 @@ class Coeff:
         """Value at h = values (sequence of ints or Fractions); Fraction result.
 
         Raises SingularWeightError naming the vanishing factor if the reduced
-        denominator hits zero.
+        denominator hits zero, and ValueError unless there is one value per
+        h_i.
         """
+        if len(values) != self.n - 1:
+            raise ValueError("a weight of su(%d) has %d entries, got %d"
+                             % (self.n, self.n - 1, len(values)))
         c = self.reduced()
         if not c.num:
             return Fraction(0)
@@ -1047,9 +1051,13 @@ class TaylorElement:
         """Substitute h_i -> weight[i] (1-based); coefficients become numbers.
 
         Raises SingularWeightError naming the vanishing factor if a
-        denominator hits zero.
+        denominator hits zero, and ValueError for a key outside 1..n-1.
         """
         eng = self.engine
+        for i in weight:
+            if i not in range(1, eng.n):
+                raise ValueError("Cartan index %r is outside h1..h%d of su(%d)"
+                                 % (i, eng.n - 1, eng.n))
         values = [Fraction(weight.get(i, 0)) for i in range(1, eng.n)]
         out = {k: Coeff.from_rational(eng.n, x) for k, v in self.terms.items()
                if (x := v.evaluate(values))}

@@ -35,18 +35,6 @@ __all__ = [
 ]
 
 
-def phi_expr(engine, root, n):
-    """phi_{gamma,n}: reciprocal Pochhammer in h_gamma with integer step.
-
-    With every root normalized to (gamma,gamma) = 2 the step (gamma,gamma)/2
-    is 1 and the additive shift is (rho,gamma) = j - i.
-    """
-    i, j = root
-    svec = engine.h_span_vec(i, j)
-    shift = int(engine.sys.rho_pairing(root))
-    return engine.recip_linear([(svec, shift + k) for k in range(1, n + 1)])
-
-
 def projector_factor(sys, root, N, engine=None):
     """Per-root factor of the extremal projector, truncated at n = N."""
     from .pbw import RewriteEngine, TaylorElement
@@ -57,14 +45,15 @@ def projector_factor(sys, root, N, engine=None):
         raise ValueError("truncation bound must be >= 0")
     eng = engine if engine is not None else RewriteEngine(sys)
     i, j = root
-    low_shift = eng.shift_vector((j, i))
+    svec, shift = eng.h_span_vec(i, j), int(sys.rho_pairing(root))
     terms = {}
     for n in range(N + 1):
         # The series coefficient phi_n is written to the LEFT of the lowering
-        # word; in L * C * R normal form it sits in the middle, so commute it
-        # through e_{-gamma}^n first:  phi(h) e_-g^n = e_-g^n phi(h + n*s).
-        phi = phi_expr(eng, root, n)
-        mid = eng.shift_expr(phi, low_shift, scale=n) if n else phi
+        # word; in L * C * R normal form it sits in the middle, past
+        # e_{-gamma}^n: phi(h) e_-g^n = e_-g^n phi(h + n*s), and h_gamma
+        # moves by -2 under s, so the middle is, with every root normalized
+        # to (gamma,gamma) = 2, prod_k (h_gamma + (rho,gamma) + k - 2n)^(-1)
+        mid = eng.recip_linear([(svec, shift + k - 2 * n) for k in range(1, n + 1)])
         key = ((((j, i), n),) if n else (), (((i, j), n),) if n else ())
         terms[key] = mid * Fraction((-1) ** n, math.factorial(n))
     return TaylorElement(eng, N, terms)

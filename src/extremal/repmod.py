@@ -6,14 +6,14 @@ rational matrix Q, e_ij f_b = sum_a q_ab f_a, as a `FrameMatrix`: one
 denominator and int numerators by column, as the vectors it meets are
 sparse.  Over the orthonormal basis e_b = f_b / sqrt(nu_b) the entry of
 e_ij is q_ab sqrt(nu_a / nu_b).  `Irrep.matrices` is that Radical view,
-built on first read, for `apply_element` and the checks.
+built on first read; no module computation reads it, only the checks.
 
 A vector enters the frame by `Irrep.to_frame` as frame parts {k: (s, x)}:
 sqrt(k) s sum_b x_b f_b over squarefree k, s rational and x an int vector.
-It is acted on in ints (`frame_apply`, `frame_sum`, and the projector's
-`factor_on_frame`), and leaves by `Irrep.from_frame` with one square root
-per coordinate, sqrt(k nu_b), taken by one gcd as both factors are
-squarefree.  Weights are tuples of h_i eigenvalues (ints).
+It is acted on in ints (`frame_apply`, `frame_sum`, `apply_element` and
+the projector's `factor_on_frame`), and leaves by `Irrep.from_frame` with
+one square root per coordinate, sqrt(k nu_b), taken by one gcd as both
+factors are squarefree.  Weights are tuples of h_i eigenvalues (ints).
 
 su(3) irreps are realized in Sym^lam(V) x Sym^mu(V*), V the fundamental
 representation: the cyclic submodule of the highest-weight product vector is
@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations_with_replacement
 from typing import NamedTuple
 
@@ -86,15 +86,6 @@ def mat_vec(mat, vec):
             x = a * v
             out[r] = out[r] + x if r in out else x
     return {k: v for k, v in out.items() if v}
-
-
-def mat_pow_vec(mat, vec, k):
-    """mat^k applied to a sparse vector, stopping once it vanishes."""
-    for _ in range(int(k)):
-        if not vec:
-            break
-        vec = mat_vec(mat, vec)
-    return vec
 
 
 def mat_mul(a, b):
@@ -659,7 +650,10 @@ def _arrangements(digits):
 
 def apply_element(x, v, M):
     """Act with a TaylorElement (any element with .engine, .bound and
-    .terms) on a module vector, exactly.
+    .terms) on a module vector, exactly, over M's frame: for each monomial
+    L c R, R's letters act on int frame parts (`frame_apply`), c on each
+    weight-lam component as the number c(lam), evaluated once per weight,
+    and then L's letters; the vector leaves the frame once.
 
     Refuses when the module's weight diameter exceeds the truncation bound
     (dropped monomials could then act nonzero), and a coordinate outside
@@ -673,30 +667,29 @@ def apply_element(x, v, M):
         )
     if x.engine.n != M.n:
         raise ValueError("algebra rank mismatch")
-    M._check_indices(v.coords)
-    out = ModuleVector({})
+    parts = M.to_frame(v)
+    out = {}  # radicand -> the frame parts of the image
     for (L, R), coeff in x.terms.items():
-        w = dict(v.coords)
-        for g, e in reversed(R):
-            w = mat_pow_vec(M.matrix(g), w, e)
-            if not w:
-                break
-        if not w:
-            continue
-        # diagonal Cartan coefficient, evaluated per weight component
-        w2 = {}
-        for idx, val in w.items():
-            c = coeff.evaluate(M.weights[idx])
-            if c:
-                w2[idx] = val * c
-        w = w2
-        for g, e in reversed(L):
-            w = mat_pow_vec(M.matrix(g), w, e)
-            if not w:
-                break
-        if w:
-            out = out + ModuleVector(w)
-    return out
+        value = cache(coeff.evaluate)  # at a weight tuple
+        for k, part in parts.items():
+            s, y = _word_on_frame(R, part, M)
+            by_weight = {}
+            for b, z in y.items():
+                by_weight.setdefault(M.weights[b], {})[b] = z
+            part = frame_sum([(s * c, u) for w, u in by_weight.items() if (c := value(w))])
+            part = _word_on_frame(L, part, M)
+            if part[1]:
+                out.setdefault(k, []).append(part)
+    return M.from_frame({k: frame_sum(ps) for k, ps in out.items()})
+
+
+def _word_on_frame(word, part, M):
+    """A packed word applied to a frame part, rightmost letter first."""
+    for g, e in reversed(word):
+        if not part[1]:
+            break
+        part = frame_apply(M.frame[g], part, e)
+    return part
 
 
 def matrix_of(x, M):

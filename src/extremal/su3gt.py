@@ -104,11 +104,15 @@ def _gt_norm_factor(lam, mu, J, T):
 def gt_label_index(lam, mu, label):
     """Position of `label` = (j, t, t_z) in the GT basis of (lam, mu).
 
-    ValueError unless it labels a vector there: (j, t) admissible, and
-    t - t_z an integer in [0, 2t]."""
-    k = _gt_index(lam, mu)[1].get(doubled(*label))
+    ValueError unless it labels a vector there: a triple, (j, t)
+    admissible, and t - t_z an integer in [0, 2t]."""
+    try:
+        j, t, tz = label
+    except (TypeError, ValueError):
+        raise ValueError("GT label %r of (%s, %s) is not a (j, t, t_z) triple"
+                         % (label, lam, mu)) from None
+    k = _gt_index(lam, mu)[1].get(doubled(j, t, tz))
     if k is None:
-        j, t, _ = label
         gt_norm_factor(lam, mu, j, t)  # names an inadmissible (j, t)
         raise ValueError("inadmissible GT label %s for (%s, %s)" % (label, lam, mu))
     return k

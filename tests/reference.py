@@ -13,7 +13,8 @@ and filters its lowering entries, sympy's printing of a PBW coefficient, the
 sympy polynomial ring route of coefficients (their numerator arithmetic,
 parsing and expressions), small exact matrix algebra, the su(3) irreps
 realized in the full product space fund^lam x antifund^mu, and
-`apply_factor` and `gt_basis` on Radical vectors and matrices.
+`apply_element`, `apply_factor` and `gt_basis` on Radical vectors and
+matrices, one coordinate at a time.
 The tests compare the package's numeric routes against them.
 """
 
@@ -29,7 +30,14 @@ from sympy.polys.domains import QQ
 from sympy.polys.rings import ring as poly_ring
 
 from extremal.algebra import build_root_system
-from extremal.exact import Radical, SingularWeightError, factorial_ratio, half, sqrt_of_rational
+from extremal.exact import (
+    Radical,
+    SingularWeightError,
+    TruncationError,
+    factorial_ratio,
+    half,
+    sqrt_of_rational,
+)
 from extremal.pbw import Coeff, TaylorElement, _pack, _unpack, shared_engine
 from extremal.projector import (
     IdentityReport,
@@ -41,7 +49,6 @@ from extremal.repmod import (
     ModuleVector,
     apply_element,
     mat_mul,
-    mat_pow_vec,
     mat_vec,
     su3_irrep,
 )
@@ -156,6 +163,15 @@ def reference_divide(p, key):
 
 
 # -- exact matrix algebra over Radical -------------------------------
+
+
+def mat_pow_vec(mat, vec, k):
+    """mat^k applied to a sparse vector, stopping once it vanishes."""
+    for _ in range(int(k)):
+        if not vec:
+            break
+        vec = mat_vec(mat, vec)
+    return vec
 
 
 def mat_add(a, b):
@@ -365,6 +381,31 @@ def reference_verify(P):
         right[root] = (P * e_minus).residual(eng.zero(N), deg)
     idem = (P * P).residual(P, deg)
     return IdentityReport(annihilation_left=left, annihilation_right=right, idempotency=idem)
+
+
+# -- Taylor elements on Radical coordinates ---------------------------
+
+
+def reference_apply_element(x, v, M):
+    """apply_element on the Radical coordinates and matrices of M, one
+    coordinate at a time: each Cartan coefficient is evaluated at the weight
+    of each coordinate it meets."""
+    if M.weight_diameter > x.bound:
+        raise TruncationError("module weight diameter %d exceeds truncation bound %d"
+                              % (M.weight_diameter, x.bound))
+    if x.engine.n != M.n:
+        raise ValueError("algebra rank mismatch")
+    M._check_indices(v.coords)
+    out = ModuleVector({})
+    for (L, R), coeff in x.terms.items():
+        w = dict(v.coords)
+        for g, e in reversed(R):
+            w = mat_pow_vec(M.matrix(g), w, e)
+        w = {idx: val * c for idx, val in w.items() if (c := coeff.evaluate(M.weights[idx]))}
+        for g, e in reversed(L):
+            w = mat_pow_vec(M.matrix(g), w, e)
+        out = out + ModuleVector(w)
+    return out
 
 
 # -- the zeroing route: symbolic elements past their poles --------------

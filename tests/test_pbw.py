@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -968,6 +969,28 @@ def test_evaluate_cartan():
     assert c.evaluate([0]) == Fraction(1, 2)
     with pytest.raises(SingularWeightError):
         x.evaluate_cartan({1: -3})
+
+
+@pytest.mark.parametrize("values", [(2,), (2, 3, 4), ()])
+def test_evaluate_refuses_a_weight_of_the_wrong_length(eng3, values):
+    # zip would cut the weight short: h1*h2 + h2 read 4 at (2,) and 16 at
+    # (2, 3, 4), and 1/(h2 + 1) read 1 at (1,)
+    h1, h2 = sympy.symbols("h1 h2")
+    msg = r"a weight of su\(3\) has 2 entries, got %d$" % len(values)
+    for c in (eng3.coeff(h1 * h2 + h2), eng3.coeff(1 / (h2 + 1)), eng3.coeff(0)):
+        with pytest.raises(ValueError, match=msg):
+            c.evaluate(values)
+    assert eng3.coeff(h1 * h2 + h2).evaluate((2, 3)) == 9
+
+
+@pytest.mark.parametrize("key", [0, 3, -1, "h1"])
+def test_evaluate_cartan_refuses_a_key_outside_the_rank(eng3, key):
+    x = rewrite_word([(2, 1), ("h", 2), (1, 2)], SU3, engine=eng3, N=4)
+    msg = r"Cartan index %s is outside h1..h2 of su\(3\)$" % re.escape(repr(key))
+    with pytest.raises(ValueError, match=msg):
+        x.evaluate_cartan({1: 1, key: 7})
+    for weight in ({2: 7}, {1: 0, 2: 7}):
+        assert x.evaluate_cartan(weight).dump() == "e21 * [7] * e12"
 
 
 def test_dump_stable():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from extremal.algebra import build_root_system
 from extremal.exact import Radical, sqrt_of_rational
-from extremal.pbw import RewriteEngine, SingularWeightError, rewrite_word
+from extremal.pbw import RewriteEngine, SingularWeightError, rewrite_word, shared_engine
 from extremal.repmod import (
     ModuleVector,
     TruncationError,
@@ -19,12 +19,13 @@ from extremal.repmod import (
     frame_of_entries,
     mat_eq,
     mat_mul,
+    matrix_of,
     orthogonalize,
     su2_irrep,
     su3_irrep,
     tensor,
 )
-from extremal.projector import apply_factor, apply_projector
+from extremal.projector import apply_factor, apply_projector, projector_factor
 from extremal.su3cgc import coupled_basis, decompose, pair_module
 from extremal.su3gt import gt_basis, gt_module
 from reference import (
@@ -33,6 +34,7 @@ from reference import (
     mat_add,
     mat_identity,
     mat_scale,
+    reference_apply_element,
     reference_su3_irrep,
     reference_tensor,
 )
@@ -252,6 +254,76 @@ def test_an_index_outside_the_module_is_refused(entry):
         with pytest.raises(ValueError, match=r"basis index %d outside the module of dimension 8$"
                            % b):
             calls[entry]()
+
+
+# the modules this file builds, small enough to act on by Radical matrices
+_ELEMENT_MODULES = (
+    lambda: su2_irrep(Fraction(1, 2)),
+    lambda: su2_irrep(Fraction(3, 2)),
+    lambda: su2_irrep(2),
+    lambda: tensor(su2_irrep(Fraction(1, 2)), su2_irrep(1)),
+    lambda: su3_irrep(1, 0),
+    lambda: su3_irrep(0, 1),
+    lambda: su3_irrep(1, 1),
+    lambda: su3_irrep(2, 1),
+    lambda: gt_module(1, 1),
+    lambda: gt_module(2, 0),
+    lambda: tensor(su3_irrep(1, 0), su3_irrep(0, 1)),
+    lambda: pair_module(1, 0, 1, 0),
+)
+_ROOTS = st.integers(1, 12).map(lambda k: sqrt_of_rational(Fraction(k, 3)))
+
+
+@st.composite
+def _elements(draw):
+    """(x, M): a rewritten word or a projector factor with a bound at or
+    above M's weight diameter; words may hold Cartan letters and the
+    coefficient 1 / (h_k + c), which has poles on the module's weights."""
+    M = draw(st.sampled_from(_ELEMENT_MODULES))()
+    n = M.n
+    eng = shared_engine(n)
+    N = M.weight_diameter + draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        roots = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+        return projector_factor(eng.sys, draw(st.sampled_from(roots)), N, engine=eng), M
+    letters = st.sampled_from([(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+                              + [("h", k) for k in range(1, n)])
+    word = draw(st.lists(letters, min_size=3, max_size=8))
+    if draw(st.booleans()):
+        k, c = draw(st.integers(1, n - 1)), draw(st.integers(-3, 3))
+        pole = eng.recip_linear([(tuple(int(i == k) for i in range(1, n)), c)])
+        at = draw(st.integers(0, len(word)))
+        word = word[:at] + [pole] + word[at:]
+    return rewrite_word(word, eng.sys, N=N, engine=eng), M
+
+
+@settings(max_examples=300, deadline=None)
+@given(_elements(), st.data())
+def test_apply_element_equals_the_radical_reference(xM, data):
+    # sums of square roots in several classes, so the frame holds several
+    # parts, on a few coordinates or on all; where one route meets a pole,
+    # so must the other
+    x, M = xM
+    sums = st.lists(_ROOTS, min_size=1, max_size=2).map(lambda rs: sum(rs[1:], rs[0]))
+    if data.draw(st.booleans()):
+        coords = data.draw(st.dictionaries(st.integers(0, M.dim - 1), sums, max_size=4))
+    else:
+        coords = dict(enumerate(data.draw(st.lists(sums, min_size=M.dim, max_size=M.dim))))
+    v = ModuleVector(coords)
+    try:
+        want = reference_apply_element(x, v, M)
+    except SingularWeightError:
+        with pytest.raises(SingularWeightError):
+            apply_element(x, v, M)
+        return
+    assert apply_element(x, v, M) == want
+
+
+def test_matrix_of_reads_no_radical_matrix():
+    M = tensor(su3_irrep(1, 0), su3_irrep(1, 1))  # a fresh module
+    x = rewrite_word([(1, 2), (3, 1), ("h", 2), (2, 3)], SU3, N=M.weight_diameter)
+    assert matrix_of(x, M)
+    assert "matrices" not in vars(M)
 
 
 _int_vectors = st.dictionaries(st.integers(0, 5), st.integers(-6, 6).filter(bool), max_size=6)

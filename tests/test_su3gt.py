@@ -1,11 +1,13 @@
 """Gelfand-Tsetlin bases for su(3): labels, orthonormality, subalgebra action."""
 
+import re
 from fractions import Fraction
 
 import pytest
 
 from extremal.exact import Radical, sqrt_of_rational
 from extremal.repmod import su3_irrep, su3_label
+from extremal.su3cgc import projector_matrix_element, su3_cgc
 from extremal.su3gt import (
     admissible_jt,
     enumerate_gt_labels,
@@ -146,6 +148,19 @@ def test_su3_labels_are_not_truncated(lam):
         with pytest.raises(ValueError):
             call()
     assert su3_irrep.cache_info().currsize == before
+
+
+@pytest.mark.parametrize("label", [(0, 0), (0, 0, 0, 0), (), 0, None])
+def test_a_gt_label_that_is_no_triple_is_refused(label):
+    # a pair once failed on unpacking, "not enough values to unpack"
+    msg = r"GT label %s of \(1, 1\) is not a \(j, t, t_z\) triple$" % re.escape(repr(label))
+    g1, g2, g3 = (enumerate_gt_labels(*L)[0] for L in ((1, 0), (0, 1), (1, 1)))
+    for call in (lambda: gt_label_index(1, 1, label), lambda: gt_vector(1, 1, label),
+                 lambda: su3_cgc(1, 0, g1, 0, 1, g2, 1, 1, label),
+                 lambda: projector_matrix_element((1, 0), g1, (0, 1), g2, (1, 1), g3, label,
+                                                  g1, g2)):
+        with pytest.raises(ValueError, match=msg):
+            call()
 
 
 def test_gram_matrix_is_identity():
