@@ -24,7 +24,7 @@ from . import exact
 from .exact import sqrt_of_rational
 # imported at load time on purpose: every perfbench workload must load pbw at
 # set-up, for tracing.install() and so that setup_s and run_s keep their split
-from .pbw import RewriteEngine, TaylorElement
+from .pbw import TaylorElement, shared_engine
 from .projector import (
     IdentityReport,
     extremal_projector,
@@ -181,9 +181,8 @@ def _verify_su_projector(n, trunc):
     if N < 1:
         # the residuals are kept up to raising degree N - 1: none at N = 0
         raise CliError("truncation bound must be >= 1 for su%d-projector" % n)
-    sys_data = build_root_system(n)
-    eng = RewriteEngine(sys_data)
-    P = extremal_projector(sys_data, N=N, engine=eng)
+    eng = shared_engine(n)
+    P = extremal_projector(eng.sys, N=N, engine=eng)
     failures = verify_extremal_identities(P).failures()
     for check, root, residual in failures:
         L, c, R = residual[0]

@@ -23,11 +23,8 @@ division using dynamic arrays, heaps, and packed exponent vectors", CASC
 2007) over one positive int and a factored denominator.  Every denominator
 the projector series produces is a product of integer shifts of linear forms
 in the h_i, so a shift h -> h + s only adds ints and poles are read off the
-factors.  Coeff equality is structural and agrees with its hash; equality as
-rational functions is not (a - b).  Coefficient text is rendered natively, in
-the bytes sympy's printer gives.  The engine never loads sympy; `h_symbols`
-imports it only to parse (`Coeff.from_expr`) and to build an expression
-(`Coeff.as_expr`).
+factors.  Coefficient text is rendered natively, in the bytes sympy's printer
+gives; the engine never loads sympy.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ from fractions import Fraction
 from itertools import groupby
 from math import gcd, lcm
 
-from .algebra import NormalOrdering, RootSystemData, build_root_system
+from .algebra import NormalOrdering, RootSystemData, build_root_system, normal_ordering
 from .exact import SingularWeightError, TruncationError
 
 __all__ = [
@@ -274,16 +271,15 @@ class Coeff:
     gcd(content(num), q) = 1, kept so by every operation, and den maps a
     linear form a.h + c, encoded as a tuple of ints (a_1, ..., a_{n-1}, c)
     that is primitive and has its first nonzero a_i positive, to its
-    multiplicity.  This is the one format: sympy enters only through
-    from_expr, which parses, and as_expr, which builds an expression.  The
-    denominator is not reduced on construction (zero testing only needs the
-    numerator); reduced() divides out denominator factors before evaluation
-    or printing, exactly over ZZ because each form is primitive (Gauss's
-    lemma).
+    multiplicity.  sympy enters only through from_expr, which parses, and
+    as_expr, which builds an expression.  The denominator is not reduced on
+    construction; reduced() divides out denominator factors before
+    evaluation or printing, exactly over ZZ as each form is primitive.
 
-    == compares (num, q, den) by structure and agrees with hash, so memo
-    probes never do polynomial arithmetic; (h+1)/(h+1) == 1 is False.
-    Equality as rational functions is not (a - b).
+    == compares (num, q, den) and, but for a constant, the rank n by
+    structure, and agrees with hash, so memo probes never do polynomial
+    arithmetic; (h+1)/(h+1) == 1 is False.  Equality as rational functions
+    is not (a - b).
     """
 
     __slots__ = ("n", "num", "q", "den", "_hash")
@@ -353,25 +349,28 @@ class Coeff:
                 # a constant equals its int or Fraction, so it hashes as one
                 h = hash(Fraction(num.get(0, 0), self.q))
             else:
-                h = hash((frozenset(num.items()), self.q, frozenset(self.den.items())))
+                h = hash((self.n, frozenset(num.items()), self.q, frozenset(self.den.items())))
             self._hash = h
         return h
 
     def __eq__(self, other):
-        """Structural equality of (num, q, den); see the class docstring.
-        An int or Fraction compares as a constant; any other type is left
-        to its own __eq__."""
+        """Structural equality of (num, q, den), and of the rank unless the
+        value is a constant; see the class docstring.  An int or Fraction
+        compares as a constant; any other type is left to its own __eq__."""
         if isinstance(other, (int, Fraction)):
             other = Coeff.from_rational(self.n, other)
         elif not isinstance(other, Coeff):
             return NotImplemented
-        return self.q == other.q and self.num == other.num and self.den == other.den
+        return (self.q == other.q and self.num == other.num and self.den == other.den
+                and (self.n == other.n or not (self.den or any(self.num))))
 
     # -- arithmetic ---------------------------------------------------
 
     def __mul__(self, other):
         if not isinstance(other, Coeff):
             other = Coeff.from_rational(self.n, other)
+        if other.is_one() or self.is_one():  # no Coeff is changed in place
+            return self if other.is_one() else other
         den = self.den
         if other.den:
             if den:
@@ -544,6 +543,9 @@ class Coeff:
         return "Coeff(%s)" % self.reduced().text()
 
 
+_MEMO_LIMIT = 50_000  # straightening memo entries; su(4) P*P at N = 3 fills 32,250
+
+
 def _prepend(g, P):
     """The normal word g P, when g goes first."""
     return ((g, P[0][1] + 1),) + P[1:] if P and P[0][0] == g else ((g, 1),) + P
@@ -564,8 +566,6 @@ class RewriteEngine:
     """
 
     def __init__(self, sys: RootSystemData, order: NormalOrdering = None):
-        from .algebra import normal_ordering
-
         self.sys = sys
         self.n = sys.n
         self.order = normal_ordering(sys, order)
@@ -576,11 +576,8 @@ class RewriteEngine:
         self._rank = {}
         for pos, (i, j) in enumerate(seq):
             self._rank[(j, i)], self._rank[(i, j)] = pos, len(seq) + pos
-        self._reduce_cache = {}
-        self._unpack_cache = {}
-        self._shift_cache = {}
-        self._word_shift_cache = {}
-        self._h_span_cache = {}
+        self._reduce_cache, self._unpack_cache, self._shift_cache = {}, {}, {}
+        self._word_shift_cache, self._h_span_cache = {}, {}
 
     # -- coefficients -------------------------------------------------
 
@@ -673,6 +670,7 @@ class RewriteEngine:
         (`_fold`).  Every suffix so straightened is memoized on its tuple of
         generator pairs, so words that share a tail share its work.
         """
+        self._bound_memos()
         word = tuple(word)
         memo, rank = self._reduce_cache, self._rank
         out = memo.get(word)
@@ -698,6 +696,7 @@ class RewriteEngine:
         """Normal words A and B of one kind multiplied: {word: int}, memoized."""
         if not A or not B:
             return {A or B: 1}
+        self._bound_memos()
         out = self._reduce_cache.get((A, B))
         if out is None:
             terms = {((B, ()) if B[0][0][0] > B[0][0][1] else ((), B)): 1}
@@ -705,6 +704,14 @@ class RewriteEngine:
                 terms = self._run(self._fold(g, terms))
             out = self._reduce_cache[(A, B)] = {L or R: m for (L, R), m in terms.items()}
         return out
+
+    def _bound_memos(self):
+        """Empty all five memos past _MEMO_LIMIT straightening entries; run
+        first in `reduce` and `product`, where no straightening is in flight."""
+        if len(self._reduce_cache) > _MEMO_LIMIT:
+            for memo in (self._reduce_cache, self._unpack_cache, self._shift_cache,
+                         self._word_shift_cache, self._h_span_cache):
+                memo.clear()
 
     def _known(self, g, P):
         """The product g P if g goes first or it is memoized, else None."""
@@ -785,10 +792,8 @@ class RewriteEngine:
     def times_right(self, terms, f):
         """terms times the Cartan coefficient f on the right:
         L c R f = L c f(h - s_R) R."""
-        return {
-            (L, R): c * self.shift_expr(f, self.word_shift(self.unpack(R)), scale=-1)
-            for (L, R), c in terms.items()
-        }
+        return {(L, R): c * self.shift_expr(f, self.word_shift(self.unpack(R)), scale=-1)
+                for (L, R), c in terms.items()}
 
     @staticmethod
     def _pack(letters):
@@ -892,9 +897,7 @@ class TaylorElement:
     __slots__ = ("engine", "bound", "terms", "_canonical")
 
     def __init__(self, engine, bound, terms):
-        self.engine = engine
-        self.bound = bound
-        self.terms = terms
+        self.engine, self.bound, self.terms = engine, bound, terms
         self._canonical = False
 
     # -- structure ----------------------------------------------------
@@ -966,27 +969,23 @@ class TaylorElement:
     def mul(self, other, bound=None):
         """Product truncated at `bound`, by default the smaller input bound.
 
-        Each pair of terms La ca Ra . Lb cb Rb straightens Ra Lb into core
-        terms L1 c1 R1.  Filter first: R1 Rb is multiplied out (`product`)
-        and cut to raising degree <= bound before any coefficient
-        arithmetic, and a core term with nothing left is skipped.  The kept
-        ones multiply once, ca shifted past L1 times c1 times cb shifted
-        back past R1, and then by the int multiplicity of each term of La L1
-        and of the cut R1 Rb.
+        Left terms La ca Ra are grouped by Ra and right terms Lb cb Rb by
+        Lb, and each word pair Ra Lb is straightened once into core terms
+        L1 c1 R1.  Per core term, R1 Rb is multiplied out (`product`) and cut
+        to raising degree <= bound before any coefficient arithmetic, and cb
+        shifted back past R1 taken, once per right term; ca shifted past L1
+        times c1 once per left term.  Each pair of the two multiplies once,
+        then by the int multiplicity of each term of La L1 and the cut R1 Rb.
 
-        Straightening keeps a word's weight, so most of the words that the
-        cut would empty are never straightened.  In simple-root coordinates
-        wt(R1) = wt(Ra Lb) - wt(L1) with wt(L1) <= 0, so each coordinate of
-        wt(R1) is at least max(wt(Ra Lb)_k, 0), and a raising word of degree
-        <= bound has height <= bound * (n - 1).  A pair whose Ra Lb forces
-        R1 Rb above that height is skipped before Ra Lb is straightened, and
-        a core term whose R1 Rb is above it before R1 Rb is multiplied.
-        Every term skipped so would have been cut, so the output is unchanged.
-
-        Each output term is kept or dropped by its own raising degree, so a
-        smaller `bound` gives exactly the full product's terms of raising
-        degree <= bound.  A larger one raises ValueError: terms above an
-        input's bound are not known.
+        Straightening keeps weight: in simple-root coordinates wt(R1) =
+        wt(Ra Lb) - wt(L1) with wt(L1) <= 0, so height(R1) is at least the
+        sum of the max(wt(Ra Lb)_k, 0), while a raising word of degree <=
+        bound has height <= bound * (n - 1).  So a pair Ra Lb that forces
+        R1 Rb higher for the lowest Rb of its group is not straightened, and
+        no higher R1 Rb is multiplied out: all they give would be cut.  Each
+        output term is kept or dropped by its own raising degree, so a
+        smaller `bound` gives exactly the full product's terms of degree <=
+        bound; a larger one raises ValueError (terms above it are unknown).
         """
         self._check_compat(other)
         eng = self.engine
@@ -996,34 +995,41 @@ class TaylorElement:
         elif bound > top:
             raise ValueError("output bound %d exceeds the inputs' bound %d" % (bound, top))
         degree, height, weight = TaylorElement.degree, TaylorElement.height, eng.root_weight
-        limit = bound * (eng.n - 1)
-        a_terms = [(La, eng.unpack(Ra), weight(Ra), ca) for (La, Ra), ca in self.terms.items()]
-        b_terms = [
-            (eng.unpack(Lb), Rb, weight(Lb), height(Rb), cb)
-            for (Lb, Rb), cb in other.terms.items()
-        ]
+        limit, product = bound * (eng.n - 1), eng.product
+        lefts, rights = {}, {}
+        for (La, Ra), ca in self.terms.items():
+            lefts.setdefault(Ra, []).append((La, ca))
+        for (Lb, Rb), cb in other.terms.items():
+            rights.setdefault(Lb, []).append((Rb, height(Rb), cb))
+        rights = [(eng.unpack(Lb), weight(Lb), min(h for _, h, _ in rs), rs)
+                  for Lb, rs in rights.items()]
         acc = {}
-        for La, ra_letters, wa, ca in a_terms:
-            for lb_letters, Rb, wb, hb, cb in b_terms:
+        for Ra, left in lefts.items():
+            ra_letters, wa = eng.unpack(Ra), weight(Ra)
+            for lb_letters, wb, hb, right in rights:
                 if hb + sum(x + y for x, y in zip(wa, wb) if x + y > 0) > limit:
                     continue
                 for (L1, R1), c1 in eng.reduce(ra_letters + lb_letters).items():
-                    if hb + height(R1) > limit:
-                        continue
-                    highs = [(R2, m) for R2, m in eng.product(R1, Rb).items() if degree(R2) <= bound]
-                    if not highs:
-                        continue
                     # La ca L1 c1 R1 cb Rb: ca moves right past L1, cb left past R1
-                    mid = (
-                        eng.shift_expr(ca, eng.word_shift(eng.unpack(L1)))
-                        * c1
-                        * eng.shift_expr(cb, eng.word_shift(eng.unpack(R1)), scale=-1)
-                    )
-                    for L2, ml in eng.product(La, L1).items():
-                        for R2, mr in highs:
-                            key, v = (L2, R2), _times(mid, ml * mr)
-                            cur = acc.get(key)
-                            acc[key] = v if cur is None else cur + v
+                    h1, s1, cuts = height(R1), eng.word_shift(eng.unpack(R1)), []
+                    for Rb, h, cb in right:
+                        if h + h1 <= limit:
+                            highs = [x for x in product(R1, Rb).items() if degree(x[0]) <= bound]
+                            if highs:
+                                cuts.append((eng.shift_expr(cb, s1, -1), highs))
+                    if not cuts:
+                        continue
+                    s1 = eng.word_shift(eng.unpack(L1))
+                    for La, ca in left:
+                        low = eng.shift_expr(ca, s1) * c1
+                        lows = product(La, L1).items()
+                        for cb, highs in cuts:
+                            mid = low * cb
+                            for L2, ml in lows:
+                                for R2, mr in highs:
+                                    key, v = (L2, R2), _times(mid, ml * mr)
+                                    cur = acc.get(key)
+                                    acc[key] = v if cur is None else cur + v
         return TaylorElement(eng, bound, acc).canonical()
 
     def __rmul__(self, other):
@@ -1071,11 +1077,7 @@ class TaylorElement:
         diff = (self - other).canonical()
         if deg is None:
             deg = diff.bound
-        return [
-            (L, c, R)
-            for (L, R), c in sorted(diff.terms.items())
-            if self.degree(R) <= deg
-        ]
+        return [(L, c, R) for (L, R), c in sorted(diff.terms.items()) if self.degree(R) <= deg]
 
     def equals_mod_filtration(self, other, deg=None):
         return not self.residual(other, deg)
@@ -1090,10 +1092,8 @@ class TaylorElement:
         """(lowering, coefficient, raising) text of each canonical monomial,
         in `monomials` order: words as `e21^a e31`, coefficients as `num` or
         `(num)/(den)`."""
-        out = []
-        for L, c, R in self.canonical().monomials():
-            out.append((self._word_str(L), c.text(), self._word_str(R)))
-        return out
+        return [(self._word_str(L), c.text(), self._word_str(R))
+                for L, c, R in self.canonical().monomials()]
 
     def dump(self):
         """Stable debug form: `e21^a e31^b * [num/den] * e12^c e13^d` lines."""

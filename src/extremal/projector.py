@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import normal_ordering
+from .algebra import default_ordering, normal_ordering
 from .repmod import frame_apply, frame_sum
 
 __all__ = [
@@ -71,11 +71,18 @@ def _engine_order(sys, order, engine):
 
 
 def extremal_projector(sys, order=None, N=4, engine=None):
-    """Product of the per-root factors along the normal ordering, left to right."""
-    from .pbw import RewriteEngine
+    """Product of the per-root factors along the normal ordering, left to
+    right.  With no `engine`, the default ordering (None, or its sequence)
+    uses `pbw.shared_engine`, and any other ordering a new engine."""
+    from .pbw import RewriteEngine, shared_engine
 
-    if engine is None:  # the new engine validates `order` and holds it
-        engine, order = RewriteEngine(sys, order), None
+    if engine is None:  # an engine validates `order` and holds it
+        seq = getattr(order, "sequence", order)
+        if seq is None or tuple(map(tuple, seq)) == default_ordering(sys).sequence:
+            engine = shared_engine(sys.n)
+        else:
+            engine = RewriteEngine(sys, order)
+        order = None
     out = engine.one(N)
     for root in _engine_order(sys, order, engine).sequence:
         out = out * projector_factor(sys, root, N, engine=engine)

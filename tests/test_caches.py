@@ -10,7 +10,8 @@ from itertools import product
 import pytest
 
 import extremal
-from extremal import cli, repmod, wigner2
+from extremal import cli, pbw, repmod, wigner2
+from extremal.algebra import build_root_system
 from extremal.exact import triangle
 
 # caches whose key space is finite without a bound: the rank n <= 6 of
@@ -124,3 +125,41 @@ def test_a_cgc_table_leaves_no_values_held(capsys):
         tracemalloc.stop()
     held = snapshot.filter_traces([tracemalloc.Filter(True, "*/extremal/*")])
     assert sum(s.size for s in held.statistics("filename")) < 100_000
+
+
+def _memo_sizes(eng):
+    return {name: len(memo) for name, memo in vars(eng).items() if name.endswith("_cache")}
+
+
+@pytest.mark.parametrize("call", ["reduce", "product"])
+def test_engine_memos_are_emptied_whole_past_their_bound(monkeypatch, call):
+    # a shared engine serves every default-ordering projector, so its memos
+    # are bounded: past pbw._MEMO_LIMIT straightening entries, the next
+    # reduce or product starts from empty memos
+    su3 = build_root_system(3)
+    word = [(1, 2), (2, 3), (3, 1), (2, 1)]
+    A, B = (((1, 2), 2), ((2, 3), 1)), (((1, 3), 1), ((2, 3), 2))
+    eng = pbw.RewriteEngine(su3)
+    pbw.rewrite_word([(2, 3), (1, 2), (3, 2), ("h", 1), (2, 1)], su3, engine=eng)
+    assert all(_memo_sizes(eng).values())
+    monkeypatch.setattr(pbw, "_MEMO_LIMIT", len(eng._reduce_cache) - 1)
+    fresh = pbw.RewriteEngine(su3)
+    if call == "reduce":
+        assert eng.reduce(word) == fresh.reduce(word)
+    else:
+        assert eng.product(A, B) == fresh.product(A, B)
+    assert _memo_sizes(eng) == _memo_sizes(fresh)
+
+
+def test_a_bounded_engine_gives_the_same_products(monkeypatch):
+    from extremal.projector import extremal_projector, verify_extremal_identities
+
+    su3 = build_root_system(3)
+    P = extremal_projector(su3, N=3, engine=pbw.RewriteEngine(su3))
+    full, grown = P * P, len(P.engine._reduce_cache)
+    monkeypatch.setattr(pbw, "_MEMO_LIMIT", 40)
+    eng = pbw.RewriteEngine(su3)
+    Q = extremal_projector(su3, N=3, engine=eng)
+    assert Q.terms == P.terms and (Q * Q).terms == full.terms
+    assert verify_extremal_identities(Q).ok
+    assert len(eng._reduce_cache) < grown

@@ -140,6 +140,18 @@ def test_constant_coeff_hashes_as_its_fraction(eng2):
         assert len({c, q}) == 1
 
 
+def test_coeff_equality_sees_the_rank():
+    # h1 of su(2) and h2 of su(3) pack alike, but are functions on different
+    # Cartan subalgebras; a constant is the same number in every rank
+    h1, h2 = shared_engine(2).h_span(1, 2), shared_engine(3).h_span(2, 3)
+    assert h1.num == h2.num and h1.den == h2.den and h1.q == h2.q
+    assert h1 != h2 and h2 != h1 and not h1 == h2 and not h2 == h1
+    assert len({h1, h2}) == 2 and {h1: "x"}.get(h2) is None and {h2: "y"}.get(h1) is None
+    for q in (0, 3, Fraction(-1, 2)):
+        a, b = Coeff.from_rational(2, q), Coeff.from_rational(3, q)
+        assert a == b and b == a and hash(a) == hash(b) == hash(q)
+
+
 def test_coeff_compares_unequal_to_other_types(eng2):
     # a type Coeff cannot coerce is unequal, not an AttributeError
     h = cartan_ring(2).gens[0]
@@ -894,6 +906,32 @@ def test_weight_pruned_product_is_the_low_part_of_the_reference(n, eng2, eng3, e
     full = reference_mul(a, b)
     for k in range(min(a.bound, b.bound) + 1):
         assert a.mul(b, k).terms == _low_part(full, k)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_grouped_product_of_projector_multiples(n, eng2, eng3, data):
+    # x P and P x repeat raising and lowering words across their terms, so
+    # mul's (Ra, Lb) groups hold many terms; each cut is the reference's
+    eng = eng2 if n == 2 else eng3
+    x = _element(data, n, eng)
+    N = data.draw(st.integers(1, 4 if n == 2 else 2))
+    P = extremal_projector(eng.sys, N=N, engine=eng)
+    a, b = x * P, P * x
+    full = reference_mul(a, b)
+    for k in range(min(a.bound, b.bound) + 1):
+        assert a.mul(b, k).terms == _low_part(full, k)
+
+
+def test_product_groups_share_words(eng3):
+    # the groups of the property test above are not all single terms
+    x = rewrite_word([(1, 2)], SU3, engine=eng3, N=3) + rewrite_word([(3, 1)], SU3, engine=eng3, N=3)
+    P = extremal_projector(SU3, N=3, engine=eng3)
+    a, b = x * P, P * x
+    ras, lbs = [Ra for _, Ra in a.terms], [Lb for Lb, _ in b.terms]
+    assert len(set(ras)) < len(ras) and len(set(lbs)) < len(lbs)
+    assert (a * b).terms == reference_mul(a, b).terms
 
 
 def test_weight_pruned_su4_projector_product(eng4):

@@ -198,6 +198,43 @@ def test_a_normal_ordering_is_validated_once(monkeypatch, capsys):
     assert calls == []
 
 
+def test_default_ordering_projectors_use_the_shared_engine(monkeypatch, capsys):
+    # with no engine, the default ordering, as None or as its sequence, builds
+    # on shared_engine(n) and is not validated again; any other ordering gets
+    # a new engine, which validates it once
+    from extremal import algebra, cli, pbw
+
+    default = normal_ordering(SU3)
+    shared = shared_engine(3)
+    calls, created = [], []
+    validate = algebra.validate_normal_ordering
+
+    def counting(sys_, seq):
+        calls.append(tuple(seq))
+        return validate(sys_, seq)
+
+    class Counting(RewriteEngine):
+        def __init__(self, sys_, order=None):
+            created.append(order)
+            super().__init__(sys_, order)
+
+    monkeypatch.setattr(algebra, "validate_normal_ordering", counting)
+    monkeypatch.setattr(pbw, "RewriteEngine", Counting)
+    for order in (None, default, default.sequence, [list(r) for r in default.sequence]):
+        assert extremal_projector(SU3, order=order, N=2).engine is shared
+    for argv in (["projector", "--algebra", "su3", "--trunc", "2"],
+                 ["projector", "--algebra", "su3", "--trunc", "2", "--order", "12,13,23"],
+                 ["verify", "--suite", "su3-projector", "--trunc", "2"]):
+        assert cli.main(argv) == 0
+    assert calls == [] and created == []
+    reverse = ((2, 3), (1, 3), (1, 2))
+    P = extremal_projector(SU3, order=reverse, N=2)
+    assert P.engine is not shared and P.engine.order.sequence == reverse
+    assert cli.main(["projector", "--algebra", "su3", "--trunc", "2", "--order", "23,13,12"]) == 0
+    capsys.readouterr()
+    assert created == [reverse, reverse] and calls == [reverse, reverse]
+
+
 def test_apply_projector_fixes_highest_weight():
     M = su3_irrep(2, 1)
     hw = M.basis_vector(0)
