@@ -216,11 +216,15 @@ def no_go_polynomial_residual(sys, N):
     element is an honest polynomial of the generators) and returns the exact,
     untruncated normal form of e_gamma * P_poly for the first simple root.
     A nonzero result witnesses that no polynomial solves the annihilation
-    equations; the series identity lives only in the Taylor extension.
+    equations; the series identity lives only in the Taylor extension.  It
+    builds on `pbw.shared_engine`.  ValueError for N < 1: at N = 0 every
+    factor is 1, and the "residual" is e_gamma itself.
     """
-    from .pbw import RewriteEngine, TaylorElement
+    from .pbw import TaylorElement, shared_engine
 
-    eng = RewriteEngine(sys)
+    if N < 1:
+        raise ValueError("truncation bound must be >= 1 for the no-go control")
+    eng = shared_engine(sys.n)
     big = 4 * N + 8  # large enough that nothing is dropped: computation is exact
     out = eng.one(big)
     for root in eng.order.sequence:

@@ -15,13 +15,14 @@ the projector's `factor_on_frame`), and leaves by `Irrep.from_frame` with
 one square root per coordinate, sqrt(k nu_b), taken by one gcd as both
 factors are squarefree.  Weights are tuples of h_i eigenvalues (ints).
 
-su(3) irreps are realized in Sym^lam(V) x Sym^mu(V*), V the fundamental
-representation: the cyclic submodule of the highest-weight product vector is
-generated by lowering, in integer arithmetic on the coordinates of the
-orbits of product basis vectors under permuting equal tensor factors.  Each
-lowered vector is Gram-Schmidt reduced against its weight space as it is
-found, into a primitive integer vector u_b, and the frame is f_b = u_b / k_b
-with |u_b|^2 = k_b^2 nu_b.  su(2) irreps and the GT modules of `su3gt` take
+su(3) irreps are realized in the `tensor` of the symmetric powers
+Sym^lam(V) and Sym^mu(V*), V the fundamental representation, each over the
+frame of its orbit sums (the sums of product basis vectors under permuting
+equal tensor factors): the cyclic submodule of the highest-weight product
+vector is generated by lowering, in ints over that frame.  Each lowered
+vector is Gram-Schmidt reduced against its weight space as it is found,
+into a primitive integer vector u_b, and the frame is f_b = u_b / k_b with
+|u_b|^2 = k_b^2 nu_b.  su(2) irreps and the GT modules of `su3gt` take
 their frames from their squared matrix entries (`frame_of_entries`), and a
 tensor product from its factors'; every raising matrix is a lowering one
 transposed (`with_raising`).
@@ -482,15 +483,6 @@ def tensor(a, b):
 # The lowering generators of su(3), in the order the realization applies them.
 _LOWERING = ((2, 1), (3, 1), (3, 2))
 
-# A tensor factor of the realization: the weights of its three basis vectors,
-# and, per lowering generator e_ij, its one nonzero matrix entry (row, col,
-# value).  The fundamental has e_ij = E_ij; the antifundamental is its dual,
-# -E_ji.
-_FUND = (((1, 0), (-1, 1), (0, -1)),
-         {(i, j): (i - 1, j - 1, 1) for i, j in _LOWERING})
-_ANTIFUND = (((-1, 0), (1, -1), (0, 1)),
-             {(i, j): (j - 1, i - 1, -1) for i, j in _LOWERING})
-
 
 def _irrep_label(lam, mu):
     """(lam, mu) as ints; ValueError unless both are nonnegative integers."""
@@ -514,80 +506,71 @@ def su3_dim(lam, mu):
     return (lam + 1) * (mu + 1) * (lam + mu + 2) // 2
 
 
+def _symmetric_power(k, dual=False):
+    """Sym^k(V), or Sym^k(V*) if dual, V the fundamental of su(3), over the
+    frame of its orbit sums.
+
+    Basis vector d is a sorted digit tuple, in `combinations_with_replacement`
+    order, and f_d = s_d / k_d, where s_d sums the product basis vectors
+    whose digits are d in any order and |s_d|^2 = k_d^2 nu_d.  e_ij turns one
+    digit c of d into r: on V it is E_ij, (r, c) = (i - 1, j - 1), and on V*
+    it is -E_ji, (r, c) = (j - 1, i - 1).  So s_d goes to sign (n_r(d) + 1)
+    s_d', and the frame entry is sign (n_r(d) + 1) k_d' / k_d.
+    """
+    digits = list(combinations_with_replacement(range(3), k))
+    index = {d: b for b, d in enumerate(digits)}
+    ks, nu = zip(*(_squarefree_split(_arrangements(d)) for d in digits))
+    sign = -1 if dual else 1
+    lowering = {}
+    for i, j in _LOWERING:
+        r, c = (j - 1, i - 1) if dual else (i - 1, j - 1)
+        cols = {}
+        for b, d in enumerate(digits):
+            if c in d:
+                moved = list(d)
+                moved.remove(c)
+                moved = tuple(sorted(moved + [r]))
+                a = index[moved]
+                cols[b] = [(a, Fraction(sign * moved.count(r) * ks[a], ks[b]))]
+        lowering[(i, j)] = _frame_matrix(cols)
+    weights = [(sign * (d.count(0) - d.count(1)), sign * (d.count(1) - d.count(2)))
+               for d in digits]
+    return Irrep(n=3, label=(0, k) if dual else (k, 0), tags=digits, weights=weights,
+                 nu=list(nu), frame=with_raising(lowering, nu))
+
+
 @label_cache(32, su3_label)  # su3_label admits 28 irreps
 def su3_irrep(lam, mu):
-    """Exact su(3) irrep (lam, mu) realized in Sym^lam(V) x Sym^mu(V*).
+    """Exact su(3) irrep (lam, mu) realized in P = Sym^lam(V) x Sym^mu(V*).
 
-    A basis vector of fund^lam x antifund^mu is a digit string, its product
-    index the base-3 number of its digits.  Permuting the first lam digits,
-    or the last mu, commutes with su(3), so the cyclic submodule of the
-    highest-weight product vector has equal coordinates on each orbit of
-    such permutations.  It is generated there by lowering, with one
-    coordinate per orbit, keyed by the least product index in the orbit,
-    and the product inner product weights each orbit by its size.  Each
-    lowered vector is Gram-Schmidt reduced in ints (`orthogonalize`) against
-    the basis already found in its weight space; a zero residual marks it
-    dependent.  Basis vector b is u_b / |u_b| for the primitive residual
-    u_b, signed so that its first product-basis coordinate is positive, and
-    the entry (a, b) of a lowering generator is d / (|u_a| |u_b|) with the
-    integer d = u_a . (e_ij u_b).
+    The cyclic submodule of the highest-weight vector e1^lam x f3^mu is
+    generated by lowering over P's frame (`tensor` of two
+    `_symmetric_power`s), each lowered vector Gram-Schmidt reduced in ints
+    (`orthogonalize` under `P.frame_dot`) against the basis already found
+    in its weight space; a zero residual marks it dependent.  The primitive
+    residual u_b, signed so that its first coordinate in P is positive,
+    gives f_b = u_b / k_b, |u_b|^2 = k_b^2 nu_b.
     """
     if lam == 0 and mu == 0:
         return Irrep(n=3, label=(0, 0), tags=["0"], weights=[(0, 0)], nu=[1],
                      frame=with_raising({g: _NO_MATRIX for g in _LOWERING}, [1]))
 
-    # the orbits: each block of digits sorted ascending, the least product
-    # index of the orbit; its size is a product of multinomials
-    strides = [3 ** k for k in reversed(range(lam + mu))]
-    keys, size, pweights = {}, {}, {}
-    for fund in combinations_with_replacement(range(3), lam):
-        for anti in combinations_with_replacement(range(3), mu):
-            key = sum(d * s for d, s in zip(fund + anti, strides))
-            keys[(fund, anti)] = key
-            size[key] = _arrangements(fund) * _arrangements(anti)
-            pweights[key] = tuple(
-                sum(_FUND[0][d][k] for d in fund) + sum(_ANTIFUND[0][d][k] for d in anti)
-                for k in (0, 1))
-
-    # orbit-space lowering matrices, indexed by column: the coordinate of
-    # e_ij x at an orbit is that at its least digit string, where e_ij turns
-    # each digit r of a block into the digit c (entry (r, c, val)) of the
-    # source orbit
-    def pmatrix(g):
-        by_col = {}
-        for (fund, anti), row in keys.items():
-            for block, (_, entries) in ((0, _FUND), (1, _ANTIFUND)):
-                r, c, val = entries[g]
-                digits = (fund, anti)[block]
-                count = digits.count(r)
-                if count:
-                    moved = list(digits)
-                    moved.remove(r)
-                    moved = tuple(sorted(moved + [c]))
-                    col = keys[(moved, anti) if block == 0 else (fund, moved)]
-                    by_col.setdefault(col, []).append((row, count * val))
-        return by_col
-
-    lowering = {g: pmatrix(g) for g in _LOWERING}
-
-    def dot(u, v):
-        return sum(x * v[k] * size[k] for k, x in u.items() if k in v)
-
-    # highest-weight product vector: every fundamental at e1, antifund at f3
-    highest = {keys[((0,) * lam, (2,) * mu)]: 1}
+    dual = _symmetric_power(mu, dual=True)
+    P = tensor(_symmetric_power(lam), dual)
+    highest = {dual.dim - 1: 1}  # e1^lam x f3^mu: the first fund, last dual vector
 
     by_weight = {}  # weight -> [(primitive integer vector, its squared norm)]
 
     def insert(vec):
         if not vec:
             return False
-        found = by_weight.setdefault(pweights[next(iter(vec))], [])
-        u = orthogonalize(vec, found, dot)
+        found = by_weight.setdefault(P.weights[next(iter(vec))], [])
+        u = orthogonalize(vec, found, P.frame_dot)
         if not u:
             return False
-        if u[min(u)] < 0:  # phase: first product-basis coordinate positive
+        if u[min(u)] < 0:  # phase: first product coordinate positive
             u = {k: -x for k, x in u.items()}
-        found.append((u, dot(u, u)))
+        found.append((u, P.frame_dot(u, u)))
         return True
 
     # cyclic submodule via repeated lowering, grouped by weight
@@ -595,8 +578,8 @@ def su3_irrep(lam, mu):
     queue = [highest]
     while queue:
         vec = queue.pop()
-        for mat in lowering.values():
-            nxt = col_vec(mat, vec)
+        for g in _LOWERING:
+            nxt = col_vec(P.frame[g].cols, vec)
             if insert(nxt):
                 queue.append(nxt)
 
@@ -614,27 +597,26 @@ def su3_irrep(lam, mu):
         weights.append(w)
         in_weight.setdefault(w, []).append(b)
 
-    # the frame f_b = u_b / k_b with |u_b|^2 = k_b^2 nu_b; as e_ij u_b =
-    # sum_a (d / |u_a|^2) u_a, its frame entry is d / (k_a k_b nu_a).  Only
-    # the basis vectors of the weight space that e_ij maps u_b into can pair
-    # with its image.
+    # as e_ij u_b = sum_a (d / (den |u_a|^2)) u_a, the entry of f_b's image at
+    # f_a is d / (den k_a k_b nu_a).  Only the basis vectors of the weight
+    # space that e_ij maps u_b into can pair with its image.
     ks, nu = zip(*(_squarefree_split(n2) for _w, _u, n2 in basis))
     frame = {}
-    for g, pmat in lowering.items():
+    for g in _LOWERING:
+        den, pmat = P.frame[g]
         cols = {}
         for b, (_w, ub, _nb) in enumerate(basis):
             img = col_vec(pmat, ub)
             if not img:
                 continue
-            for a in in_weight.get(pweights[next(iter(img))], ()):
-                d = dot(img, basis[a][1])
+            for a in in_weight.get(P.weights[next(iter(img))], ()):
+                d = P.frame_dot(img, basis[a][1])
                 if d:
-                    cols.setdefault(b, []).append((a, Fraction(d, ks[a] * ks[b] * nu[a])))
+                    cols.setdefault(b, []).append((a, Fraction(d, den * ks[a] * ks[b] * nu[a])))
         frame[g] = _frame_matrix(cols)
 
     return Irrep(n=3, label=(lam, mu), tags=tags, weights=weights,
                  nu=list(nu), frame=with_raising(frame, nu))
-
 
 
 def _arrangements(digits):

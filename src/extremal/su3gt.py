@@ -31,6 +31,7 @@ irrep's labels, in label order with their positions.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -150,7 +151,9 @@ def gt_basis(M, lam, mu, v):
     one-term Radical per vector, and each vector leaves the frame once.
     The labels are read by `exact.integer`, as a coupled target may lie
     beyond the guard of `su3_label`; ValueError unless every coordinate of
-    v has weight (lam, mu)."""
+    v has weight (lam, mu), and then unless v is a unit highest vector:
+    nonzero, annihilated by e12 and e23 and of norm 1, each read off its
+    frame parts."""
     lam, mu = integer(lam), integer(mu)
     e21, e31, e32 = (M.frame[g] for g in ((2, 1), (3, 1), (3, 2)))
     top = M.to_frame(v)
@@ -158,6 +161,19 @@ def gt_basis(M, lam, mu, v):
         if tuple(M.weights[b]) != (lam, mu):
             raise ValueError("coordinate %d of v has weight %s, not (%d, %d)"
                              % (b, tuple(M.weights[b]), lam, mu))
+    if not top:
+        raise ValueError("v is zero, not a highest vector")
+    for g in ((1, 2), (2, 3)):
+        if any(col_vec(M.frame[g].cols, x) for _, x in top.values()):
+            raise ValueError("e%d%d does not annihilate v: it is no highest vector" % g)
+    norm2 = {}  # |v|^2 by radicand, summed over each ordered pair of frame parts
+    for k, (s, x) in top.items():
+        for k2, (s2, x2) in top.items():
+            g = math.gcd(k, k2)
+            r = k // g * (k2 // g)
+            norm2[r] = norm2.get(r, 0) + s * s2 * g * M.frame_dot(x, x2)
+    if {r: c for r, c in norm2.items() if c} != {1: 1}:
+        raise ValueError("v has squared norm %s, not 1" % v.norm2())
     out = []
     for J, T, Tz in _gt_index(lam, mu)[1]:
         if Tz == T:

@@ -226,6 +226,15 @@ def test_verify_projector_zero_trunc_is_refused(capsys, suite):
     assert err == "error: truncation bound must be >= 1 for %s\n" % suite
 
 
+def test_verify_no_go_zero_trunc_is_refused(capsys):
+    # at N = 0 the "residual" is e12 itself, so the control would pass
+    # without checking the series
+    code, out, err = run(capsys, "verify", "--suite", "no-go", "--trunc", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: truncation bound must be >= 1 for the no-go control\n"
+
+
 def test_bad_half_integer_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["cgc-su2", "--j1", "1/3", "--j2", "1/2"])

@@ -256,6 +256,35 @@ def test_no_go_residual_is_nonzero():
     assert res.terms
 
 
+def test_no_go_residual_builds_on_the_shared_engine(monkeypatch):
+    # the control creates no engine, and gives a fresh engine's residual
+    from extremal import pbw
+
+    with monkeypatch.context() as m:
+        m.setattr(pbw, "shared_engine", lambda n: RewriteEngine(build_root_system(n)))
+        fresh = [no_go_polynomial_residual(SU2, N).dump() for N in (1, 2, 3)]
+    shared, created = shared_engine(2), []
+
+    class Counting(RewriteEngine):
+        def __init__(self, sys_, order=None):
+            created.append(order)
+            super().__init__(sys_, order)
+
+    monkeypatch.setattr(pbw, "RewriteEngine", Counting)
+    for N, want in zip((1, 2, 3), fresh):
+        res = no_go_polynomial_residual(SU2, N)
+        assert res.engine is shared
+        assert res.dump() == want, N
+    assert created == []
+
+
+@pytest.mark.parametrize("N", [0, -1])
+def test_no_go_residual_refuses_a_bound_below_one(N):
+    # at N = 0 every factor is 1 and the "residual" is e12 itself
+    with pytest.raises(ValueError, match=r"^truncation bound must be >= 1"):
+        no_go_polynomial_residual(SU2, N)
+
+
 def test_dropped_engine_is_freed_at_once():
     import gc
     import weakref

@@ -1,7 +1,9 @@
 """Explicit modules: matrices, defining relations, application of elements."""
 
+import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from extremal.pbw import RewriteEngine, SingularWeightError, rewrite_word, share
 from extremal.repmod import (
     ModuleVector,
     TruncationError,
+    _symmetric_power,
     apply_element,
     frame_of_entries,
     mat_eq,
@@ -518,6 +521,34 @@ def test_su3_irrep_equals_the_product_space_builder():
         M, R = su3_irrep(lam, mu), reference_su3_irrep(lam, mu)
         assert (M.tags, M.weights) == (R.tags, R.weights), (lam, mu)
         _same_matrices(M.matrices, R.matrices, (lam, mu))
+
+
+def _squarefree_part(n):
+    for p in range(2, n + 1):
+        while n % (p * p) == 0:
+            n //= p * p
+    return n
+
+
+def test_symmetric_powers_equal_the_product_space_builder():
+    # Sym^k(V) and Sym^k(V*) over their orbit sums against (k, 0) and (0, k)
+    # built on all 3^k product basis vectors: each weight space is one
+    # vector, so the bases match by weight, and nu_d is the squarefree part
+    # of the number of product basis vectors of d's weight
+    digit_weights = ((1, 0), (-1, 1), (0, -1))
+    for k in range(5):
+        for dual, label in ((False, (k, 0)), (True, (0, k))):
+            S, R = _symmetric_power(k, dual=dual), reference_su3_irrep(*label)
+            sign = -1 if dual else 1
+            count = Counter(tuple(sign * sum(digit_weights[d][i] for d in digits) for i in (0, 1))
+                            for digits in itertools.product(range(3), repeat=k))
+            assert S.dim == R.dim == len(count), label
+            to_R = [R.weights.index(w) for w in S.weights]
+            assert sorted(to_R) == list(range(R.dim)), label
+            assert S.nu == [_squarefree_part(count[w]) for w in S.weights], label
+            moved = {g: {(to_R[r], to_R[c]): v for (r, c), v in m.items()}
+                     for g, m in S.matrices.items()}
+            _same_matrices(moved, R.matrices, label)
 
 
 def _squarefree(n):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from extremal.exact import Radical, sqrt_of_rational
-from extremal.repmod import su3_irrep, su3_label
+from extremal.repmod import ModuleVector, su3_irrep, su3_label
 from extremal.su3cgc import projector_matrix_element, su3_cgc
 from extremal.su3gt import (
     admissible_jt,
@@ -249,6 +249,33 @@ def test_gt_basis_matches_the_radical_route():
         for L3, copies in decompose(*L1, *L2).items():
             for v in copies:
                 assert gt_basis(Mt, *L3, v) == reference_gt_basis(Mt, *L3, v), (L1, L2, L3)
+
+
+def test_gt_basis_refuses_a_vector_that_is_no_unit_highest_vector():
+    # basis vector 4 of (2, 2) has weight (1, 1) but is no highest vector:
+    # unchecked, it gave 8 "GT vectors" of norms 5/6, 5/6, 20/9, 5/4, ...,
+    # and a zero v gave zero vectors
+    M = su3_irrep(2, 2)
+    assert M.weights[4] == (1, 1)
+    with pytest.raises(ValueError, match=r"^e12 does not annihilate v"):
+        gt_basis(M, 1, 1, M.basis_vector(4))
+    with pytest.raises(ValueError, match=r"^v is zero"):
+        gt_basis(M, 1, 1, ModuleVector({}))
+    # the combination of vectors 4 and 5 that e12 kills is raised by e23
+    e12 = M.matrix((1, 2))
+    (a,), (b,) = ([v for (r, c), v in e12.items() if c == k] for k in (4, 5))
+    with pytest.raises(ValueError, match=r"^e23 does not annihilate v"):
+        gt_basis(M, 1, 1, ModuleVector({4: b, 5: a * -1}))
+    with pytest.raises(ValueError, match=r"^v has squared norm 4, not 1$"):
+        gt_basis(M, 2, 2, M.basis_vector(0).scale(2))
+    # (1 + sqrt(2)) / sqrt(3) times the highest vector: the rational part of
+    # its squared norm is 1, and the cross term of its frame parts is not 0
+    x = (Radical.from_rational(1) + sqrt_of_rational(2)) * sqrt_of_rational(Fraction(1, 3))
+    with pytest.raises(ValueError, match=r"^v has squared norm 1 \+ 2/3\*sqrt\(2\), not 1$"):
+        gt_basis(M, 2, 2, ModuleVector({0: x}))
+    # the index check still comes first
+    with pytest.raises(ValueError, match=r"^basis index 27 outside"):
+        gt_basis(M, 1, 1, ModuleVector({4: 1, 27: 1}))
 
 
 def test_gt_basis_checks_the_weight_and_reads_string_labels():
