@@ -10,19 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 
 __all__ = [
-    "Root",
     "RootSystemData",
     "NormalOrdering",
     "build_root_system",
     "validate_normal_ordering",
-    "enumerate_normal_orderings",
     "normal_ordering",
 ]
-
-Root = tuple  # (i, j) with i < j
 
 
 @dataclass(frozen=True)
@@ -33,22 +28,10 @@ class RootSystemData:
     positive_roots: tuple
     simple_roots: tuple
 
-    @property
-    def rank(self):
-        return self.n - 1
-
-    def inner_product(self, g, d):
-        """(gamma, delta) with (eps_i, eps_j) = delta_ij, so (gamma,gamma)=2."""
-        (i, j), (k, l) = g, d
-        return Fraction((i == k) - (i == l) - (j == k) + (j == l))
-
     def rho_pairing(self, g):
         """(rho, gamma) = j - i for gamma = eps_i - eps_j."""
         i, j = g
         return Fraction(j - i)
-
-    def is_composite(self, g):
-        return g not in self.simple_roots
 
 
 @dataclass(frozen=True)
@@ -94,22 +77,10 @@ def validate_normal_ordering(sys, seq):
     return (not violations), violations
 
 
-def enumerate_normal_orderings(sys):
-    """All normal orderings, by brute-force filtering of the permutations."""
-    if sys.rank > 3:
-        raise ValueError("enumeration guarded to rank <= 3")
-    out = []
-    for perm in permutations(sys.positive_roots):
-        ok, _ = validate_normal_ordering(sys, perm)
-        if ok:
-            out.append(NormalOrdering(sequence=perm))
-    return out
-
-
 def default_ordering(sys):
     """The lexicographic order of the (i, j) pairs, which is normal for every
-    su(n) and is the first valid ordering the enumeration finds; for su(3)
-    it is ((1,2),(1,3),(2,3)), matching the factorized product form."""
+    su(n) and is the first normal permutation in lexicographic order; for
+    su(3) it is ((1,2),(1,3),(2,3)), matching the factorized product form."""
     return NormalOrdering(sequence=tuple(sorted(sys.positive_roots)))
 
 

@@ -576,15 +576,19 @@ class RewriteEngine:
         self._rank = {}
         for pos, (i, j) in enumerate(seq):
             self._rank[(j, i)], self._rank[(i, j)] = pos, len(seq) + pos
-        self._reduce_cache, self._unpack_cache, self._shift_cache = {}, {}, {}
-        self._word_shift_cache, self._h_span_cache = {}, {}
+        self._reduce_cache, self._shift_cache, self._word_shift_cache = {}, {}, {}
 
     # -- coefficients -------------------------------------------------
 
     def coeff(self, x):
-        """Coerce a number, Fraction, sympy expression, or Coeff."""
+        """Coerce a number, Fraction, sympy expression, or Coeff.  A constant
+        Coeff of another rank becomes su(n)'s; any other raises ValueError."""
         if isinstance(x, Coeff):
-            return x
+            if x.n == self.n:
+                return x
+            if x.den or any(x.num):
+                raise ValueError("a coefficient of su(%d) for an engine of su(%d)" % (x.n, self.n))
+            return Coeff(self.n, x.num, None, x.q)
         if isinstance(x, (int, Fraction)):
             return Coeff.from_rational(self.n, x)
         return Coeff.from_expr(self.n, x)
@@ -597,18 +601,26 @@ class RewriteEngine:
 
     # -- letters ------------------------------------------------------
 
-    def shift_vector(self, g):
-        """[h_k, e_g] = s_k e_g; returns tuple s over k = 1..n-1."""
-        i, j = g
-        return tuple((k == i) - (k == j) - (k + 1 == i) + (k + 1 == j) for k in range(1, self.n))
+    def root_weight(self, packed):
+        """Weight of a packed word in simple-root coordinates: e_ij adds
+        alpha_i + ... + alpha_{j-1} for i < j and subtracts
+        alpha_j + ... + alpha_{i-1} for i > j."""
+        w = [0] * (self.n - 1)
+        for (i, j), e in packed:
+            if i > j:
+                i, j, e = j, i, -e
+            for k in range(i - 1, j - 1):
+                w[k] += e
+        return tuple(w)
 
-    def word_shift(self, letters):
-        """Sum of the shift vectors of a word of generators, memoized."""
-        key = tuple(letters)
-        s = self._word_shift_cache.get(key)
+    def word_shift(self, packed):
+        """The shift s of a packed word W, [h_k, W] = s_k W: the Cartan
+        matrix times W's root weight, memoized."""
+        s = self._word_shift_cache.get(packed)
         if s is None:
-            vecs = [self.shift_vector(g) for g in key] or [(0,) * (self.n - 1)]
-            s = self._word_shift_cache[key] = tuple(map(sum, zip(*vecs)))
+            w = [0, *self.root_weight(packed), 0]
+            s = self._word_shift_cache[packed] = tuple(
+                2 * w[k] - w[k - 1] - w[k + 1] for k in range(1, self.n))
         return s
 
     def shift_expr(self, coeff, svec, scale=1):
@@ -621,29 +633,10 @@ class RewriteEngine:
             out = self._shift_cache[key] = coeff.shift(svec, scale)
         return out
 
-    def root_weight(self, packed):
-        """Weight of a packed word in simple-root coordinates: e_ij adds
-        alpha_i + ... + alpha_{j-1} for i < j and subtracts
-        alpha_j + ... + alpha_{i-1} for i > j."""
-        w = [0] * (self.n - 1)
-        for (i, j), e in packed:
-            if i > j:
-                i, j, e = j, i, -e
-            for k in range(i - 1, j - 1):
-                w[k] += e
-        return w
-
-    def h_span_vec(self, i, j):
-        """Coefficient vector of e_ii - e_jj over the h_k."""
-        lo, hi = sorted((i, j))
-        return tuple((1 if i < j else -1) * (lo <= k < hi) for k in range(1, self.n))
-
     def h_span(self, i, j):
-        """e_ii - e_jj as a Coeff (i < j: h_i + ... + h_{j-1}), memoized."""
-        c = self._h_span_cache.get((i, j))
-        if c is None:
-            c = self._h_span_cache[(i, j)] = Coeff(self.n, _form(self.h_span_vec(i, j) + (0,)))
-        return c
+        """e_ii - e_jj as a Coeff (i < j: h_i + ... + h_{j-1}), the linear
+        form of e_ij's root weight."""
+        return Coeff(self.n, _form(self.root_weight((((i, j), 1),)) + (0,)))
 
     def commutator(self, a, b):
         """[e_a, e_b] as (sign, letter), the letter a generator pair or a
@@ -655,9 +648,11 @@ class RewriteEngine:
 
     # -- straightening ------------------------------------------------
     #
-    # One memo holds each straightened suffix word, each product (g, P) of a
-    # letter with a normal word of one kind (`_task`), and each product of
-    # two words of one kind (`product`).  Products wait on each other on one
+    # An engine keeps three memos.  One holds each straightened suffix word,
+    # each product (g, P) of a letter with a normal word of one kind
+    # (`_task`), and each product of two words of one kind (`product`); the
+    # others hold shifted coefficients (`shift_expr`) and the shifts of
+    # packed words (`word_shift`).  Products wait on each other on one
     # explicit stack (`_run`), so no straightening nests a frame per letter.
 
     def reduce(self, word):
@@ -706,11 +701,10 @@ class RewriteEngine:
         return out
 
     def _bound_memos(self):
-        """Empty all five memos past _MEMO_LIMIT straightening entries; run
+        """Empty all three memos past _MEMO_LIMIT straightening entries; run
         first in `reduce` and `product`, where no straightening is in flight."""
         if len(self._reduce_cache) > _MEMO_LIMIT:
-            for memo in (self._reduce_cache, self._unpack_cache, self._shift_cache,
-                         self._word_shift_cache, self._h_span_cache):
+            for memo in (self._reduce_cache, self._shift_cache, self._word_shift_cache):
                 memo.clear()
 
     def _known(self, g, P):
@@ -736,7 +730,7 @@ class RewriteEngine:
             for (L2, R1), c1 in prod.items():
                 if R1:
                     r = R1[0][0]
-                    c1 = _times(c1, c if c.__class__ is int else c.shift(self.word_shift((r,)), -1))
+                    c1 = _times(c1, c if c.__class__ is int else c.shift(self.word_shift(R1), -1))
                     high = self._known(r, R)
                     if high is None:
                         high = yield (r, R)
@@ -762,8 +756,7 @@ class RewriteEngine:
         sign, x = self.commutator(g, l)
         part = {}
         if isinstance(x, Coeff):  # h P' = P' h(h + s_P')
-            s = [sum(e * self.word_shift((y,))[k] for y, e in rest) for k in range(self.n - 1)]
-            part = {(rest, ()): x.shift(s)}
+            part = {(rest, ()): x.shift(self.word_shift(rest))}
         elif x:
             part = self._known(x, rest)
             if part is None:
@@ -792,19 +785,17 @@ class RewriteEngine:
     def times_right(self, terms, f):
         """terms times the Cartan coefficient f on the right:
         L c R f = L c f(h - s_R) R."""
-        return {(L, R): c * self.shift_expr(f, self.word_shift(self.unpack(R)), scale=-1)
+        return {(L, R): c * self.shift_expr(f, self.word_shift(R), scale=-1)
                 for (L, R), c in terms.items()}
 
     @staticmethod
     def _pack(letters):
         return tuple((g, len(list(run))) for g, run in groupby(letters))
 
-    def unpack(self, packed):
-        """The letters of a packed word, as a tuple; memoized."""
-        out = self._unpack_cache.get(packed)
-        if out is None:
-            out = self._unpack_cache[packed] = tuple(g for g, e in packed for _ in range(e))
-        return out
+    @staticmethod
+    def unpack(packed):
+        """The letters of a packed word, as a tuple."""
+        return tuple(g for g, e in packed for _ in range(e))
 
     # -- element constructors ----------------------------------------
 
@@ -876,7 +867,7 @@ def rewrite_word(word, sys, N=64, engine=None):
         cartans.extend([(eng.coeff(item), len(gens))] * exp)
     f = eng.coeff_one
     for c, at in cartans:
-        f = f * eng.shift_expr(c, eng.word_shift(gens[at:]))
+        f = f * eng.shift_expr(c, eng.word_shift(eng._pack(gens[at:])))
     return TaylorElement(eng, N, eng.times_right(eng.reduce(gens), f))._pruned()
 
 
@@ -1011,7 +1002,7 @@ class TaylorElement:
                     continue
                 for (L1, R1), c1 in eng.reduce(ra_letters + lb_letters).items():
                     # La ca L1 c1 R1 cb Rb: ca moves right past L1, cb left past R1
-                    h1, s1, cuts = height(R1), eng.word_shift(eng.unpack(R1)), []
+                    h1, s1, cuts = height(R1), eng.word_shift(R1), []
                     for Rb, h, cb in right:
                         if h + h1 <= limit:
                             highs = [x for x in product(R1, Rb).items() if degree(x[0]) <= bound]
@@ -1019,7 +1010,7 @@ class TaylorElement:
                                 cuts.append((eng.shift_expr(cb, s1, -1), highs))
                     if not cuts:
                         continue
-                    s1 = eng.word_shift(eng.unpack(L1))
+                    s1 = eng.word_shift(L1)
                     for La, ca in left:
                         low = eng.shift_expr(ca, s1) * c1
                         lows = product(La, L1).items()
@@ -1042,10 +1033,10 @@ class TaylorElement:
         eng = self.engine
         acc = {}
         for (L, R), c in self.terms.items():
-            # (L c R)* = R* c L* = R* L* c(h + s_L*)
+            # (L c R)* = R* c L* = R* L* c(h + s_L*), and s_L* = -s_L
             low = [(j, i) for (i, j) in reversed(eng.unpack(R))]
             high = [(j, i) for (i, j) in reversed(eng.unpack(L))]
-            f = eng.shift_expr(c, eng.word_shift(high))
+            f = eng.shift_expr(c, eng.word_shift(L), -1)
             for key, v in eng.times_right(eng.reduce(low + high), f).items():
                 cur = acc.get(key)
                 acc[key] = v if cur is None else cur + v

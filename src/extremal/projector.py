@@ -44,8 +44,9 @@ def projector_factor(sys, root, N, engine=None):
     if N < 0:
         raise ValueError("truncation bound must be >= 0")
     eng = engine if engine is not None else RewriteEngine(sys)
+    _check_rank(sys, eng)
     i, j = root
-    svec, shift = eng.h_span_vec(i, j), int(sys.rho_pairing(root))
+    svec, shift = eng.root_weight((((i, j), 1),)), int(sys.rho_pairing(root))
     terms = {}
     for n in range(N + 1):
         # The series coefficient phi_n is written to the LEFT of the lowering
@@ -59,9 +60,16 @@ def projector_factor(sys, root, N, engine=None):
     return TaylorElement(eng, N, terms)
 
 
+def _check_rank(sys, engine):
+    """ValueError unless `engine` straightens in the algebra of `sys`."""
+    if engine.n != sys.n:
+        raise ValueError("an engine of su(%d) for a root system of su(%d)" % (engine.n, sys.n))
+
+
 def _engine_order(sys, order, engine):
-    """engine.order, which its engine validated; ValueError if `order` is
-    given and is another ordering."""
+    """engine.order, which its engine validated; ValueError if the engine
+    is of another rank, or if `order` is given and is another ordering."""
+    _check_rank(sys, engine)
     if order is not None:
         order = normal_ordering(sys, order)
         if order != engine.order:

@@ -1,7 +1,7 @@
 """Reference routes kept as independent checks of the package.
 
 Nothing in `extremal` calls these.  They are the older or symbolic routes:
-the letter-by-letter straightening of PBW words, the term-by-term product of
+the brute-force enumeration of normal orderings, the letter-by-letter straightening of PBW words, the term-by-term product of
 `TaylorElement`s, the identity check on full
 products, the zeroing route that applies a symbolic element past its poles
 (`apply_zeroing`, the oracle of `apply_factor` and `apply_projector`), su(2)
@@ -24,12 +24,13 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 
 import sympy
 from sympy.polys.domains import QQ
 from sympy.polys.rings import ring as poly_ring
 
-from extremal.algebra import build_root_system
+from extremal.algebra import NormalOrdering, build_root_system, validate_normal_ordering
 from extremal.exact import (
     Radical,
     SingularWeightError,
@@ -65,6 +66,21 @@ _ZERO = Radical.from_rational(0)
 _ONE = Radical.from_rational(1)
 _SYS2 = build_root_system(2)
 _SYS3 = build_root_system(3)
+
+
+# -- normal orderings by brute force ------------------------------------
+
+
+def enumerate_normal_orderings(sys):
+    """All normal orderings, by brute-force filtering of the permutations."""
+    if sys.n - 1 > 3:
+        raise ValueError("enumeration guarded to rank <= 3")
+    out = []
+    for perm in permutations(sys.positive_roots):
+        ok, _ = validate_normal_ordering(sys, perm)
+        if ok:
+            out.append(NormalOrdering(sequence=perm))
+    return out
 
 
 # -- coefficient text ---------------------------------------------------
@@ -321,7 +337,7 @@ def reference_reduce(eng, word, memo):
         for sign, u, letter in parts[1:]:
             sub = cache[u]
             if letter is not None:
-                sub = eng.times_right(sub, eng.shift_expr(letter, eng.word_shift(rest)))
+                sub = eng.times_right(sub, eng.shift_expr(letter, eng.word_shift(eng._pack(rest))))
             for k, v in sub.items():
                 v = v if sign > 0 else -v
                 cur = out.get(k)
@@ -351,7 +367,7 @@ def reference_mul(a, b):
             core = eng.times_right(eng.reduce(ra_letters + eng.unpack(Lb)), cb)
             for (L1, R1), c1 in core.items():
                 # La ca L1 c1 R1 Rb ; move ca right past L1
-                mid = eng.shift_expr(ca, eng.word_shift(eng.unpack(L1))) * c1
+                mid = eng.shift_expr(ca, eng.word_shift(L1)) * c1
                 lows = eng.reduce(eng.unpack(La) + eng.unpack(L1))
                 highs = eng.reduce(eng.unpack(R1) + eng.unpack(Rb))
                 for (L2, _e1), cl in lows.items():

@@ -177,6 +177,21 @@ def test_an_order_other_than_the_engines_is_refused(function):
     assert call(default) == call(None)
 
 
+@pytest.mark.parametrize("function", ["extremal_projector", "apply_projector", "projector_factor"])
+def test_an_engine_of_another_rank_is_refused(function):
+    # an su(2) engine once answered for su(3): with the su(2) projector, with
+    # only the (1,2) factor acting, or with StopIteration
+    M = su3_irrep(1, 1)
+    call = {
+        "extremal_projector": lambda: extremal_projector(SU3, N=1, engine=shared_engine(2)),
+        "apply_projector": lambda: apply_projector(SU3, M.basis_vector(3), M,
+                                                   engine=shared_engine(2)),
+        "projector_factor": lambda: projector_factor(SU3, (2, 3), 1, engine=shared_engine(2)),
+    }[function]
+    with pytest.raises(ValueError, match=re.escape("an engine of su(2) for a root system of su(3)")):
+        call()
+
+
 def test_a_normal_ordering_is_validated_once(monkeypatch, capsys):
     from extremal import algebra, cli
 

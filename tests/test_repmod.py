@@ -157,11 +157,11 @@ def test_su3_defining_relations():
 
 
 def test_su3_cartan_eigenvalues_match_shifts():
-    # [h_k, e_ij] = s_k e_ij with the engine's shift vector
+    # [h_k, e_ij] = s_k e_ij with the engine's shift of the one-letter word
     eng = RewriteEngine(SU3)
     M = su3_irrep(1, 1)
     for g in ((1, 2), (2, 3), (1, 3), (2, 1), (3, 2), (3, 1)):
-        s = eng.shift_vector(g)
+        s = eng.word_shift(((g, 1),))
         for k in (1, 2):
             comm = _commutator(M, ("h", k), g)
             assert mat_eq(comm, mat_scale(M.matrix(g), s[k - 1])), (g, k)
