@@ -24,7 +24,7 @@ from . import exact
 from .exact import sqrt_of_rational
 # imported at load time on purpose: every perfbench workload must load pbw at
 # set-up, for tracing.install() and so that setup_s and run_s keep their split
-from .pbw import TaylorElement, shared_engine
+from .pbw import TaylorElement
 from .projector import (
     IdentityReport,
     extremal_projector,
@@ -181,12 +181,11 @@ def _verify_su_projector(n, trunc):
     if N < 1:
         # the residuals are kept up to raising degree N - 1: none at N = 0
         raise CliError("truncation bound must be >= 1 for su%d-projector" % n)
-    eng = shared_engine(n)
-    P = extremal_projector(eng.sys, N=N, engine=eng)
+    P = extremal_projector(build_root_system(n), N=N)
     failures = verify_extremal_identities(P).failures()
     for check, root, residual in failures:
         L, c, R = residual[0]
-        first = TaylorElement(eng, N, {(L, R): c}).dump()
+        first = TaylorElement(P.engine, N, {(L, R): c}).dump()
         print("%s fails%s: %d-term residual, first %s"
               % (check, " at root %s" % (root,) if root else "", len(residual), first),
               file=sys.stderr)

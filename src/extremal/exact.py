@@ -64,15 +64,15 @@ def triangle(a, b, c):
 
 def label_cache(maxsize, parse):
     """Cache a builder in an lru_cache of `maxsize` entries keyed by
-    parse(*labels), so a refused label raises before the cache is touched and
-    every spelling of one label shares one entry; the public function carries
-    the cache's `cache_info`, `cache_clear` and `cache_parameters`."""
+    parse(*labels, **named), so a refused label raises before the cache is
+    touched and every spelling of one label shares one entry; the public
+    function carries the cache's `cache_info`, `cache_clear` and `cache_parameters`."""
     def decorate(build):
         cached = lru_cache(maxsize=maxsize)(build)
 
         @wraps(build)
-        def builder(*labels):
-            return cached(*parse(*labels))
+        def builder(*labels, **named):
+            return cached(*parse(*labels, **named))
 
         for name in ("cache_info", "cache_clear", "cache_parameters"):
             setattr(builder, name, getattr(cached, name))

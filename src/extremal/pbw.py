@@ -34,8 +34,9 @@ from fractions import Fraction
 from itertools import groupby
 from math import gcd, lcm
 
-from .algebra import NormalOrdering, RootSystemData, build_root_system, normal_ordering
-from .exact import SingularWeightError, TruncationError
+from .algebra import NormalOrdering, RootSystemData, build_root_system, default_ordering
+from .algebra import normal_ordering
+from .exact import SingularWeightError, TruncationError, label_cache
 
 __all__ = [
     "Coeff",
@@ -822,6 +823,11 @@ class RewriteEngine:
                 at = self._rank[g] + 1
         return TaylorElement(self, bound, {key: self.coeff(coeff)})
 
+    def check_system(self, sys):
+        """ValueError unless `sys` is a root system of this engine's su(n)."""
+        if sys.n != self.n:
+            raise ValueError("an engine of su(%d) for a root system of su(%d)" % (self.n, sys.n))
+
     def _check_pair(self, g):
         if g not in self._rank:
             raise ValueError("letter %r is not an off-diagonal pair (i, j) of su(%d)"
@@ -845,9 +851,11 @@ def rewrite_word(word, sys, N=64, engine=None):
     letter moves to the right end of the word, c X = X c(h + s_X), so only
     the generators are straightened.  A generator pair that is not an
     off-diagonal pair of su(n), or a Cartan index outside 1..n-1, raises
-    ValueError naming the letter.
+    ValueError naming the letter, and an engine of another rank than sys's
+    ValueError naming both.
     """
-    eng = engine if engine is not None else RewriteEngine(sys)
+    eng = engine if engine is not None else shared_engine(sys.n)
+    eng.check_system(sys)
     gens, cartans = [], []
     for item in word:
         exp = 1
@@ -871,10 +879,20 @@ def rewrite_word(word, sys, N=64, engine=None):
     return TaylorElement(eng, N, eng.times_right(eng.reduce(gens), f))._pruned()
 
 
-@functools.cache  # one entry per rank, and build_root_system admits only n <= 6
-def shared_engine(n):
-    """The engine of su(n) in its default normal ordering, one per rank."""
-    return RewriteEngine(build_root_system(n))
+def _engine_key(n, order=None):
+    """(n, the sequence of `order` as a tuple of pairs), None standing for
+    the default ordering; ValueError for a rank outside 2..6."""
+    sys = build_root_system(n)
+    seq = default_ordering(sys).sequence if order is None else getattr(order, "sequence", order)
+    return n, tuple(map(tuple, seq))
+
+
+@label_cache(8, _engine_key)  # the five default orderings, and three others
+def shared_engine(n, seq):
+    """shared_engine(n, order=None): the engine of su(n) in the normal
+    ordering `order`, one per (rank, ordering), built on first use, when it
+    validates the ordering: one that is not normal raises ValueError."""
+    return RewriteEngine(build_root_system(n), seq)
 
 
 class TaylorElement:

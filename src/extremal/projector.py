@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import default_ordering, normal_ordering
+from .algebra import normal_ordering
 from .repmod import frame_apply, frame_sum
 
 __all__ = [
@@ -37,14 +37,14 @@ __all__ = [
 
 def projector_factor(sys, root, N, engine=None):
     """Per-root factor of the extremal projector, truncated at n = N."""
-    from .pbw import RewriteEngine, TaylorElement
+    from .pbw import TaylorElement, shared_engine
 
     if root not in sys.positive_roots:
         raise ValueError("%r is not a positive root of su(%d)" % (root, sys.n))
     if N < 0:
         raise ValueError("truncation bound must be >= 0")
-    eng = engine if engine is not None else RewriteEngine(sys)
-    _check_rank(sys, eng)
+    eng = engine if engine is not None else shared_engine(sys.n)
+    eng.check_system(sys)
     i, j = root
     svec, shift = eng.root_weight((((i, j), 1),)), int(sys.rho_pairing(root))
     terms = {}
@@ -60,16 +60,10 @@ def projector_factor(sys, root, N, engine=None):
     return TaylorElement(eng, N, terms)
 
 
-def _check_rank(sys, engine):
-    """ValueError unless `engine` straightens in the algebra of `sys`."""
-    if engine.n != sys.n:
-        raise ValueError("an engine of su(%d) for a root system of su(%d)" % (engine.n, sys.n))
-
-
 def _engine_order(sys, order, engine):
     """engine.order, which its engine validated; ValueError if the engine
     is of another rank, or if `order` is given and is another ordering."""
-    _check_rank(sys, engine)
+    engine.check_system(sys)
     if order is not None:
         order = normal_ordering(sys, order)
         if order != engine.order:
@@ -80,17 +74,11 @@ def _engine_order(sys, order, engine):
 
 def extremal_projector(sys, order=None, N=4, engine=None):
     """Product of the per-root factors along the normal ordering, left to
-    right.  With no `engine`, the default ordering (None, or its sequence)
-    uses `pbw.shared_engine`, and any other ordering a new engine."""
-    from .pbw import RewriteEngine, shared_engine
+    right.  With no `engine`, it builds on `pbw.shared_engine(n, order)`."""
+    from .pbw import shared_engine
 
     if engine is None:  # an engine validates `order` and holds it
-        seq = getattr(order, "sequence", order)
-        if seq is None or tuple(map(tuple, seq)) == default_ordering(sys).sequence:
-            engine = shared_engine(sys.n)
-        else:
-            engine = RewriteEngine(sys, order)
-        order = None
+        engine, order = shared_engine(sys.n, order), None
     out = engine.one(N)
     for root in _engine_order(sys, order, engine).sequence:
         out = out * projector_factor(sys, root, N, engine=engine)

@@ -24,8 +24,9 @@ vector is Gram-Schmidt reduced against its weight space as it is found,
 into a primitive integer vector u_b, and the frame is f_b = u_b / k_b with
 |u_b|^2 = k_b^2 nu_b.  su(2) irreps and the GT modules of `su3gt` take
 their frames from their squared matrix entries (`frame_of_entries`), and a
-tensor product from its factors'; every raising matrix is a lowering one
-transposed (`with_raising`).
+tensor product from its factors'.  An `Irrep` holds only its lowering
+matrices, as `lowering`; its `frame` adds each raising matrix, a lowering
+one transposed, on first read.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ __all__ = [
     "frame_apply",
     "frame_sum",
     "frame_of_entries",
-    "with_raising",
     "orthogonalize",
     "apply_element",
     "matrix_of",
@@ -189,23 +189,6 @@ def orthogonalize(u, found, dot):
     return u
 
 
-def with_raising(lowering, nu):
-    """The frame matrices from the lowering ones {(i, j): FrameMatrix},
-    i > j: e_ji is the transpose of e_ij over the orthonormal basis, so its
-    frame entry q_ba = q_ab nu_a / nu_b is the int z nu_a (L / nu_b) over den
-    L, L = lcm(nu), left unreduced: `frame_apply` moves content to scales."""
-    mats = dict(lowering)
-    L = math.lcm(*nu)
-    for (i, j), (den, cols) in lowering.items():
-        up = {}
-        for c, entries in cols.items():
-            f = L // nu[c]
-            for r, z in entries:
-                up.setdefault(r, []).append((c, z * nu[r] * f))
-        mats[(j, i)] = FrameMatrix(den * L, up)
-    return mats
-
-
 def frame_of_entries(lowering, dim):
     """(nu, lowering FrameMatrices) from lowering matrices of squared
     entries {(r, c): (sign, x)}, each sign sqrt(x) for a positive Fraction
@@ -244,11 +227,11 @@ def frame_of_entries(lowering, dim):
 class Irrep:
     """An explicit module (irreducible or a tensor product) over its frame.
 
-    nu[b] is the squarefree squared norm of frame vector f_b, and frame maps
-    each generator pair (i, j), i != j, to its `FrameMatrix`.  `matrices`
-    holds the same generators over the orthonormal basis f_b / sqrt(nu_b),
-    as Radicals; Cartan matrices are diagonal and derived from the stored
-    weights.
+    nu[b] is the squarefree squared norm of frame vector f_b, and lowering
+    maps each lowering generator pair (i, j), i > j, to its `FrameMatrix`;
+    `frame` adds the raising ones.  `matrices` holds every generator over
+    the orthonormal basis f_b / sqrt(nu_b), as Radicals; Cartan matrices are
+    diagonal and derived from the stored weights.
     """
 
     n: int
@@ -256,11 +239,29 @@ class Irrep:
     tags: list
     weights: list          # tuple of ints (h_1..h_{n-1} eigenvalues) per tag
     nu: list               # squarefree int per tag
-    frame: dict
+    lowering: dict
 
     @property
     def dim(self):
         return len(self.tags)
+
+    @cached_property
+    def frame(self):
+        """Every generator's FrameMatrix, built on first read: the lowering
+        ones, and e_ji the transpose of e_ij over the orthonormal basis, so its
+        frame entry q_ba = q_ab nu_a / nu_b is the int z nu_a (L / nu_b) over den
+        L, L = lcm(nu), left unreduced: `frame_apply` moves content to scales."""
+        nu = self.nu
+        mats = dict(self.lowering)
+        L = math.lcm(*nu)
+        for (i, j), (den, cols) in self.lowering.items():
+            up = {}
+            for c, entries in cols.items():
+                f = L // nu[c]
+                for r, z in entries:
+                    up.setdefault(r, []).append((c, z * nu[r] * f))
+            mats[(j, i)] = FrameMatrix(den * L, up)
+        return mats
 
     @cached_property
     def matrices(self):
@@ -428,8 +429,7 @@ def su2_irrep(d):
     # J- |j m> = sqrt((j+m)(j-m+1)) |j m-1>
     down = {(idx + 1, idx): (1, (j + m) * (j - m + 1)) for idx, m in enumerate(ms) if m > -j}
     nu, lowering = frame_of_entries({(2, 1): down}, d + 1)
-    return Irrep(n=2, label=j, tags=tags, weights=weights, nu=nu,
-                 frame=with_raising(lowering, nu))
+    return Irrep(n=2, label=j, tags=tags, weights=weights, nu=nu, lowering=lowering)
 
 
 # -- tensor products -------------------------------------------------
@@ -442,7 +442,7 @@ def tensor(a, b):
     squarefree squared norm nu_i nu_k / g_ik^2; an entry q of g x 1 or
     1 x g that moves (i, k) to (i', k') becomes q g_i'k' / g_ik.  Over the
     denominator lcm(den_a, den_b) G, G the lcm of the g_ik, the numerators
-    of each lowering generator are ints; `with_raising` transposes them.
+    of each lowering generator are ints; the product's `frame` transposes them.
     """
     if a.n != b.n:
         raise ValueError("rank mismatch: su(%d) vs su(%d)" % (a.n, b.n))
@@ -455,9 +455,10 @@ def tensor(a, b):
     big = math.lcm(*gcds)
     # index (i, k) is i * db + k.  A generator matrix is off-diagonal, so an
     # entry of g x 1 moves i and one of 1 x g moves k: no key is written twice
-    frame = {}
-    for g in {g for g in (*a.frame, *b.frame) if g[0] > g[1]}:
-        (den_a, cols_a), (den_b, cols_b) = a.frame.get(g, _NO_MATRIX), b.frame.get(g, _NO_MATRIX)
+    lowering = {}
+    for g in {*a.lowering, *b.lowering}:
+        den_a, cols_a = a.lowering.get(g, _NO_MATRIX)
+        den_b, cols_b = b.lowering.get(g, _NO_MATRIX)
         den = math.lcm(den_a, den_b)
         fa, fb = den // den_a * big, den // den_b * big
         m = {}
@@ -472,9 +473,9 @@ def tensor(a, b):
                 j = i + c
                 f = fb // gcds[j]
                 m.setdefault(j, []).extend([(i + r, z * f * gcds[i + r]) for r, z in entries])
-        frame[g] = FrameMatrix(den * big, m)
+        lowering[g] = FrameMatrix(den * big, m)
     return Irrep(n=a.n, label=(a.label, b.label), tags=tags, weights=weights,
-                 nu=nu, frame=with_raising(frame, nu))
+                 nu=nu, lowering=lowering)
 
 
 # -- su(3) -----------------------------------------------------------
@@ -536,7 +537,7 @@ def _symmetric_power(k, dual=False):
     weights = [(sign * (d.count(0) - d.count(1)), sign * (d.count(1) - d.count(2)))
                for d in digits]
     return Irrep(n=3, label=(0, k) if dual else (k, 0), tags=digits, weights=weights,
-                 nu=list(nu), frame=with_raising(lowering, nu))
+                 nu=list(nu), lowering=lowering)
 
 
 @label_cache(32, su3_label)  # su3_label admits 28 irreps
@@ -553,7 +554,7 @@ def su3_irrep(lam, mu):
     """
     if lam == 0 and mu == 0:
         return Irrep(n=3, label=(0, 0), tags=["0"], weights=[(0, 0)], nu=[1],
-                     frame=with_raising({g: _NO_MATRIX for g in _LOWERING}, [1]))
+                     lowering={g: _NO_MATRIX for g in _LOWERING})
 
     dual = _symmetric_power(mu, dual=True)
     P = tensor(_symmetric_power(lam), dual)
@@ -579,7 +580,7 @@ def su3_irrep(lam, mu):
     while queue:
         vec = queue.pop()
         for g in _LOWERING:
-            nxt = col_vec(P.frame[g].cols, vec)
+            nxt = col_vec(P.lowering[g].cols, vec)
             if insert(nxt):
                 queue.append(nxt)
 
@@ -601,9 +602,9 @@ def su3_irrep(lam, mu):
     # f_a is d / (den k_a k_b nu_a).  Only the basis vectors of the weight
     # space that e_ij maps u_b into can pair with its image.
     ks, nu = zip(*(_squarefree_split(n2) for _w, _u, n2 in basis))
-    frame = {}
+    lowering = {}
     for g in _LOWERING:
-        den, pmat = P.frame[g]
+        den, pmat = P.lowering[g]
         cols = {}
         for b, (_w, ub, _nb) in enumerate(basis):
             img = col_vec(pmat, ub)
@@ -613,10 +614,10 @@ def su3_irrep(lam, mu):
                 d = P.frame_dot(img, basis[a][1])
                 if d:
                     cols.setdefault(b, []).append((a, Fraction(d, den * ks[a] * ks[b] * nu[a])))
-        frame[g] = _frame_matrix(cols)
+        lowering[g] = _frame_matrix(cols)
 
     return Irrep(n=3, label=(lam, mu), tags=tags, weights=weights,
-                 nu=list(nu), frame=with_raising(frame, nu))
+                 nu=list(nu), lowering=lowering)
 
 
 def _arrangements(digits):

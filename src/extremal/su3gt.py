@@ -39,7 +39,7 @@ from .exact import doubled, half, integer, label_cache, sqrt_factorial_ratio, sq
 from .exact import triangle
 from .projector import factor_on_frame
 from .repmod import FrameMatrix, Irrep, _irrep_label, col_vec, frame_apply, frame_of_entries
-from .repmod import su3_irrep, su3_label, with_raising
+from .repmod import su3_irrep, su3_label
 
 __all__ = [
     "enumerate_gt_labels",
@@ -226,8 +226,8 @@ def gt_module(lam, mu):
             if r is not None:  # also skips the pole of t = 0
                 sq = (lam + mu - l) * (l - mu + 1) * (l + 2) * (l - m11 + 1)
                 e21[(r, c)] = (sign, Fraction(sq, (l - lp) * (l - lp + 1)))
-    nu, frame = frame_of_entries({(2, 1): e21, (3, 2): e32}, len(index))
-    (d21, f21), (d32, f32) = frame[(2, 1)], frame[(3, 2)]
+    nu, lowering = frame_of_entries({(2, 1): e21, (3, 2): e32}, len(index))
+    (d21, f21), (d32, f32) = lowering[(2, 1)], lowering[(3, 2)]
     e31 = {}
     for c in range(len(index)):
         # column c of e32 e21 - e21 e32, over the denominator d21 d32
@@ -236,8 +236,8 @@ def gt_module(lam, mu):
             col[r] = col.get(r, 0) - v
         if any(col.values()):
             e31[c] = [(r, v) for r, v in col.items() if v]
-    frame[(3, 1)] = FrameMatrix(d21 * d32, e31)
+    lowering[(3, 1)] = FrameMatrix(d21 * d32, e31)
     # h1 is an int: Tz = T = J + mu (mod 2), so 3J + Tz = mu (mod 2)
     weights = [((2 * lam + mu - 3 * J - Tz) // 2, Tz) for J, _, Tz in index]
     return Irrep(n=3, label=(lam, mu), tags=list(tags), weights=weights,
-                 nu=nu, frame=with_raising(frame, nu))
+                 nu=nu, lowering=lowering)

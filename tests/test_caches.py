@@ -16,13 +16,13 @@ from extremal.exact import triangle
 
 # caches whose key space is finite without a bound: the rank n <= 6 of
 # build_root_system, and the one argument parser
-UNBOUNDED_BY_DESIGN = {"pbw.h_symbols", "pbw.shared_engine", "cli.build_parser"}
+UNBOUNDED_BY_DESIGN = {"pbw.h_symbols", "cli.build_parser"}
 
 # every builder declared with exact.label_cache, and its bound
 LABEL_CACHED = {
     "repmod.su2_irrep": 64, "repmod.su3_irrep": 32, "su3gt._gt_index": 64,
     "su3gt._gt_basis": 32, "su3gt.gt_module": 32, "su3cgc.pair_module": 16,
-    "su3cgc.decompose": 16, "su3cgc.coupled_basis": 64,
+    "su3cgc.decompose": 16, "su3cgc.coupled_basis": 64, "pbw.shared_engine": 8,
 }
 
 
@@ -67,6 +67,7 @@ def _refused_labels():
     }
     cases = [("su2_irrep", repmod.su2_irrep, (j,))
              for j in (-1, Fraction(-1, 2), Fraction(1, 3), "x")]
+    cases += [("shared_engine", pbw.shared_engine, (n,)) for n in (1, 7)]
     for name, (build, good, guarded) in builders.items():
         bad = [-1, Fraction(1, 2), "x"]
         cases += [(name, build, (lam,) + good[1:]) for lam in bad]

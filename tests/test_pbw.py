@@ -666,6 +666,13 @@ def test_rewrite_word_refuses_a_negative_or_non_int_exponent(exponent):
     assert word.equals_mod_filtration(su2.generator(2, 1, 64))
 
 
+@pytest.mark.parametrize("word", [[(1, 2), (2, 1)], [(1, 3)]])
+def test_rewrite_word_refuses_an_engine_of_another_rank(word):
+    # an su(3) engine once answered for su(2), and took (1, 3) as its letter
+    with pytest.raises(ValueError, match=re.escape("an engine of su(3) for a root system of su(2)")):
+        rewrite_word(word, SU2, engine=shared_engine(3), N=2)
+
+
 def test_coeff_hash_is_computed_once(eng3):
     # the hash sits in a slot after the first call; equal coefficients
     # built apart hash alike, constants as their Fraction

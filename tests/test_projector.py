@@ -195,6 +195,7 @@ def test_an_engine_of_another_rank_is_refused(function):
 def test_a_normal_ordering_is_validated_once(monkeypatch, capsys):
     from extremal import algebra, cli
 
+    shared_engine.cache_clear()  # an engine in the cache validated its ordering already
     eng = shared_engine(3)
     calls = []
     validate = algebra.validate_normal_ordering
@@ -216,9 +217,10 @@ def test_a_normal_ordering_is_validated_once(monkeypatch, capsys):
 def test_default_ordering_projectors_use_the_shared_engine(monkeypatch, capsys):
     # with no engine, the default ordering, as None or as its sequence, builds
     # on shared_engine(n) and is not validated again; any other ordering gets
-    # a new engine, which validates it once
+    # its own shared engine, which validates it once
     from extremal import algebra, cli, pbw
 
+    shared_engine.cache_clear()
     default = normal_ordering(SU3)
     shared = shared_engine(3)
     calls, created = [], []
@@ -247,7 +249,52 @@ def test_default_ordering_projectors_use_the_shared_engine(monkeypatch, capsys):
     assert P.engine is not shared and P.engine.order.sequence == reverse
     assert cli.main(["projector", "--algebra", "su3", "--trunc", "2", "--order", "23,13,12"]) == 0
     capsys.readouterr()
-    assert created == [reverse, reverse] and calls == [reverse, reverse]
+    assert created == [reverse] and calls == [reverse]
+
+
+def test_one_engine_per_rank_and_ordering(monkeypatch, capsys):
+    # every spelling of an ordering shares one engine, built and validated
+    # once; an ordering that is not normal is refused on each call and never
+    # cached; the factor and word functions with no engine use the same one
+    from extremal import algebra, cli, pbw
+
+    shared_engine.cache_clear()
+    for order in (normal_ordering(SU3), normal_ordering(SU3, [(2, 3), (1, 3), (1, 2)])):
+        spellings = [order, order.sequence, [list(r) for r in order.sequence]]
+        if order == normal_ordering(SU3):
+            spellings.append(None)
+        engines = {id(shared_engine(3, x)) for x in spellings}
+        assert len(engines) == 1 and shared_engine(3, order=order).order == order
+    shared_engine.cache_clear()
+    calls, created = [], []
+    validate = algebra.validate_normal_ordering
+
+    def counting(sys_, seq):
+        calls.append(tuple(seq))
+        return validate(sys_, seq)
+
+    class Counting(RewriteEngine):
+        def __init__(self, sys_, order=None):
+            created.append(order)
+            super().__init__(sys_, order)
+
+    monkeypatch.setattr(algebra, "validate_normal_ordering", counting)
+    monkeypatch.setattr(pbw, "RewriteEngine", Counting)
+    reverse = ((2, 3), (1, 3), (1, 2))
+    for trunc in ("1", "2", "3"):
+        argv = ["projector", "--algebra", "su3", "--trunc", trunc, "--order", "23,13,12"]
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert created == [reverse] and calls == [reverse]
+    size = shared_engine.cache_info().currsize
+    bad = ((1, 3), (1, 2), (2, 3))
+    for call in (lambda: shared_engine(3, bad), lambda: extremal_projector(SU3, bad, N=1)):
+        with pytest.raises(ValueError, match="^not a normal ordering"):
+            call()
+    assert created == [reverse, bad, bad] and shared_engine.cache_info().currsize == size
+    eng = shared_engine(3)
+    assert projector_factor(SU3, (1, 3), 2).engine is eng
+    assert rewrite_word([(1, 2), (2, 1)], SU3, N=2).engine is eng
 
 
 def test_apply_projector_fixes_highest_weight():

@@ -5,6 +5,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 import sympy
@@ -649,3 +650,28 @@ def test_spellings_of_one_su3_label_share_one_cache_entry(build, args):
     info = build.cache_info()
     assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
     build.cache_clear()
+
+
+def test_raising_matrices_are_built_only_when_read(monkeypatch):
+    # su3_irrep reads only the lowering matrices of its product space and of
+    # both symmetric powers: the raising transpose runs for the irreps whose
+    # frame is read, once each, and for no other module
+    from extremal import repmod
+
+    transposed, build = [], repmod.Irrep.frame.func
+
+    def counting(M):
+        transposed.append(M.label)
+        return build(M)
+
+    lazy = cached_property(counting)
+    lazy.__set_name__(repmod.Irrep, "frame")
+    monkeypatch.setattr(repmod.Irrep, "frame", lazy)
+    su3_irrep.cache_clear()
+    try:
+        M = su3_irrep(2, 1)
+        assert transposed == []
+        assert M.frame is M.frame and set(M.frame) == {*M.lowering, (1, 2), (1, 3), (2, 3)}
+        assert transposed == [(2, 1)]
+    finally:
+        su3_irrep.cache_clear()
