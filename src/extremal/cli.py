@@ -33,7 +33,7 @@ from .projector import (
 )
 from .repmod import su3_dim, su3_label
 from .su3gt import enumerate_gt_labels, gt_hypercharge, gt_norm_factor, gt_vector
-from .wigner2 import cgc_closed_doubled, cgc_projector_doubled, cgc_table, ninej, sixj
+from .wigner2 import cgc_closed_table, cgc_projector_doubled, ninej, sixj
 
 SCHEMA = 1
 
@@ -61,14 +61,12 @@ def _record(keys, value):
 
 
 def records_cgc_su2(args):
-    table = cgc_table(args.j1, args.j2, args.j3)
     # every doubled label d of the table has |d| <= 2 j1 + 2 j2; each is
     # printed as its half-integer once, and the records share the strings
     top = sum(exact.doubled(args.j1, args.j2))
     text = {d: "%d/2" % d if d % 2 else str(d // 2) for d in range(-top, top + 1)}
     out = []
-    for labels in table:
-        v = cgc_closed_doubled(*labels)
+    for labels, v in cgc_closed_table(args.j1, args.j2, args.j3):
         if v:
             keys = zip(("j1", "m1", "j2", "m2", "j3", "m3"), map(text.__getitem__, labels))
             out.append(_record(keys, v))
@@ -201,9 +199,9 @@ def _verify_no_go(trunc):
 
 def _verify_su2_cgc(trunc):
     top = trunc if trunc is not None else 2  # the largest doubled spin
-    ok = all(not (cgc_closed_doubled(*labels) - cgc_projector_doubled(*labels))
+    ok = all(not (v - cgc_projector_doubled(*labels))
              for j1 in range(top + 1) for j2 in range(top + 1)
-             for labels in cgc_table(Fraction(j1, 2), Fraction(j2, 2)))
+             for labels, v in cgc_closed_table(Fraction(j1, 2), Fraction(j2, 2)))
     return [("closed_equals_projector_route", ok)]
 
 

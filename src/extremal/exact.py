@@ -24,6 +24,7 @@ __all__ = [
     "SingularWeightError",
     "TruncationError",
     "factorial_ratio",
+    "factorial_root",
     "sqrt_factorial_ratio",
     "sqrt_of_rational",
     "parse_radical",
@@ -85,9 +86,10 @@ def _squarefree_split(n):
 
     Trial division runs while p^3 <= n; what is left then has at most two
     prime factors, so it is a square or squarefree, and one isqrt tells which.
-    Only small radicands come here: `sqrt_factorial_ratio` splits factorials
-    by Legendre's formula, so no factorial ratio or Racah sum, whose large
-    prime factor q could cost q^(2/3) divisions, reaches it from a coupling formula.
+    Only small radicands come here: `factorial_root` splits factorials by
+    Legendre's formula and passes only its `extra`, so no factorial ratio or
+    Racah sum, whose large prime factor q could cost q^(2/3) divisions,
+    reaches it from a coupling formula.
     """
     if n < 1:
         raise ValueError("radicand must be positive, got %r" % (n,))
@@ -387,27 +389,35 @@ def _factorial_split(n):
     return k, d
 
 
-def sqrt_factorial_ratio(numerators, denominators, extra=1, scale=1):
-    """scale * sqrt(extra * prod(n!) / prod(d!)) as a Radical, for an int
-    extra >= 0 and an int or Fraction scale; poles as in `factorial_ratio`.
+def factorial_root(numerators, denominators, extra=1):
+    """sqrt(extra * prod(n!) / prod(d!)) as (k, den, s), the value k / den *
+    sqrt(s) with s squarefree, for nonnegative int arguments and an int extra >= 1.
 
     The ratio is never formed: the squarefree parts of the cached splits n! =
     k^2 d combine by one gcd each, s d = g^2 (s/g)(d/g), so only `extra` goes
     through trial division.
     """
+    k, s = _squarefree_split(extra)
+    den = 1
+    for n in numerators:
+        a, d = _factorial_split(n)
+        g = math.gcd(s, d)
+        s, k = (s // g) * (d // g), k * a * g
+    for n in denominators:  # sqrt(s / (a^2 d)) = sqrt(s d) / (a d)
+        a, d = _factorial_split(n)
+        g = math.gcd(s, d)
+        s, k, den = (s // g) * (d // g), k * g, den * a * d
+    return k, den, s
+
+
+def sqrt_factorial_ratio(numerators, denominators, extra=1, scale=1):
+    """scale * sqrt(extra * prod(n!) / prod(d!)) as a Radical, for an int
+    extra >= 0 and an int or Fraction scale; poles as in `factorial_ratio`,
+    and the root from `factorial_root`."""
     args = _pole_checked(numerators, denominators)
     out = Radical.__new__(Radical)
     out.terms = {}
     if args and scale and extra:
-        k, s = _squarefree_split(extra)
-        den = 1
-        for n in args[0]:
-            a, d = _factorial_split(n)
-            g = math.gcd(s, d)
-            s, k = (s // g) * (d // g), k * a * g
-        for n in args[1]:  # sqrt(s / (a^2 d)) = sqrt(s d) / (a d)
-            a, d = _factorial_split(n)
-            g = math.gcd(s, d)
-            s, k, den = (s // g) * (d // g), k * g, den * a * d
+        k, den, s = factorial_root(*args, extra)
         out.terms = {s: Fraction(k * scale.numerator, den * scale.denominator)}
     return out

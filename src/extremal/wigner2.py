@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import Radical, doubled, factorial_ratio, half, triangle
+from .exact import Radical, doubled, factorial_ratio, factorial_root, half, triangle
 from .exact import sqrt_factorial_ratio
 from .projector import factor_on_frame
 from .repmod import frame_apply, su2_irrep, tensor
@@ -24,6 +24,7 @@ from .repmod import frame_apply, su2_irrep, tensor
 __all__ = [
     "cgc_closed",
     "cgc_closed_doubled",
+    "cgc_closed_table",
     "cgc_projector",
     "cgc_projector_doubled",
     "cgc_table",
@@ -39,20 +40,51 @@ _ZERO = Radical.from_rational(0)
 # -- closed-form CGC --------------------------------------------------
 
 
-def cgc_closed_doubled(j1, m1, j2, m2, j3, m3):
-    """`cgc_closed` on doubled labels that the selection rules allow."""
+def _projection_root(j, m):
+    """sqrt(((j+m)/2)! ((j-m)/2)!) on doubled labels, as a root (k, den, s)."""
+    return factorial_root([(j + m) // 2, (j - m) // 2], [])
+
+
+def _triangle_root(j1, j2, j3):
+    """sqrt((j3+1) / ((J+1)! a! b! c!)) on doubled labels, with J, a, b, c =
+    (j1+j2+j3)/2, (j1+j2-j3)/2, (j1-j2+j3)/2, (-j1+j2+j3)/2, as a root (k, den, s)."""
+    return factorial_root([], [(j1 + j2 + j3) // 2 + 1, (j1 + j2 - j3) // 2,
+                               (j1 - j2 + j3) // 2, (j2 + j3 - j1) // 2], j3 + 1)
+
+
+def _times(*roots):
+    """The product of roots (k, den, s), each k / den * sqrt(s) with s
+    squarefree, by one gcd per root after the first."""
+    k, den, s = roots[0]
+    for k2, den2, s2 in roots[1:]:
+        g = math.gcd(s, s2)
+        k, den, s = k * k2 * g, den * den2, (s // g) * (s2 // g)
+    return k, den, s
+
+
+def _cgc_value(j1, m1, j2, m2, j3, root):
+    """(j1 m1 j2 m2 | j3 m3) on allowed doubled labels, given its root: the
+    triangle root times the projection roots of (j1, m1), (j2, m2), (j3, m3)."""
     # Racah's sum in binomials (Johansson & Forssen 2016), on doubled labels:
     # with a, b, c = j1+j2-j3, j1-j2+j3, -j1+j2+j3, the coefficient is the
-    # root below times sum_k (-1)^k C(a,k) C(b, j1-m1-k) C(c, j2+m2-k)
+    # root times sum_k (-1)^k C(a,k) C(b, j1-m1-k) C(c, j2+m2-k)
     a, b, c = (j1 + j2 - j3) // 2, (j1 - j2 + j3) // 2, (j2 + j3 - j1) // 2
     x, y = (j1 - m1) // 2, (j2 + m2) // 2
     total = 0
     for k in range(max(0, x - b, y - c), min(a, x, y) + 1):
         term = math.comb(a, k) * math.comb(b, x - k) * math.comb(c, y - k)
         total += -term if k % 2 else term
-    return sqrt_factorial_ratio(
-        [(j1 + m1) // 2, x, y, (j2 - m2) // 2, (j3 + m3) // 2, (j3 - m3) // 2],
-        [(j1 + j2 + j3) // 2 + 1, a, b, c], extra=j3 + 1, scale=total)
+    out = Radical.__new__(Radical)
+    k, den, s = root
+    out.terms = {s: Fraction(total * k, den)} if total else {}
+    return out
+
+
+def cgc_closed_doubled(j1, m1, j2, m2, j3, m3):
+    """`cgc_closed` on doubled labels that the selection rules allow."""
+    return _cgc_value(j1, m1, j2, m2, j3, _times(
+        _triangle_root(j1, j2, j3), _projection_root(j3, m3),
+        _projection_root(j1, m1), _projection_root(j2, m2)))
 
 
 def _coupling(*labels):
@@ -74,10 +106,9 @@ def cgc_closed(j1, m1, j2, m2, j3, m3):
     return _ZERO if labels is None else cgc_closed_doubled(*labels)
 
 
-def cgc_table(j1, j2, j3=None):
-    """The allowed doubled labels (j1 m1 j2 m2 j3 m3) of the j1 x j2 table by
-    descending j3, m3, m1; only the j3 block when j3 is given.  ValueError
-    for a negative spin or a j3 that the table lacks."""
+def _table_spins(j1, j2, j3):
+    """The doubled j1, j2 of a table and its doubled j3 in print order (only
+    j3 when given).  ValueError for a negative spin or a j3 that the table lacks."""
     d1, d2 = doubled(j1, j2)
     if d1 < 0 or d2 < 0:
         raise ValueError("spins must be nonnegative")
@@ -88,9 +119,43 @@ def cgc_table(j1, j2, j3=None):
             raise ValueError("j3=%s does not occur in %s x %s"
                              % (half(j3), half(j1), half(j2)))
         j3s = d3
+    return d1, d2, j3s
+
+
+def _m1s(d1, d2, m3):
+    """The doubled m1 of a table's m3 row, descending."""
+    return range(min(d1, m3 + d2), max(-d1, m3 - d2) - 1, -2)
+
+
+def cgc_table(j1, j2, j3=None):
+    """The allowed doubled labels (j1 m1 j2 m2 j3 m3) of the j1 x j2 table by
+    descending j3, m3, m1; only the j3 block when j3 is given.  ValueError
+    for a negative spin or a j3 that the table lacks."""
+    d1, d2, j3s = _table_spins(j1, j2, j3)
     return [(d1, m1, d2, m3 - m1, d3, m3)
-            for d3 in j3s for m3 in range(d3, -d3 - 1, -2)
-            for m1 in range(min(d1, m3 + d2), max(-d1, m3 - d2) - 1, -2)]
+            for d3 in j3s for m3 in range(d3, -d3 - 1, -2) for m1 in _m1s(d1, d2, m3)]
+
+
+def cgc_closed_table(j1, j2, j3=None):
+    """Yield (labels, value) for the labels of `cgc_table(j1, j2, j3)`, in
+    its order, with each value `cgc_closed_doubled(*labels)`.
+
+    The roots of the values are shared: the projection roots of j1 and j2
+    are taken once per table, the triangle root once per j3, and the
+    projection root of j3 once per m3.  ValueError as `cgc_table`, when
+    the walk starts.
+    """
+    d1, d2, j3s = _table_spins(j1, j2, j3)
+    roots1 = {m: _projection_root(d1, m) for m in range(-d1, d1 + 1, 2)}
+    roots2 = {m: _projection_root(d2, m) for m in range(-d2, d2 + 1, 2)}
+    for d3 in j3s:
+        triangle_root = _triangle_root(d1, d2, d3)
+        for m3 in range(d3, -d3 - 1, -2):
+            root3 = _times(triangle_root, _projection_root(d3, m3))
+            for m1 in _m1s(d1, d2, m3):
+                m2 = m3 - m1
+                yield ((d1, m1, d2, m2, d3, m3),
+                       _cgc_value(d1, m1, d2, m2, d3, _times(root3, roots1[m1], roots2[m2])))
 
 
 # -- projector-route CGC ----------------------------------------------

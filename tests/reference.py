@@ -1,8 +1,9 @@
 """Reference routes kept as independent checks of the package.
 
 Nothing in `extremal` calls these.  They are the older or symbolic routes:
-the brute-force enumeration of normal orderings, the letter-by-letter straightening of PBW words, the term-by-term product of
-`TaylorElement`s, the identity check on full
+the brute-force enumeration of normal orderings, the closed-form su(2) CGC
+under one ten-factorial root, the letter-by-letter straightening of PBW
+words, the term-by-term product of `TaylorElement`s, the identity check on full
 products, the zeroing route that applies a symbolic element past its poles
 (`apply_zeroing`, the oracle of `apply_factor` and `apply_projector`), su(2)
 general projection operators built as `TaylorElement`s, the
@@ -37,6 +38,7 @@ from extremal.exact import (
     TruncationError,
     factorial_ratio,
     half,
+    sqrt_factorial_ratio,
     sqrt_of_rational,
 )
 from extremal.pbw import Coeff, TaylorElement, _pack, _unpack, shared_engine
@@ -455,6 +457,24 @@ def zeroing_matrix(x, M):
         for r, v in apply_zeroing(x, M.basis_vector(b), M).coords.items():
             out[(r, b)] = v
     return out
+
+
+# -- the closed-form su(2) CGC under one ten-factorial root --------------
+
+
+def reference_cgc_closed_doubled(j1, m1, j2, m2, j3, m3):
+    """(j1 m1 j2 m2 | j3 m3) on allowed doubled labels, Racah's binomial sum
+    times one `sqrt_factorial_ratio` of all ten factorials: the one-label
+    route that the package's table walk, with its shared roots, replaced."""
+    a, b, c = (j1 + j2 - j3) // 2, (j1 - j2 + j3) // 2, (j2 + j3 - j1) // 2
+    x, y = (j1 - m1) // 2, (j2 + m2) // 2
+    total = 0
+    for k in range(max(0, x - b, y - c), min(a, x, y) + 1):
+        term = math.comb(a, k) * math.comb(b, x - k) * math.comb(c, y - k)
+        total += -term if k % 2 else term
+    return sqrt_factorial_ratio(
+        [(j1 + m1) // 2, x, y, (j2 - m2) // 2, (j3 + m3) // 2, (j3 - m3) // 2],
+        [(j1 + j2 + j3) // 2 + 1, a, b, c], extra=j3 + 1, scale=total)
 
 
 # -- su(2) general projection operators as symbolic elements ----------

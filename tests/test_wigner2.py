@@ -7,13 +7,25 @@ from itertools import product
 
 import pytest
 import sympy
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 from sympy.physics.wigner import clebsch_gordan, wigner_6j, wigner_9j
 
 from extremal import exact
 from extremal.exact import Radical, sqrt_of_rational
 from extremal.repmod import su2_irrep
-from extremal.wigner2 import cgc_closed, cgc_projector, ninej, ninej_doubled, sixj, sixj_doubled
-from reference import general_projector, lowering_monomial
+from extremal.wigner2 import (
+    cgc_closed,
+    cgc_closed_doubled,
+    cgc_closed_table,
+    cgc_projector,
+    cgc_table,
+    ninej,
+    ninej_doubled,
+    sixj,
+    sixj_doubled,
+)
+from reference import general_projector, lowering_monomial, reference_cgc_closed_doubled
 
 HALF = Fraction(1, 2)
 
@@ -80,6 +92,59 @@ def test_cgc_orthogonality():
                         j1, m1, j2, m2, j3p, m3
                     )
                 assert s == _rat(1 if j3 == j3p else 0)
+
+
+_spins = st.integers(0, 8)  # doubled
+
+
+@settings(max_examples=40, deadline=None)
+@given(_spins, _spins)
+def test_cgc_orthogonality_on_generated_tables(d1, d2):
+    # the coupling matrix of each m3 is orthogonal, exactly in Radical:
+    # rows, sum over m1 m2 of C(j3 m3) C(j3' m3) = delta(j3, j3'), and
+    # columns, sum over j3 of C(m1 m2) C(m1' m2') = delta(m1, m1');
+    # a pair of labels with different m3 is orthogonal by the selection rule
+    event("doubled j1 + j2 = %d" % (d1 + d2))
+    table = {}  # m3 -> {(m1, j3): C}
+    for labels in cgc_table(Fraction(d1, 2), Fraction(d2, 2)):
+        _, m1, _, _, j3, m3 = labels
+        table.setdefault(m3, {})[m1, j3] = cgc_closed_doubled(*labels)
+    zero = Radical.from_rational(0)
+    event("a zero coefficient in the table: %s"
+          % any(not v for block in table.values() for v in block.values()))
+    for block in table.values():
+        m1s = sorted({m1 for m1, _ in block})
+        j3s = sorted({j3 for _, j3 in block})
+        for j3, j3p in product(j3s, repeat=2):
+            s = sum((block[m1, j3] * block[m1, j3p] for m1 in m1s), zero)
+            assert s == _rat(j3 == j3p), (d1, d2, j3, j3p)
+        for m1, m1p in product(m1s, repeat=2):
+            s = sum((block[m1, j3] * block[m1p, j3] for j3 in j3s), zero)
+            assert s == _rat(m1 == m1p), (d1, d2, m1, m1p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 24), st.integers(0, 24), st.data())
+def test_cgc_closed_table_equals_the_one_label_routes(d1, d2, data):
+    # the walk's shared roots give the values of cgc_closed_doubled and of
+    # the ten-factorial root, label by label, in cgc_table's order; a j3
+    # block is the full table's slice
+    j1, j2 = Fraction(d1, 2), Fraction(d2, 2)
+    full = list(cgc_closed_table(j1, j2))
+    assert [labels for labels, _ in full] == cgc_table(j1, j2)
+    for labels, v in full:
+        assert v == cgc_closed_doubled(*labels) == reference_cgc_closed_doubled(*labels), labels
+    d3 = data.draw(st.sampled_from(range(abs(d1 - d2), d1 + d2 + 1, 2)), label="doubled j3")
+    event("j3 block %s" % ("stretched" if d3 == d1 + d2 else "inner"))
+    assert list(cgc_closed_table(j1, j2, Fraction(d3, 2))) == [r for r in full if r[0][4] == d3]
+
+
+def test_cgc_closed_table_refuses_as_cgc_table():
+    for args in [(1, 1, Fraction(3, 2)), (1, 1, 3), (-1, 1, None)]:
+        with pytest.raises(ValueError):
+            cgc_table(*args)
+        with pytest.raises(ValueError):
+            list(cgc_closed_table(*args))
 
 
 def test_cgc_swap_symmetry():
