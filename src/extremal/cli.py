@@ -32,8 +32,8 @@ from .projector import (
     verify_extremal_identities,
 )
 from .repmod import su3_dim, su3_label
-from .su3gt import enumerate_gt_labels, gt_hypercharge, gt_norm_factor, gt_vector
-from .wigner2 import cgc_closed_table, cgc_projector_doubled, ninej, sixj
+from .su3gt import _gt_basis, enumerate_gt_labels, gt_hypercharge, gt_norm_factor
+from .wigner2 import cgc_closed_table, cgc_projector_table, ninej, sixj
 
 SCHEMA = 1
 
@@ -132,8 +132,7 @@ def records_ninej(args):
 def records_gt_basis(args):
     lam, mu = su3_label(args.lam, args.mu)
     out = []
-    for lab in enumerate_gt_labels(lam, mu):
-        v = gt_vector(lam, mu, lab)
+    for lab, v in zip(enumerate_gt_labels(lam, mu), _gt_basis(lam, mu)):
         coords = ";".join(
             "%d:%s" % (i, v.coords[i]) for i in sorted(v.coords)
         )
@@ -199,17 +198,16 @@ def _verify_no_go(trunc):
 
 def _verify_su2_cgc(trunc):
     top = trunc if trunc is not None else 2  # the largest doubled spin
-    ok = all(not (v - cgc_projector_doubled(*labels))
-             for j1 in range(top + 1) for j2 in range(top + 1)
-             for labels, v in cgc_closed_table(Fraction(j1, 2), Fraction(j2, 2)))
+    halves = [Fraction(j, 2) for j in range(top + 1)]
+    ok = all(list(cgc_closed_table(j1, j2)) == list(cgc_projector_table(j1, j2))
+             for j1 in halves for j2 in halves)
     return [("closed_equals_projector_route", ok)]
 
 
 def _verify_su3_gt(trunc):
     lam, mu = (1, 1)
-    labels = enumerate_gt_labels(lam, mu)
-    count_ok = len(labels) == su3_dim(lam, mu)
-    vecs = [gt_vector(lam, mu, lab) for lab in labels]
+    count_ok = len(enumerate_gt_labels(lam, mu)) == su3_dim(lam, mu)
+    vecs = _gt_basis(lam, mu)
     gram_ok = all(va.inner(vb) == (a == b)
                   for a, va in enumerate(vecs) for b, vb in enumerate(vecs))
     return [("label_count", count_ok), ("orthonormality", gram_ok)]

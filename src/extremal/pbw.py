@@ -262,6 +262,16 @@ def _primitive(num, q):
     return {m: c // g for m, c in num.items()}, q // g
 
 
+def _rank(a, b):
+    """The rank of a sum or product of the Coeffs a and b: a constant takes
+    the other's rank; ValueError for two non-constants of different ranks."""
+    if not (a.den or any(a.num)):
+        return b.n
+    if b.den or any(b.num):
+        raise ValueError("Coeff of su(%d) combined with a Coeff of su(%d)" % (a.n, b.n))
+    return a.n
+
+
 class Coeff:
     """Rational function of the h_i with the denominator kept factored.
 
@@ -372,6 +382,7 @@ class Coeff:
             other = Coeff.from_rational(self.n, other)
         if other.is_one() or self.is_one():  # no Coeff is changed in place
             return self if other.is_one() else other
+        n = self.n if self.n == other.n else _rank(self, other)
         den = self.den
         if other.den:
             if den:
@@ -381,7 +392,7 @@ class Coeff:
             else:
                 den = other.den
         num, q = _primitive(_mul(self.num, other.num), self.q * other.q)
-        return Coeff(self.n, num, den, q)
+        return Coeff(n, num, den, q)
 
     __rmul__ = __mul__
 
@@ -395,6 +406,7 @@ class Coeff:
             return self
         if not self.num:
             return other
+        n = self.n if self.n == other.n else _rank(self, other)
         q = lcm(self.q, other.q)
         # each numerator is padded to q and by the denominator forms it lacks
         den, forms_a, forms_b = self.den, (), ()
@@ -412,7 +424,7 @@ class Coeff:
         num = _add(_padded(self.num, q // self.q, forms_a),
                    _padded(other.num, q // other.q, forms_b))
         num, q = _primitive(num, q)
-        return Coeff(self.n, num, den, q)
+        return Coeff(n, num, den, q)
 
     __radd__ = __add__
 

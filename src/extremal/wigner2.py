@@ -27,7 +27,7 @@ __all__ = [
     "cgc_closed_table",
     "cgc_projector",
     "cgc_projector_doubled",
-    "cgc_table",
+    "cgc_projector_table",
     "sixj",
     "sixj_doubled",
     "ninej",
@@ -127,23 +127,15 @@ def _m1s(d1, d2, m3):
     return range(min(d1, m3 + d2), max(-d1, m3 - d2) - 1, -2)
 
 
-def cgc_table(j1, j2, j3=None):
-    """The allowed doubled labels (j1 m1 j2 m2 j3 m3) of the j1 x j2 table by
-    descending j3, m3, m1; only the j3 block when j3 is given.  ValueError
-    for a negative spin or a j3 that the table lacks."""
-    d1, d2, j3s = _table_spins(j1, j2, j3)
-    return [(d1, m1, d2, m3 - m1, d3, m3)
-            for d3 in j3s for m3 in range(d3, -d3 - 1, -2) for m1 in _m1s(d1, d2, m3)]
-
-
 def cgc_closed_table(j1, j2, j3=None):
-    """Yield (labels, value) for the labels of `cgc_table(j1, j2, j3)`, in
-    its order, with each value `cgc_closed_doubled(*labels)`.
+    """Yield (labels, value) for the allowed doubled labels (j1 m1 j2 m2 j3
+    m3) of the j1 x j2 table by descending j3, m3, m1 (only the j3 block
+    when j3 is given), with each value `cgc_closed_doubled(*labels)`.
 
     The roots of the values are shared: the projection roots of j1 and j2
     are taken once per table, the triangle root once per j3, and the
-    projection root of j3 once per m3.  ValueError as `cgc_table`, when
-    the walk starts.
+    projection root of j3 once per m3.  ValueError for a negative spin or
+    a j3 that the table lacks, when the walk starts.
     """
     d1, d2, j3s = _table_spins(j1, j2, j3)
     roots1 = {m: _projection_root(d1, m) for m in range(-d1, d1 + 1, 2)}
@@ -161,27 +153,18 @@ def cgc_closed_table(j1, j2, j3=None):
 # -- projector-route CGC ----------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def _projected_tower(j1, j2, j3):
-    """P applied to |j1 j1>|j2 j3-j1>, then lowered step by step; all
-    labels doubled.
-
-    Returns (diagonal element as Fraction, dict 2*m3 -> raw J_-^{j3-m3} P v0).
-    """
-    M = tensor(su2_irrep(Fraction(j1, 2)), su2_irrep(Fraction(j2, 2)))
-    v0_idx = (j2 - j3 + j1) // 2  # first factor at m = j1 (index 0)
-    # P's one factor, and the lowering, over M's frame
-    parts = factor_on_frame((1, 2), M.to_frame(M.basis_vector(v0_idx)), M)
-    pv = M.from_frame(parts)
-    diag = pv.coords.get(v0_idx)
-    if diag is None:
-        return None
-    lowered = {j3: pv}
-    jminus = M.frame[(2, 1)]
-    for m3 in range(j3 - 2, -j3 - 1, -2):
-        parts = {k: frame_apply(jminus, p) for k, p in parts.items()}
-        lowered[m3] = M.from_frame(parts)
-    return diag.to_rational(), lowered
+def _stretched(M, j1, j2, j3):
+    """P |j1 j1>|j2 j3-j1> in M = j1 x j2 as one frame part (k, (s, x)), and
+    the root that scales it, lowered (j3 - m3)/2 steps, to the CGCs of row
+    m3; all labels doubled."""
+    b = (j1 + j2 - j3) // 2  # the first factor at m = j1 (index 0)
+    (k, (s, x)), = factor_on_frame((1, 2), M.to_frame(M.basis_vector(b)), M).items()
+    # e_b enters the frame at radicand k = nu_b, so the diagonal element
+    # <e_b|P|e_b> = k s x_b = p/q is the stretched CGC squared, never 0; the
+    # root is sqrt((j3+m3)! / ((2 j3)! (j3-m3)!) / diag), with 1/diag = pq/p^2
+    p, q = (k * s * x[b]).as_integer_ratio()
+    return k, (s, x), lambda m3: sqrt_factorial_ratio(
+        [(j3 + m3) // 2], [j3, (j3 - m3) // 2], p * q, Fraction(1, p))
 
 
 def cgc_projector(j1, m1, j2, m2, j3, m3):
@@ -196,17 +179,35 @@ def cgc_projector(j1, m1, j2, m2, j3, m3):
 
 
 def cgc_projector_doubled(j1, m1, j2, m2, j3, m3):
-    """`cgc_projector` on doubled labels that the selection rules allow."""
-    data = _projected_tower(j1, j2, j3)
-    if data is None:
-        return _ZERO
-    diag, lowered = data
-    val = lowered[m3].coords.get((j1 - m1) // 2 * (j2 + 1) + (j2 - m2) // 2)
-    if val is None:
-        return _ZERO
-    # sqrt((j3+m3)! / ((2 j3)! (j3-m3)!) / diag), with 1/diag = q/p = pq/p^2
-    p, q = diag.numerator, diag.denominator
-    return val * sqrt_factorial_ratio([(j3 + m3) // 2], [j3, (j3 - m3) // 2], p * q, Fraction(1, p))
+    """`cgc_projector` on doubled labels that the selection rules allow:
+    P applied once, then lowered (j3 - m3)/2 steps in one call."""
+    M = tensor(su2_irrep(Fraction(j1, 2)), su2_irrep(Fraction(j2, 2)))
+    k, part, root = _stretched(M, j1, j2, j3)
+    part = frame_apply(M.frame[(2, 1)], part, (j3 - m3) // 2)
+    b = (j1 - m1) // 2 * (j2 + 1) + (j2 - m2) // 2
+    return M.from_frame({k: part}, root(m3)).coords.get(b, _ZERO)
+
+
+def cgc_projector_table(j1, j2, j3=None):
+    """Yield (labels, value) as `cgc_closed_table(j1, j2, j3)` does, with
+    each value `cgc_projector_doubled(*labels)`.
+
+    The tensor module is built once per table and P applied once per j3;
+    each m3 row is the frame part lowered one step further, leaving the
+    frame once.  ValueError as `cgc_closed_table`, when the walk starts.
+    """
+    d1, d2, j3s = _table_spins(j1, j2, j3)
+    M = tensor(su2_irrep(Fraction(d1, 2)), su2_irrep(Fraction(d2, 2)))
+    jminus = M.frame[(2, 1)]
+    for d3 in j3s:
+        k, part, root = _stretched(M, d1, d2, d3)
+        for m3 in range(d3, -d3 - 1, -2):
+            coords = M.from_frame({k: part}, root(m3)).coords
+            for m1 in _m1s(d1, d2, m3):
+                m2 = m3 - m1
+                yield ((d1, m1, d2, m2, d3, m3),
+                       coords.get((d1 - m1) // 2 * (d2 + 1) + (d2 - m2) // 2, _ZERO))
+            part = frame_apply(jminus, part)
 
 
 # -- recoupling symbols -----------------------------------------------

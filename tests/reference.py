@@ -1,8 +1,8 @@
 """Reference routes kept as independent checks of the package.
 
 Nothing in `extremal` calls these.  They are the older or symbolic routes:
-the brute-force enumeration of normal orderings, the closed-form su(2) CGC
-under one ten-factorial root, the letter-by-letter straightening of PBW
+the brute-force enumeration of normal orderings, the labels of an su(2) CGC
+table in print order, the closed-form su(2) CGC under one ten-factorial root, the letter-by-letter straightening of PBW
 words, the term-by-term product of `TaylorElement`s, the identity check on full
 products, the zeroing route that applies a symbolic element past its poles
 (`apply_zeroing`, the oracle of `apply_factor` and `apply_projector`), su(2)
@@ -36,6 +36,7 @@ from extremal.exact import (
     Radical,
     SingularWeightError,
     TruncationError,
+    doubled,
     factorial_ratio,
     half,
     sqrt_factorial_ratio,
@@ -457,6 +458,27 @@ def zeroing_matrix(x, M):
         for r, v in apply_zeroing(x, M.basis_vector(b), M).coords.items():
             out[(r, b)] = v
     return out
+
+
+# -- the labels of an su(2) CGC table ------------------------------------
+
+
+def cgc_table(j1, j2, j3=None):
+    """The allowed doubled labels (j1 m1 j2 m2 j3 m3) of the j1 x j2 table by
+    descending j3, m3, m1, only the j3 block when j3 is given, each row
+    scanned over every m1 and kept where |m2| <= j2: the label order of
+    `cgc_closed_table` and `cgc_projector_table`.  ValueError for a negative
+    spin or a j3 that the table lacks."""
+    d1, d2 = doubled(j1, j2)
+    if d1 < 0 or d2 < 0:
+        raise ValueError("spins must be nonnegative")
+    j3s = range(d1 + d2, abs(d1 - d2) - 1, -2)
+    if j3 is not None:
+        if doubled(j3)[0] not in j3s:
+            raise ValueError("j3=%s does not occur in %s x %s" % (j3, j1, j2))
+        j3s = doubled(j3)
+    return [(d1, m1, d2, m3 - m1, d3, m3) for d3 in j3s for m3 in range(d3, -d3 - 1, -2)
+            for m1 in range(d1, -d1 - 1, -2) if abs(m3 - m1) <= d2]
 
 
 # -- the closed-form su(2) CGC under one ten-factorial root --------------

@@ -114,18 +114,21 @@ def test_su2_irrep_cache_stays_at_its_bound():
 
 
 def test_a_cgc_table_leaves_no_values_held(capsys):
-    # a table reuses no coefficient, so none may outlive the request
+    # a table reuses no coefficient, so none may outlive the request: neither
+    # a printed table nor the verify walk of both routes over many tables
     assert cli.main(["cgc-su2", "--j1", "1", "--j2", "1", "--format", "json"]) == 0
-    tracemalloc.start()
-    try:
-        assert cli.main(["cgc-su2", "--j1", "8", "--j2", "8", "--format", "json"]) == 0
-        capsys.readouterr()
-        gc.collect()  # also empties the interpreter's free lists of tuples and floats
-        snapshot = tracemalloc.take_snapshot()
-    finally:
-        tracemalloc.stop()
-    held = snapshot.filter_traces([tracemalloc.Filter(True, "*/extremal/*")])
-    assert sum(s.size for s in held.statistics("filename")) < 100_000
+    for argv in (["cgc-su2", "--j1", "8", "--j2", "8", "--format", "json"],
+                 ["verify", "--suite", "su2-cgc", "--trunc", "6"]):
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            capsys.readouterr()
+            gc.collect()  # also empties the interpreter's free lists of tuples and floats
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        held = snapshot.filter_traces([tracemalloc.Filter(True, "*/extremal/*")])
+        assert sum(s.size for s in held.statistics("filename")) < 100_000, argv
 
 
 def _memo_sizes(eng):

@@ -287,9 +287,9 @@ def test_cgc_su2_tables_hold_the_allowed_nonzero_coefficients(capsys):
 def test_verify_su2_cgc_catches_one_wrong_coefficient(monkeypatch, capsys, wrong):
     # the projector route off by 1 at (1 0 1 0 | 2 0) = sqrt(2/3), or at
     # (1 0 1 0 | 1 0) = 0: the suite visits zero-valued labels too
-    route, one = cli.cgc_projector_doubled, Radical.from_rational(1)
-    monkeypatch.setattr(cli, "cgc_projector_doubled", lambda *labels: (
-        route(*labels) + one if labels == wrong else route(*labels)))
+    route, one = cli.cgc_projector_table, Radical.from_rational(1)
+    monkeypatch.setattr(cli, "cgc_projector_table", lambda *spins: (
+        (labels, v + one if labels == wrong else v) for labels, v in route(*spins)))
     code, out, _ = run(capsys, "verify", "--suite", "su2-cgc", "--format", "json")
     assert code == 3
     assert json.loads(out)["records"] == [

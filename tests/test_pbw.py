@@ -178,6 +178,22 @@ def test_a_coefficient_of_another_rank_is_refused():
     assert rewrite_word([e3.coeff(3), (1, 2)], SU2, N=2, engine=e2).dump() == "[3] * e12"
 
 
+def test_coeff_arithmetic_keeps_one_rank():
+    # h1 of su(2) and h2 of su(3) pack alike: their sum once read as 2*h1 of
+    # su(2).  A constant takes the other operand's rank, on either side
+    h1, h2 = shared_engine(2).h_span(1, 2), shared_engine(3).h_span(2, 3)
+    for op in (lambda a, b: a + b, lambda a, b: a * b):
+        for a, b in ((h1, h2), (h2, h1)):
+            with pytest.raises(ValueError, match=r"su\(%d\).*su\(%d\)" % (a.n, b.n)):
+                op(a, b)
+        for q in (3, Fraction(-1, 2)):
+            want = op(h2, Coeff.from_rational(3, q))
+            for x in (op(Coeff.from_rational(2, q), h2), op(h2, Coeff.from_rational(4, q))):
+                assert x.n == 3 and x == want, (q, x)
+    assert (Coeff.from_rational(2, 3) + h2).text() == "h2 + 3"
+    assert (Coeff.from_rational(2, 3) * h2).text() == "3*h2"
+
+
 def test_coeff_compares_unequal_to_other_types(eng2):
     # a type Coeff cannot coerce is unequal, not an AttributeError
     h = cartan_ring(2).gens[0]

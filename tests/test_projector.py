@@ -457,7 +457,7 @@ def test_numeric_routes_never_reach_the_symbolic_engine(monkeypatch, capsys):
         raise AssertionError("symbolic element applied on a numeric route")
 
     caches = (su3gt._gt_basis, su3gt.gt_module, su3cgc.decompose,
-              su3cgc.coupled_basis, wigner2._projected_tower)
+              su3cgc.coupled_basis)
     for cache in caches:
         cache.cache_clear()
     monkeypatch.setattr(repmod, "apply_element", refuse)

@@ -19,13 +19,19 @@ from extremal.wigner2 import (
     cgc_closed_doubled,
     cgc_closed_table,
     cgc_projector,
-    cgc_table,
+    cgc_projector_doubled,
+    cgc_projector_table,
     ninej,
     ninej_doubled,
     sixj,
     sixj_doubled,
 )
-from reference import general_projector, lowering_monomial, reference_cgc_closed_doubled
+from reference import (
+    cgc_table,
+    general_projector,
+    lowering_monomial,
+    reference_cgc_closed_doubled,
+)
 
 HALF = Fraction(1, 2)
 
@@ -139,12 +145,30 @@ def test_cgc_closed_table_equals_the_one_label_routes(d1, d2, data):
     assert list(cgc_closed_table(j1, j2, Fraction(d3, 2))) == [r for r in full if r[0][4] == d3]
 
 
+@settings(max_examples=40, deadline=None)
+@given(_spins, _spins, st.data())
+def test_cgc_projector_table_walks_as_the_closed_table(d1, d2, data):
+    # the two routes walk a table alike: the same labels in the same order,
+    # with equal values; a j3 block is the full walk's slice, and the
+    # one-label projector route gives the walk's value on every label
+    j1, j2 = Fraction(d1, 2), Fraction(d2, 2)
+    full = list(cgc_projector_table(j1, j2))
+    assert full == list(cgc_closed_table(j1, j2))
+    d3 = data.draw(st.sampled_from(range(abs(d1 - d2), d1 + d2 + 1, 2)), label="doubled j3")
+    event("j3 block %s" % ("stretched" if d3 == d1 + d2 else "inner"))
+    assert list(cgc_projector_table(j1, j2, Fraction(d3, 2))) == [r for r in full if r[0][4] == d3]
+    for labels, v in full:
+        assert cgc_projector_doubled(*labels) == v, labels
+
+
 def test_cgc_closed_table_refuses_as_cgc_table():
     for args in [(1, 1, Fraction(3, 2)), (1, 1, 3), (-1, 1, None)]:
         with pytest.raises(ValueError):
             cgc_table(*args)
         with pytest.raises(ValueError):
             list(cgc_closed_table(*args))
+        with pytest.raises(ValueError):
+            list(cgc_projector_table(*args))
 
 
 def test_cgc_swap_symmetry():
